@@ -210,10 +210,14 @@ def update_pheromones(
     for tour, backbone_edges in zip(tours, backbones):
         if len(tour.order) < 2:
             continue
-        for edge in sorted(tour.edge_set()):
-            amount = deposit_amount(edge, tour, backbone_edges, params)
-            tau[edge[0], edge[1]] += amount
-            tau[edge[1], edge[0]] += amount
+        edges = list(tour.edge_set())
+        u, v = zip(*edges)
+        bonus = [params.kappa if e in backbone_edges else 0.0 for e in edges]
+        amount = params.q_scale / tour.length * (1.0 + np.array(bonus + bonus))
+        # Canonical edges (u < v) of one tour name 2E distinct cells, so one
+        # fancy-index add equals adding them one by one; tours still apply in
+        # list order.
+        tau[np.array(u + v), np.array(v + u)] += amount
     return tau
 
 
@@ -240,8 +244,12 @@ class SubsetColony:
         self.params = params
         self.backbone_edges = frozenset(backbone_edges)
         self._local_of = {int(v): k for k, v in enumerate(self.nodes)}
+        # Flat positions of the subset's block in a (dim, dim) matrix: one
+        # take() gathers it, where np.ix_ builds two index grids per call.
+        self._shape = d.shape
+        self._block = (self.nodes[:, None] * d.shape[1] + self.nodes).ravel()
 
-        self.dist = d[np.ix_(self.nodes, self.nodes)].copy()
+        self.dist = self._gather(d)
         off_diag = ~np.eye(self.n_local, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
             raise ValueError("zero distance inside subset: degenerate geometry")
@@ -257,8 +265,13 @@ class SubsetColony:
                 weight[lv, lu] *= boost
         self.weight = weight
 
+    def _gather(self, matrix: np.ndarray) -> np.ndarray:
+        if matrix.shape != self._shape:
+            raise ValueError(f"matrix shape {matrix.shape} differs from {self._shape}")
+        return matrix.take(self._block).reshape(self.n_local, self.n_local)
+
     def local_tau(self, tau: np.ndarray) -> np.ndarray:
-        sub = tau[np.ix_(self.nodes, self.nodes)]
+        sub = self._gather(tau)
         if self.params.alpha == 1.0:
             return sub
         return sub ** self.params.alpha
@@ -277,34 +290,50 @@ class SubsetColony:
         na, nl = uniforms.shape
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
+        score_tau = tau_local * self.weight
+        # Visited columns are zeroed by multiplying with a 0/1 mask, which is
+        # exact for finite scores but turns inf into NaN.
+        if np.isinf(score_tau).any():
+            raise ValueError(
+                "non-finite successor scores: (1/d)^beta or the trail overflows; "
+                "rescale the coordinates or lower beta"
+            )
         orders = np.empty((na, nl), dtype=np.int64)
-        visited = np.zeros((na, nl), dtype=bool)
-        rows = np.arange(na)
+        avail = np.ones((na, nl))
+        avail_flat = avail.reshape(-1)
+        offsets = np.arange(na) * nl
 
         if start_local is None:
             cur = np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
         else:
             cur = np.full(na, int(start_local), dtype=np.int64)
         orders[:, 0] = cur
-        visited[rows, cur] = True
+        avail_flat[offsets + cur] = 0.0
 
-        score_tau = tau_local * self.weight
+        draws = np.ascontiguousarray(uniforms.T)
+        scores = np.empty((na, nl))
+        cum = np.empty((na, nl))
+        below = np.empty((na, nl), dtype=bool)
+        total = cum[:, -1]
         for step in range(1, nl):
-            scores = score_tau[cur]
-            scores[visited] = 0.0
-            cum = np.cumsum(scores, axis=1)
-            total = cum[:, -1]
-            if not np.all(total > 0):
+            # Indices are in range; mode="clip" only spares take() from
+            # buffering its output.
+            np.take(score_tau, cur, axis=0, out=scores, mode="clip")
+            np.multiply(scores, avail, out=scores)
+            np.cumsum(scores, axis=1, out=cum)
+            if not total.min() > 0:  # NaN fails this too
                 raise ValueError("all successor scores vanished during construction")
-            target = np.minimum(uniforms[:, step] * total, np.nextafter(total, -np.inf))
-            nxt = (cum <= target[:, None]).sum(axis=1)
-            orders[:, step] = nxt
-            visited[rows, nxt] = True
-            cur = nxt
+            target = np.minimum(draws[step] * total, np.nextafter(total, -np.inf))
+            np.less_equal(cum, target[:, None], out=below)
+            cur = below.sum(axis=1)
+            orders[:, step] = cur
+            avail_flat[offsets + cur] = 0.0
 
         if nl == 1:
             lengths = np.zeros(na)
         else:
+            # orders is C-contiguous; the pairwise sum of an F-ordered gather
+            # would round differently.
             lengths = self.dist[orders[:, :-1], orders[:, 1:]].sum(axis=1)
             lengths = lengths + self.dist[orders[:, -1], orders[:, 0]]
         return orders, lengths

@@ -69,9 +69,9 @@ def _sorted_pair_order(d: np.ndarray, nodes: np.ndarray):
     """All node pairs as local index arrays, ranked by (weight, u, v)."""
     iu, ju = np.triu_indices(len(nodes), k=1)
     w = d[nodes[iu], nodes[ju]]
-    # np.lexsort sorts by the last key first; nodes are ascending so local
-    # order matches canonical global (u, v) order.
-    order = np.lexsort((ju, iu, w))
+    # triu_indices lists pairs in (u, v) order and nodes are ascending, so a
+    # stable sort on weight alone breaks ties by canonical global (u, v).
+    order = np.argsort(w, kind="stable")
     return iu[order], ju[order], w[order]
 
 

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 DEFAULT_SIGNIFICANCE = 0.05
 EXACT_PAIR_LIMIT = 25
@@ -81,6 +80,10 @@ def wilcoxon_signed_rank(
     if len(a) < 5:
         raise ValueError(f"need at least 5 pairs, got {len(a)}")
 
+    # scipy is imported here, not at module level: it takes about a second to
+    # import and only the statistics need it.
+    from scipy.stats import rankdata
+
     diff = a - b
     diff = diff[diff != 0.0]
     n = len(diff)
@@ -126,6 +129,8 @@ def friedman_mean_ranks(means: dict[str, dict[str, float]]) -> RankTable:
     Instances missing any algorithm are skipped with a warning.  Within one
     instance the ranks always sum to A(A+1)/2 for A algorithms.
     """
+    from scipy.stats import rankdata
+
     algorithms: set[str] = set()
     for per_alg in means.values():
         algorithms.update(per_alg)

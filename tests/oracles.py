@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy.stats import rankdata
 
+from sinepath.aco import deposit_amount
+
 
 def prim_mst_cost(dist: np.ndarray) -> float:
     """Prim's algorithm, O(n^2), returns total tree weight."""
@@ -193,3 +195,57 @@ def wilcoxon_enumerated(a, b) -> tuple[float, float, float, float]:
             count += 1
     p = min(1.0, 2.0 * count / 2.0 ** n)
     return w_plus, w_minus, float(n), p
+
+
+def reference_construct_colony(weight, dist, tau_local, uniforms, start_local=None):
+    """The colony step loop as first written: a bool visited mask written with
+    ``scores[visited] = 0.0`` and fresh arrays every step.
+
+    ``weight`` and ``dist`` are a ``SubsetColony``'s static score factor and
+    local distance block.  Returns (orders, lengths) like ``construct_colony``.
+    """
+    na, nl = uniforms.shape
+    orders = np.empty((na, nl), dtype=np.int64)
+    visited = np.zeros((na, nl), dtype=bool)
+    rows = np.arange(na)
+
+    if start_local is None:
+        cur = np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
+    else:
+        cur = np.full(na, int(start_local), dtype=np.int64)
+    orders[:, 0] = cur
+    visited[rows, cur] = True
+
+    score_tau = tau_local * weight
+    for step in range(1, nl):
+        scores = score_tau[cur]
+        scores[visited] = 0.0
+        cum = np.cumsum(scores, axis=1)
+        total = cum[:, -1]
+        if not np.all(total > 0):
+            raise ValueError("all successor scores vanished during construction")
+        target = np.minimum(uniforms[:, step] * total, np.nextafter(total, -np.inf))
+        nxt = (cum <= target[:, None]).sum(axis=1)
+        orders[:, step] = nxt
+        visited[rows, nxt] = True
+        cur = nxt
+
+    if nl == 1:
+        lengths = np.zeros(na)
+    else:
+        lengths = dist[orders[:, :-1], orders[:, 1:]].sum(axis=1)
+        lengths = lengths + dist[orders[:, -1], orders[:, 0]]
+    return orders, lengths
+
+
+def reference_update_pheromones(tau, tours, backbones, params):
+    """Evaporation, then one ``deposit_amount`` per tour edge and direction."""
+    tau *= 1.0 - params.rho
+    for tour, backbone_edges in zip(tours, backbones):
+        if len(tour.order) < 2:
+            continue
+        for edge in sorted(tour.edge_set()):
+            amount = deposit_amount(edge, tour, backbone_edges, params)
+            tau[edge[0], edge[1]] += amount
+            tau[edge[1], edge[0]] += amount
+    return tau

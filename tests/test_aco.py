@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import exhaustive_tsp
+from oracles import exhaustive_tsp, reference_construct_colony, reference_update_pheromones
 from sinepath.aco import (
     AcoParams,
     StructuralBias,
@@ -17,7 +17,7 @@ from sinepath.aco import (
     update_pheromones,
 )
 from sinepath.backbone import kruskal_mst
-from sinepath.instances import build_distance_matrix, random_planar_instance
+from sinepath.instances import Instance, build_distance_matrix, random_planar_instance
 from sinepath.objective import tour_length
 
 TRI_D = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
@@ -238,6 +238,36 @@ def test_update_pheromones_disjoint_tours_single_deposit_each():
     assert np.array_equal(tau, tau.T)
 
 
+def test_update_pheromones_bit_identical_to_edge_loop():
+    # overlapping tours (edge (0, 1) twice), a 2-node tour, a 1-node tour and
+    # backbone bonuses on a random trail: the vectorised deposit must add the
+    # same floats in the same order as one deposit_amount per edge
+    rng = np.random.default_rng(914)
+    tau = init_pheromone(12, 1.0) * rng.uniform(0.2, 2.0, size=(12, 12))
+    tours = [
+        Tour((0, 1, 2, 3), 7.3),
+        Tour((5, 6), 2.9),
+        Tour((1, 0, 7, 8), 11.1),
+        Tour((9,), 0.0),
+        Tour((10, 4, 11), 5.7),
+    ]
+    backbones = [
+        frozenset({(0, 1), (2, 3)}),
+        frozenset({(5, 6)}),
+        frozenset({(0, 1), (7, 8), (4, 10)}),
+        frozenset(),
+        frozenset({(4, 10)}),
+    ]
+    for params in (AcoParams(rho=0.3, q_scale=1.7, kappa=1.5), AcoParams(kappa=0.0)):
+        got = update_pheromones(tau.copy(), tours, backbones, params)
+        ref = reference_update_pheromones(tau.copy(), tours, backbones, params)
+        assert np.array_equal(got, ref)
+        # the 2-node tour deposits exactly once in each direction
+        amount = params.q_scale / 2.9 * (1.0 + params.kappa)
+        for u, v in ((5, 6), (6, 5)):
+            assert got[u, v] == tau[u, v] * (1.0 - params.rho) + amount
+
+
 def test_update_pheromones_validation():
     params = AcoParams()
     tau = init_pheromone(3, 1.0)
@@ -327,6 +357,53 @@ def test_colony_matches_scalar_construction():
         assert lengths[ant] == pytest.approx(ref.length, rel=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 13, 64])
+@pytest.mark.parametrize("alpha", [1.0, 1.3])
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+@pytest.mark.parametrize("start", [None, "fixed"])
+def test_colony_bit_identical_to_reference(width, alpha, omega, start):
+    n = 70
+    d = build_distance_matrix(random_planar_instance(n, seed=915))
+    rng = np.random.default_rng(916 + width)
+    nodes = np.sort(rng.choice(n, size=width, replace=False))
+    backbone = kruskal_mst(d, nodes).edge_keys()
+    params = AcoParams(alpha=alpha, beta=2.5, gamma=1.2)
+    colony = SubsetColony(nodes, d, backbone, omega, params)
+    tau = init_pheromone(n, 1.0) * rng.uniform(0.05, 3.0, size=(n, n))
+    tau_local = colony.local_tau(tau)
+    assert np.array_equal(tau_local, tau[np.ix_(nodes, nodes)] ** alpha)
+    uniforms = rng.random((17, width))
+    start_local = None if start is None else width // 2
+    orders, lengths = colony.construct_colony(tau_local, uniforms, start_local)
+    ref_orders, ref_lengths = reference_construct_colony(
+        colony.weight, colony.dist, tau_local, uniforms, start_local
+    )
+    assert np.array_equal(orders, ref_orders)
+    assert np.array_equal(lengths, ref_lengths)
+
+
+def test_colony_vanished_scores_rejected():
+    _, _, _, colony = _colony_setup(6, 917)
+    uniforms = np.random.default_rng(918).random((4, 6))
+    for trail in (np.zeros((6, 6)), np.full((6, 6), np.nan)):
+        with pytest.raises(ValueError, match="vanished"):
+            colony.construct_colony(trail, uniforms)
+
+
+def test_colony_overflowing_scores_rejected():
+    # (1/d)^200 with distances near 1e-2 overflows to inf; a 0/1 mask would
+    # turn inf into NaN, so construction must refuse instead of sampling
+    inst = random_planar_instance(12, seed=3)
+    small = Instance(inst.name, inst.coords * 1e-3, inst.metric)
+    d = build_distance_matrix(small)
+    with np.errstate(over="ignore"):
+        colony = SubsetColony(range(12), d, frozenset(), 1.0, AcoParams(beta=200.0))
+    assert np.isinf(colony.weight).any()
+    tau = init_pheromone(12, 1.0)
+    with pytest.raises(ValueError, match="non-finite successor scores"):
+        colony.construct_colony(colony.local_tau(tau), np.full((3, 12), 0.5))
+
+
 def test_colony_free_start_uses_first_draw():
     n = 7
     _, _, params, colony = _colony_setup(n, 909)
@@ -344,6 +421,8 @@ def test_colony_uniform_shape_checked():
     tau = init_pheromone(6, 1.0)
     with pytest.raises(ValueError, match="width"):
         colony.construct_colony(colony.local_tau(tau), np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="shape"):
+        colony.local_tau(init_pheromone(7, 1.0))
 
 
 def test_colony_mean_near_optimum_with_strong_guidance():

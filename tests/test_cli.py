@@ -1,11 +1,18 @@
 """Command line behaviour: exit codes, artifacts, reruns."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sinepath
 from sinepath.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from sinepath.instances import random_planar_instance
 
 FAST = ["--iters", "4", "--ants", "4"]
 
@@ -66,6 +73,37 @@ def test_solve_bad_parameter_is_domain_error(tri3_path, tmp_path):
         + FAST
     )
     assert code == EXIT_DOMAIN
+
+
+def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
+    # distances near 1e-2 with beta=200 overflow (1/d)^beta to inf
+    coords = random_planar_instance(12, seed=3).coords * 1e-3
+    lines = ["NAME: tiny12", "TYPE: TSP", "DIMENSION: 12", "EDGE_WEIGHT_TYPE: EUC_2D",
+             "NODE_COORD_SECTION"]
+    lines += [f"{i} {x!r} {y!r}" for i, (x, y) in enumerate(coords.tolist(), 1)]
+    path = tmp_path / "tiny12.tsp"
+    path.write_text("\n".join(lines + ["EOF", ""]))
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore"):
+        code = main(["solve", str(path), "--beta", "200", "--out", str(out)] + FAST)
+    assert code == EXIT_DOMAIN
+    assert "non-finite successor scores" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(sinepath.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = (
+        "import sys, sinepath.cli, sinepath.solver; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_help_exits_zero(capsys):

@@ -1,13 +1,15 @@
 """End-to-end solve behaviour: validity, determinism, traces, reports."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sinepath.aco import AcoParams
-from sinepath.instances import build_distance_matrix, random_planar_instance
+from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
 from sinepath.objective import scalarized_objective, tour_length
 from sinepath.solver import (
     IncumbentState,
@@ -238,3 +240,16 @@ def test_incumbent_trace_follows_decreasing_sequence():
     for i, val in enumerate(seq):
         incumbent_update(state, (Tour((0, 1), val),), 0.5, i)
     assert state.trace == seq
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("master_seed", [0, 1])
+def test_bench51_m4_matches_benchmark_golden(bench51_path, master_seed):
+    # the benchmark's recorded answers, read only: a speed-up of the default
+    # path must leave canonical_json byte-identical
+    golden = json.loads(GOLDEN.read_text())["bench51-m4"]
+    report = solve(load_instance(bench51_path), 4, SolverConfig(master_seed=master_seed))
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == golden[f"bench51/m4/seed{master_seed}"]
