@@ -16,7 +16,9 @@ algorithm is a parameter setting of this module, not a separate code path.
 Sampling inverts the cumulative score sum with one uniform draw per step;
 the draw is clamped strictly below the total so the final positive-score
 candidate absorbs residual rounding mass and a visited node can never be
-re-selected.
+re-selected.  The colony picks the first node whose prefix sum exceeds the
+target, which is the count of prefix sums at or below it only while every
+score is non-negative; a negative trail is therefore refused.
 """
 
 from __future__ import annotations
@@ -291,6 +293,8 @@ class SubsetColony:
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
         score_tau = tau_local * self.weight
+        if score_tau.min() < 0:  # NaN passes, to fail as vanished below
+            raise ValueError("negative trail: successor scores must be non-negative")
         # Visited columns are zeroed by multiplying with a 0/1 mask, which is
         # exact for finite scores but turns inf into NaN.
         if np.isinf(score_tau).any():
@@ -314,20 +318,33 @@ class SubsetColony:
         scores = np.empty((na, nl))
         cum = np.empty((na, nl))
         below = np.empty((na, nl), dtype=bool)
+        target = np.empty(na)
+        cap = np.empty(na)
+        target_col = target[:, None]
         total = cum[:, -1]
+        low = np.full(na, np.inf)
         for step in range(1, nl):
             # Indices are in range; mode="clip" only spares take() from
             # buffering its output.
             np.take(score_tau, cur, axis=0, out=scores, mode="clip")
             np.multiply(scores, avail, out=scores)
-            np.cumsum(scores, axis=1, out=cum)
-            if not total.min() > 0:  # NaN fails this too
-                raise ValueError("all successor scores vanished during construction")
-            target = np.minimum(draws[step] * total, np.nextafter(total, -np.inf))
-            np.less_equal(cum, target[:, None], out=below)
-            cur = below.sum(axis=1)
+            np.add.accumulate(scores, axis=1, out=cum)
+            np.minimum(low, total, out=low)
+            np.multiply(draws[step], total, out=target)
+            np.nextafter(total, -np.inf, out=cap)
+            np.minimum(target, cap, out=target)
+            # Scores are non-negative, so each row of cum never decreases and
+            # `below` is a run of True followed only by False, with the last
+            # column False (target < total): the first False, at the count
+            # of True, is the pick.  A zero or NaN total leaves a row all
+            # False and picks 0, a valid index; the check after the loop then
+            # refuses the whole call.
+            np.less_equal(cum, target_col, out=below)
+            cur = below.argmin(axis=1)
             orders[:, step] = cur
             avail_flat[offsets + cur] = 0.0
+        if not (low > 0).all():  # NaN fails this too
+            raise ValueError("all successor scores vanished during construction")
 
         if nl == 1:
             lengths = np.zeros(na)

@@ -51,12 +51,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="parallel workers (default: SINE_WORKERS or 1)")
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    return int(os.environ.get("SINE_WORKERS", "1"))
-
-
 def _config(args, mode: str) -> SolverConfig:
     aco = AcoParams(
         alpha=args.alpha,
@@ -141,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     cfg = _config(args, args.mode)
-    report = solve(inst, args.robots, cfg, workers=_workers(args))
+    report = solve(inst, args.robots, cfg, workers=args.workers)
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     if args.svg:
         Path(args.svg).write_text(format_svg_routes(report, inst))
@@ -181,7 +175,7 @@ def _cmd_bench(args) -> int:
         repeats=args.repeats,
         seed_base=args.seed,
     )
-    results = run_plan(plan, workers=_workers(args))
+    results = run_plan(plan, workers=args.workers)
     written = emit_bench_artifacts(results, args.out_dir)
     for key, msg in sorted(results.failed.items()):
         print(f"failed: {key}: {msg}", file=sys.stderr)
@@ -250,6 +244,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "workers" in vars(args) and args.workers is None:
+        text = os.environ.get("SINE_WORKERS", "1")
+        try:
+            args.workers = int(text)
+        except ValueError:
+            parser.error(f"environment variable SINE_WORKERS: invalid int value: {text!r}")
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, OSError, json.JSONDecodeError) as exc:

@@ -357,12 +357,12 @@ def test_colony_matches_scalar_construction():
         assert lengths[ant] == pytest.approx(ref.length, rel=1e-12)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 13, 64])
+@pytest.mark.parametrize("width", [1, 2, 3, 13, 64, 250])
 @pytest.mark.parametrize("alpha", [1.0, 1.3])
 @pytest.mark.parametrize("omega", [1.0, 2.0])
 @pytest.mark.parametrize("start", [None, "fixed"])
 def test_colony_bit_identical_to_reference(width, alpha, omega, start):
-    n = 70
+    n = max(70, width)
     d = build_distance_matrix(random_planar_instance(n, seed=915))
     rng = np.random.default_rng(916 + width)
     nodes = np.sort(rng.choice(n, size=width, replace=False))
@@ -388,6 +388,73 @@ def test_colony_vanished_scores_rejected():
     for trail in (np.zeros((6, 6)), np.full((6, 6), np.nan)):
         with pytest.raises(ValueError, match="vanished"):
             colony.construct_colony(trail, uniforms)
+
+
+def test_colony_later_vanish_rejected_like_reference():
+    # node 4 has no outgoing trail, so a row total vanishes only once an ant
+    # stands on node 4 with nodes still to visit, never at the first step
+    _, _, _, colony = _colony_setup(6, 921)
+    trail = init_pheromone(6, 1.0)
+    trail[4] = 0.0
+    uniforms = np.random.default_rng(922).random((8, 6))
+    assert (trail[0] * colony.weight[0]).sum() > 0
+    with pytest.raises(ValueError, match="vanished"):
+        colony.construct_colony(trail, uniforms, 0)
+    with pytest.raises(ValueError, match="vanished"):
+        reference_construct_colony(colony.weight, colony.dist, trail, uniforms, 0)
+
+
+def _cycle_trail(n, rng):
+    """Trail left after every edge off one Hamiltonian cycle has underflowed
+    to exactly 0: an ant can always walk on along the cycle, so no total
+    vanishes, but most of each prefix-sum row is flat."""
+    cycle = rng.permutation(n)
+    trail = np.zeros((n, n))
+    trail[cycle, np.roll(cycle, 1)] = rng.uniform(0.5, 1.5, size=n)
+    trail[np.roll(cycle, 1), cycle] = rng.uniform(0.5, 1.5, size=n)
+    return trail
+
+
+@pytest.mark.parametrize("case", ["zero-entries", "overflowing-totals"])
+def test_colony_bit_identical_to_reference_on_edge_trails(case):
+    rng = np.random.default_rng(923)
+    if case == "zero-entries":
+        _, _, _, colony = _colony_setup(13, 924)
+        trail = _cycle_trail(13, rng)
+    else:
+        # distances near 1e-2 make every weight > 1, so scores near
+        # max/4 stay finite while the row sums overflow to inf
+        inst = random_planar_instance(13, seed=925)
+        d = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
+        colony = SubsetColony(range(13), d, frozenset(), 1.0, AcoParams())
+        huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
+        trail = huge / (colony.weight + np.eye(13))
+        np.fill_diagonal(trail, 0.0)
+    uniforms = rng.random((40, 13))
+    with np.errstate(over="ignore"):
+        scores = trail * colony.weight
+        assert np.isfinite(scores).all()
+        if case == "overflowing-totals":
+            assert np.isinf(scores.sum(axis=1)).all()
+        for start in (None, 5):
+            orders, lengths = colony.construct_colony(trail, uniforms, start)
+            ref_orders, ref_lengths = reference_construct_colony(
+                colony.weight, colony.dist, trail, uniforms, start
+            )
+            assert np.array_equal(orders, ref_orders)
+            assert np.array_equal(lengths, ref_lengths)
+
+
+def test_colony_negative_trail_rejected():
+    # a few negative entries used to pass unnoticed and yield tours that
+    # revisit nodes, since the prefix sum then falls along a row
+    _, _, _, colony = _colony_setup(13, 919)
+    rng = np.random.default_rng(920)
+    for _ in range(20):
+        trail = rng.uniform(0.5, 1.5, size=(13, 13))
+        trail.flat[rng.choice(169, size=3, replace=False)] = -0.05
+        with pytest.raises(ValueError, match="negative trail"):
+            colony.construct_colony(trail, rng.random((4, 13)))
 
 
 def test_colony_overflowing_scores_rejected():

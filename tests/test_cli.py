@@ -286,3 +286,12 @@ def test_workers_env_fallback(tmp_path, tri3_path, monkeypatch, capsys):
     b.pop("wall_time")
     assert a == b
     capsys.readouterr()
+
+
+def test_workers_env_not_an_int_is_usage_error(tri3_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SINE_WORKERS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(tri3_path), "--out", str(tmp_path / "r.json")] + FAST)
+    assert exc.value.code == EXIT_USAGE
+    assert "SINE_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

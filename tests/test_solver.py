@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sinepath.aco import AcoParams
+from sinepath.aco import AcoParams, SubsetColony
 from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
 from sinepath.objective import scalarized_objective, tour_length
 from sinepath.solver import (
@@ -253,3 +253,24 @@ def test_bench51_m4_matches_benchmark_golden(bench51_path, master_seed):
     report = solve(load_instance(bench51_path), 4, SolverConfig(master_seed=master_seed))
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == golden[f"bench51/m4/seed{master_seed}"]
+
+
+def test_one_colony_call_per_subset_per_iteration(bench51_path, monkeypatch):
+    # perfbench's traced run counts one construct_colony call per subset per
+    # iteration and reads the (n_ants, n_local) uniform block from the second
+    # positional argument; a change to that call pattern must show here first
+    calls = []
+    original = SubsetColony.construct_colony
+
+    def counted(self, *args, **kwargs):
+        calls.append((self.n_local, args[1].shape))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubsetColony, "construct_colony", counted)
+    report = solve(load_instance(bench51_path), 4, _fast_config())
+    sizes = sorted(len(t.order) for t in report.tours)
+    assert report.iterations_run == FAST.max_iter
+    assert len(calls) == FAST.max_iter * 4
+    assert all(shape == (FAST.n_ants, n_local) for n_local, shape in calls)
+    for t in range(FAST.max_iter):
+        assert sorted(n_local for n_local, _ in calls[4 * t : 4 * t + 4]) == sizes
