@@ -23,7 +23,7 @@ score is non-negative; a negative trail is therefore refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,16 +55,7 @@ class AcoParams:
             raise ValueError("n_ants and max_iter must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "rho": self.rho,
-            "q_scale": self.q_scale,
-            "kappa": self.kappa,
-            "n_ants": self.n_ants,
-            "max_iter": self.max_iter,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -194,21 +185,15 @@ def deposit_amount(edge, tour: Tour, backbone_edges, params: AcoParams) -> float
     return params.q_scale / tour.length * (1.0 + bonus)
 
 
-def update_pheromones(
-    tau: np.ndarray,
-    tours,
-    backbones,
-    params: AcoParams,
-) -> np.ndarray:
-    """Evaporate the whole field, then deposit from each subset's tour.
+def deposit(tau: np.ndarray, tours, backbones, params: AcoParams) -> np.ndarray:
+    """Add q/L * (1 + kappa * [edge on the backbone]) on each tour's edges.
 
-    ``backbones`` pairs with ``tours``: one backbone edge set per subset.
+    ``backbones`` pairs with ``tours``: one backbone edge set per tour.
     Single-node tours deposit nothing.  The field is updated in place and
     returned.
     """
     if len(tours) != len(backbones):
         raise ValueError("one backbone edge set per tour required")
-    tau *= 1.0 - params.rho
     for tour, backbone_edges in zip(tours, backbones):
         if len(tour.order) < 2:
             continue
@@ -221,6 +206,12 @@ def update_pheromones(
         # list order.
         tau[np.array(u + v), np.array(v + u)] += amount
     return tau
+
+
+def update_pheromones(tau: np.ndarray, tours, backbones, params: AcoParams) -> np.ndarray:
+    """Evaporate the whole field, then ``deposit`` each subset's tour."""
+    tau *= 1.0 - params.rho
+    return deposit(tau, tours, backbones, params)
 
 
 class SubsetColony:

@@ -100,11 +100,25 @@ class BenchResults:
         return tuple(sorted({k[2] for k in self.cells}))
 
 
-def _metric_values(report: SolveReport) -> dict[str, float]:
-    return {
-        "total": report.objectives.total,
-        "max_single": report.objectives.max_single,
-    }
+def _run_cell(
+    inst: Instance, m: int, config: SolverConfig, repeats: int, seed_base: int
+) -> dict[str, CellStats]:
+    """``repeats`` solves with master seeds ``seed_base + r``, one cell per metric."""
+    values: dict[str, list[float]] = {metric: [] for metric in METRICS}
+    for r in range(repeats):
+        report = solve(inst, m, replace(config, master_seed=seed_base + r))
+        for metric in METRICS:
+            values[metric].append(getattr(report.objectives, metric))
+    return {metric: cell_stats(values[metric]) for metric in METRICS}
+
+
+def _map(fn, items, workers: int) -> list:
+    """``fn`` over ``items`` in order, on a pool of ``workers`` threads when
+    there are more than one."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> BenchResults:
@@ -129,42 +143,21 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> BenchResults:
         for spec in plan.algorithms
     ]
 
-    def run_cell(task):
+    def run_task(task):
         inst, m, spec = task
-        values: dict[str, list[float]] = {metric: [] for metric in METRICS}
-        for r in range(plan.repeats):
-            cfg = replace(spec.config, master_seed=plan.seed_base + r)
-            report = solve(inst, m, cfg)
-            for metric, value in _metric_values(report).items():
-                values[metric].append(value)
-        return inst.name, m, spec.name, values
-
-    results = BenchResults(seed_base=plan.seed_base)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_guard(run_cell), tasks))
-    else:
-        outcomes = [_guard(run_cell)(t) for t in tasks]
-
-    for task, outcome in zip(tasks, outcomes):
-        inst, m, spec = task
-        if isinstance(outcome, Exception):
-            results.failed[(inst.name, m, spec.name)] = str(outcome)
-            continue
-        name, robots, alg, values = outcome
-        for metric in METRICS:
-            results.cells[(name, robots, alg, metric)] = cell_stats(values[metric])
-    return results
-
-
-def _guard(fn):
-    def wrapped(task):
         try:
-            return fn(task)
+            return _run_cell(inst, m, spec.config, plan.repeats, plan.seed_base)
         except Exception as exc:  # recorded, not raised: the plan continues
             return exc
 
-    return wrapped
+    results = BenchResults(seed_base=plan.seed_base)
+    for (inst, m, spec), outcome in zip(tasks, _map(run_task, tasks, workers)):
+        if isinstance(outcome, Exception):
+            results.failed[(inst.name, m, spec.name)] = str(outcome)
+            continue
+        for metric, cell in outcome.items():
+            results.cells[(inst.name, m, spec.name, metric)] = cell
+    return results
 
 
 def ablation_sweep(
@@ -174,31 +167,29 @@ def ablation_sweep(
     repeats: int = 8,
     seed_base: int = 0,
     base_config: SolverConfig | None = None,
+    workers: int = 1,
 ) -> dict[float, dict[str, CellStats]]:
     """One run set per structural weight, everything else held fixed.
 
     The weight drives the deposit-side backbone influence (kappa).  The
     default base keeps the transition bias neutral (omega = 1) and seeding
     off, so weight 0 degenerates to the plain colony: with the same seeds it
-    is bit-identical to mode "aco".
+    is bit-identical to mode "aco".  Weights run concurrently up to
+    ``workers``, like the cells of ``run_plan``.
     """
     if base_config is None:
         base_config = SolverConfig(omega=1.0, seed_with_christofides=False)
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
-    out: dict[float, dict[str, CellStats]] = {}
-    for w in weights:
-        if w < 0:
-            raise ValueError("structural weights must be non-negative")
-        cfg_w = replace(base_config, aco=replace(base_config.aco, kappa=float(w)))
-        values: dict[str, list[float]] = {metric: [] for metric in METRICS}
-        for r in range(repeats):
-            cfg = replace(cfg_w, master_seed=seed_base + r)
-            report = solve(inst, m, cfg)
-            for metric, value in _metric_values(report).items():
-                values[metric].append(value)
-        out[float(w)] = {metric: cell_stats(values[metric]) for metric in METRICS}
-    return out
+    weights = [float(w) for w in weights]
+    if any(w < 0 for w in weights):
+        raise ValueError("structural weights must be non-negative")
+
+    def run_weight(w: float) -> dict[str, CellStats]:
+        config = replace(base_config, aco=replace(base_config.aco, kappa=w))
+        return _run_cell(inst, m, config, repeats, seed_base)
+
+    return dict(zip(weights, _map(run_weight, weights, workers)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .aco import AcoParams
@@ -147,12 +148,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_PRESETS = {
-    "sine": lambda args: _config(args, "sine"),
-    "aco": lambda args: _config(args, "aco"),
-}
-
-
 def _cmd_bench(args) -> int:
     paths = sorted(glob.glob(args.instances))
     if not paths:
@@ -164,10 +159,10 @@ def _cmd_bench(args) -> int:
         return EXIT_USAGE
     specs = []
     for name in names:
-        if name not in _PRESETS:
+        if name not in ("sine", "aco"):
             print(f"unknown algorithm {name!r} (want sine, aco)", file=sys.stderr)
             return EXIT_USAGE
-        specs.append(AlgorithmSpec(name, _PRESETS[name](args)))
+        specs.append(AlgorithmSpec(name, _config(args, name)))
     plan = ExperimentPlan(
         instances=tuple(paths),
         robot_counts=tuple(args.robots),
@@ -186,21 +181,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_ablate(args) -> int:
     inst = load_instance(args.instance)
-    base = SolverConfig(
-        aco=AcoParams(
-            alpha=args.alpha, beta=args.beta, gamma=args.gamma, rho=args.rho,
-            q_scale=args.q, kappa=0.0, n_ants=args.ants, max_iter=args.iters,
-        ),
-        omega=1.0,
-        seed_with_christofides=False,
-        lambda_weight=args.lam,
-        partition_method=args.partition,
-    )
+    base = replace(_config(args, "sine"), omega=1.0, seed_with_christofides=False)
     chunks = []
     for m in args.robots:
         sweep = ablation_sweep(
             inst, m, args.weights, repeats=args.repeats,
-            seed_base=args.seed, base_config=base,
+            seed_base=args.seed, base_config=base, workers=args.workers,
         )
         chunks.append((m, sweep))
     print("weight  robots  metric      mean        std       n")
@@ -244,12 +230,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "workers" in vars(args) and args.workers is None:
-        text = os.environ.get("SINE_WORKERS", "1")
-        try:
-            args.workers = int(text)
-        except ValueError:
-            parser.error(f"environment variable SINE_WORKERS: invalid int value: {text!r}")
+    if "workers" in vars(args):
+        source = "argument --workers"
+        if args.workers is None:
+            source = "environment variable SINE_WORKERS"
+            text = os.environ.get("SINE_WORKERS", "1")
+            try:
+                args.workers = int(text)
+            except ValueError:
+                parser.error(f"{source}: invalid int value: {text!r}")
+        if args.workers < 1:
+            parser.error(f"{source}: must be at least 1, got {args.workers}")
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, OSError, json.JSONDecodeError) as exc:

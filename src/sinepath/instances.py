@@ -90,7 +90,8 @@ def build_distance_matrix(inst: Instance, max_dimension: int = DEFAULT_DIMENSION
     """Dense symmetric distance matrix for every node pair.
 
     Symmetry and the zero diagonal hold exactly: the upper triangle is
-    computed once and mirrored.
+    computed once and mirrored.  Coordinates so large that a distance
+    overflows are refused with a ``ValueError``.
     """
     n = inst.dimension
     if n > max_dimension:
@@ -107,6 +108,12 @@ def build_distance_matrix(inst: Instance, max_dimension: int = DEFAULT_DIMENSION
         dlmb = lon[:, None] - lon[None, :]
         s = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlmb / 2.0) ** 2
         full = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+    if not np.isfinite(full).all():
+        scale = float(np.abs(inst.coords).max())
+        raise ValueError(
+            f"non-finite distances: the coordinate scale {scale:.3g} overflows "
+            "the distance matrix; rescale the coordinates"
+        )
     upper = np.triu(full, k=1)
     return upper + upper.T
 

@@ -9,7 +9,7 @@ configurations that relax disjointness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,16 +80,7 @@ class Objectives:
     j_prime: float
 
     def to_dict(self) -> dict:
-        return {
-            "per_robot": list(self.per_robot),
-            "total": self.total,
-            "max_single": self.max_single,
-            "lambda_weight": self.lambda_weight,
-            "j_value": self.j_value,
-            "overlap_total": self.overlap_total,
-            "mu": self.mu,
-            "j_prime": self.j_prime,
-        }
+        return {**asdict(self), "per_robot": list(self.per_robot)}
 
 
 def evaluate_objectives(tours, lambda_weight: float, mu: float = 0.0) -> Objectives:

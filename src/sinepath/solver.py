@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .aco import AcoParams, SubsetColony, Tour, init_pheromone, update_pheromones
-from .backbone import Backbone, christofides_seed, dfs_preorder_seed, kruskal_mst, restrict_edges
+from .aco import AcoParams, SubsetColony, Tour, deposit, init_pheromone, update_pheromones
+from .backbone import christofides_seed, dfs_preorder_seed, kruskal_mst, restrict_edges
 from .instances import Instance, build_distance_matrix
 from .objective import Objectives, evaluate_objectives, scalarized_objective
 from .partition import (
@@ -102,23 +102,8 @@ class SolverConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "aco": self.aco.to_dict(),
-            "omega": self.omega,
-            "tau0": self.tau0,
-            "lambda_weight": self.lambda_weight,
-            "mu": self.mu,
-            "partition_method": self.partition_method,
-            "repartition_each_iter": self.repartition_each_iter,
-            "seed_with_christofides": self.seed_with_christofides,
-            "seed_method": self.seed_method,
-            "matching_method": self.matching_method,
-            "backbone_per_subset": self.backbone_per_subset,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-            "stagnation_window": self.stagnation_window,
-            "depots": None if self.depots is None else [list(p) for p in self.depots],
-        }
+        depots = None if self.depots is None else [list(p) for p in self.depots]
+        return {**asdict(self), "depots": depots}
 
 
 @dataclass
@@ -192,21 +177,11 @@ class SolveReport:
             for t in data["tours"]
         )
         obj = data["objectives"]
-        objectives = Objectives(
-            per_robot=tuple(obj["per_robot"]),
-            total=obj["total"],
-            max_single=obj["max_single"],
-            lambda_weight=obj["lambda_weight"],
-            j_value=obj["j_value"],
-            overlap_total=obj["overlap_total"],
-            mu=obj["mu"],
-            j_prime=obj["j_prime"],
-        )
         return SolveReport(
             instance_name=data["instance"],
             robots=data["robots"],
             tours=tours,
-            objectives=objectives,
+            objectives=Objectives(**{**obj, "per_robot": tuple(obj["per_robot"])}),
             convergence=tuple(data["convergence"]),
             iterations_run=data["iterations_run"],
             wall_time=data.get("wall_time", 0.0),
@@ -226,21 +201,6 @@ def _make_partition(inst: Instance, m: int, cfg: SolverConfig, iteration: int) -
         (cfg.master_seed, _STREAM_PARTITION, iteration)
     ).generate_state(1)[0]
     return partition_kmeans_like(inst, m, int(seed))
-
-
-def _subset_backbones(
-    d: np.ndarray, part: Partition, global_mst: Backbone, per_subset: bool
-):
-    if per_subset:
-        return [kruskal_mst(d, sub).edge_keys() for sub in part.subsets]
-    return [restrict_edges(global_mst, sub) for sub in part.subsets]
-
-
-def _build_colonies(d, part, backbones, cfg: SolverConfig):
-    return [
-        SubsetColony(sub, d, bk, cfg.omega, cfg.aco)
-        for sub, bk in zip(part.subsets, backbones)
-    ]
 
 
 def _seed_tour(d, subset, cfg: SolverConfig) -> Tour:
@@ -264,13 +224,25 @@ def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveR
     p = cfg.aco
 
     global_mst = kruskal_mst(d, range(n))
-    part = _make_partition(inst, m, cfg, 0)
-    backbones = _subset_backbones(d, part, global_mst, cfg.backbone_per_subset)
-    colonies = _build_colonies(d, part, backbones, cfg)
-    starts = None
-    if cfg.depots is not None:
-        starts = depot_start_nodes(inst, part, cfg.depots)
 
+    def layout(t: int):
+        """Partition at iteration ``t``, with each subset's backbone, colony
+        and depot start."""
+        part = _make_partition(inst, m, cfg, t)
+        if cfg.backbone_per_subset:
+            backbones = [kruskal_mst(d, sub).edge_keys() for sub in part.subsets]
+        else:
+            backbones = [restrict_edges(global_mst, sub) for sub in part.subsets]
+        colonies = [
+            SubsetColony(sub, d, bk, cfg.omega, p)
+            for sub, bk in zip(part.subsets, backbones)
+        ]
+        starts = None
+        if cfg.depots is not None:
+            starts = depot_start_nodes(inst, part, cfg.depots)
+        return part, backbones, colonies, starts
+
+    part, backbones, colonies, starts = layout(0)
     tau = init_pheromone(n, cfg.tau0)
     state = IncumbentState()
 
@@ -280,14 +252,9 @@ def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveR
         state.j_value = scalarized_objective(
             [t.length for t in seeds], cfg.lambda_weight
         )
-        # One flat bonus deposit on each seed edge before the first iteration.
-        for seed in seeds:
-            if seed.length <= 0:
-                continue
-            amount = p.q_scale / seed.length * (1.0 + p.kappa)
-            for u, v in sorted(seed.edge_set()):
-                tau[u, v] += amount
-                tau[v, u] += amount
+        # One flat bonus deposit before the first iteration: with each seed's
+        # own edges as its backbone, every seed edge earns q/L * (1 + kappa).
+        deposit(tau, seeds, [s.edge_set() for s in seeds], p)
 
     def run_subset(k: int, iteration: int):
         colony = colonies[k]
@@ -309,13 +276,7 @@ def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveR
     try:
         for t in range(p.max_iter):
             if cfg.repartition_each_iter and t > 0:
-                part = _make_partition(inst, m, cfg, t)
-                backbones = _subset_backbones(
-                    d, part, global_mst, cfg.backbone_per_subset
-                )
-                colonies = _build_colonies(d, part, backbones, cfg)
-                if cfg.depots is not None:
-                    starts = depot_start_nodes(inst, part, cfg.depots)
+                part, backbones, colonies, starts = layout(t)
             ks = range(len(colonies))
             if pool is not None:
                 bests = list(pool.map(lambda k: run_subset(k, t), ks))

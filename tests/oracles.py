@@ -249,3 +249,16 @@ def reference_update_pheromones(tau, tours, backbones, params):
             tau[edge[0], edge[1]] += amount
             tau[edge[1], edge[0]] += amount
     return tau
+
+
+def reference_seed_deposit(tau, seeds, params):
+    """The solver's former seed bonus: a flat q/L * (1 + kappa) on each seed edge."""
+    p = params
+    for seed in seeds:
+        if seed.length <= 0:
+            continue
+        amount = p.q_scale / seed.length * (1.0 + p.kappa)
+        for u, v in sorted(seed.edge_set()):
+            tau[u, v] += amount
+            tau[v, u] += amount
+    return tau

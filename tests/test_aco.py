@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import exhaustive_tsp, reference_construct_colony, reference_update_pheromones
+from oracles import (
+    exhaustive_tsp,
+    reference_construct_colony,
+    reference_seed_deposit,
+    reference_update_pheromones,
+)
 from sinepath.aco import (
     AcoParams,
     StructuralBias,
@@ -11,6 +16,7 @@ from sinepath.aco import (
     Tour,
     _roulette_index,
     construct_tour,
+    deposit,
     deposit_amount,
     init_pheromone,
     transition_probabilities,
@@ -266,6 +272,33 @@ def test_update_pheromones_bit_identical_to_edge_loop():
         amount = params.q_scale / 2.9 * (1.0 + params.kappa)
         for u, v in ((5, 6), (6, 5)):
             assert got[u, v] == tau[u, v] * (1.0 - params.rho) + amount
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.5])
+def test_seed_deposit_bit_identical_to_scalar_loop(kappa):
+    # the solver's seed bonus is deposit() with each seed's own edges as its
+    # backbone: the flat q/L * (1 + kappa) of the former scalar loop, bit for bit
+    rng = np.random.default_rng(915)
+    tau = init_pheromone(10, 1.0) * rng.uniform(0.2, 2.0, size=(10, 10))
+    seeds = [Tour((0, 3, 1, 2), 7.3), Tour((4, 5), 2.9), Tour((6,), 0.0), Tour((9, 7, 8), 5.7)]
+    params = AcoParams(rho=0.3, q_scale=1.7, kappa=kappa)
+    got = deposit(tau.copy(), seeds, [s.edge_set() for s in seeds], params)
+    ref = reference_seed_deposit(tau.copy(), seeds, params)
+    assert np.array_equal(got, ref)
+    assert not np.array_equal(got, tau)
+
+
+def test_aco_params_to_dict():
+    assert AcoParams().to_dict() == {
+        "alpha": 1.0,
+        "beta": 2.0,
+        "gamma": 1.0,
+        "rho": 0.1,
+        "q_scale": 1.0,
+        "kappa": 1.0,
+        "n_ants": 50,
+        "max_iter": 1000,
+    }
 
 
 def test_update_pheromones_validation():

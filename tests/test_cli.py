@@ -91,6 +91,23 @@ def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_overflowing_distances_is_domain_error(tmp_path, capsys):
+    # coordinates near 1e172 overflow the distance matrix itself; the error
+    # names the cause instead of a later "all successor scores vanished"
+    coords = random_planar_instance(12, seed=3).coords * 1e170
+    lines = ["NAME: huge12", "TYPE: TSP", "DIMENSION: 12", "EDGE_WEIGHT_TYPE: EUC_2D",
+             "NODE_COORD_SECTION"]
+    lines += [f"{i} {x!r} {y!r}" for i, (x, y) in enumerate(coords.tolist(), 1)]
+    path = tmp_path / "huge12.tsp"
+    path.write_text("\n".join(lines + ["EOF", ""]))
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore"):
+        code = main(["solve", str(path), "--robots", "2", "--out", str(out)] + FAST)
+    assert code == EXIT_DOMAIN
+    assert "non-finite distances" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(sinepath.__file__).resolve().parent.parent)
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
@@ -295,3 +312,62 @@ def test_workers_env_not_an_int_is_usage_error(tri3_path, tmp_path, monkeypatch,
     assert exc.value.code == EXIT_USAGE
     assert "SINE_WORKERS" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def _workers_argv(command, path, tmp_path):
+    if command == "solve":
+        return ["solve", str(path), "--out", str(tmp_path / "r.json")] + FAST
+    if command == "bench":
+        return ["bench", "--instances", str(path), "--robots", "1", "--repeats", "2",
+                "--out-dir", str(tmp_path / "out")] + FAST
+    return ["ablate", str(path), "--robots", "1", "--weights", "0", "--repeats", "2",
+            "--out", str(tmp_path / "a.csv")] + FAST
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "ablate"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_workers_flag_below_one_is_usage_error(
+    command, value, tri3_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv("SINE_WORKERS", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(_workers_argv(command, tri3_path, tmp_path) + ["--workers", value])
+    assert exc.value.code == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "ablate"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_workers_env_below_one_is_usage_error(
+    command, value, tri3_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("SINE_WORKERS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(_workers_argv(command, tri3_path, tmp_path))
+    assert exc.value.code == EXIT_USAGE
+    assert "SINE_WORKERS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ablate_obeys_workers(bench51_path, tmp_path, monkeypatch, capsys):
+    import sinepath.bench
+
+    pools = []
+    real = sinepath.bench.ThreadPoolExecutor
+
+    def recording(max_workers=None, **kwargs):
+        pools.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(sinepath.bench, "ThreadPoolExecutor", recording)
+    out = tmp_path / "ablation.csv"
+    argv = ["ablate", str(bench51_path), "--robots", "2,4", "--weights", "0,1,5",
+            "--repeats", "2", "--out", str(out)] + FAST
+    runs = []
+    for workers in ("1", "2"):
+        assert main(argv + ["--workers", workers]) == EXIT_OK
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    # one pool of 2 per robot count, and the same table and csv as serial
+    assert pools == [2, 2]
+    assert runs[0] == runs[1]

@@ -260,6 +260,15 @@ def test_dimension_cap():
     assert build_distance_matrix(inst, max_dimension=11).shape == (11, 11)
 
 
+def test_matrix_refuses_non_finite_distances():
+    # coordinates near 1e172 square past the float range inside the matrix
+    inst = random_planar_instance(12, seed=3)
+    huge = Instance("huge12", inst.coords * 1e170, Metric.EUCLIDEAN)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite distances.*coordinate scale"):
+            build_distance_matrix(huge)
+
+
 def test_random_planar_instance_seeded():
     a = random_planar_instance(30, seed=42, clusters=3)
     b = random_planar_instance(30, seed=42, clusters=3)

@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sinepath import solver
 from sinepath.aco import AcoParams, SubsetColony
 from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
 from sinepath.objective import scalarized_objective, tour_length
@@ -274,3 +276,85 @@ def test_one_colony_call_per_subset_per_iteration(bench51_path, monkeypatch):
     assert all(shape == (FAST.n_ants, n_local) for n_local, shape in calls)
     for t in range(FAST.max_iter):
         assert sorted(n_local for n_local, _ in calls[4 * t : 4 * t + 4]) == sizes
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_traced_counts_match_benchmark_cross_check(bench51_path, monkeypatch):
+    # the benchmark wraps named functions from outside and checks the counts
+    # it observes against the work a default-path solve must do; a refactor
+    # that renames or bypasses a traced name must fail here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    for module, cls, attr, _span, _hook in tracer.TARGETS:
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+        assert callable(getattr(owner, attr, None)), f"{module}.{cls}.{attr}"
+    inst = load_instance(bench51_path)
+    iters = 5
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        solver.solve(inst, 4, SolverConfig(aco=AcoParams(max_iter=iters)))
+    finally:
+        restore()
+    expected = workloads.computed_counts(inst.dimension, 4, AcoParams().n_ants, iters)
+    assert {key: tr.counts[key] for key in expected} == expected
+
+
+def test_config_to_dict():
+    cfg = SolverConfig(depots=((0.0, 0.0), (10.0, 5.0)), stagnation_window=3)
+    expected = {
+        "aco": {
+            "alpha": 1.0,
+            "beta": 2.0,
+            "gamma": 1.0,
+            "rho": 0.1,
+            "q_scale": 1.0,
+            "kappa": 1.0,
+            "n_ants": 50,
+            "max_iter": 1000,
+        },
+        "omega": 2.0,
+        "tau0": 1.0,
+        "lambda_weight": 0.5,
+        "mu": 0.0,
+        "partition_method": "angle",
+        "repartition_each_iter": False,
+        "seed_with_christofides": True,
+        "seed_method": "christofides",
+        "matching_method": "greedy",
+        "backbone_per_subset": False,
+        "master_seed": 0,
+        "mode": "sine",
+        "stagnation_window": 3,
+        "depots": [[0.0, 0.0], [10.0, 5.0]],
+    }
+    got = cfg.to_dict()
+    assert got == expected
+    assert list(got) == list(expected)
+    assert list(got["aco"]) == list(expected["aco"])
+    assert type(got["depots"]) is list
+    assert all(type(p) is list for p in got["depots"])
+    assert SolverConfig().to_dict()["depots"] is None
+
+
+def test_report_json_key_order():
+    # `sinepath solve` writes json.dumps(report.to_dict(), indent=2): the
+    # keys keep this order in the file
+    report = solve(random_planar_instance(12, seed=81), 2, _fast_config())
+    data = json.loads(json.dumps(report.to_dict(), indent=2))
+    assert list(data) == [
+        "instance", "robots", "tours", "objectives", "convergence",
+        "iterations_run", "seed", "config", "wall_time",
+    ]
+    assert list(data["tours"][0]) == ["order", "length"]
+    assert list(data["objectives"]) == [
+        "per_robot", "total", "max_single", "lambda_weight", "j_value",
+        "overlap_total", "mu", "j_prime",
+    ]
+    assert list(data["config"]) == [f.name for f in dataclasses.fields(SolverConfig)]
+    assert list(data["config"]["aco"]) == [f.name for f in dataclasses.fields(AcoParams)]
