@@ -1,10 +1,16 @@
 """Minimum-spanning-tree backbone and shortcut seed tours.
 
-The backbone is the Kruskal MST of a node subset.  A seed tour comes from the
-classic Christofides-style construction: pair the odd-degree MST vertices
-with a perfect matching, walk an Euler tour of the combined multigraph, then
-shortcut repeated vertices to their first occurrence.  In metric instances
-the seed length is sandwiched between the MST cost and MST + matching cost.
+The backbone is the MST of a node subset.  Edges are ranked by (weight, u, v),
+a strict total order, so the MST is unique; dense O(k^2) Prim finds it
+(Prim, Bell System Tech. J. 1957) and returns the tree Kruskal would.  The
+function keeps the name ``kruskal_mst`` for the public API and for the
+benchmark tracer, whose span is ``backbone.kruskal``.
+
+A seed tour comes from the classic Christofides-style construction: pair the
+odd-degree MST vertices with a perfect matching, walk an Euler tour of the
+combined multigraph, then shortcut repeated vertices to their first
+occurrence.  In metric instances the seed length is sandwiched between the
+MST cost and MST + matching cost.
 
 Everything here is deterministic: edge candidates are ranked by
 (weight, u, v) with canonical u < v endpoints, and the Euler walk consumes
@@ -76,42 +82,67 @@ def _sorted_pair_order(d: np.ndarray, nodes: np.ndarray):
 
 
 def kruskal_mst(d: np.ndarray, subset) -> Backbone:
-    """Kruskal MST over ``subset`` with union-find and deterministic ties."""
+    """MST over ``subset`` by dense Prim, edges ranked by (weight, u, v).
+
+    Grows the tree from the lowest node.  Each weight is read from the upper
+    triangle, ``d[min, max]``.  ``edges`` lists the tree in (weight, u, v)
+    order and ``total_cost`` sums them in that order.  A block with
+    non-finite entries is refused.
+    """
     nodes = np.unique(np.asarray(list(subset), dtype=np.int64))
     k = len(nodes)
     if k == 0:
         raise ValueError("subset must be non-empty")
     if k == 1:
         return Backbone((int(nodes[0]),), (), 0.0)
+    if k == len(d) and nodes[0] == 0 and nodes[-1] == k - 1:
+        block = d
+    else:
+        block = d[np.ix_(nodes, nodes)]
+    # min and max carry a NaN or an inf through without an n^2 temporary.
+    if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+        raise ValueError("non-finite weights in the MST block")
 
-    iu, ju, w = _sorted_pair_order(d, nodes)
-    parent = list(range(k))
-    rank = [0] * k
+    # Local order is global order because nodes are sorted.  best[j] is the
+    # lightest edge from the tree to j and parent[j] its tree end; a tie on
+    # weight goes to the smaller (u, v), which for a fixed j is the smaller
+    # tree end.  Tree vertices hold inf, so they never win a pick.
+    best = np.full(k, np.inf)
+    parent = np.zeros(k, dtype=np.int64)
+    free = np.ones(k, dtype=bool)
+    row = np.empty(k)
+    ends = np.empty(k - 1, dtype=np.int64)
+    picks = np.empty(k - 1, dtype=np.int64)
+    weights = np.empty(k - 1)
+    v = 0
+    for step in range(k - 1):
+        free[v] = False
+        row[:v] = block[:v, v]
+        row[v:] = block[v, v:]
+        closer = row < best
+        closer |= (row == best) & (v < parent)
+        closer &= free
+        np.copyto(best, row, where=closer)
+        np.copyto(parent, v, where=closer)
+        v = int(best.argmin())
+        tied = np.flatnonzero(best == best[v])
+        if len(tied) > 1:
+            lo = np.minimum(parent[tied], tied)
+            hi = np.maximum(parent[tied], tied)
+            v = int(tied[np.lexsort((hi, lo))[0]])
+        ends[step], picks[step], weights[step] = parent[v], v, best[v]
+        best[v] = np.inf
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    edges: list[Edge] = []
+    lo = np.minimum(ends, picks)
+    hi = np.maximum(ends, picks)
+    order = np.lexsort((hi, lo, weights))
+    us = nodes[lo[order]].tolist()
+    vs = nodes[hi[order]].tolist()
+    ws = weights[order].tolist()
     total = 0.0
-    for a, b, weight in zip(iu, ju, w):
-        ra, rb = find(int(a)), find(int(b))
-        if ra == rb:
-            continue
-        if rank[ra] < rank[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        if rank[ra] == rank[rb]:
-            rank[ra] += 1
-        edges.append(make_edge(int(nodes[a]), int(nodes[b]), float(weight)))
-        total += float(weight)
-        if len(edges) == k - 1:
-            break
-    return Backbone(tuple(int(v) for v in nodes), tuple(edges), total)
+    for w in ws:
+        total += w
+    return Backbone(tuple(nodes.tolist()), tuple(map(Edge, us, vs, ws)), total)
 
 
 def restrict_edges(backbone: Backbone, subset) -> frozenset[tuple[int, int]]:

@@ -49,6 +49,8 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one instance")
         if not self.robot_counts or any(m < 1 for m in self.robot_counts):
             raise ValueError("robot counts must be positive")
+        if len(set(self.robot_counts)) != len(self.robot_counts):
+            raise ValueError("robot counts must be unique")
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
         names = [a.name for a in self.algorithms]
@@ -184,6 +186,8 @@ def ablation_sweep(
     weights = [float(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("structural weights must be non-negative")
+    if len(set(weights)) != len(weights):
+        raise ValueError("structural weights must be unique")
 
     def run_weight(w: float) -> dict[str, CellStats]:
         config = replace(base_config, aco=replace(base_config.aco, kappa=w))

@@ -79,18 +79,32 @@ def _config(args, mode: str) -> SolverConfig:
     )
 
 
+def _distinct(values: list, text: str) -> list:
+    """Refuse a list that repeats an entry: each entry names one result."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"duplicate entry {value} in {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma separated int list: {text!r}")
+    return _distinct(values, text)
 
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma separated float list: {text!r}")
+    return _distinct(values, text)
+
+
+def _name_list(text: str) -> list[str]:
+    return _distinct([tok.strip() for tok in text.split(",") if tok.strip()], text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True, help="glob of instance files")
     p.add_argument("--robots", type=_int_list, required=True, help="e.g. 2,4,8")
     p.add_argument("--repeats", type=int, default=8)
-    p.add_argument("--algorithms", default="sine,aco", help="comma list of sine,aco")
+    p.add_argument("--algorithms", type=_name_list, default="sine,aco",
+                   help="comma list of sine,aco")
     p.add_argument("--out-dir", default="bench_out")
     _add_solver_flags(p)
 
@@ -153,12 +168,11 @@ def _cmd_bench(args) -> int:
     if not paths:
         print(f"no instances match {args.instances!r}", file=sys.stderr)
         return EXIT_USAGE
-    names = [tok.strip() for tok in args.algorithms.split(",") if tok.strip()]
-    if not names:
+    if not args.algorithms:
         print("no algorithms given", file=sys.stderr)
         return EXIT_USAGE
     specs = []
-    for name in names:
+    for name in args.algorithms:
         if name not in ("sine", "aco"):
             print(f"unknown algorithm {name!r} (want sine, aco)", file=sys.stderr)
             return EXIT_USAGE

@@ -89,9 +89,11 @@ def haversine_distance(a, b, radius: float = EARTH_RADIUS_KM) -> float:
 def build_distance_matrix(inst: Instance, max_dimension: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
     """Dense symmetric distance matrix for every node pair.
 
-    Symmetry and the zero diagonal hold exactly: the upper triangle is
-    computed once and mirrored.  Coordinates so large that a distance
-    overflows are refused with a ``ValueError``.
+    Symmetry and the zero diagonal hold exactly.  A Euclidean coordinate
+    difference negates exactly, so the matrix is built in place without a
+    mirror; the great-circle upper triangle is computed once and mirrored.
+    Coordinates so large that a distance overflows are refused with a
+    ``ValueError``.
     """
     n = inst.dimension
     if n > max_dimension:
@@ -99,23 +101,29 @@ def build_distance_matrix(inst: Instance, max_dimension: int = DEFAULT_DIMENSION
             f"instance has {n} nodes, above the dense-matrix cap of {max_dimension}"
         )
     if inst.metric is Metric.EUCLIDEAN:
-        diff = inst.coords[:, None, :] - inst.coords[None, :, :]
-        full = np.sqrt((diff * diff).sum(axis=2))
+        x, y = inst.coords[:, 0], inst.coords[:, 1]
+        full = np.subtract.outer(x, x)
+        full *= full
+        dy = np.subtract.outer(y, y)
+        dy *= dy
+        full += dy
+        del dy
+        np.sqrt(full, out=full)
     else:
         rad = np.radians(inst.coords)
         lat, lon = rad[:, 0], rad[:, 1]
         dphi = lat[:, None] - lat[None, :]
         dlmb = lon[:, None] - lon[None, :]
         s = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlmb / 2.0) ** 2
-        full = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+        upper = np.triu(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))), k=1)
+        full = upper + upper.T
     if not np.isfinite(full).all():
         scale = float(np.abs(inst.coords).max())
         raise ValueError(
             f"non-finite distances: the coordinate scale {scale:.3g} overflows "
             "the distance matrix; rescale the coordinates"
         )
-    upper = np.triu(full, k=1)
-    return upper + upper.T
+    return full
 
 
 def _collapse_duplicates(coords: np.ndarray, name: str) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is written against the naive textbook formulation, not the
-package code paths: Prim instead of Kruskal, full permutation scan instead of
-any construction heuristic, sign-vector enumeration instead of the counting
-convolution. Slow on purpose.
+package code paths: full permutation scan instead of any construction
+heuristic, sign-vector enumeration instead of the counting convolution. Slow
+on purpose. The ``reference_*`` functions are the package's own earlier
+forms, kept verbatim so that their replacements can be checked bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from sinepath.aco import deposit_amount
+from sinepath.backbone import Backbone, Edge, _sorted_pair_order, make_edge
 
 
 def prim_mst_cost(dist: np.ndarray) -> float:
@@ -262,3 +264,51 @@ def reference_seed_deposit(tau, seeds, params):
             tau[u, v] += amount
             tau[v, u] += amount
     return tau
+
+
+def reference_kruskal_mst(d: np.ndarray, subset) -> Backbone:
+    """Kruskal MST over ``subset`` with union-find and deterministic ties."""
+    nodes = np.unique(np.asarray(list(subset), dtype=np.int64))
+    k = len(nodes)
+    if k == 0:
+        raise ValueError("subset must be non-empty")
+    if k == 1:
+        return Backbone((int(nodes[0]),), (), 0.0)
+
+    iu, ju, w = _sorted_pair_order(d, nodes)
+    parent = list(range(k))
+    rank = [0] * k
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    edges: list[Edge] = []
+    total = 0.0
+    for a, b, weight in zip(iu, ju, w):
+        ra, rb = find(int(a)), find(int(b))
+        if ra == rb:
+            continue
+        if rank[ra] < rank[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        if rank[ra] == rank[rb]:
+            rank[ra] += 1
+        edges.append(make_edge(int(nodes[a]), int(nodes[b]), float(weight)))
+        total += float(weight)
+        if len(edges) == k - 1:
+            break
+    return Backbone(tuple(int(v) for v in nodes), tuple(edges), total)
+
+
+def reference_distance_matrix(coords: np.ndarray) -> np.ndarray:
+    """The Euclidean matrix as first written: an (n, n, 2) difference array,
+    then its upper triangle mirrored."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    full = np.sqrt((diff * diff).sum(axis=2))
+    upper = np.triu(full, k=1)
+    return upper + upper.T

@@ -10,6 +10,7 @@ from oracles import (
     reference_update_pheromones,
 )
 from sinepath.aco import (
+    TRAIL_FLOOR,
     AcoParams,
     StructuralBias,
     SubsetColony,
@@ -413,6 +414,23 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     )
     assert np.array_equal(orders, ref_orders)
     assert np.array_equal(lengths, ref_lengths)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_local_tau_floors_the_trail_factor(alpha):
+    params = AcoParams(alpha=alpha)
+    _, _, _, colony = _colony_setup(6, 917, params=params)
+    off_diag = ~np.eye(6, dtype=bool)
+    # an underflowed trail reads as the floor, for every alpha
+    sub = colony.local_tau(np.zeros((6, 6)))
+    assert np.array_equal(sub[off_diag], np.full(30, TRAIL_FLOOR))
+    assert np.array_equal(np.diag(sub), np.zeros(6))
+    uniforms = np.random.default_rng(918).random((4, 6))
+    orders, _ = colony.construct_colony(sub, uniforms)
+    assert all(sorted(row) == list(range(6)) for row in orders.tolist())
+    # a trail above the floor comes back as tau^alpha, bit for bit
+    tau = init_pheromone(6, 1.0) * np.random.default_rng(919).uniform(1e-40, 2.0, (6, 6))
+    assert np.array_equal(colony.local_tau(tau), tau ** alpha)
 
 
 def test_colony_vanished_scores_rejected():

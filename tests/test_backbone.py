@@ -1,11 +1,19 @@
 """MST, matching, Euler walk, and shortcut seed construction."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_matching, prim_mst_cost
+from oracles import (
+    brute_force_matching,
+    prim_mst_cost,
+    reference_distance_matrix,
+    reference_kruskal_mst,
+)
 from sinepath.backbone import (
     Backbone,
     christofides_seed,
@@ -85,6 +93,63 @@ def test_kruskal_tie_break_frozen():
     assert mst.total_cost == pytest.approx(3.0)
     again = kruskal_mst(d, range(4))
     assert again.edges == mst.edges
+
+
+@st.composite
+def _mst_inputs(draw):
+    """A weight matrix and a node subset.  Grids and small integer weights
+    make equal weights common, so the (weight, u, v) tie-break decides the
+    tree; an asymmetric matrix is read through its upper triangle."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["points", "grid", "symmetric", "asymmetric"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "points":
+        d = reference_distance_matrix(rng.uniform(0.0, 100.0, size=(n, 2)))
+    elif kind == "grid":
+        d = reference_distance_matrix(rng.integers(0, 4, size=(n, 2)).astype(float))
+    else:
+        d = rng.integers(0, 4, size=(n, n)).astype(float)
+        if kind == "symmetric":
+            d = np.minimum(d, d.T)
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    if draw(st.booleans()):
+        subset = range(n)
+    return d, subset
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mst_inputs())
+def test_mst_equals_reference_kruskal(case):
+    d, subset = case
+    assert kruskal_mst(d, subset) == reference_kruskal_mst(d, subset)
+
+
+def test_mst_equals_reference_kruskal_at_2000_nodes():
+    d = build_distance_matrix(random_planar_instance(2000, seed=2000))
+    assert kruskal_mst(d, range(2000)) == reference_kruskal_mst(d, range(2000))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mst_refuses_non_finite_weights(bad):
+    d = _random_matrix(8, 36)
+    d[2, 5] = bad
+    for subset in (range(8), [1, 2, 5, 7]):
+        with pytest.raises(ValueError, match="non-finite"):
+            kruskal_mst(d, subset)
+    kruskal_mst(d, [0, 1, 3, 4])  # a block without the bad entry is fine
+
+
+def test_mst_memory_peak():
+    # Prim needs O(n) scratch; an n^2 pair list or block copy would fail this.
+    n = 1500
+    d = _random_matrix(n, 37)
+    tracemalloc.start()
+    try:
+        kruskal_mst(d, range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * n * n * 8
 
 
 def test_restrict_edges():

@@ -78,6 +78,13 @@ def test_plan_validation():
         ExperimentPlan(("x.tsp",), (2,), specs, repeats=1)
 
 
+def test_plan_refuses_duplicate_robot_counts():
+    # Cells are keyed by robot count, so a repeated count would be solved
+    # twice and reported once.
+    with pytest.raises(ValueError, match="robot counts must be unique"):
+        ExperimentPlan(("x.tsp",), (2, 4, 2), _tiny_specs())
+
+
 def test_cell_stats_matches_numpy():
     rng = np.random.default_rng(95)
     for _ in range(20):
@@ -262,6 +269,16 @@ def test_ablation_validation(inst_file):
         ablation_sweep(inst, 2, weights=[-1.0], repeats=2)
     with pytest.raises(ValueError, match="repeats"):
         ablation_sweep(inst, 2, repeats=1)
+
+
+def test_ablation_refuses_duplicate_weights(inst_file, monkeypatch):
+    # The sweep is keyed by weight, so a repeated weight would be solved
+    # twice and reported once.  Nothing may be solved before the refusal.
+    inst = load_instance(inst_file)
+    monkeypatch.setattr(bench, "solve", None)
+    for weights in ([1.0, 0.5, 1.0], [0.0, -0.0], [2, 2.0]):
+        with pytest.raises(ValueError, match="structural weights must be unique"):
+            ablation_sweep(inst, 2, weights=weights, repeats=2)
 
 
 def test_ablation_weight_zero_equals_classic(inst_file):

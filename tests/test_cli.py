@@ -371,3 +371,25 @@ def test_ablate_obeys_workers(bench51_path, tmp_path, monkeypatch, capsys):
     # one pool of 2 per robot count, and the same table and csv as serial
     assert pools == [2, 2]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ablate", "{tri3}", "--robots", "1", "--weights", "1,1"], "--weights"),
+        (["ablate", "{tri3}", "--robots", "1", "--weights", "0,-0"], "--weights"),
+        (["ablate", "{tri3}", "--robots", "1,1", "--weights", "0"], "--robots"),
+        (["bench", "--instances", "{tri3}", "--robots", "1,1"], "--robots"),
+        (["bench", "--instances", "{tri3}", "--robots", "1", "--algorithms", "aco,aco"],
+         "--algorithms"),
+    ],
+)
+def test_duplicate_list_entries_are_usage_errors(argv, flag, tri3_path, tmp_path, capsys):
+    argv = [a.format(tri3=tri3_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--repeats", "2", "--out-dir" if argv[0] == "bench" else "--out",
+                     str(tmp_path / "out")] + FAST)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "duplicate" in err
+    assert list(tmp_path.iterdir()) == []

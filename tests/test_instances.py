@@ -1,11 +1,12 @@
 """Instance parsing, serialization, and distance matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import law_of_cosines_km
+from oracles import law_of_cosines_km, reference_distance_matrix
 from sinepath.instances import (
     EARTH_RADIUS_KM,
     Instance,
@@ -190,6 +191,31 @@ def test_matrix_euclidean_exact_properties():
         if i != j:
             ref = euclidean_distance(inst.coords[i], inst.coords[j])
             assert d[i, j] == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6, 1e150])
+def test_matrix_bit_identical_to_reference(n, scale):
+    # coordinates of both signs
+    coords = np.random.default_rng(n).uniform(-50.0, 50.0, size=(n, 2)) * scale
+    inst = Instance("scaled", coords, Metric.EUCLIDEAN)
+    d = build_distance_matrix(inst)
+    assert np.array_equal(d, reference_distance_matrix(inst.coords))
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(np.diag(d), np.zeros(n))
+
+
+def test_matrix_memory_peak():
+    # the result plus one n^2 scratch array; the (n, n, 2) broadcast needed 5x
+    n = 1500
+    inst = random_planar_instance(n, seed=5)
+    tracemalloc.start()
+    try:
+        build_distance_matrix(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_matrix_triangle_inequality():

@@ -166,6 +166,23 @@ def test_repartition_each_iter():
     assert sorted(seen) == list(range(15))
 
 
+@pytest.mark.parametrize("rho, iters", [(0.5, 1100), (1.0, 5)])
+def test_long_run_survives_trail_underflow(rho, iters):
+    # At rho = 0.5 an edge no tour deposits on decays as 0.5^t and reaches 0
+    # near t = 1075; at rho = 1 after one iteration.  With repartitioning,
+    # later subsets then meet all-zero rows and used to stop with "all
+    # successor scores vanished".
+    inst = random_planar_instance(40, seed=11)
+    cfg = SolverConfig(
+        aco=AcoParams(rho=rho, n_ants=10, max_iter=iters),
+        partition_method="kmeans",
+        repartition_each_iter=True,
+    )
+    report = solve(inst, 4, cfg)
+    assert report.iterations_run == iters
+    assert sorted(v for t in report.tours for v in t.order) == list(range(40))
+
+
 def test_depot_starts():
     rng = np.random.default_rng(79)
     left = rng.normal(0.0, 2.0, size=(8, 2))
