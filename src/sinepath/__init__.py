@@ -7,89 +7,9 @@ shortcut tour.  Switching the bias off (omega = 1, kappa = 0, no seed)
 recovers the plain ant colony on the same code path.
 """
 
-from .aco import (
-    AcoParams,
-    StructuralBias,
-    SubsetColony,
-    Tour,
-    construct_tour,
-    deposit_amount,
-    init_pheromone,
-    transition_probabilities,
-    update_pheromones,
-)
-from .backbone import (
-    Backbone,
-    Edge,
-    SeedTour,
-    christofides_seed,
-    dfs_preorder_seed,
-    euler_tour,
-    exact_min_matching,
-    greedy_min_matching,
-    kruskal_mst,
-    odd_degree_vertices,
-    restrict_edges,
-    shortcut,
-)
-from .bench import (
-    DEFAULT_ABLATION_WEIGHTS,
-    AlgorithmSpec,
-    BenchResults,
-    CellStats,
-    ExperimentPlan,
-    ablation_sweep,
-    cell_stats,
-    emit_bench_artifacts,
-    format_results_csv,
-    format_results_json,
-    format_svg_routes,
-    parse_results_csv,
-    run_plan,
-)
-from .instances import (
-    EARTH_RADIUS_KM,
-    Instance,
-    Metric,
-    ParseError,
-    UnsupportedFormatError,
-    build_distance_matrix,
-    euclidean_distance,
-    haversine_distance,
-    load_instance,
-    parse_geo_csv,
-    parse_tsplib,
-    random_planar_instance,
-    serialize_tsplib,
-)
-from .objective import (
-    Objectives,
-    edge_overlap,
-    evaluate_objectives,
-    lambda_sensitivity,
-    penalized_objective,
-    scalarized_objective,
-    tour_length,
-)
-from .partition import (
-    Partition,
-    depot_start_nodes,
-    partition_angle,
-    partition_by_depots,
-    partition_kmeans_like,
-)
-from .solver import (
-    IncumbentState,
-    SolveReport,
-    SolverConfig,
-    incumbent_update,
-    solve,
-)
-from .stats import (
-    RankTable,
-    WilcoxonResult,
-    friedman_mean_ranks,
-    wilcoxon_signed_rank,
-)
+from .aco import AcoParams
+from .bench import AlgorithmSpec, ExperimentPlan, run_plan
+from .instances import Instance, load_instance, random_planar_instance
+from .solver import SolveReport, SolverConfig, solve
 
 __version__ = "0.1.0"

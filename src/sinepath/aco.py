@@ -23,12 +23,10 @@ score is non-negative; a negative trail is therefore refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
-
-from .objective import tour_length
 
 # Smallest normal double.  Evaporation takes an untouched edge below it after
 # ~1075 iterations at rho = 0.5 (after one at rho = 1); default runs stay far
@@ -48,6 +46,10 @@ class AcoParams:
     max_iter: int = 1000
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "rho", "q_scale", "kappa"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
             raise ValueError("alpha, beta, gamma must be positive")
         if not 0.0 < self.rho <= 1.0:
@@ -63,44 +65,6 @@ class AcoParams:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class StructuralBias:
-    """Backbone edge set plus the multiplicative weight it earns."""
-
-    omega: float
-    backbone_edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.omega < 1.0:
-            raise ValueError("omega must be at least 1")
-        for u, v in self.backbone_edges:
-            if not u < v:
-                raise ValueError("backbone edges must be canonical (u < v)")
-
-    def psi(self, i: int, j: int) -> float:
-        key = (i, j) if i < j else (j, i)
-        return self.omega if key in self.backbone_edges else 1.0
-
-
-@dataclass(frozen=True)
-class Tour:
-    """Closed tour: visiting order plus cached length."""
-
-    order: tuple[int, ...]
-    length: float
-
-    @cached_property
-    def _edges(self) -> frozenset[tuple[int, int]]:
-        if len(self.order) < 2:
-            return frozenset()
-        pairs = zip(self.order, self.order[1:] + self.order[:1])
-        return frozenset((a, b) if a < b else (b, a) for a, b in pairs)
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        """Unordered edges traversed, closing edge included."""
-        return self._edges
-
-
 def init_pheromone(dim: int, tau0: float) -> np.ndarray:
     """Uniform trail field with a zero diagonal."""
     if dim < 1:
@@ -110,84 +74,6 @@ def init_pheromone(dim: int, tau0: float) -> np.ndarray:
     tau = np.full((dim, dim), float(tau0))
     np.fill_diagonal(tau, 0.0)
     return tau
-
-
-def transition_probabilities(
-    i: int,
-    candidates,
-    tau: np.ndarray,
-    d: np.ndarray,
-    bias: StructuralBias,
-    params: AcoParams,
-) -> np.ndarray:
-    """Normalised successor probabilities from ``i``, aligned with ``candidates``."""
-    cand = np.asarray(list(candidates), dtype=np.int64)
-    if cand.size == 0:
-        raise ValueError("no candidates")
-    if np.any(cand == i):
-        raise ValueError("current node cannot be its own successor")
-    dist = d[i, cand]
-    if np.any(dist <= 0):
-        raise ValueError(
-            f"zero distance from node {i} to a candidate: degenerate geometry"
-        )
-    psi = np.array([bias.psi(i, int(j)) for j in cand])
-    scores = (
-        tau[i, cand] ** params.alpha
-        * (1.0 / dist) ** params.beta
-        * psi ** params.gamma
-    )
-    total = scores.sum()
-    if not total > 0:
-        raise ValueError(f"all successor scores vanished at node {i}")
-    return scores / total
-
-
-def _roulette_index(cum: np.ndarray, u: float) -> int:
-    """Index whose cumulative-mass interval contains u * total."""
-    total = float(cum[-1])
-    if not total > 0:
-        raise ValueError("cannot sample from zero total mass")
-    target = min(u * total, np.nextafter(total, -np.inf))
-    return int(np.searchsorted(cum, target, side="right"))
-
-
-def construct_tour(
-    subset,
-    start: int,
-    tau: np.ndarray,
-    d: np.ndarray,
-    bias: StructuralBias,
-    params: AcoParams,
-    rng: np.random.Generator,
-) -> Tour:
-    """One ant's closed tour over ``subset`` starting at ``start``.
-
-    Consumes exactly ``len(subset) - 1`` uniform draws.  Construction never
-    leaves the subset.
-    """
-    nodes = sorted(int(v) for v in set(subset))
-    if int(start) not in nodes:
-        raise ValueError("start must belong to the subset")
-    remaining = [v for v in nodes if v != int(start)]
-    order = [int(start)]
-    cur = int(start)
-    while remaining:
-        probs = transition_probabilities(cur, remaining, tau, d, bias, params)
-        idx = _roulette_index(np.cumsum(probs), rng.random())
-        cur = remaining.pop(idx)
-        order.append(cur)
-    return Tour(tuple(order), tour_length(order, d))
-
-
-def deposit_amount(edge, tour: Tour, backbone_edges, params: AcoParams) -> float:
-    """Trail added to one edge by one tour: q/L, doubled up by kappa on the backbone."""
-    u, v = edge
-    key = (u, v) if u < v else (v, u)
-    if len(tour.order) < 2 or key not in tour.edge_set():
-        return 0.0
-    bonus = params.kappa if key in backbone_edges else 0.0
-    return params.q_scale / tour.length * (1.0 + bonus)
 
 
 def deposit(tau: np.ndarray, tours, backbones, params: AcoParams) -> np.ndarray:

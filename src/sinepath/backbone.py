@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objective import tour_length
+from .objective import Tour, tour_length
 
 
 class Edge(NamedTuple):
@@ -61,14 +61,6 @@ class Backbone:
 
     def edge_keys(self) -> frozenset[tuple[int, int]]:
         return frozenset((e.u, e.v) for e in self.edges)
-
-
-@dataclass(frozen=True)
-class SeedTour:
-    """Closed tour produced by a backbone shortcut construction."""
-
-    order: tuple[int, ...]
-    length: float
 
 
 def _sorted_pair_order(d: np.ndarray, nodes: np.ndarray):
@@ -272,7 +264,7 @@ def euler_tour(backbone: Backbone, matching, start: int) -> list[int]:
     return walk
 
 
-def shortcut(walk, d: np.ndarray) -> SeedTour:
+def shortcut(walk, d: np.ndarray) -> Tour:
     """Keep first occurrences of the walk's vertices; close up the tour."""
     seen = set()
     order = []
@@ -283,16 +275,16 @@ def shortcut(walk, d: np.ndarray) -> SeedTour:
             order.append(v)
     if not order:
         raise ValueError("empty walk")
-    return SeedTour(tuple(order), tour_length(order, d))
+    return Tour(tuple(order), tour_length(order, d))
 
 
-def christofides_seed(d: np.ndarray, subset, matching_method: str = "greedy") -> SeedTour:
+def christofides_seed(d: np.ndarray, subset, matching_method: str = "greedy") -> Tour:
     """MST + odd-vertex matching + Euler walk + shortcut for one subset."""
     nodes = sorted(int(v) for v in set(subset))
     if not nodes:
         raise ValueError("subset must be non-empty")
     if len(nodes) == 1:
-        return SeedTour((nodes[0],), 0.0)
+        return Tour((nodes[0],), 0.0)
     mst = kruskal_mst(d, nodes)
     odd = odd_degree_vertices(mst)
     if matching_method == "greedy":
@@ -305,7 +297,7 @@ def christofides_seed(d: np.ndarray, subset, matching_method: str = "greedy") ->
     return shortcut(walk, d)
 
 
-def dfs_preorder_seed(d: np.ndarray, subset) -> SeedTour:
+def dfs_preorder_seed(d: np.ndarray, subset) -> Tour:
     """Alternative seed: depth-first preorder of the MST from its lowest node.
 
     Skips the matching/Euler stage; kept for ablating the seed construction.
@@ -314,7 +306,7 @@ def dfs_preorder_seed(d: np.ndarray, subset) -> SeedTour:
     if not nodes:
         raise ValueError("subset must be non-empty")
     if len(nodes) == 1:
-        return SeedTour((nodes[0],), 0.0)
+        return Tour((nodes[0],), 0.0)
     mst = kruskal_mst(d, nodes)
     adj = mst.adjacency
     seen = set()
@@ -329,4 +321,4 @@ def dfs_preorder_seed(d: np.ndarray, subset) -> SeedTour:
         for nbr in reversed(adj[v]):
             if nbr not in seen:
                 stack.append(nbr)
-    return SeedTour(tuple(order), tour_length(order, d))
+    return Tour(tuple(order), tour_length(order, d))

@@ -132,11 +132,20 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> BenchResults:
     keyed, so the schedule cannot change the results.
     """
     loaded: list[Instance] = []
+    path_of: dict[str, str] = {}
     for path in plan.instances:
         try:
-            loaded.append(load_instance(path))
+            inst = load_instance(path)
         except Exception as exc:
             raise type(exc)(f"{path}: {exc}") from exc
+        if inst.name in path_of:
+            # Cells are keyed by instance name: the second file would
+            # overwrite the first one's cells.
+            raise ValueError(
+                f"{path_of[inst.name]} and {path} share the instance name {inst.name!r}"
+            )
+        path_of[inst.name] = path
+        loaded.append(inst)
 
     tasks = [
         (inst, m, spec)
@@ -323,35 +332,22 @@ def friedman_blocks(results: BenchResults, metric: str = "total") -> dict[str, R
     The overall block treats every (instance, robots) pair as one ranking
     unit.  Blocks that lack two complete units are skipped.
     """
+    # One table, (instance, robots) -> {algorithm: mean}, feeds every block.
+    means: dict[tuple[str, int], dict[str, float]] = {}
+    for (inst, m, alg, cell_metric), cell in results.cells.items():
+        if cell_metric == metric:
+            means.setdefault((inst, m), {})[alg] = cell.mean
+    units = {
+        str(m): {inst: row for (inst, k), row in means.items() if k == m}
+        for m in results.robot_counts()
+    }
+    units["overall"] = {f"{inst}@{m}": row for (inst, m), row in means.items()}
     blocks: dict[str, RankTable] = {}
-    for m in results.robot_counts():
-        means: dict[str, dict[str, float]] = {}
-        for inst in results.instances():
-            per_alg = {
-                a: results.cells[(inst, m, a, metric)].mean
-                for a in results.algorithms()
-                if (inst, m, a, metric) in results.cells
-            }
-            if per_alg:
-                means[inst] = per_alg
+    for block, block_means in units.items():
         try:
-            blocks[str(m)] = friedman_mean_ranks(means)
+            blocks[block] = friedman_mean_ranks(block_means)
         except ValueError:
             continue
-    overall: dict[str, dict[str, float]] = {}
-    for inst in results.instances():
-        for m in results.robot_counts():
-            per_alg = {
-                a: results.cells[(inst, m, a, metric)].mean
-                for a in results.algorithms()
-                if (inst, m, a, metric) in results.cells
-            }
-            if per_alg:
-                overall[f"{inst}@{m}"] = per_alg
-    try:
-        blocks["overall"] = friedman_mean_ranks(overall)
-    except ValueError:
-        pass
     return blocks
 
 

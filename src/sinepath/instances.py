@@ -10,7 +10,6 @@ downstream component consumes.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,22 +67,6 @@ class Instance:
     @property
     def dimension(self) -> int:
         return self.coords.shape[0]
-
-
-def euclidean_distance(a, b) -> float:
-    """Unrounded planar distance between two (x, y) points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def haversine_distance(a, b, radius: float = EARTH_RADIUS_KM) -> float:
-    """Great-circle distance in km between two (lat, lon) points in degrees."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    s = (
-        math.sin((lat2 - lat1) / 2.0) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2
-    )
-    return 2.0 * radius * math.asin(min(1.0, math.sqrt(s)))
 
 
 def build_distance_matrix(inst: Instance, max_dimension: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:

@@ -10,8 +10,28 @@ configurations that relax disjointness.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class Tour:
+    """Closed tour: visiting order plus cached length."""
+
+    order: tuple[int, ...]
+    length: float
+
+    @cached_property
+    def _edges(self) -> frozenset[tuple[int, int]]:
+        if len(self.order) < 2:
+            return frozenset()
+        pairs = zip(self.order, self.order[1:] + self.order[:1])
+        return frozenset((a, b) if a < b else (b, a) for a, b in pairs)
+
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        """Unordered edges traversed, closing edge included."""
+        return self._edges
 
 
 def tour_length(order, d: np.ndarray) -> float:
@@ -37,14 +57,6 @@ def scalarized_objective(lengths, lam: float) -> float:
     return float(lam * arr.sum() + (1.0 - lam) * arr.max())
 
 
-def lambda_sensitivity(lengths) -> float:
-    """dJ/dlambda = total - max; J is affine in lambda for fixed tours."""
-    arr = np.asarray(lengths, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("no tour lengths")
-    return float(arr.sum() - arr.max())
-
-
 def edge_overlap(a, b) -> int:
     """Number of unordered edges shared by two closed tours."""
     return len(a.edge_set() & b.edge_set())
@@ -57,13 +69,6 @@ def pairwise_overlap_total(tours) -> int:
         for j in range(i + 1, len(tours)):
             total += edge_overlap(tours[i], tours[j])
     return total
-
-
-def penalized_objective(lengths, lam: float, overlaps, mu: float) -> float:
-    """J' = J + mu * sum(pairwise overlaps); mu = 0 recovers J exactly."""
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
-    return scalarized_objective(lengths, lam) + mu * float(np.sum(overlaps))
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,17 @@ Mode "aco" is the same code path with omega = 1, kappa = 0 and seeding off.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .aco import AcoParams, SubsetColony, Tour, deposit, init_pheromone, update_pheromones
+from .aco import AcoParams, SubsetColony, deposit, init_pheromone, update_pheromones
 from .backbone import christofides_seed, dfs_preorder_seed, kruskal_mst, restrict_edges
 from .instances import Instance, build_distance_matrix
-from .objective import Objectives, evaluate_objectives, scalarized_objective
+from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective
 from .partition import (
     Partition,
     depot_start_nodes,
@@ -64,6 +65,10 @@ class SolverConfig:
     depots: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        for name in ("omega", "tau0", "lambda_weight", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mode not in (MODE_SINE, MODE_CLASSIC):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == MODE_CLASSIC:
@@ -164,12 +169,6 @@ class SolveReport:
         """Deterministic serialisation; wall time is physical and excluded."""
         return json.dumps(self.to_dict(include_wall_time=False), sort_keys=True)
 
-    def run_fingerprint(self) -> str:
-        """Canonical serialisation of run results only (no config echo)."""
-        d = self.to_dict(include_wall_time=False)
-        d.pop("config")
-        return json.dumps(d, sort_keys=True)
-
     @staticmethod
     def from_dict(data: dict) -> "SolveReport":
         tours = tuple(
@@ -205,10 +204,8 @@ def _make_partition(inst: Instance, m: int, cfg: SolverConfig, iteration: int) -
 
 def _seed_tour(d, subset, cfg: SolverConfig) -> Tour:
     if cfg.seed_method == "christofides":
-        seed = christofides_seed(d, subset, cfg.matching_method)
-    else:
-        seed = dfs_preorder_seed(d, subset)
-    return Tour(seed.order, seed.length)
+        return christofides_seed(d, subset, cfg.matching_method)
+    return dfs_preorder_seed(d, subset)
 
 
 def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveReport:
@@ -225,10 +222,8 @@ def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveR
 
     global_mst = kruskal_mst(d, range(n))
 
-    def layout(t: int):
-        """Partition at iteration ``t``, with each subset's backbone, colony
-        and depot start."""
-        part = _make_partition(inst, m, cfg, t)
+    def layout(part: Partition):
+        """Each subset's backbone, colony and depot start under ``part``."""
         if cfg.backbone_per_subset:
             backbones = [kruskal_mst(d, sub).edge_keys() for sub in part.subsets]
         else:
@@ -240,9 +235,10 @@ def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveR
         starts = None
         if cfg.depots is not None:
             starts = depot_start_nodes(inst, part, cfg.depots)
-        return part, backbones, colonies, starts
+        return backbones, colonies, starts
 
-    part, backbones, colonies, starts = layout(0)
+    part = _make_partition(inst, m, cfg, 0)
+    backbones, colonies, starts = layout(part)
     tau = init_pheromone(n, cfg.tau0)
     state = IncumbentState()
 
@@ -276,7 +272,12 @@ def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveR
     try:
         for t in range(p.max_iter):
             if cfg.repartition_each_iter and t > 0:
-                part, backbones, colonies, starts = layout(t)
+                fresh = _make_partition(inst, m, cfg, t)
+                # The angle and depot partitions ignore t; equal subsets
+                # give the same layout, so it is rebuilt only on a change.
+                if fresh.subsets != part.subsets:
+                    part = fresh
+                    backbones, colonies, starts = layout(part)
             ks = range(len(colonies))
             if pool is not None:
                 bests = list(pool.map(lambda k: run_subset(k, t), ks))

@@ -3,20 +3,28 @@
 Everything here is written against the naive textbook formulation, not the
 package code paths: full permutation scan instead of any construction
 heuristic, sign-vector enumeration instead of the counting convolution. Slow
-on purpose. The ``reference_*`` functions are the package's own earlier
-forms, kept verbatim so that their replacements can be checked bit for bit.
+on purpose. The scalar colony (``StructuralBias`` through ``deposit_amount``)
+is the textbook per-node transition rule and deposit (Dorigo & Stuetzle, Ant
+Colony Optimization, MIT Press 2004, ch. 3), one ant and one successor at a
+time; ``euclidean_distance`` and ``haversine_distance`` are the per-pair
+formulas the dense matrix must reproduce. The ``reference_*`` functions are
+the package's own earlier forms, kept verbatim so that their replacements
+can be checked bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
-from sinepath.aco import deposit_amount
+from sinepath.aco import AcoParams
 from sinepath.backbone import Backbone, Edge, _sorted_pair_order, make_edge
+from sinepath.instances import EARTH_RADIUS_KM
+from sinepath.objective import Tour, tour_length
 
 
 def prim_mst_cost(dist: np.ndarray) -> float:
@@ -161,6 +169,21 @@ def held_karp_bound(dist: np.ndarray, nodes) -> float:
     return float(best)
 
 
+def euclidean_distance(a, b) -> float:
+    """Unrounded planar distance between two (x, y) points."""
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def haversine_distance(a, b, radius: float = EARTH_RADIUS_KM) -> float:
+    """Great-circle distance in km between two (lat, lon) points in degrees."""
+    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
+    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
+    s = (
+        math.sin((lat2 - lat1) / 2.0) ** 2
+        + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2
+    )
+    return 2.0 * radius * math.asin(min(1.0, math.sqrt(s)))
+
 def law_of_cosines_km(lat1: float, lon1: float, lat2: float, lon2: float,
                       radius_km: float = 6371.0) -> float:
     """Great-circle distance via the spherical law of cosines.
@@ -198,6 +221,103 @@ def wilcoxon_enumerated(a, b) -> tuple[float, float, float, float]:
     p = min(1.0, 2.0 * count / 2.0 ** n)
     return w_plus, w_minus, float(n), p
 
+
+@dataclass(frozen=True)
+class StructuralBias:
+    """Backbone edge set plus the multiplicative weight it earns."""
+
+    omega: float
+    backbone_edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        if self.omega < 1.0:
+            raise ValueError("omega must be at least 1")
+        for u, v in self.backbone_edges:
+            if not u < v:
+                raise ValueError("backbone edges must be canonical (u < v)")
+
+    def psi(self, i: int, j: int) -> float:
+        key = (i, j) if i < j else (j, i)
+        return self.omega if key in self.backbone_edges else 1.0
+
+
+def transition_probabilities(
+    i: int,
+    candidates,
+    tau: np.ndarray,
+    d: np.ndarray,
+    bias: StructuralBias,
+    params: AcoParams,
+) -> np.ndarray:
+    """Normalised successor probabilities from ``i``, aligned with ``candidates``:
+    tau^alpha * (1/d)^beta * psi^gamma over their sum."""
+    cand = np.asarray(list(candidates), dtype=np.int64)
+    if cand.size == 0:
+        raise ValueError("no candidates")
+    if np.any(cand == i):
+        raise ValueError("current node cannot be its own successor")
+    dist = d[i, cand]
+    if np.any(dist <= 0):
+        raise ValueError(
+            f"zero distance from node {i} to a candidate: degenerate geometry"
+        )
+    psi = np.array([bias.psi(i, int(j)) for j in cand])
+    scores = (
+        tau[i, cand] ** params.alpha
+        * (1.0 / dist) ** params.beta
+        * psi ** params.gamma
+    )
+    total = scores.sum()
+    if not total > 0:
+        raise ValueError(f"all successor scores vanished at node {i}")
+    return scores / total
+
+
+def roulette_index(cum: np.ndarray, u: float) -> int:
+    """Index whose cumulative-mass interval contains u * total."""
+    total = float(cum[-1])
+    if not total > 0:
+        raise ValueError("cannot sample from zero total mass")
+    target = min(u * total, np.nextafter(total, -np.inf))
+    return int(np.searchsorted(cum, target, side="right"))
+
+
+def construct_tour(
+    subset,
+    start: int,
+    tau: np.ndarray,
+    d: np.ndarray,
+    bias: StructuralBias,
+    params: AcoParams,
+    rng,
+) -> Tour:
+    """One ant's closed tour over ``subset`` starting at ``start``.
+
+    Consumes exactly ``len(subset) - 1`` draws from ``rng.random()``.
+    Construction never leaves the subset.
+    """
+    nodes = sorted(int(v) for v in set(subset))
+    if int(start) not in nodes:
+        raise ValueError("start must belong to the subset")
+    remaining = [v for v in nodes if v != int(start)]
+    order = [int(start)]
+    cur = int(start)
+    while remaining:
+        probs = transition_probabilities(cur, remaining, tau, d, bias, params)
+        idx = roulette_index(np.cumsum(probs), rng.random())
+        cur = remaining.pop(idx)
+        order.append(cur)
+    return Tour(tuple(order), tour_length(order, d))
+
+
+def deposit_amount(edge, tour: Tour, backbone_edges, params: AcoParams) -> float:
+    """Trail added to one edge by one tour: q/L, doubled up by kappa on the backbone."""
+    u, v = edge
+    key = (u, v) if u < v else (v, u)
+    if len(tour.order) < 2 or key not in tour.edge_set():
+        return 0.0
+    bonus = params.kappa if key in backbone_edges else 0.0
+    return params.q_scale / tour.length * (1.0 + bonus)
 
 def reference_construct_colony(weight, dist, tau_local, uniforms, start_local=None):
     """The colony step loop as first written: a bool visited mask written with

@@ -10,6 +10,7 @@ plain colony saturates, and the fixture checks against the bound that the
 margin is reachable before either criterion reads it.  See README.
 """
 
+import json
 import sys
 import time
 
@@ -247,6 +248,13 @@ def test_criterion_08_tours_never_share_edges():
             f"(total overlap {overlaps})")
 
 
+def _run_fingerprint(report) -> str:
+    """Canonical serialisation of run results only (no config echo)."""
+    d = report.to_dict(include_wall_time=False)
+    d.pop("config")
+    return json.dumps(d, sort_keys=True)
+
+
 def test_criterion_09_degeneration_identity():
     rng = np.random.default_rng(1009)
     mismatches = 0
@@ -275,7 +283,7 @@ def test_criterion_09_degeneration_identity():
         )
         a = solve(inst, m, neutral)
         b = solve(inst, m, classic)
-        mismatches += a.run_fingerprint() != b.run_fingerprint()
+        mismatches += _run_fingerprint(a) != _run_fingerprint(b)
     _record(9, mismatches == 0,
             f"neutral-bias runs fingerprint-identical to plain mode in "
             f"10/10 configurations ({mismatches} mismatches)")

@@ -1,31 +1,34 @@
-"""Transition rule, deposits, pheromone updates, and colony construction."""
+"""Transition rule, deposits, pheromone updates, and colony construction.
+
+The scalar transition rule and deposit live in ``tests/oracles.py``; the
+tests here pin them to hand-computed values and the colony to them.
+"""
 
 import numpy as np
 import pytest
 
 from oracles import (
+    StructuralBias,
+    construct_tour,
+    deposit_amount,
     exhaustive_tsp,
     reference_construct_colony,
     reference_seed_deposit,
     reference_update_pheromones,
+    roulette_index,
+    transition_probabilities,
 )
 from sinepath.aco import (
     TRAIL_FLOOR,
     AcoParams,
-    StructuralBias,
     SubsetColony,
-    Tour,
-    _roulette_index,
-    construct_tour,
     deposit,
-    deposit_amount,
     init_pheromone,
-    transition_probabilities,
     update_pheromones,
 )
 from sinepath.backbone import kruskal_mst
 from sinepath.instances import Instance, build_distance_matrix, random_planar_instance
-from sinepath.objective import tour_length
+from sinepath.objective import Tour, tour_length
 
 TRI_D = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
 NO_BIAS = StructuralBias(1.0, frozenset())
@@ -59,6 +62,10 @@ def test_params_validation():
         AcoParams(n_ants=0)
     with pytest.raises(ValueError, match="at least 1"):
         AcoParams(max_iter=0)
+    for name in ("alpha", "beta", "gamma", "rho", "q_scale", "kappa"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                AcoParams(**{name: bad})
 
 
 def test_structural_bias():
@@ -157,13 +164,13 @@ def test_transition_probability_errors():
 
 def test_roulette_index_boundaries():
     cum = np.array([0.64, 1.0])
-    assert _roulette_index(cum, 0.0) == 0
-    assert _roulette_index(cum, 0.5) == 0
-    assert _roulette_index(cum, 0.64) == 1
-    assert _roulette_index(cum, 0.99) == 1
-    assert _roulette_index(cum, 1.0) == 1  # clamp keeps it in range
+    assert roulette_index(cum, 0.0) == 0
+    assert roulette_index(cum, 0.5) == 0
+    assert roulette_index(cum, 0.64) == 1
+    assert roulette_index(cum, 0.99) == 1
+    assert roulette_index(cum, 1.0) == 1  # clamp keeps it in range
     with pytest.raises(ValueError, match="zero total"):
-        _roulette_index(np.array([0.0, 0.0]), 0.5)
+        roulette_index(np.array([0.0, 0.0]), 0.5)
 
 
 def test_construct_tour_draw_budget_and_validity():

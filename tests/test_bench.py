@@ -137,6 +137,21 @@ def test_run_plan_parse_failure_names_file(tmp_path):
         run_plan(plan)
 
 
+def test_run_plan_refuses_repeated_instance_name(tmp_path, inst_file, monkeypatch):
+    # cells are keyed by instance name, so a second file named p8 used to
+    # overwrite the first file's cells
+    other = tmp_path / "other" / "renamed.tsp"
+    other.parent.mkdir()
+    other.write_text(inst_file.read_text())
+    solves = []
+    monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
+    plan = ExperimentPlan((str(inst_file), str(other)), (2,), _tiny_specs(), repeats=2)
+    with pytest.raises(ValueError, match="'p8'") as err:
+        run_plan(plan)
+    assert str(inst_file) in str(err.value) and str(other) in str(err.value)
+    assert solves == []
+
+
 def test_run_plan_failed_cell_continues(inst_file):
     # one depot for two robots: that algorithm's cells fail, the other's run
     bad_cfg = SolverConfig(aco=TINY, depots=((0.0, 0.0),))

@@ -75,6 +75,24 @@ def test_solve_bad_parameter_is_domain_error(tri3_path, tmp_path):
     assert code == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag, name",
+    [("--alpha", "alpha"), ("--beta", "beta"), ("--gamma", "gamma"), ("--rho", "rho"),
+     ("--q", "q_scale"), ("--kappa", "kappa"), ("--omega", "omega"),
+     ("--lambda", "lambda_weight")],
+)
+def test_solve_non_finite_parameter_is_named(flag, name, value, bench51_path, tmp_path, capsys):
+    # NaN passes every `x <= 0` test and used to fail late as "all successor
+    # scores vanished"; inf as "non-finite successor scores"
+    out = tmp_path / "r.json"
+    code = main(["solve", str(bench51_path), "--robots", "2", "--iters", "3",
+                 flag, value, "--out", str(out)])
+    assert code == EXIT_DOMAIN
+    assert not out.exists()
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+
+
 def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
     # distances near 1e-2 with beta=200 overflow (1/d)^beta to inf
     coords = random_planar_instance(12, seed=3).coords * 1e-3
@@ -226,6 +244,23 @@ def test_bench_two_instances_adds_friedman(tmp_path, tri3_path, bench51_path):
     )
     assert code == EXIT_OK
     assert (out_dir / "friedman.csv").exists()
+
+
+def test_bench_refuses_repeated_instance_name(tmp_path, bench51_path, capsys):
+    import shutil
+
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        shutil.copy(bench51_path, tmp_path / sub / "bench51.tsp")
+    out_dir = tmp_path / "out"
+    code = main(["bench", "--instances", str(tmp_path / "*" / "bench51.tsp"),
+                 "--robots", "2", "--repeats", "2", "--out-dir", str(out_dir)] + FAST)
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a" / "bench51.tsp") in err
+    assert str(tmp_path / "b" / "bench51.tsp") in err
+    assert "'bench51'" in err
+    assert not out_dir.exists()
 
 
 def test_ablate_table_and_csv(tmp_path, tri3_path, capsys):

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from sinepath.aco import Tour
 from sinepath.instances import build_distance_matrix, random_planar_instance
 from sinepath.objective import (
+    Tour,
     edge_overlap,
     evaluate_objectives,
-    lambda_sensitivity,
     pairwise_overlap_total,
-    penalized_objective,
     scalarized_objective,
     tour_length,
 )
@@ -43,7 +41,12 @@ def test_scalarized_identities():
         assert scalarized_objective(lengths, lam) == pytest.approx(
             lam * total + (1 - lam) * mx, rel=1e-15
         )
-        assert lambda_sensitivity(lengths) == pytest.approx(total - mx, rel=1e-15)
+        # J is affine in lambda with slope total - max
+        slope = scalarized_objective(lengths, 1.0) - scalarized_objective(lengths, 0.0)
+        assert slope == pytest.approx(total - mx, rel=1e-15)
+        assert scalarized_objective(lengths, lam) == pytest.approx(
+            mx + lam * slope, rel=1e-12
+        )
 
 
 def test_scalarized_validation():
@@ -66,7 +69,8 @@ def test_selection_monotone_in_lambda():
         for lam in grid:
             js = [scalarized_objective(c, lam) for c in candidates]
             pick = int(np.argmin(js))
-            sens.append(lambda_sensitivity(candidates[pick]))
+            c = candidates[pick]
+            sens.append(scalarized_objective(c, 1.0) - scalarized_objective(c, 0.0))
         diffs = np.diff(sens)
         assert np.all(diffs <= 1e-9)
 
@@ -95,12 +99,16 @@ def test_pairwise_overlap_total():
 
 
 def test_penalized_objective():
-    lengths = [10.0, 20.0]
-    base = scalarized_objective(lengths, 0.5)
-    assert penalized_objective(lengths, 0.5, [0, 0], 3.0) == base
-    assert penalized_objective(lengths, 0.5, [2, 1], 3.0) == base + 9.0
-    with pytest.raises(ValueError, match="mu"):
-        penalized_objective(lengths, 0.5, [0], -1.0)
+    # J' = J + mu * (pairwise shared edges); t shares (0, 1) with a and
+    # (1, 2) with b, a and b share nothing
+    tours = (_tour([0, 1, 2]), Tour((0, 1), 6.0), Tour((1, 2), 10.0))
+    base = evaluate_objectives(tours, 0.5)
+    assert base.overlap_total == 2
+    assert base.j_value == 0.5 * 28.0 + 0.5 * 12.0
+    assert base.j_prime == base.j_value  # mu = 0 recovers J exactly
+    penalized = evaluate_objectives(tours, 0.5, mu=3.0)
+    assert penalized.j_value == base.j_value
+    assert penalized.j_prime == base.j_value + 3.0 * 2
 
 
 def test_evaluate_objectives_fields():

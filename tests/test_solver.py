@@ -40,6 +40,8 @@ def test_config_validation():
         SolverConfig(tau0=0.0)
     with pytest.raises(ValueError, match="lambda"):
         SolverConfig(lambda_weight=1.5)
+    with pytest.raises(ValueError, match="mu"):
+        SolverConfig(mu=-1.0)
     with pytest.raises(ValueError, match="partition"):
         SolverConfig(partition_method="grid")
     with pytest.raises(ValueError, match="seed method"):
@@ -50,6 +52,10 @@ def test_config_validation():
         SolverConfig(stagnation_window=0)
     with pytest.raises(ValueError, match="master_seed"):
         SolverConfig(master_seed=-1)
+    for name in ("omega", "tau0", "lambda_weight", "mu"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(**{name: bad})
 
 
 def test_classic_constructor():
@@ -139,9 +145,10 @@ def test_classic_mode_is_parameter_degeneration():
     classic = SolverConfig.classic(aco=FAST, master_seed=11)
     a = solve(inst, 2, degen)
     b = solve(inst, 2, classic)
-    assert a.run_fingerprint() == b.run_fingerprint()
     # the config echo differs (mode string), the results must not
-    assert a.canonical_json() != b.canonical_json()
+    ra, rb = (r.to_dict(include_wall_time=False) for r in (a, b))
+    assert ra.pop("config") != rb.pop("config")
+    assert ra == rb
 
 
 def test_stagnation_window_stops_early():
@@ -164,6 +171,24 @@ def test_repartition_each_iter():
     assert a.canonical_json() == b.canonical_json()
     seen = [v for t in a.tours for v in t.order]
     assert sorted(seen) == list(range(15))
+
+
+def test_repartition_keeps_an_unchanged_layout(monkeypatch):
+    # the angle partition ignores the iteration, so repartitioning finds the
+    # same subsets every time and must not rebuild their colonies
+    built = []
+
+    class CountingColony(SubsetColony):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "SubsetColony", CountingColony)
+    inst = random_planar_instance(15, seed=78)
+    again = solve(inst, 3, _fast_config(repartition_each_iter=True, master_seed=4))
+    assert len(built) == 3
+    once = solve(inst, 3, _fast_config(master_seed=4))
+    assert (again.tours, again.convergence) == (once.tours, once.convergence)
 
 
 @pytest.mark.parametrize("rho, iters", [(0.5, 1100), (1.0, 5)])
@@ -226,7 +251,7 @@ def test_report_round_trip():
 
 
 def test_incumbent_update_rules():
-    from sinepath.aco import Tour
+    from sinepath.objective import Tour
 
     state = IncumbentState()
     first = (Tour((0, 1), 10.0),)
@@ -252,7 +277,7 @@ def test_incumbent_update_rules():
 
 
 def test_incumbent_trace_follows_decreasing_sequence():
-    from sinepath.aco import Tour
+    from sinepath.objective import Tour
 
     state = IncumbentState()
     seq = [20.0, 17.5, 12.0, 3.25]
