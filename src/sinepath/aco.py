@@ -13,12 +13,26 @@ switches the bias off.  After each iteration the trail field evaporates by
 on its edges.  kappa = 0 recovers plain ant-colony deposits, so the classic
 algorithm is a parameter setting of this module, not a separate code path.
 
-Sampling inverts the cumulative score sum with one uniform draw per step;
-the draw is clamped strictly below the total so the final positive-score
-candidate absorbs residual rounding mass and a visited node can never be
-re-selected.  The colony picks the first node whose prefix sum exceeds the
-target, which is the count of prefix sums at or below it only while every
-score is non-negative; a negative trail is therefore refused.
+Sampling inverts the cumulative score sum with one uniform draw u per step.
+The colony picks the first node whose prefix sum exceeds u * total, which is
+the count of prefix sums at or below it only while every score is
+non-negative; a negative trail is therefore refused.  In general the target
+is clamped strictly below the total, so the final positive-score candidate
+absorbs residual rounding mass and a visited node can never be re-selected,
+and a call in which some row total was zero or NaN is refused.
+
+The clamp and the vanish check are skipped when one min/max pass over a
+call's scores and draws proves them no-ops: every successor score exceeds
+TRAIL_FLOOR, n_local times the largest stays below half the largest double,
+every draw lies in [0, 1) and the start is in range.  Each row total then
+sums at least one unvisited score, so it is finite, normal and above
+TRAIL_FLOOR and cannot vanish.  For such a total T and u <= 1 - 2^-53, the
+exact u * T lies at least T * 2^-53 below T: more than half the spacing of
+the doubles just below T (a whole spacing when T is a power of two), so u *
+T rounds to a double below T and the clamp would change nothing.  The bound
+is strict because at T = TRAIL_FLOOR the spacing below is subnormal, as wide
+as the one above, the gap is exactly half of it, and (1 - 2^-53) *
+TRAIL_FLOOR rounds back to TRAIL_FLOOR.
 """
 
 from __future__ import annotations
@@ -32,6 +46,19 @@ import numpy as np
 # ~1075 iterations at rho = 0.5 (after one at rho = 1); default runs stay far
 # above it (0.9^1000 ~ 1.7e-46), so flooring leaves their answers unchanged.
 TRAIL_FLOOR = np.finfo(float).tiny
+
+# A row total is at most n_local times the largest score, grown by at most a
+# factor (1 + 2^-53)^n_local by rounding in the running sum; keeping
+# n_local * max score below half the largest double leaves that factor room.
+_TOTAL_LIMIT = np.finfo(float).max / 2
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """View of a square C-ordered array's off-diagonal entries: the flat
+    array past its first cell, cut into rows of n + 1 that each end on a
+    diagonal cell."""
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 @dataclass(frozen=True)
@@ -174,33 +201,62 @@ class SubsetColony:
 
         ``uniforms`` is (n_ants, n_local).  Returns (orders, lengths) with
         orders in local indices, one row per ant.
+
+        The clamp and the vanish check run only when the scores and draws
+        do not prove them no-ops: when some successor score is at or below
+        ``TRAIL_FLOOR``, ``n_local`` times the largest reaches half the
+        largest double, a draw lies outside [0, 1) or the start is out of
+        range.  Otherwise every step's total is finite, normal and above
+        ``TRAIL_FLOOR``, so it cannot vanish and the draw times it is
+        already below it (see the module docstring).  Both ways pick the
+        same nodes, bit for bit.
         """
         na, nl = uniforms.shape
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
         score_tau = tau_local * self.weight
-        if score_tau.min() < 0:  # NaN passes, to fail as vanished below
+        # weight has a zero diagonal, so the diagonal of score_tau holds only
+        # +-0 or NaN: the full max sees every NaN, and the off-diagonal min
+        # is the least score a successor can have.
+        lo = _off_diagonal(score_tau).min(initial=np.inf)
+        hi = score_tau.max()
+        has_nan = math.isnan(hi)
+        # NaN passes the sign check, as it always has, and is left to the
+        # vanish check.
+        if lo < 0 and not has_nan:
             raise ValueError("negative trail: successor scores must be non-negative")
         # Visited columns are zeroed by multiplying with a 0/1 mask, which is
         # exact for finite scores but turns inf into NaN.
-        if np.isinf(score_tau).any():
+        if hi == np.inf or (has_nan and np.isinf(score_tau).any()):
             raise ValueError(
                 "non-finite successor scores: (1/d)^beta or the trail overflows; "
                 "rescale the coordinates or lower beta"
             )
-        orders = np.empty((na, nl), dtype=np.int64)
+        exact = (
+            lo > TRAIL_FLOOR
+            and hi < _TOTAL_LIMIT / nl
+            and 0.0 <= uniforms.min(initial=0.0)
+            and uniforms.max(initial=0.0) < 1.0
+            and (start_local is None or 0 <= start_local < nl)
+        )
+
+        # picks[step] holds every ant's node at that step; it is copied to
+        # one C-ordered row per ant at the end.
+        picks = np.empty((nl, na), dtype=np.int64)
         avail = np.ones((na, nl))
         avail_flat = avail.reshape(-1)
         offsets = np.arange(na) * nl
+        flat = np.empty(na, dtype=np.int64)
 
+        cur = picks[0]
         if start_local is None:
-            cur = np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
+            np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1, out=cur)
         else:
-            cur = np.full(na, int(start_local), dtype=np.int64)
-        orders[:, 0] = cur
-        avail_flat[offsets + cur] = 0.0
+            cur[:] = int(start_local)
+        avail_flat[np.add(offsets, cur, out=flat)] = 0.0
 
         draws = np.ascontiguousarray(uniforms.T)
+        take = score_tau.take
         scores = np.empty((na, nl))
         cum = np.empty((na, nl))
         below = np.empty((na, nl), dtype=bool)
@@ -212,13 +268,14 @@ class SubsetColony:
         for step in range(1, nl):
             # Indices are in range; mode="clip" only spares take() from
             # buffering its output.
-            np.take(score_tau, cur, axis=0, out=scores, mode="clip")
+            take(cur, axis=0, out=scores, mode="clip")
             np.multiply(scores, avail, out=scores)
             np.add.accumulate(scores, axis=1, out=cum)
-            np.minimum(low, total, out=low)
             np.multiply(draws[step], total, out=target)
-            np.nextafter(total, -np.inf, out=cap)
-            np.minimum(target, cap, out=target)
+            if not exact:
+                np.minimum(low, total, out=low)
+                np.nextafter(total, -np.inf, out=cap)
+                np.minimum(target, cap, out=target)
             # Scores are non-negative, so each row of cum never decreases and
             # `below` is a run of True followed only by False, with the last
             # column False (target < total): the first False, at the count
@@ -226,11 +283,14 @@ class SubsetColony:
             # False and picks 0, a valid index; the check after the loop then
             # refuses the whole call.
             np.less_equal(cum, target_col, out=below)
-            cur = below.argmin(axis=1)
-            orders[:, step] = cur
-            avail_flat[offsets + cur] = 0.0
-        if not (low > 0).all():  # NaN fails this too
-            raise ValueError("all successor scores vanished during construction")
+            cur = below.argmin(axis=1, out=picks[step])
+            avail_flat[np.add(offsets, cur, out=flat)] = 0.0
+        if not exact and not (low > 0).all():  # NaN fails this too
+            cause = ""
+            if (_off_diagonal(self.weight) == 0).any():
+                cause = ": (1/d)^beta underflows to 0; rescale the coordinates or lower beta"
+            raise ValueError("all successor scores vanished during construction" + cause)
+        orders = picks.T.copy()
 
         if nl == 1:
             lengths = np.zeros(na)
@@ -242,4 +302,4 @@ class SubsetColony:
         return orders, lengths
 
     def to_global(self, local_order: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.nodes[local_order])
+        return tuple(self.nodes[local_order].tolist())

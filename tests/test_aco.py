@@ -6,6 +6,8 @@ tests here pin them to hand-computed values and the colony to them.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     StructuralBias,
@@ -501,6 +503,100 @@ def test_colony_bit_identical_to_reference_on_edge_trails(case):
             )
             assert np.array_equal(orders, ref_orders)
             assert np.array_equal(lengths, ref_lengths)
+
+
+def test_colony_floor_total_keeps_its_clamp():
+    # Unit distances, omega = 1 and a floored trail make every successor
+    # score exactly TRAIL_FLOOR, so each ant's last step has one successor
+    # and a row total of exactly TRAIL_FLOOR.  (1 - 2^-53) * tiny rounds to
+    # tiny, so only the clamp keeps that draw below the total; zero draws
+    # before it walk the ants in index order, leaving a last node other
+    # than column 0, which an unclamped pick would revisit.
+    n = 5
+    d = np.ones((n, n)) - np.eye(n)
+    colony = SubsetColony(range(n), d, frozenset(), 1.0, AcoParams())
+    tau_local = colony.local_tau(np.zeros((n, n)))
+    off_diag = ~np.eye(n, dtype=bool)
+    assert np.array_equal((tau_local * colony.weight)[off_diag], np.full(n * n - n, TRAIL_FLOOR))
+    last = 1.0 - 2.0**-53
+    assert last * TRAIL_FLOOR == TRAIL_FLOOR
+    uniforms = np.zeros((6, n))
+    uniforms[:, -1] = last
+    for start in (None, 2):
+        orders, lengths = colony.construct_colony(tau_local, uniforms, start)
+        ref_orders, ref_lengths = reference_construct_colony(
+            colony.weight, colony.dist, tau_local, uniforms, start
+        )
+        assert np.array_equal(orders, ref_orders)
+        assert np.array_equal(lengths, ref_lengths)
+        assert all(sorted(row) == list(range(n)) for row in orders.tolist())
+
+
+def _colony_outcome(construct, *args):
+    """Orders and length bytes of one colony call, or its refusal message."""
+    try:
+        orders, lengths = construct(*args)
+    except ValueError as exc:
+        return str(exc)
+    return orders.tobytes(), lengths.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 40),
+    n_ants=st.integers(1, 20),
+    exponent=st.floats(-320.0, 308.0),
+    zeros=st.sampled_from([0.0, 0.3, 0.9]),
+    floored=st.booleans(),
+    alpha=st.floats(0.5, 2.0),
+    beta=st.floats(0.5, 6.0),
+    omega=st.sampled_from([1.0, 2.0, 6.0]),
+    start=st.one_of(st.none(), st.integers(0, 39)),
+    top=st.sampled_from([None, 1.0 - 2.0**-53, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the proven branch: every score well inside the normal range
+@example(width=13, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+         beta=2.0, omega=2.0, start=None, top=None, seed=1)
+@example(width=40, n_ants=20, exponent=300.0, zeros=0.0, floored=False, alpha=1.0,
+         beta=1.0, omega=6.0, start=7, top=1.0 - 2.0**-53, seed=2)
+# the clamped branch: subnormal scores under the largest draw below 1, a
+# floored trail times weights below 1, a draw of exactly 1, exact zeros
+@example(width=13, n_ants=20, exponent=-320.0, zeros=0.0, floored=False, alpha=1.0,
+         beta=2.0, omega=1.0, start=None, top=1.0 - 2.0**-53, seed=3)
+@example(width=13, n_ants=20, exponent=-320.0, zeros=0.3, floored=True, alpha=1.0,
+         beta=2.0, omega=1.0, start=4, top=1.0 - 2.0**-53, seed=4)
+@example(width=13, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+         beta=2.0, omega=2.0, start=None, top=1.0, seed=5)
+@example(width=13, n_ants=20, exponent=0.0, zeros=0.9, floored=False, alpha=1.0,
+         beta=2.0, omega=1.0, start=2, top=None, seed=6)
+def test_colony_matches_reference_across_trail_scales(
+    width, n_ants, exponent, zeros, floored, alpha, beta, omega, start, top, seed
+):
+    # Trails from 1e-320 (subnormal) to 1e308, with exact zeros, read raw or
+    # floored through local_tau: the colony must pick what the reference
+    # picks, bit for bit, or refuse with the same message.
+    rng = np.random.default_rng(seed)
+    d = build_distance_matrix(random_planar_instance(max(width, 2), seed=seed))
+    params = AcoParams(alpha=alpha, beta=beta)
+    colony = SubsetColony(range(width), d, kruskal_mst(d, range(width)).edge_keys(), omega, params)
+    trail = 10.0**exponent * rng.uniform(0.5, 1.5, size=d.shape)
+    trail[rng.random(d.shape) < zeros] = 0.0
+    uniforms = rng.random((n_ants, width))
+    if top is not None:
+        uniforms[rng.random(uniforms.shape) < 0.3] = top
+    start_local = None if start is None else start % width
+    with np.errstate(over="ignore", under="ignore"):
+        tau_local = colony.local_tau(trail) if floored else trail[:width, :width]
+        if np.isinf(tau_local * colony.weight).any():
+            with pytest.raises(ValueError, match="non-finite successor scores"):
+                colony.construct_colony(tau_local, uniforms, start_local)
+            return
+        got = _colony_outcome(colony.construct_colony, tau_local, uniforms, start_local)
+        want = _colony_outcome(
+            reference_construct_colony, colony.weight, colony.dist, tau_local, uniforms, start_local
+        )
+    assert got == want
 
 
 def test_colony_negative_trail_rejected():

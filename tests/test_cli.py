@@ -109,6 +109,20 @@ def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_underflowing_visibility_is_named(bench51_path, tmp_path, capsys):
+    # (1/d)^400 underflows to 0 for 2384 of bench51's 2550 node pairs, so
+    # every successor score of some ant vanishes; the refusal names why
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore"):
+        code = main(["solve", str(bench51_path), "--robots", "4", "--iters", "3",
+                     "--beta", "400", "--out", str(out)])
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "all successor scores vanished" in err
+    assert "(1/d)^beta underflows to 0; rescale the coordinates or lower beta" in err
+    assert not out.exists()
+
+
 def test_solve_overflowing_distances_is_domain_error(tmp_path, capsys):
     # coordinates near 1e172 overflow the distance matrix itself; the error
     # names the cause instead of a later "all successor scores vanished"
