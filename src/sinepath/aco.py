@@ -21,18 +21,19 @@ is clamped strictly below the total, so the final positive-score candidate
 absorbs residual rounding mass and a visited node can never be re-selected,
 and a call in which some row total was zero or NaN is refused.
 
-The clamp and the vanish check are skipped when one min/max pass over a
-call's scores and draws proves them no-ops: every successor score exceeds
-TRAIL_FLOOR, n_local times the largest stays below half the largest double,
-every draw lies in [0, 1) and the start is in range.  Each row total then
-sums at least one unvisited score, so it is finite, normal and above
-TRAIL_FLOOR and cannot vanish.  For such a total T and u <= 1 - 2^-53, the
-exact u * T lies at least T * 2^-53 below T: more than half the spacing of
-the doubles just below T (a whole spacing when T is a power of two), so u *
-T rounds to a double below T and the clamp would change nothing.  The bound
-is strict because at T = TRAIL_FLOOR the spacing below is subnormal, as wide
-as the one above, the gap is exactly half of it, and (1 - 2^-53) *
-TRAIL_FLOOR rounds back to TRAIL_FLOOR.
+A call refuses a start outside [0, n_local) and a draw outside [0, 1].  The
+clamp and the vanish check are skipped when one min/max pass over a call's
+scores and draws proves them no-ops: every successor score exceeds
+TRAIL_FLOOR, n_local times the largest stays below half the largest double
+and every draw lies below 1.  Each row total then sums at least one
+unvisited score, so it is finite, normal and above TRAIL_FLOOR and cannot
+vanish.  For such a total T and u <= 1 - 2^-53, the exact u * T lies at
+least T * 2^-53 below T: more than half the spacing of the doubles just
+below T (a whole spacing when T is a power of two), so u * T rounds to a
+double below T and the clamp would change nothing.  The bound is strict
+because at T = TRAIL_FLOOR the spacing below is subnormal, as wide as the
+one above, the gap is exactly half of it, and (1 - 2^-53) * TRAIL_FLOOR
+rounds back to TRAIL_FLOOR.
 """
 
 from __future__ import annotations
@@ -167,7 +168,9 @@ class SubsetColony:
         safe = self.dist + np.eye(self.n_local)
         eta = 1.0 / safe
         np.fill_diagonal(eta, 0.0)
-        weight = eta ** params.beta
+        # An overflow to inf is refused by name in construct_colony.
+        with np.errstate(over="ignore"):
+            weight = eta ** params.beta
         if omega != 1.0:
             boost = omega ** params.gamma
             for u, v in self.backbone_edges:
@@ -199,21 +202,26 @@ class SubsetColony:
     ) -> tuple[np.ndarray, np.ndarray]:
         """All ants' tours for one iteration.
 
-        ``uniforms`` is (n_ants, n_local).  Returns (orders, lengths) with
-        orders in local indices, one row per ant.
+        ``uniforms`` is (n_ants, n_local) with every draw in [0, 1], and
+        ``start_local`` lies in [0, n_local) when given.  Returns (orders,
+        lengths) with orders in local indices, one row per ant.
 
         The clamp and the vanish check run only when the scores and draws
         do not prove them no-ops: when some successor score is at or below
         ``TRAIL_FLOOR``, ``n_local`` times the largest reaches half the
-        largest double, a draw lies outside [0, 1) or the start is out of
-        range.  Otherwise every step's total is finite, normal and above
-        ``TRAIL_FLOOR``, so it cannot vanish and the draw times it is
-        already below it (see the module docstring).  Both ways pick the
-        same nodes, bit for bit.
+        largest double or a draw equals 1.  Otherwise every step's total is
+        finite, normal and above ``TRAIL_FLOOR``, so it cannot vanish and
+        the draw times it is already below it (see the module docstring).
+        Both ways pick the same nodes, bit for bit.
         """
         na, nl = uniforms.shape
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
+        if start_local is not None and not 0 <= start_local < nl:
+            raise ValueError(f"start_local {start_local} outside [0, {nl})")
+        u_lo, u_hi = uniforms.min(initial=0.0), uniforms.max(initial=0.0)
+        if not 0.0 <= u_lo <= u_hi <= 1.0:  # NaN fails this too
+            raise ValueError(f"uniform draws must lie in [0, 1], got {u_lo} to {u_hi}")
         score_tau = tau_local * self.weight
         # weight has a zero diagonal, so the diagonal of score_tau holds only
         # +-0 or NaN: the full max sees every NaN, and the off-diagonal min
@@ -232,13 +240,7 @@ class SubsetColony:
                 "non-finite successor scores: (1/d)^beta or the trail overflows; "
                 "rescale the coordinates or lower beta"
             )
-        exact = (
-            lo > TRAIL_FLOOR
-            and hi < _TOTAL_LIMIT / nl
-            and 0.0 <= uniforms.min(initial=0.0)
-            and uniforms.max(initial=0.0) < 1.0
-            and (start_local is None or 0 <= start_local < nl)
-        )
+        exact = lo > TRAIL_FLOOR and hi < _TOTAL_LIMIT / nl and u_hi < 1.0
 
         # picks[step] holds every ant's node at that step; it is copied to
         # one C-ordered row per ant at the end.

@@ -209,57 +209,43 @@ def ablation_sweep(
 # Emitters.  Numbers are written with shortest round-trip decimals (repr), so
 # parse -> emit reproduces the bytes exactly.
 
+_RESULT_COLUMNS = ("instance", "robots", "algorithm", "metric", "mean", "std", "n")
+_WILCOXON_COLUMNS = (
+    "instance", "robots", "metric", "algorithm", "mean", "std", "p_value", "verdict"
+)
 
-def _fmt(x) -> str:
-    return repr(float(x))
 
-
-def format_results_csv(results: BenchResults) -> str:
-    lines = ["instance,robots,algorithm,metric,mean,std,n"]
-    for key in sorted(results.cells):
-        inst, robots, alg, metric = key
-        c = results.cells[key]
-        lines.append(
-            f"{inst},{robots},{alg},{metric},{_fmt(c.mean)},{_fmt(c.std)},{c.n}"
-        )
+def _csv(header, rows, footer: str = "") -> str:
+    """``header`` names the columns; floats are written as ``repr(float(x))``,
+    everything else with ``str``."""
+    lines = [",".join(header)]
+    lines += [
+        ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
+        for row in rows
+    ]
+    if footer:
+        lines.append(footer)
     return "\n".join(lines) + "\n"
 
 
-def parse_results_csv(text: str) -> BenchResults:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "instance,robots,algorithm,metric,mean,std,n":
-        raise ValueError("unrecognised results csv header")
-    results = BenchResults()
-    for ln in lines[1:]:
-        fields = ln.split(",")
-        if len(fields) != 7:
-            raise ValueError(f"bad results row: {ln!r}")
-        inst, robots, alg, metric, mean, std, n = fields
-        key = (inst, int(robots), alg, metric)
-        # Raw runs are not part of the csv; carry the aggregate only.
-        results.cells[key] = CellStats(float(mean), float(std), (), int(n))
-    return results
+def _result_rows(results: BenchResults):
+    """One (key..., mean, std, n) row per cell, in key order, with its cell."""
+    for key in sorted(results.cells):
+        c = results.cells[key]
+        yield (*key, c.mean, c.std, c.n), c
+
+
+def format_results_csv(results: BenchResults) -> str:
+    return _csv(_RESULT_COLUMNS, (row for row, _ in _result_rows(results)))
 
 
 def format_results_json(results: BenchResults) -> str:
-    cells = []
-    for key in sorted(results.cells):
-        inst, robots, alg, metric = key
-        c = results.cells[key]
-        cells.append(
-            {
-                "instance": inst,
-                "robots": robots,
-                "algorithm": alg,
-                "metric": metric,
-                "mean": c.mean,
-                "std": c.std,
-                "n": c.n,
-                "runs": list(c.runs),
-            }
-        )
+    cells = [
+        dict(zip(_RESULT_COLUMNS, row), runs=list(c.runs))
+        for row, c in _result_rows(results)
+    ]
     failed = [
-        {"instance": k[0], "robots": k[1], "algorithm": k[2], "error": msg}
+        dict(zip(_RESULT_COLUMNS[:3] + ("error",), (*k, msg)))
         for k, msg in sorted(results.failed.items())
     ]
     return json.dumps(
@@ -299,31 +285,18 @@ def wilcoxon_verdict_rows(
                         verdict, p = "untested", ""
                     else:
                         res = wilcoxon_signed_rank(cell.runs, best_runs, significance)
-                        verdict, p = res.verdict, _fmt(res.p_value)
-                    rows.append(
-                        {
-                            "instance": inst,
-                            "robots": m,
-                            "metric": metric,
-                            "algorithm": alg,
-                            "mean": cell.mean,
-                            "std": cell.std,
-                            "p_value": p,
-                            "verdict": verdict,
-                        }
-                    )
+                        verdict, p = res.verdict, repr(float(res.p_value))
+                    row = (inst, m, metric, alg, cell.mean, cell.std, p, verdict)
+                    rows.append(dict(zip(_WILCOXON_COLUMNS, row)))
     return rows
 
 
 def format_wilcoxon_csv(rows: list[dict], significance: float = DEFAULT_SIGNIFICANCE) -> str:
-    lines = ["instance,robots,metric,algorithm,mean,std,p_value,verdict"]
-    for r in rows:
-        lines.append(
-            f"{r['instance']},{r['robots']},{r['metric']},{r['algorithm']},"
-            f"{_fmt(r['mean'])},{_fmt(r['std'])},{r['p_value']},{r['verdict']}"
-        )
-    lines.append(f"# wilcoxon signed-rank, two-sided, significance {significance}")
-    return "\n".join(lines) + "\n"
+    return _csv(
+        _WILCOXON_COLUMNS,
+        ([r[c] for c in _WILCOXON_COLUMNS] for r in rows),
+        f"# wilcoxon signed-rank, two-sided, significance {significance}",
+    )
 
 
 def friedman_blocks(results: BenchResults, metric: str = "total") -> dict[str, RankTable]:
@@ -352,24 +325,23 @@ def friedman_blocks(results: BenchResults, metric: str = "total") -> dict[str, R
 
 
 def format_friedman_csv(blocks: dict[str, RankTable]) -> str:
-    lines = ["block,algorithm,mean_rank,position"]
+    rows = []
     for block in sorted(blocks):
         table = blocks[block]
         order = table.ordering()
-        for alg in table.algorithms:
-            lines.append(
-                f"{block},{alg},{_fmt(table.mean_ranks[alg])},{order.index(alg) + 1}"
-            )
-    return "\n".join(lines) + "\n"
+        rows += [
+            (block, alg, table.mean_ranks[alg], order.index(alg) + 1)
+            for alg in table.algorithms
+        ]
+    return _csv(("block", "algorithm", "mean_rank", "position"), rows)
 
 
 def format_ablation_csv(sweep: dict[float, dict[str, CellStats]], m: int) -> str:
-    lines = ["weight,robots,metric,mean,std,n"]
-    for w in sorted(sweep):
-        for metric in METRICS:
-            c = sweep[w][metric]
-            lines.append(f"{_fmt(w)},{m},{metric},{_fmt(c.mean)},{_fmt(c.std)},{c.n}")
-    return "\n".join(lines) + "\n"
+    cells = ((w, metric, sweep[w][metric]) for w in sorted(sweep) for metric in METRICS)
+    return _csv(
+        ("weight", "robots", "metric", "mean", "std", "n"),
+        ((w, m, metric, c.mean, c.std, c.n) for w, metric, c in cells),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,25 +413,17 @@ def emit_bench_artifacts(
     instances completed, friedman.csv.  Returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    p = out / "results.csv"
-    p.write_text(format_results_csv(results))
-    written.append(p)
-
-    p = out / "results.json"
-    p.write_text(format_results_json(results))
-    written.append(p)
-
-    rows = wilcoxon_verdict_rows(results, significance)
-    p = out / "wilcoxon.csv"
-    p.write_text(format_wilcoxon_csv(rows, significance))
-    written.append(p)
-
+    texts = {
+        "results.csv": format_results_csv(results),
+        "results.json": format_results_json(results),
+        "wilcoxon.csv": format_wilcoxon_csv(
+            wilcoxon_verdict_rows(results, significance), significance
+        ),
+    }
     if len(results.instances()) >= 2:
         blocks = friedman_blocks(results)
         if blocks:
-            p = out / "friedman.csv"
-            p.write_text(format_friedman_csv(blocks))
-            written.append(p)
-    return written
+            texts["friedman.csv"] = format_friedman_csv(blocks)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [out / name for name in texts]

@@ -11,7 +11,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .aco import AcoParams
@@ -26,85 +26,69 @@ from .bench import (
     run_plan,
 )
 from .instances import ParseError, load_instance
-from .solver import SolveReport, SolverConfig, solve
+from .solver import MODE_CLASSIC, MODE_SINE, PARTITION_METHODS, SolveReport, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DOMAIN = 4
 
+# Solver flag -> (AcoParams or SolverConfig field, help).  Each flag takes its
+# default and type from the field, so the CLI and the library share them.
+_SOLVER_FLAGS = {
+    "--seed": ("master_seed", "master seed (default %(default)s)"),
+    "--iters": ("max_iter", "iterations (default %(default)s)"),
+    "--ants": ("n_ants", "colony size (default %(default)s)"),
+    "--alpha": ("alpha", "pheromone exponent"),
+    "--beta": ("beta", "visibility exponent"),
+    "--gamma": ("gamma", "bias exponent"),
+    "--rho": ("rho", "evaporation rate"),
+    "--q": ("q_scale", "deposit scale"),
+    "--kappa": ("kappa", "backbone deposit bonus"),
+    "--omega": ("omega", "backbone bias weight"),
+    "--lambda": ("lambda_weight", "total-vs-max trade-off in [0, 1]"),
+    "--partition": ("partition_method", None),
+}
+# Flags not shown as their own name in upper case.
+_FLAG_OPTIONS = {"--lambda": {"metavar": "LAM"}, "--partition": {"choices": PARTITION_METHODS}}
+_ACO_FIELDS = {f.name for f in fields(AcoParams)}
+
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--iters", type=int, default=1000, help="iterations (default 1000)")
-    p.add_argument("--ants", type=int, default=50, help="colony size (default 50)")
-    p.add_argument("--alpha", type=float, default=1.0, help="pheromone exponent")
-    p.add_argument("--beta", type=float, default=2.0, help="visibility exponent")
-    p.add_argument("--gamma", type=float, default=1.0, help="bias exponent")
-    p.add_argument("--rho", type=float, default=0.1, help="evaporation rate")
-    p.add_argument("--q", type=float, default=1.0, help="deposit scale")
-    p.add_argument("--kappa", type=float, default=1.0, help="backbone deposit bonus")
-    p.add_argument("--omega", type=float, default=2.0, help="backbone bias weight")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                   help="total-vs-max trade-off in [0, 1]")
-    p.add_argument("--partition", choices=("angle", "kmeans"), default="angle")
+    for flag, (name, text) in _SOLVER_FLAGS.items():
+        default = getattr(AcoParams if name in _ACO_FIELDS else SolverConfig, name)
+        options = _FLAG_OPTIONS.get(flag, {"metavar": flag[2:].upper()})
+        p.add_argument(flag, dest=name, type=type(default), default=default, help=text,
+                       **options)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: SINE_WORKERS or 1)")
+                   help="parallel workers (default: SINE_WORKERS or 1); threads give "
+                        "the same output but were slower on every workload measured")
 
 
 def _config(args, mode: str) -> SolverConfig:
-    aco = AcoParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        rho=args.rho,
-        q_scale=args.q,
-        kappa=args.kappa,
-        n_ants=args.ants,
-        max_iter=args.iters,
-    )
-    if mode == "aco":
-        return SolverConfig.classic(
-            aco=aco,
-            lambda_weight=args.lam,
-            partition_method=args.partition,
-            master_seed=args.seed,
-        )
-    return SolverConfig(
-        aco=aco,
-        omega=args.omega,
-        lambda_weight=args.lam,
-        partition_method=args.partition,
-        master_seed=args.seed,
-    )
+    given = {name: getattr(args, name) for name, _ in _SOLVER_FLAGS.values()}
+    aco = AcoParams(**{name: given.pop(name) for name in _ACO_FIELDS & set(given)})
+    if mode == MODE_CLASSIC:
+        del given["omega"]  # the plain colony has no backbone bias
+        return SolverConfig.classic(aco=aco, **given)
+    return SolverConfig(aco=aco, **given)
 
 
-def _distinct(values: list, text: str) -> list:
-    """Refuse a list that repeats an entry: each entry names one result."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise argparse.ArgumentTypeError(f"duplicate entry {value} in {text!r}")
-    return values
+def _list(cast, what: str):
+    """An argparse type: a comma separated list of ``what`` values.  Each
+    entry names one result, so a repeated entry is refused."""
 
+    def parse(text: str) -> list:
+        try:
+            values = [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma separated {what} list: {text!r}")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(f"duplicate entry {value} in {text!r}")
+        return values
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma separated int list: {text!r}")
-    return _distinct(values, text)
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma separated float list: {text!r}")
-    return _distinct(values, text)
-
-
-def _name_list(text: str) -> list[str]:
-    return _distinct([tok.strip() for tok in text.split(",") if tok.strip()], text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,24 +101,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance and write a JSON report")
     p.add_argument("instance", help=".tsp or geo .csv instance file")
     p.add_argument("--robots", type=int, default=1, help="robot count (default 1)")
-    p.add_argument("--mode", choices=("sine", "aco"), default="sine")
+    p.add_argument("--mode", choices=(MODE_SINE, MODE_CLASSIC), default=MODE_SINE)
     p.add_argument("--out", default="report.json", help="report path")
     p.add_argument("--svg", default=None, help="also draw the routes to this SVG path")
     _add_solver_flags(p)
 
     p = sub.add_parser("bench", help="run an instance x robots x algorithm grid")
     p.add_argument("--instances", required=True, help="glob of instance files")
-    p.add_argument("--robots", type=_int_list, required=True, help="e.g. 2,4,8")
+    p.add_argument("--robots", type=_list(int, "int"), required=True, help="e.g. 2,4,8")
     p.add_argument("--repeats", type=int, default=8)
-    p.add_argument("--algorithms", type=_name_list, default="sine,aco",
-                   help="comma list of sine,aco")
+    p.add_argument("--algorithms", type=_list(str, "name"),
+                   default=f"{MODE_SINE},{MODE_CLASSIC}",
+                   help=f"comma list of {MODE_SINE},{MODE_CLASSIC}")
     p.add_argument("--out-dir", default="bench_out")
     _add_solver_flags(p)
 
     p = sub.add_parser("ablate", help="sweep the structural deposit weight")
     p.add_argument("instance")
-    p.add_argument("--robots", type=_int_list, default=[2], help="e.g. 2,4,8")
-    p.add_argument("--weights", type=_float_list,
+    p.add_argument("--robots", type=_list(int, "int"), default=[2], help="e.g. 2,4,8")
+    p.add_argument("--weights", type=_list(float, "float"),
                    default=list(DEFAULT_ABLATION_WEIGHTS))
     p.add_argument("--repeats", type=int, default=8)
     p.add_argument("--out", default=None, help="write the sweep table as csv")
@@ -173,8 +158,9 @@ def _cmd_bench(args) -> int:
         return EXIT_USAGE
     specs = []
     for name in args.algorithms:
-        if name not in ("sine", "aco"):
-            print(f"unknown algorithm {name!r} (want sine, aco)", file=sys.stderr)
+        if name not in (MODE_SINE, MODE_CLASSIC):
+            print(f"unknown algorithm {name!r} (want {MODE_SINE}, {MODE_CLASSIC})",
+                  file=sys.stderr)
             return EXIT_USAGE
         specs.append(AlgorithmSpec(name, _config(args, name)))
     plan = ExperimentPlan(
@@ -182,7 +168,7 @@ def _cmd_bench(args) -> int:
         robot_counts=tuple(args.robots),
         algorithms=tuple(specs),
         repeats=args.repeats,
-        seed_base=args.seed,
+        seed_base=args.master_seed,
     )
     results = run_plan(plan, workers=args.workers)
     written = emit_bench_artifacts(results, args.out_dir)
@@ -195,12 +181,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_ablate(args) -> int:
     inst = load_instance(args.instance)
-    base = replace(_config(args, "sine"), omega=1.0, seed_with_christofides=False)
+    base = replace(_config(args, MODE_SINE), omega=1.0, seed_with_christofides=False)
     chunks = []
     for m in args.robots:
         sweep = ablation_sweep(
             inst, m, args.weights, repeats=args.repeats,
-            seed_base=args.seed, base_config=base, workers=args.workers,
+            seed_base=args.master_seed, base_config=base, workers=args.workers,
         )
         chunks.append((m, sweep))
     print("weight  robots  metric      mean        std       n")
@@ -209,11 +195,9 @@ def _cmd_ablate(args) -> int:
             for metric, c in sweep[w].items():
                 print(f"{w:6.1f}  {m:6d}  {metric:10s}  {c.mean:10.4f}  {c.std:9.4f}  {c.n}")
     if args.out:
-        lines = []
-        for i, (m, sweep) in enumerate(chunks):
-            text = format_ablation_csv(sweep, m)
-            lines.append(text if i == 0 else text.split("\n", 1)[1])
-        Path(args.out).write_text("".join(lines))
+        # one header: each later table drops its own
+        texts = [format_ablation_csv(sweep, m) for m, sweep in chunks]
+        Path(args.out).write_text(texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:]))
         print(f"wrote {args.out}")
     return EXIT_OK
 

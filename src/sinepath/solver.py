@@ -40,6 +40,7 @@ from .partition import (
 
 MODE_SINE = "sine"
 MODE_CLASSIC = "aco"
+PARTITION_METHODS = ("angle", "kmeans")
 
 # Sub-stream tags under the master seed.
 _STREAM_PARTITION = 0
@@ -85,7 +86,7 @@ class SolverConfig:
             raise ValueError("lambda must lie in [0, 1]")
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
-        if self.partition_method not in ("angle", "kmeans"):
+        if self.partition_method not in PARTITION_METHODS:
             raise ValueError(f"unknown partition method {self.partition_method!r}")
         if self.seed_method not in ("christofides", "dfs"):
             raise ValueError(f"unknown seed method {self.seed_method!r}")

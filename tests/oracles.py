@@ -9,7 +9,8 @@ Colony Optimization, MIT Press 2004, ch. 3), one ant and one successor at a
 time; ``euclidean_distance`` and ``haversine_distance`` are the per-pair
 formulas the dense matrix must reproduce. The ``reference_*`` functions are
 the package's own earlier forms, kept verbatim so that their replacements
-can be checked bit for bit.
+can be checked bit for bit. ``parse_results_csv`` reads ``results.csv``
+back, so that the emitter's round trip can be checked.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy.stats import rankdata
 
 from sinepath.aco import AcoParams
 from sinepath.backbone import Backbone, Edge, _sorted_pair_order, make_edge
+from sinepath.bench import BenchResults, CellStats
 from sinepath.instances import EARTH_RADIUS_KM
 from sinepath.objective import Tour, tour_length
 
@@ -432,3 +434,21 @@ def reference_distance_matrix(coords: np.ndarray) -> np.ndarray:
     full = np.sqrt((diff * diff).sum(axis=2))
     upper = np.triu(full, k=1)
     return upper + upper.T
+
+
+def parse_results_csv(text: str) -> BenchResults:
+    """A ``results.csv`` read back: aggregates only, since the csv carries no
+    raw runs."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "instance,robots,algorithm,metric,mean,std,n":
+        raise ValueError("unrecognised results csv header")
+    results = BenchResults()
+    for ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 7:
+            raise ValueError(f"bad results row: {ln!r}")
+        inst, robots, alg, metric, mean, std, n = fields
+        results.cells[(inst, int(robots), alg, metric)] = CellStats(
+            float(mean), float(std), (), int(n)
+        )
+    return results

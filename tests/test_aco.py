@@ -637,6 +637,42 @@ def test_colony_free_start_uses_first_draw():
         assert sorted(row.tolist()) == list(range(n))
 
 
+@pytest.mark.parametrize("start", [13, 14, -1, -13])
+def test_colony_start_out_of_range_rejected(start):
+    # 13 used to raise a bare IndexError, and -1 read row 0 but marked
+    # another ant's column, so every tour revisited nodes
+    _, _, _, colony = _colony_setup(13, 923)
+    tau = colony.local_tau(init_pheromone(13, 1.0))
+    uniforms = np.random.default_rng(924).random((4, 13))
+    with pytest.raises(ValueError, match=rf"start_local {start} outside \[0, 13\)"):
+        colony.construct_colony(tau, uniforms, start)
+
+
+@pytest.mark.parametrize("draw", [-0.5, -1e-300, 1.0 + 2.0**-52, 1.5, np.nan, np.inf])
+@pytest.mark.parametrize("cell", [(0, 0), (2, 7)])
+def test_colony_draw_outside_unit_interval_rejected(draw, cell):
+    # a first draw of -0.5 used to be refused as "all successor scores
+    # vanished"; a later one, or one above 1, picked some node silently
+    _, _, _, colony = _colony_setup(13, 925)
+    tau = colony.local_tau(init_pheromone(13, 1.0))
+    uniforms = np.random.default_rng(926).random((4, 13))
+    uniforms[cell] = draw
+    with pytest.raises(ValueError, match=r"uniform draws must lie in \[0, 1\]"):
+        colony.construct_colony(tau, uniforms)
+
+
+def test_colony_draws_of_zero_and_one_accepted():
+    # both ends of [0, 1] are legal draws
+    _, _, _, colony = _colony_setup(13, 927)
+    tau = colony.local_tau(init_pheromone(13, 1.0))
+    uniforms = np.random.default_rng(928).random((4, 13))
+    uniforms[0] = 0.0
+    uniforms[1] = 1.0
+    got = _colony_outcome(colony.construct_colony, tau, uniforms)
+    want = _colony_outcome(reference_construct_colony, colony.weight, colony.dist, tau, uniforms)
+    assert got == want
+
+
 def test_colony_uniform_shape_checked():
     _, _, _, colony = _colony_setup(6, 911)
     tau = init_pheromone(6, 1.0)

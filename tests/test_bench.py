@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from oracles import parse_results_csv
 import sinepath.bench as bench
 from sinepath.aco import AcoParams
 from sinepath.bench import (
@@ -25,7 +26,6 @@ from sinepath.bench import (
     format_svg_routes,
     format_wilcoxon_csv,
     friedman_blocks,
-    parse_results_csv,
     run_plan,
     wilcoxon_verdict_rows,
 )

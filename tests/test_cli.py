@@ -1,18 +1,32 @@
 """Command line behaviour: exit codes, artifacts, reruns."""
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sinepath
-from sinepath.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from sinepath.aco import AcoParams
+from sinepath.cli import (
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    _config,
+    build_parser,
+    main,
+)
 from sinepath.instances import random_planar_instance
+from sinepath.solver import SolverConfig
 
 FAST = ["--iters", "4", "--ants", "4"]
 
@@ -102,8 +116,7 @@ def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
     path = tmp_path / "tiny12.tsp"
     path.write_text("\n".join(lines + ["EOF", ""]))
     out = tmp_path / "r.json"
-    with np.errstate(over="ignore"):
-        code = main(["solve", str(path), "--beta", "200", "--out", str(out)] + FAST)
+    code = main(["solve", str(path), "--beta", "200", "--out", str(out)] + FAST)
     assert code == EXIT_DOMAIN
     assert "non-finite successor scores" in capsys.readouterr().err
     assert not out.exists()
@@ -111,15 +124,19 @@ def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
 
 def test_solve_underflowing_visibility_is_named(bench51_path, tmp_path, capsys):
     # (1/d)^400 underflows to 0 for 2384 of bench51's 2550 node pairs, so
-    # every successor score of some ant vanishes; the refusal names why
+    # every successor score of some ant vanishes; the refusal names why.
+    # It also overflows for the closest pairs, and numpy used to print a
+    # RuntimeWarning before the refusal: the refusal must be the only outcome
     out = tmp_path / "r.json"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["solve", str(bench51_path), "--robots", "4", "--iters", "3",
                      "--beta", "400", "--out", str(out)])
     assert code == EXIT_DOMAIN
-    err = capsys.readouterr().err
-    assert "all successor scores vanished" in err
-    assert "(1/d)^beta underflows to 0; rescale the coordinates or lower beta" in err
+    assert capsys.readouterr().err == (
+        "error: all successor scores vanished during construction: "
+        "(1/d)^beta underflows to 0; rescale the coordinates or lower beta\n"
+    )
     assert not out.exists()
 
 
@@ -177,6 +194,41 @@ def test_usage_errors_exit_two(capsys):
         main(["bench", "--instances", "x", "--robots", "2,x"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "x.tsp"], ["bench", "--instances", "x", "--robots", "2"], ["ablate", "x"]],
+)
+def test_solver_flag_defaults_are_the_library_defaults(argv):
+    # the CLI must not restate a default the library already holds
+    args = build_parser().parse_args(argv)
+    assert _config(args, "sine") == SolverConfig()
+    assert _config(args, "aco") == SolverConfig.classic()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--seed", 7, "master_seed"), ("--omega", 3.5, "omega"),
+     ("--lambda", 0.25, "lambda_weight"), ("--partition", "kmeans", "partition_method"),
+     ("--iters", 7, "aco.max_iter"), ("--ants", 3, "aco.n_ants"),
+     ("--alpha", 1.5, "aco.alpha"), ("--beta", 2.5, "aco.beta"),
+     ("--gamma", 0.5, "aco.gamma"), ("--rho", 0.3, "aco.rho"),
+     ("--q", 2.5, "aco.q_scale"), ("--kappa", 0.75, "aco.kappa")],
+)
+def test_solver_flag_lands_in_its_field(flag, value, field):
+    args = build_parser().parse_args(["solve", "x.tsp", flag, str(value)])
+    owner, _, name = field.rpartition(".")
+    if owner:
+        want = SolverConfig(aco=replace(AcoParams(), **{name: value}))
+    else:
+        want = SolverConfig(**{name: value})
+    assert _config(args, "sine") == want
+    if name not in ("omega", "kappa"):
+        # the plain colony ignores the structural weights
+        assert _config(args, "aco") == SolverConfig.classic(
+            aco=want.aco, **({} if owner else {name: value})
+        )
 
 
 def test_bench_empty_glob(tmp_path, capsys):
@@ -442,3 +494,24 @@ def test_duplicate_list_entries_are_usage_errors(argv, flag, tri3_path, tmp_path
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "duplicate" in err
     assert list(tmp_path.iterdir()) == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_bench_artifacts_match_benchmark_golden(tmp_path, monkeypatch, capsys):
+    # the benchmark's recorded plan artifacts, read only: the paired plan at
+    # seed base 0 must write the same four files, byte for byte
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inst_dir = tmp_path / "inst"
+    inst_dir.mkdir()
+    for name in workloads.PLAN_INSTANCES:
+        shutil.copyfile(workloads.ROOT / "data" / name, inst_dir / name)
+    out = tmp_path / "out"
+    assert main(workloads.plan_argv(str(inst_dir / "*"), 0, str(out))) == EXIT_OK
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in workloads.PLAN_ARTIFACTS}
+    assert got == workloads.load_golden()["plan-paired"]["0"]
