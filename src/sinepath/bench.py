@@ -11,8 +11,8 @@ raw runs, verdict and rank tables, and per-route SVG drawings.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -114,11 +114,27 @@ def _run_cell(
     return {metric: cell_stats(values[metric]) for metric in METRICS}
 
 
+def _try_cell(repeats: int, seed_base: int, task) -> dict[str, CellStats] | Exception:
+    """``_run_cell`` on an (instance, robots, algorithm) task; a failure is
+    returned, not raised, so the rest of the plan still runs."""
+    inst, m, spec = task
+    try:
+        return _run_cell(inst, m, spec.config, repeats, seed_base)
+    except Exception as exc:
+        return exc
+
+
 def _map(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` in order, on a pool of ``workers`` threads when
-    there are more than one."""
+    """``fn`` over ``items`` in order: in this process for one worker, else on
+    ``workers`` spawned processes, so ``fn``, the items and the results must
+    pickle.  The pool is shut down, its processes joined, before returning."""
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Imported here, so that solving in this process never loads them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -128,8 +144,9 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> BenchResults:
 
     Instance files parse up front: a parse failure aborts the whole plan with
     the file named.  A solver failure marks that cell failed and the plan
-    continues.  Cells run concurrently up to ``workers``; aggregation is
-    keyed, so the schedule cannot change the results.
+    continues.  With ``workers`` above one, the (instance, robots, algorithm)
+    cells run in that many worker processes; each cell's seeds are fixed by
+    the plan, so the results are the same for any worker count.
     """
     loaded: list[Instance] = []
     path_of: dict[str, str] = {}
@@ -154,13 +171,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> BenchResults:
         for spec in plan.algorithms
     ]
 
-    def run_task(task):
-        inst, m, spec = task
-        try:
-            return _run_cell(inst, m, spec.config, plan.repeats, plan.seed_base)
-        except Exception as exc:  # recorded, not raised: the plan continues
-            return exc
-
+    run_task = partial(_try_cell, plan.repeats, plan.seed_base)
     results = BenchResults(seed_base=plan.seed_base)
     for (inst, m, spec), outcome in zip(tasks, _map(run_task, tasks, workers)):
         if isinstance(outcome, Exception):
@@ -185,8 +196,8 @@ def ablation_sweep(
     The weight drives the deposit-side backbone influence (kappa).  The
     default base keeps the transition bias neutral (omega = 1) and seeding
     off, so weight 0 degenerates to the plain colony: with the same seeds it
-    is bit-identical to mode "aco".  Weights run concurrently up to
-    ``workers``, like the cells of ``run_plan``.
+    is bit-identical to mode "aco".  With ``workers`` above one, the weights
+    run in that many worker processes, like the cells of ``run_plan``.
     """
     if base_config is None:
         base_config = SolverConfig(omega=1.0, seed_with_christofides=False)
@@ -198,11 +209,9 @@ def ablation_sweep(
     if len(set(weights)) != len(weights):
         raise ValueError("structural weights must be unique")
 
-    def run_weight(w: float) -> dict[str, CellStats]:
-        config = replace(base_config, aco=replace(base_config.aco, kappa=w))
-        return _run_cell(inst, m, config, repeats, seed_base)
-
-    return dict(zip(weights, _map(run_weight, weights, workers)))
+    configs = [replace(base_config, aco=replace(base_config.aco, kappa=w)) for w in weights]
+    run_weight = partial(_run_cell, inst, m, repeats=repeats, seed_base=seed_base)
+    return dict(zip(weights, _map(run_weight, configs, workers)))
 
 
 # ---------------------------------------------------------------------------

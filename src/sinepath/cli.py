@@ -60,9 +60,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
         options = _FLAG_OPTIONS.get(flag, {"metavar": flag[2:].upper()})
         p.add_argument(flag, dest=name, type=type(default), default=default, help=text,
                        **options)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: SINE_WORKERS or 1); threads give "
-                        "the same output but were slower on every workload measured")
 
 
 def _config(args, mode: str) -> SolverConfig:
@@ -124,6 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=8)
     p.add_argument("--out", default=None, help="write the sweep table as csv")
     _add_solver_flags(p)
+    for name in ("bench", "ablate"):
+        sub.choices[name].add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes for the cells (default: SINE_WORKERS or 1); the "
+                 "output is the same for any count")
 
     p = sub.add_parser("plot", help="draw the routes of an existing report")
     p.add_argument("report", help="JSON report from solve")
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     cfg = _config(args, args.mode)
-    report = solve(inst, args.robots, cfg, workers=args.workers)
+    report = solve(inst, args.robots, cfg)
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     if args.svg:
         Path(args.svg).write_text(format_svg_routes(report, inst))
@@ -193,7 +195,7 @@ def _cmd_ablate(args) -> int:
     for m, sweep in chunks:
         for w in sorted(sweep):
             for metric, c in sweep[w].items():
-                print(f"{w:6.1f}  {m:6d}  {metric:10s}  {c.mean:10.4f}  {c.std:9.4f}  {c.n}")
+                print(f"{w!r:>6}  {m:6d}  {metric:10s}  {c.mean:10.4f}  {c.std:9.4f}  {c.n}")
     if args.out:
         # one header: each later table drops its own
         texts = [format_ablation_csv(sweep, m) for m, sweep in chunks]

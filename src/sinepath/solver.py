@@ -9,7 +9,7 @@ incumbent and given one bonus deposit before the first iteration.
 
 Determinism contract: every uniform draw derives from
 (master_seed, stream, iteration, subset), with each ant reading its own row
-of the per-subset draw block, so reports are identical for any worker count.
+of the per-subset draw block, so no draw depends on the order the subsets run in.
 The incumbent only improves strictly, which makes the convergence trace
 monotone non-increasing.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -209,12 +208,10 @@ def _seed_tour(d, subset, cfg: SolverConfig) -> Tour:
     return dfs_preorder_seed(d, subset)
 
 
-def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveReport:
+def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     """Optimise ``m`` closed tours over the instance; see the module docstring."""
     if not 1 <= m <= inst.dimension:
         raise ValueError(f"robot count {m} outside [1, {inst.dimension}]")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
 
     t_begin = time.perf_counter()
     d = build_distance_matrix(inst)
@@ -268,33 +265,24 @@ def solve(inst: Instance, m: int, cfg: SolverConfig, workers: int = 1) -> SolveR
         best = int(lengths.argmin())
         return Tour(colony.to_global(orders[best]), float(lengths[best]))
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     iterations_run = 0
-    try:
-        for t in range(p.max_iter):
-            if cfg.repartition_each_iter and t > 0:
-                fresh = _make_partition(inst, m, cfg, t)
-                # The angle and depot partitions ignore t; equal subsets
-                # give the same layout, so it is rebuilt only on a change.
-                if fresh.subsets != part.subsets:
-                    part = fresh
-                    backbones, colonies, starts = layout(part)
-            ks = range(len(colonies))
-            if pool is not None:
-                bests = list(pool.map(lambda k: run_subset(k, t), ks))
-            else:
-                bests = [run_subset(k, t) for k in ks]
-            incumbent_update(state, bests, cfg.lambda_weight, t)
-            update_pheromones(tau, bests, backbones, p)
-            iterations_run = t + 1
-            if (
-                cfg.stagnation_window is not None
-                and t - max(state.last_improvement, 0) >= cfg.stagnation_window
-            ):
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t in range(p.max_iter):
+        if cfg.repartition_each_iter and t > 0:
+            fresh = _make_partition(inst, m, cfg, t)
+            # The angle and depot partitions ignore t; equal subsets
+            # give the same layout, so it is rebuilt only on a change.
+            if fresh.subsets != part.subsets:
+                part = fresh
+                backbones, colonies, starts = layout(part)
+        bests = [run_subset(k, t) for k in range(len(colonies))]
+        incumbent_update(state, bests, cfg.lambda_weight, t)
+        update_pheromones(tau, bests, backbones, p)
+        iterations_run = t + 1
+        if (
+            cfg.stagnation_window is not None
+            and t - max(state.last_improvement, 0) >= cfg.stagnation_window
+        ):
+            break
 
     assert state.tours is not None
     objectives = evaluate_objectives(state.tours, cfg.lambda_weight, cfg.mu)

@@ -11,6 +11,7 @@ margin is reachable before either criterion reads it.  See README.
 """
 
 import json
+import multiprocessing
 import sys
 import time
 
@@ -44,6 +45,7 @@ from sinepath.solver import SolverConfig, solve
 from sinepath.stats import friedman_mean_ranks, wilcoxon_signed_rank
 
 from dataclasses import replace
+from functools import partial
 
 
 def _record(num: int, ok: bool, desc: str):
@@ -290,6 +292,7 @@ def test_criterion_09_degeneration_identity():
 
 
 def test_criterion_10_worker_count_independence():
+    # The seven default weights give all four worker processes cells to run.
     rng = np.random.default_rng(1010)
     mismatches = 0
     for trial in range(5):
@@ -298,12 +301,16 @@ def test_criterion_10_worker_count_independence():
         n = int(rng.integers(8, 19))
         m = int(rng.integers(1, 4))
         inst = random_planar_instance(n, seed=int(rng.integers(2**31)))
-        cfg = SolverConfig(aco=params, master_seed=int(rng.integers(2**31)))
-        one = solve(inst, m, cfg, workers=1)
-        many = solve(inst, m, cfg, workers=4)
-        mismatches += one.canonical_json() != many.canonical_json()
+        run = partial(ablation_sweep, inst, m, repeats=2,
+                      seed_base=int(rng.integers(2**31)),
+                      base_config=SolverConfig(aco=params))
+        one = run(workers=1)
+        many = run(workers=4)
+        assert multiprocessing.active_children() == []
+        # CellStats equality covers the raw per-run totals and longest tours.
+        mismatches += one != many
     _record(10, mismatches == 0,
-            f"1-worker and 4-worker reports byte-identical in 5/5 "
+            f"1-worker and 4-worker ablation sweeps identical in 5/5 "
             f"configurations ({mismatches} mismatches)")
 
 

@@ -1,6 +1,7 @@
 """Benchmark plans, aggregation, artifact emitters, and route drawing."""
 
 import json
+import multiprocessing
 import re
 import xml.etree.ElementTree as ET
 
@@ -102,9 +103,9 @@ def test_run_plan_counts_and_seeds(inst_file, monkeypatch):
     calls = []
     real_solve = bench.solve
 
-    def counting_solve(inst, m, cfg, workers=1):
+    def counting_solve(inst, m, cfg):
         calls.append((inst.name, m, cfg.mode, cfg.master_seed))
-        return real_solve(inst, m, cfg, workers)
+        return real_solve(inst, m, cfg)
 
     monkeypatch.setattr(bench, "solve", counting_solve)
     plan = ExperimentPlan(
@@ -125,6 +126,7 @@ def test_run_plan_deterministic(inst_file):
     plan = ExperimentPlan((str(inst_file),), (2,), _tiny_specs(), repeats=2)
     a = run_plan(plan)
     b = run_plan(plan, workers=3)
+    assert multiprocessing.active_children() == []
     assert a.cells == b.cells
     assert not a.failed
 
@@ -152,8 +154,10 @@ def test_run_plan_refuses_repeated_instance_name(tmp_path, inst_file, monkeypatc
     assert solves == []
 
 
-def test_run_plan_failed_cell_continues(inst_file):
-    # one depot for two robots: that algorithm's cells fail, the other's run
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_plan_failed_cell_continues(inst_file, workers):
+    # one depot for two robots: that algorithm's cells fail, the other's run;
+    # a failure raised inside a worker process comes back with its message
     bad_cfg = SolverConfig(aco=TINY, depots=((0.0, 0.0),))
     plan = ExperimentPlan(
         (str(inst_file),),
@@ -161,9 +165,11 @@ def test_run_plan_failed_cell_continues(inst_file):
         (AlgorithmSpec("sine", SolverConfig(aco=TINY)), AlgorithmSpec("bad", bad_cfg)),
         repeats=2,
     )
-    results = run_plan(plan)
-    assert ("p8", 2, "bad") in results.failed
-    assert "depots" in results.failed[("p8", 2, "bad")]
+    results = run_plan(plan, workers=workers)
+    assert multiprocessing.active_children() == []
+    assert results.failed == {
+        ("p8", 2, "bad"): "number of depots must equal the robot count"
+    }
     assert ("p8", 2, "sine", "total") in results.cells
     assert ("p8", 2, "bad", "total") not in results.cells
 

@@ -354,6 +354,15 @@ def test_ablate_table_and_csv(tmp_path, tri3_path, capsys):
     assert len(lines) == 1 + 3 * 2
 
 
+def test_ablate_table_labels_each_weight_exactly(tri3_path, capsys):
+    # a one-decimal label printed 0.1 and 0.14 both as "0.1"
+    code = main(["ablate", str(tri3_path), "--robots", "1", "--weights", "0.1,0.14",
+                 "--repeats", "2", "--iters", "2", "--ants", "2"])
+    assert code == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["0.1", "0.1", "0.14", "0.14"]
+
+
 def test_ablate_default_weights_row_count(tmp_path, tri3_path, capsys):
     out = tmp_path / "ablation.csv"
     code = main(
@@ -392,27 +401,57 @@ def test_plot_malformed_report(tmp_path, tri3_path, capsys):
     capsys.readouterr()
 
 
-def test_workers_env_fallback(tmp_path, tri3_path, monkeypatch, capsys):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    assert main(["solve", str(tri3_path), "--out", str(out1)] + FAST) == EXIT_OK
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool that sinepath.bench opens."""
+    import concurrent.futures
+
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return sizes
+
+
+def test_workers_env_fallback(tmp_path, bench51_path, monkeypatch, pools, capsys):
+    def bench(out: str):
+        argv = ["bench", "--instances", str(bench51_path), "--robots", "2,3",
+                "--repeats", "2", "--out-dir", str(tmp_path / out)] + FAST
+        assert main(argv) == EXIT_OK
+        return sorted((p.name, p.read_bytes()) for p in (tmp_path / out).iterdir())
+
+    monkeypatch.delenv("SINE_WORKERS", raising=False)
+    serial = bench("a")
     monkeypatch.setenv("SINE_WORKERS", "3")
-    assert main(["solve", str(tri3_path), "--out", str(out2)] + FAST) == EXIT_OK
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    a.pop("wall_time")
-    b.pop("wall_time")
-    assert a == b
+    assert bench("b") == serial
+    assert pools == [3]
     capsys.readouterr()
 
 
 def test_workers_env_not_an_int_is_usage_error(tri3_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SINE_WORKERS", "abc")
     with pytest.raises(SystemExit) as exc:
-        main(["solve", str(tri3_path), "--out", str(tmp_path / "r.json")] + FAST)
+        main(_workers_argv("bench", tri3_path, tmp_path))
     assert exc.value.code == EXIT_USAGE
     assert "SINE_WORKERS" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_takes_no_worker_count(tri3_path, tmp_path, monkeypatch, capsys):
+    # solve runs in this process: it refuses --workers and ignores SINE_WORKERS
+    monkeypatch.setenv("SINE_WORKERS", "0")
+    argv = _workers_argv("solve", tri3_path, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
 
 
 def _workers_argv(command, path, tmp_path):
@@ -425,6 +464,7 @@ def _workers_argv(command, path, tmp_path):
             "--out", str(tmp_path / "a.csv")] + FAST
 
 
+# solve has no --workers at all, so it refuses these values too.
 @pytest.mark.parametrize("command", ["solve", "bench", "ablate"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_workers_flag_below_one_is_usage_error(
@@ -438,7 +478,7 @@ def test_workers_flag_below_one_is_usage_error(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["solve", "bench", "ablate"])
+@pytest.mark.parametrize("command", ["bench", "ablate"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_workers_env_below_one_is_usage_error(
     command, value, tri3_path, tmp_path, monkeypatch, capsys
@@ -451,17 +491,7 @@ def test_workers_env_below_one_is_usage_error(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ablate_obeys_workers(bench51_path, tmp_path, monkeypatch, capsys):
-    import sinepath.bench
-
-    pools = []
-    real = sinepath.bench.ThreadPoolExecutor
-
-    def recording(max_workers=None, **kwargs):
-        pools.append(max_workers)
-        return real(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(sinepath.bench, "ThreadPoolExecutor", recording)
+def test_ablate_obeys_workers(bench51_path, tmp_path, pools, capsys):
     out = tmp_path / "ablation.csv"
     argv = ["ablate", str(bench51_path), "--robots", "2,4", "--weights", "0,1,5",
             "--repeats", "2", "--out", str(out)] + FAST

@@ -126,14 +126,6 @@ def test_determinism_same_seed():
     assert c.canonical_json() != a.canonical_json()
 
 
-def test_worker_count_independence():
-    inst = random_planar_instance(21, seed=75)
-    cfg = _fast_config(master_seed=2)
-    lone = solve(inst, 3, cfg, workers=1)
-    many = solve(inst, 3, cfg, workers=4)
-    assert lone.canonical_json() == many.canonical_json()
-
-
 def test_classic_mode_is_parameter_degeneration():
     inst = random_planar_instance(17, seed=76)
     degen = _fast_config(
@@ -233,8 +225,6 @@ def test_robot_count_validation():
         solve(inst, 0, _fast_config())
     with pytest.raises(ValueError, match="robot count"):
         solve(inst, 11, _fast_config())
-    with pytest.raises(ValueError, match="workers"):
-        solve(inst, 2, _fast_config(), workers=0)
 
 
 def test_report_round_trip():
