@@ -25,7 +25,7 @@ base = SolverConfig(
     omega=1.0,
     seed_with_christofides=False,
 )
-sweep = ablation_sweep(inst, m, repeats=4, seed_base=7, base_config=base)
+sweep = ablation_sweep(inst, [m], repeats=4, seed_base=7, base_config=base)[m]
 
 print(f"{inst.name}, m={m}, 4 repeats per weight")
 print(f"{'weight':>8} {'total':>16} {'max_single':>16}")
@@ -40,5 +40,5 @@ print(f"\nlowest mean total at weight {best} "
       f"({sweep[best]['total'].mean:.2f})")
 
 path = OUT / "ablation.csv"
-path.write_text(format_ablation_csv(sweep, m))
+path.write_text(format_ablation_csv({m: sweep}))
 print(f"wrote {path}")

@@ -102,10 +102,10 @@ class BenchResults:
         return tuple(sorted({k[2] for k in self.cells}))
 
 
-def _run_cell(
-    inst: Instance, m: int, config: SolverConfig, repeats: int, seed_base: int
-) -> dict[str, CellStats]:
-    """``repeats`` solves with master seeds ``seed_base + r``, one cell per metric."""
+def _run_cell(repeats: int, seed_base: int, task) -> dict[str, CellStats]:
+    """``repeats`` solves of an (instance, robots, config) task with master
+    seeds ``seed_base + r``, one cell per metric."""
+    inst, m, config = task
     values: dict[str, list[float]] = {metric: [] for metric in METRICS}
     for r in range(repeats):
         report = solve(inst, m, replace(config, master_seed=seed_base + r))
@@ -119,7 +119,7 @@ def _try_cell(repeats: int, seed_base: int, task) -> dict[str, CellStats] | Exce
     returned, not raised, so the rest of the plan still runs."""
     inst, m, spec = task
     try:
-        return _run_cell(inst, m, spec.config, repeats, seed_base)
+        return _run_cell(repeats, seed_base, (inst, m, spec.config))
     except Exception as exc:
         return exc
 
@@ -184,25 +184,30 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> BenchResults:
 
 def ablation_sweep(
     inst: Instance,
-    m: int,
+    robot_counts,
     weights=DEFAULT_ABLATION_WEIGHTS,
     repeats: int = 8,
     seed_base: int = 0,
     base_config: SolverConfig | None = None,
     workers: int = 1,
-) -> dict[float, dict[str, CellStats]]:
-    """One run set per structural weight, everything else held fixed.
+) -> dict[int, dict[float, dict[str, CellStats]]]:
+    """One run set per (robot count, structural weight), everything else
+    held fixed; the result maps robots -> weight -> metric -> cell.
 
     The weight drives the deposit-side backbone influence (kappa).  The
     default base keeps the transition bias neutral (omega = 1) and seeding
     off, so weight 0 degenerates to the plain colony: with the same seeds it
-    is bit-identical to mode "aco".  With ``workers`` above one, the weights
-    run in that many worker processes, like the cells of ``run_plan``.
+    is bit-identical to mode "aco".  With ``workers`` above one, all the
+    (robots, weight) cells run in one pool of that many worker processes,
+    like the cells of ``run_plan``.
     """
     if base_config is None:
         base_config = SolverConfig(omega=1.0, seed_with_christofides=False)
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
+    robot_counts = list(robot_counts)
+    if len(set(robot_counts)) != len(robot_counts):
+        raise ValueError(f"robot counts must be unique, got {robot_counts}")
     weights = [float(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("structural weights must be non-negative")
@@ -210,8 +215,9 @@ def ablation_sweep(
         raise ValueError("structural weights must be unique")
 
     configs = [replace(base_config, aco=replace(base_config.aco, kappa=w)) for w in weights]
-    run_weight = partial(_run_cell, inst, m, repeats=repeats, seed_base=seed_base)
-    return dict(zip(weights, _map(run_weight, configs, workers)))
+    tasks = [(inst, m, config) for m in robot_counts for config in configs]
+    cells = iter(_map(partial(_run_cell, repeats, seed_base), tasks, workers))
+    return {m: {w: next(cells) for w in weights} for m in robot_counts}
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +351,17 @@ def format_friedman_csv(blocks: dict[str, RankTable]) -> str:
     return _csv(("block", "algorithm", "mean_rank", "position"), rows)
 
 
-def format_ablation_csv(sweep: dict[float, dict[str, CellStats]], m: int) -> str:
-    cells = ((w, metric, sweep[w][metric]) for w in sorted(sweep) for metric in METRICS)
+def format_ablation_csv(sweep: dict[int, dict[float, dict[str, CellStats]]]) -> str:
+    """One table: robot counts in sweep order, weights ascending within each."""
+    cells = (
+        (w, m, metric, per_weight[w][metric])
+        for m, per_weight in sweep.items()
+        for w in sorted(per_weight)
+        for metric in METRICS
+    )
     return _csv(
         ("weight", "robots", "metric", "mean", "std", "n"),
-        ((w, m, metric, c.mean, c.std, c.n) for w, metric, c in cells),
+        ((w, m, metric, c.mean, c.std, c.n) for w, m, metric, c in cells),
     )
 
 

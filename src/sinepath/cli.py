@@ -1,6 +1,6 @@
 """Command line front end: solve, bench, ablate, plot.
 
-Exit codes: 0 success, 2 usage error, 3 instance parse/read failure,
+Exit codes: 0 success, 2 usage error, 3 instance or report parse/read failure,
 4 solver domain error (bad robot count, parameter out of range).
 """
 
@@ -184,30 +184,43 @@ def _cmd_bench(args) -> int:
 def _cmd_ablate(args) -> int:
     inst = load_instance(args.instance)
     base = replace(_config(args, MODE_SINE), omega=1.0, seed_with_christofides=False)
-    chunks = []
-    for m in args.robots:
-        sweep = ablation_sweep(
-            inst, m, args.weights, repeats=args.repeats,
-            seed_base=args.master_seed, base_config=base, workers=args.workers,
-        )
-        chunks.append((m, sweep))
+    sweep = ablation_sweep(
+        inst, args.robots, args.weights, repeats=args.repeats,
+        seed_base=args.master_seed, base_config=base, workers=args.workers,
+    )
     print("weight  robots  metric      mean        std       n")
-    for m, sweep in chunks:
-        for w in sorted(sweep):
-            for metric, c in sweep[w].items():
+    for m, per_weight in sweep.items():
+        for w in sorted(per_weight):
+            for metric, c in per_weight[w].items():
                 print(f"{w!r:>6}  {m:6d}  {metric:10s}  {c.mean:10.4f}  {c.std:9.4f}  {c.n}")
     if args.out:
-        # one header: each later table drops its own
-        texts = [format_ablation_csv(sweep, m) for m, sweep in chunks]
-        Path(args.out).write_text(texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:]))
+        Path(args.out).write_text(format_ablation_csv(sweep))
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
+def _read_report(path: str, n: int) -> SolveReport:
+    """The solve report at ``path``; a ParseError naming the path and the
+    cause if it is not one, or if a tour is empty or visits a node id outside
+    ``[0, n)``."""
+    try:
+        report = SolveReport.from_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ParseError(f"{path}: not a solve report: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a solve report: {exc}") from exc
+    for k, tour in enumerate(report.tours):
+        if not tour.order:
+            raise ParseError(f"{path}: tour {k} is empty")
+        for v in tour.order:
+            if not 0 <= v < n:
+                raise ParseError(f"{path}: tour {k} has node id {v} outside [0, {n})")
+    return report
+
+
 def _cmd_plot(args) -> int:
     inst = load_instance(args.instance)
-    data = json.loads(Path(args.report).read_text())
-    report = SolveReport.from_dict(data)
+    report = _read_report(args.report, inst.dimension)
     if report.instance_name != inst.name:
         print(
             f"warning: report is for {report.instance_name!r}, "
@@ -243,7 +256,7 @@ def main(argv=None) -> int:
             parser.error(f"{source}: must be at least 1, got {args.workers}")
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

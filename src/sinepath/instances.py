@@ -23,7 +23,7 @@ DEFAULT_DIMENSION_CAP = 4000
 
 
 class ParseError(ValueError):
-    """An instance file is malformed."""
+    """An instance file, or a report read back, is malformed."""
 
 
 class UnsupportedFormatError(ParseError):

@@ -34,6 +34,20 @@ class WilcoxonResult:
     verdict: str  # "better" | "worse" | "equal", judged for the first sample
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``x`` ascending, each run of equal values sharing its
+    mean rank (the "average" tie method).  ``x`` must hold no NaN, which
+    this would rank last instead of refusing.
+    """
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], len(s)]  # one past each run
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def _exact_two_sided_p(ranks2: np.ndarray, w_obs2: int) -> float:
     """P over all 2^n sign assignments, doubled-rank integer arithmetic.
 
@@ -80,17 +94,16 @@ def wilcoxon_signed_rank(
     if len(a) < 5:
         raise ValueError(f"need at least 5 pairs, got {len(a)}")
 
-    # scipy is imported here, not at module level: it takes about a second to
-    # import and only the statistics need it.
-    from scipy.stats import rankdata
-
-    diff = a - b
+    with np.errstate(invalid="ignore"):  # inf - inf, refused just below
+        diff = a - b
+    if np.isnan(diff).any():
+        raise ValueError("paired samples contain NaN (a NaN value or inf - inf)")
     diff = diff[diff != 0.0]
     n = len(diff)
     if n == 0:
         return WilcoxonResult(0.0, 0.0, 0.0, 0, 1.0, "equal")
 
-    ranks = rankdata(np.abs(diff), method="average")
+    ranks = _average_ranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     w_minus = float(ranks[diff < 0].sum())
     w_min = min(w_plus, w_minus)
@@ -126,11 +139,10 @@ def friedman_mean_ranks(means: dict[str, dict[str, float]]) -> RankTable:
     """Rank algorithms within each instance by mean metric, then average.
 
     ``means`` maps instance -> algorithm -> mean metric (lower is better).
-    Instances missing any algorithm are skipped with a warning.  Within one
-    instance the ranks always sum to A(A+1)/2 for A algorithms.
+    Instances missing any algorithm are skipped with a warning, and a NaN
+    mean is refused.  Within one instance the ranks always sum to A(A+1)/2
+    for A algorithms.
     """
-    from scipy.stats import rankdata
-
     algorithms: set[str] = set()
     for per_alg in means.values():
         algorithms.update(per_alg)
@@ -144,8 +156,10 @@ def friedman_mean_ranks(means: dict[str, dict[str, float]]) -> RankTable:
         if set(per_alg) != set(algs):
             warnings.warn(f"instance {inst_name!r} lacks some algorithms; skipped")
             continue
-        values = np.array([per_alg[a] for a in algs])
-        ranks = rankdata(values, method="average")
+        for alg in algs:
+            if math.isnan(per_alg[alg]):
+                raise ValueError(f"instance {inst_name!r}, algorithm {alg!r}: mean is NaN")
+        ranks = _average_ranks(np.array([per_alg[a] for a in algs]))
         per_instance[inst_name] = {a: float(r) for a, r in zip(algs, ranks)}
     if len(per_instance) < 2:
         raise ValueError("mean ranks need at least 2 complete instances")

@@ -301,7 +301,7 @@ def test_criterion_10_worker_count_independence():
         n = int(rng.integers(8, 19))
         m = int(rng.integers(1, 4))
         inst = random_planar_instance(n, seed=int(rng.integers(2**31)))
-        run = partial(ablation_sweep, inst, m, repeats=2,
+        run = partial(ablation_sweep, inst, [m], repeats=2,
                       seed_base=int(rng.integers(2**31)),
                       base_config=SolverConfig(aco=params))
         one = run(workers=1)
@@ -355,18 +355,18 @@ def test_criterion_12_ablation_shape_and_degeneration():
     )
     cells = 0
     identical = True
-    for m in (1, 2):
-        sweep = ablation_sweep(inst, m, repeats=2, seed_base=5,
-                               base_config=base)
-        assert tuple(sweep) == DEFAULT_ABLATION_WEIGHTS
-        for per_metric in sweep.values():
+    sweep = ablation_sweep(inst, [1, 2], repeats=2, seed_base=5, base_config=base)
+    assert tuple(sweep) == (1, 2)
+    for m, per_weight in sweep.items():
+        assert tuple(per_weight) == DEFAULT_ABLATION_WEIGHTS
+        for per_metric in per_weight.values():
             assert set(per_metric) == set(METRICS)
             cells += len(per_metric)
         for r in range(2):
             classic = solve(inst, m, SolverConfig.classic(
                 aco=replace(base.aco, kappa=0.0), master_seed=5 + r))
-            identical &= sweep[0.0]["total"].runs[r] == classic.objectives.total
-            identical &= (sweep[0.0]["max_single"].runs[r]
+            identical &= per_weight[0.0]["total"].runs[r] == classic.objectives.total
+            identical &= (per_weight[0.0]["max_single"].runs[r]
                           == classic.objectives.max_single)
     ok = cells == len(DEFAULT_ABLATION_WEIGHTS) * 2 * 2 and identical
     _record(12, ok,

@@ -273,23 +273,27 @@ def test_friedman_blocks_single_instance_overall_only():
 def test_ablation_default_weights_shape(inst_file):
     inst = load_instance(inst_file)
     base = SolverConfig(aco=TINY, omega=1.0, seed_with_christofides=False)
-    sweep = ablation_sweep(inst, 2, repeats=2, base_config=base)
-    assert tuple(sorted(sweep)) == DEFAULT_ABLATION_WEIGHTS
-    for w, cells in sweep.items():
-        assert set(cells) == {"total", "max_single"}
-        assert cells["total"].n == 2
-    text = format_ablation_csv(sweep, 2)
+    sweep = ablation_sweep(inst, [2, 1], repeats=2, base_config=base)
+    assert tuple(sweep) == (2, 1)
+    for per_weight in sweep.values():
+        assert tuple(sorted(per_weight)) == DEFAULT_ABLATION_WEIGHTS
+        for w, cells in per_weight.items():
+            assert set(cells) == {"total", "max_single"}
+            assert cells["total"].n == 2
+    text = format_ablation_csv(sweep)
     lines = text.splitlines()
     assert lines[0] == "weight,robots,metric,mean,std,n"
-    assert len(lines) == 1 + 7 * 2
+    assert len(lines) == 1 + 2 * 7 * 2
+    # one table: robot counts in sweep order, each with its weights ascending
+    assert [line.split(",")[1] for line in lines[1:]] == ["2"] * 14 + ["1"] * 14
 
 
 def test_ablation_validation(inst_file):
     inst = load_instance(inst_file)
     with pytest.raises(ValueError, match="non-negative"):
-        ablation_sweep(inst, 2, weights=[-1.0], repeats=2)
+        ablation_sweep(inst, [2], weights=[-1.0], repeats=2)
     with pytest.raises(ValueError, match="repeats"):
-        ablation_sweep(inst, 2, repeats=1)
+        ablation_sweep(inst, [2], repeats=1)
 
 
 def test_ablation_refuses_duplicate_weights(inst_file, monkeypatch):
@@ -299,13 +303,21 @@ def test_ablation_refuses_duplicate_weights(inst_file, monkeypatch):
     monkeypatch.setattr(bench, "solve", None)
     for weights in ([1.0, 0.5, 1.0], [0.0, -0.0], [2, 2.0]):
         with pytest.raises(ValueError, match="structural weights must be unique"):
-            ablation_sweep(inst, 2, weights=weights, repeats=2)
+            ablation_sweep(inst, [2], weights=weights, repeats=2)
+
+
+def test_ablation_refuses_duplicate_robot_counts(inst_file, monkeypatch):
+    # The sweep is keyed by robot count, like the weights above.
+    inst = load_instance(inst_file)
+    monkeypatch.setattr(bench, "solve", None)
+    with pytest.raises(ValueError, match=r"robot counts must be unique, got \[2, 1, 2\]"):
+        ablation_sweep(inst, [2, 1, 2], weights=[0.0], repeats=2)
 
 
 def test_ablation_weight_zero_equals_classic(inst_file):
     inst = load_instance(inst_file)
     base = SolverConfig(aco=TINY, omega=1.0, seed_with_christofides=False)
-    sweep = ablation_sweep(inst, 2, weights=[0.0], repeats=3, base_config=base)
+    sweep = ablation_sweep(inst, [2], weights=[0.0], repeats=3, base_config=base)[2]
     for r in range(3):
         classic = solve(inst, 2, SolverConfig.classic(aco=TINY, master_seed=r))
         assert sweep[0.0]["total"].runs[r] == classic.objectives.total

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -157,19 +158,38 @@ def test_solve_overflowing_distances_is_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(tmp_path, tri3_path, bench51_path):
+    # The runtime is numpy only: a whole bench, with its signed-rank and mean-rank
+    # tables, may not even try to import scipy.  A meta-path finder records every
+    # attempt before any other finder sees it.
     src = str(Path(sinepath.__file__).resolve().parent.parent)
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for p in (tri3_path, bench51_path):
+        shutil.copyfile(p, tmp_path / p.name)
+    out = tmp_path / "out"
+    argv = ["bench", "--instances", str(tmp_path / "*.tsp"), "--robots", "1",
+            "--repeats", "5", "--out-dir", str(out)] + FAST
     code = (
-        "import sys, sinepath.cli, sinepath.solver; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys\n"
+        "tried = []\n"
+        "class Record:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy': tried.append(name)\n"
+        "sys.meta_path.insert(0, Record())\n"
+        "import sinepath.cli\n"
+        f"assert sinepath.cli.main({argv!r}) == 0\n"
+        "print(tried, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[] []"
+    # the run reached both statistics: a signed-rank p-value and the mean ranks
+    rows = [line.split(",") for line in (out / "wilcoxon.csv").read_text().splitlines()[1:-1]]
+    assert any(row[6] for row in rows)
+    assert (out / "friedman.csv").exists()
 
 
 def test_help_exits_zero(capsys):
@@ -401,6 +421,50 @@ def test_plot_malformed_report(tmp_path, tri3_path, capsys):
     capsys.readouterr()
 
 
+def _bench51_report(tmp_path, bench51_path):
+    report = tmp_path / "r.json"
+    argv = ["solve", str(bench51_path), "--robots", "2", "--out", str(report)] + FAST
+    assert main(argv) == EXIT_OK
+    return report
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (lambda data: {"instance": "bench51"}, "missing key 'tours'"),
+        (lambda data: [1, 2], "not a solve report"),
+        (lambda data: {**data, "tours": [{"order": [0, "x"], "length": 1.0}]},
+         "not a solve report"),
+        (lambda data: {**data, "tours": [{"order": [], "length": 0.0}]}, "tour 0 is empty"),
+        (lambda data: {**data, "tours": [{"order": [-1, 0, 1], "length": 1.0}]},
+         r"node id -1 outside \[0, 51\)"),
+    ],
+    ids=["missing-key", "not-an-object", "non-integer-node", "empty-tour", "negative-node"],
+)
+def test_plot_refuses_reports_it_cannot_draw(edit, cause, tmp_path, bench51_path, capsys):
+    # each crashed with a traceback, or drew node -1 as node 50
+    report = _bench51_report(tmp_path, bench51_path)
+    report.write_text(json.dumps(edit(json.loads(report.read_text()))))
+    svg = tmp_path / "routes.svg"
+    code = main(["plot", str(report), str(bench51_path), "--out", str(svg)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(report) in err
+    assert re.search(cause, err), err
+    assert not svg.exists()
+
+
+def test_plot_refuses_report_of_larger_instance(tmp_path, tri3_path, bench51_path, capsys):
+    # a bench51 report drawn on tri3 warned, then crashed with an IndexError
+    report = _bench51_report(tmp_path, bench51_path)
+    svg = tmp_path / "routes.svg"
+    code = main(["plot", str(report), str(tri3_path), "--out", str(svg)])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(report) in err and "outside [0, 3)" in err
+    assert not svg.exists()
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The worker count of each process pool that sinepath.bench opens."""
@@ -499,8 +563,8 @@ def test_ablate_obeys_workers(bench51_path, tmp_path, pools, capsys):
     for workers in ("1", "2"):
         assert main(argv + ["--workers", workers]) == EXIT_OK
         runs.append((capsys.readouterr().out, out.read_bytes()))
-    # one pool of 2 per robot count, and the same table and csv as serial
-    assert pools == [2, 2]
+    # one pool of 2 for both robot counts, and the same table and csv as serial
+    assert pools == [2]
     assert runs[0] == runs[1]
 
 

@@ -1,14 +1,45 @@
 """Signed-rank test and mean-rank tables against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from oracles import wilcoxon_enumerated
 from sinepath.stats import (
     RankTable,
+    _average_ranks,
     friedman_mean_ranks,
     wilcoxon_signed_rank,
 )
+
+# Signed zeros, infinities, scales from 1e-300 to 1e300 and any finite float.
+_RANKED_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    st.builds(lambda k, e: k * 10.0**e, st.integers(-3, 3), st.integers(-300, 300)),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _tied_vectors(draw):
+    """Lengths 1-59 drawn from a pool of at most six values, so ties are heavy."""
+    pool = draw(st.lists(_RANKED_VALUE, min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=59)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tied_vectors())
+@example(np.array([0.0, -0.0, 0.0]))
+@example(np.array([np.inf, -np.inf, 1e300, np.inf, 1e-300, -0.0]))
+def test_average_ranks_equal_rankdata_bit_for_bit(x):
+    want = rankdata(x, method="average")
+    got = _average_ranks(x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_wilcoxon_matches_enumeration_small_n():
@@ -51,6 +82,30 @@ def test_wilcoxon_preconditions():
         wilcoxon_signed_rank([1.0] * 6, [2.0] * 5)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, 2.0, 3.0, 4.0, np.nan], [0.0] * 5),
+        ([0.0] * 5, [1.0, np.nan, 3.0, 4.0, 5.0]),
+        ([np.inf, 2.0, 3.0, 4.0, 5.0], [np.inf, 0.0, 0.0, 0.0, 0.0]),  # inf - inf
+    ],
+)
+def test_wilcoxon_refuses_nan(a, b):
+    # NaN used to crash as "cannot convert float NaN to integer" after a
+    # numpy RuntimeWarning; ranking must never see it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(a, b)
+
+
+def test_wilcoxon_ranks_infinite_differences_last():
+    res = wilcoxon_signed_rank([np.inf, 2.0, 3.0, 4.0, 5.0], [0.0] * 5)
+    assert (res.w_plus, res.w_minus) == (15.0, 0.0)
+    res = wilcoxon_signed_rank([-np.inf, 2.0, 3.0, 4.0, 5.0], [0.0] * 5)
+    assert (res.w_plus, res.w_minus) == (10.0, 5.0)
+
+
 def test_wilcoxon_strict_dominance_20_pairs():
     rng = np.random.default_rng(92)
     b = rng.uniform(50.0, 100.0, size=20)
@@ -79,7 +134,6 @@ def test_wilcoxon_normal_approximation_branch():
     a24 = b24 + rng.normal(0.0, 3.0, size=24)
     exact = wilcoxon_signed_rank(a24, b24)
     from sinepath.stats import _normal_two_sided_p
-    from scipy.stats import rankdata
 
     diff = a24 - b24
     diff = diff[diff != 0]
@@ -139,6 +193,20 @@ def test_friedman_preconditions():
         friedman_mean_ranks({"i1": {"a": 1.0}, "i2": {"a": 2.0}})
     with pytest.raises(ValueError, match="2 complete instances"):
         friedman_mean_ranks({"i1": {"a": 1.0, "b": 2.0}})
+
+
+def test_friedman_refuses_nan_mean():
+    # a NaN mean used to come back as NaN mean ranks
+    means = {"i1": {"a": 1.0, "b": float("nan")}, "i2": {"a": 2.0, "b": 1.0}}
+    with pytest.raises(ValueError, match=r"'i1'.*'b'.*NaN"):
+        friedman_mean_ranks(means)
+
+
+def test_friedman_ranks_infinite_means():
+    means = {"i1": {"a": np.inf, "b": 1.0, "c": np.inf}, "i2": {"a": -np.inf, "b": 1.0, "c": 2.0}}
+    table = friedman_mean_ranks(means)
+    assert table.per_instance == {"i1": {"a": 2.5, "b": 1.0, "c": 2.5},
+                                  "i2": {"a": 1.0, "b": 2.0, "c": 3.0}}
 
 
 def test_rank_table_ordering():
