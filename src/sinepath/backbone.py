@@ -59,9 +59,6 @@ class Backbone:
             adj[e.v].append(e.u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-    def edge_keys(self) -> frozenset[tuple[int, int]]:
-        return frozenset((e.u, e.v) for e in self.edges)
-
 
 def _sorted_pair_order(d: np.ndarray, nodes: np.ndarray):
     """All node pairs as local index arrays, ranked by (weight, u, v)."""
@@ -176,50 +173,6 @@ def greedy_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
     return tuple(out)
 
 
-EXACT_MATCHING_LIMIT = 12
-
-
-def exact_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
-    """Minimum-cost perfect matching by exhaustive pairing enumeration.
-
-    (2k-1)!! pairings; capped at 12 vertices (10395 pairings).
-    """
-    verts = sorted(int(v) for v in set(odd_vertices))
-    if len(verts) % 2 != 0:
-        raise ValueError("matching needs an even number of vertices")
-    if len(verts) > EXACT_MATCHING_LIMIT:
-        raise ValueError(
-            f"exact matching capped at {EXACT_MATCHING_LIMIT} vertices, got {len(verts)}"
-        )
-    if not verts:
-        return ()
-
-    best_cost = float("inf")
-    best_pairs: list[tuple[int, int]] = []
-
-    def search(remaining: list[int], cost: float, pairs: list[tuple[int, int]]):
-        nonlocal best_cost, best_pairs
-        if not remaining:
-            if cost < best_cost:
-                best_cost = cost
-                best_pairs = list(pairs)
-            return
-        if cost >= best_cost:
-            return
-        first = remaining[0]
-        for i in range(1, len(remaining)):
-            other = remaining[i]
-            pairs.append((first, other))
-            rest = remaining[1:i] + remaining[i + 1 :]
-            search(rest, cost + float(d[first, other]), pairs)
-            pairs.pop()
-
-    search(verts, 0.0, [])
-    if not best_pairs:
-        raise RuntimeError("no pairing found")
-    return tuple(make_edge(u, v, float(d[u, v])) for u, v in best_pairs)
-
-
 def euler_tour(backbone: Backbone, matching, start: int) -> list[int]:
     """Closed Eulerian walk over the MST-plus-matching multigraph.
 
@@ -278,21 +231,15 @@ def shortcut(walk, d: np.ndarray) -> Tour:
     return Tour(tuple(order), tour_length(order, d))
 
 
-def christofides_seed(d: np.ndarray, subset, matching_method: str = "greedy") -> Tour:
-    """MST + odd-vertex matching + Euler walk + shortcut for one subset."""
+def christofides_seed(d: np.ndarray, subset) -> Tour:
+    """MST + greedy odd-vertex matching + Euler walk + shortcut for one subset."""
     nodes = sorted(int(v) for v in set(subset))
     if not nodes:
         raise ValueError("subset must be non-empty")
     if len(nodes) == 1:
         return Tour((nodes[0],), 0.0)
     mst = kruskal_mst(d, nodes)
-    odd = odd_degree_vertices(mst)
-    if matching_method == "greedy":
-        matching = greedy_min_matching(d, odd)
-    elif matching_method == "exact":
-        matching = exact_min_matching(d, odd)
-    else:
-        raise ValueError(f"unknown matching method {matching_method!r}")
+    matching = greedy_min_matching(d, odd_degree_vertices(mst))
     walk = euler_tour(mst, matching, nodes[0])
     return shortcut(walk, d)
 

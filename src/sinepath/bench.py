@@ -318,7 +318,8 @@ def friedman_blocks(results: BenchResults, metric: str = "total") -> dict[str, R
     """Mean-rank tables per robot count plus an overall block.
 
     The overall block treats every (instance, robots) pair as one ranking
-    unit.  Blocks that lack two complete units are skipped.
+    unit.  Blocks that lack two algorithms or two complete units (rows with
+    every algorithm of the block) are skipped; a NaN mean is refused.
     """
     # One table, (instance, robots) -> {algorithm: mean}, feeds every block.
     means: dict[tuple[str, int], dict[str, float]] = {}
@@ -331,11 +332,11 @@ def friedman_blocks(results: BenchResults, metric: str = "total") -> dict[str, R
     }
     units["overall"] = {f"{inst}@{m}": row for (inst, m), row in means.items()}
     blocks: dict[str, RankTable] = {}
-    for block, block_means in units.items():
-        try:
-            blocks[block] = friedman_mean_ranks(block_means)
-        except ValueError:
-            continue
+    for block, rows in units.items():
+        algs = set().union(*rows.values())
+        complete = sum(set(row) == algs for row in rows.values())
+        if len(algs) >= 2 and complete >= 2:
+            blocks[block] = friedman_mean_ranks(rows)
     return blocks
 
 

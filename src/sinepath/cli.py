@@ -221,9 +221,9 @@ def _read_report(path: str, n: int) -> SolveReport:
 def _cmd_plot(args) -> int:
     inst = load_instance(args.instance)
     report = _read_report(args.report, inst.dimension)
-    if report.instance_name != inst.name:
+    if report.instance != inst.name:
         print(
-            f"warning: report is for {report.instance_name!r}, "
+            f"warning: report is for {report.instance!r}, "
             f"instance file is {inst.name!r}",
             file=sys.stderr,
         )

@@ -9,7 +9,7 @@ configurations that relax disjointness.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,9 +83,6 @@ class Objectives:
     overlap_total: int
     mu: float
     j_prime: float
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "per_robot": list(self.per_robot)}
 
 
 def evaluate_objectives(tours, lambda_weight: float, mu: float = 0.0) -> Objectives:

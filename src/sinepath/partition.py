@@ -54,16 +54,14 @@ def _check_m(n: int, m: int):
         raise ValueError(f"robot count {m} outside [1, {n}]")
 
 
-def partition_angle(inst: Instance, m: int, depot=None) -> Partition:
+def partition_angle(inst: Instance, m: int) -> Partition:
     """Contiguous blocks of the polar-angle ordering around the centroid.
 
-    ``depot`` replaces the centroid as the sweep center when given.  Ties in
-    angle break by node index.
+    Ties in angle break by node index.
     """
     n = inst.dimension
     _check_m(n, m)
-    center = np.asarray(depot, dtype=np.float64) if depot is not None else inst.coords.mean(axis=0)
-    rel = inst.coords - center
+    rel = inst.coords - inst.coords.mean(axis=0)
     ang = np.arctan2(rel[:, 1], rel[:, 0])
     order = np.lexsort((np.arange(n), ang))
     subsets = []

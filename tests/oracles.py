@@ -9,8 +9,9 @@ Colony Optimization, MIT Press 2004, ch. 3), one ant and one successor at a
 time; ``euclidean_distance`` and ``haversine_distance`` are the per-pair
 formulas the dense matrix must reproduce. The ``reference_*`` functions are
 the package's own earlier forms, kept verbatim so that their replacements
-can be checked bit for bit. ``parse_results_csv`` reads ``results.csv``
-back, so that the emitter's round trip can be checked.
+can be checked bit for bit. ``exact_min_matching`` is the exact matching
+criterion 04 holds the solver's greedy one against. ``parse_results_csv``
+reads ``results.csv`` back, so that the emitter's round trip can be checked.
 """
 
 from __future__ import annotations
@@ -73,6 +74,51 @@ def brute_force_matching(dist: np.ndarray, nodes: list[int]) -> tuple[float, lis
 
     cost, pairs = rec(tuple(sorted(nodes)))
     return float(cost), sorted(pairs)
+
+
+EXACT_MATCHING_LIMIT = 12
+
+
+def exact_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
+    """Minimum-cost perfect matching by exhaustive pairing enumeration.
+
+    (2k-1)!! pairings, pruned once a partial cost reaches the best; capped at
+    12 vertices (10395 pairings).
+    """
+    verts = sorted(int(v) for v in set(odd_vertices))
+    if len(verts) % 2 != 0:
+        raise ValueError("matching needs an even number of vertices")
+    if len(verts) > EXACT_MATCHING_LIMIT:
+        raise ValueError(
+            f"exact matching capped at {EXACT_MATCHING_LIMIT} vertices, got {len(verts)}"
+        )
+    if not verts:
+        return ()
+
+    best_cost = float("inf")
+    best_pairs: list[tuple[int, int]] = []
+
+    def search(remaining: list[int], cost: float, pairs: list[tuple[int, int]]):
+        nonlocal best_cost, best_pairs
+        if not remaining:
+            if cost < best_cost:
+                best_cost = cost
+                best_pairs = list(pairs)
+            return
+        if cost >= best_cost:
+            return
+        first = remaining[0]
+        for i in range(1, len(remaining)):
+            other = remaining[i]
+            pairs.append((first, other))
+            rest = remaining[1:i] + remaining[i + 1 :]
+            search(rest, cost + float(d[first, other]), pairs)
+            pairs.pop()
+
+    search(verts, 0.0, [])
+    if not best_pairs:
+        raise RuntimeError("no pairing found")
+    return tuple(make_edge(u, v, float(d[u, v])) for u, v in best_pairs)
 
 
 def exhaustive_tsp(dist: np.ndarray, nodes: list[int]) -> tuple[float, list[int]]:

@@ -21,6 +21,7 @@ import pytest
 import conftest
 from oracles import (
     brute_force_matching,
+    exact_min_matching,
     exhaustive_tsp,
     held_karp_bound,
     prim_mst_cost,
@@ -30,7 +31,6 @@ from sinepath.aco import AcoParams
 from sinepath.backbone import (
     christofides_seed,
     greedy_min_matching,
-    exact_min_matching,
     kruskal_mst,
     odd_degree_vertices,
 )
@@ -252,7 +252,7 @@ def test_criterion_08_tours_never_share_edges():
 
 def _run_fingerprint(report) -> str:
     """Canonical serialisation of run results only (no config echo)."""
-    d = report.to_dict(include_wall_time=False)
+    d = json.loads(report.canonical_json())
     d.pop("config")
     return json.dumps(d, sort_keys=True)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_matching,
+    exact_min_matching,
     prim_mst_cost,
     reference_distance_matrix,
     reference_kruskal_mst,
@@ -19,7 +20,6 @@ from sinepath.backbone import (
     christofides_seed,
     dfs_preorder_seed,
     euler_tour,
-    exact_min_matching,
     greedy_min_matching,
     kruskal_mst,
     make_edge,
@@ -159,7 +159,7 @@ def test_restrict_edges():
     kept = restrict_edges(mst, subset)
     for u, v in kept:
         assert u in subset and v in subset
-    dropped = mst.edge_keys() - kept
+    dropped = restrict_edges(mst, mst.nodes) - kept
     assert all(u not in subset or v not in subset for u, v in dropped)
 
 
@@ -279,23 +279,13 @@ def test_seed_sandwiched_by_mst_and_matching():
         assert seed.length <= mst.total_cost + matching_cost + 1e-9
 
 
-def test_seed_exact_matching_variant():
-    d = _random_matrix(12, 41)
-    greedy = christofides_seed(d, range(12), matching_method="greedy")
-    exact = christofides_seed(d, range(12), matching_method="exact")
-    for seed in (greedy, exact):
-        assert sorted(seed.order) == list(range(12))
-    with pytest.raises(ValueError, match="matching method"):
-        christofides_seed(d, range(12), matching_method="blossom")
-    with pytest.raises(ValueError, match="non-empty"):
-        christofides_seed(d, [])
-
-
 def test_seed_single_node():
     d = _random_matrix(6, 42)
     assert christofides_seed(d, [3]).order == (3,)
     assert christofides_seed(d, [3]).length == 0.0
     assert dfs_preorder_seed(d, [2]).order == (2,)
+    with pytest.raises(ValueError, match="non-empty"):
+        christofides_seed(d, [])
 
 
 def test_dfs_preorder_seed():

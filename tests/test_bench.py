@@ -270,6 +270,18 @@ def test_friedman_blocks_single_instance_overall_only():
     assert set(blocks) == {"overall"}
 
 
+def test_friedman_blocks_refuse_a_nan_mean():
+    # the skip for blocks without two complete units used to swallow this
+    # refusal too, and silently dropped both blocks
+    results = BenchResults()
+    for inst in ("i1", "i2"):
+        results.cells[(inst, 2, "sine", "total")] = cell_stats([1.0, 2.0])
+        results.cells[(inst, 2, "aco", "total")] = cell_stats([3.0, 4.0])
+    results.cells[("i2", 2, "aco", "total")] = cell_stats([float("nan"), 2.0])
+    with pytest.raises(ValueError, match="'i2', algorithm 'aco': mean is NaN"):
+        friedman_blocks(results)
+
+
 def test_ablation_default_weights_shape(inst_file):
     inst = load_instance(inst_file)
     base = SolverConfig(aco=TINY, omega=1.0, seed_with_christofides=False)

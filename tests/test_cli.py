@@ -438,11 +438,19 @@ def _bench51_report(tmp_path, bench51_path):
         (lambda data: {**data, "tours": [{"order": [], "length": 0.0}]}, "tour 0 is empty"),
         (lambda data: {**data, "tours": [{"order": [-1, 0, 1], "length": 1.0}]},
          r"node id -1 outside \[0, 51\)"),
+        (lambda data: {**data, "tours": [{"order": [0, 13.7], "length": 1.0}]},
+         "node id 13.7 is not an integer"),
+        (lambda data: {**data, "tours": [{"order": [0, 13.0], "length": 1.0}]},
+         "node id 13.0 is not an integer"),
+        (lambda data: {**data, "tours": [{"order": [0, True], "length": 1.0}]},
+         "node id True is not an integer"),
     ],
-    ids=["missing-key", "not-an-object", "non-integer-node", "empty-tour", "negative-node"],
+    ids=["missing-key", "not-an-object", "non-integer-node", "empty-tour", "negative-node",
+         "fractional-node", "float-node", "boolean-node"],
 )
 def test_plot_refuses_reports_it_cannot_draw(edit, cause, tmp_path, bench51_path, capsys):
-    # each crashed with a traceback, or drew node -1 as node 50
+    # each crashed with a traceback, drew node -1 as node 50, or drew 13.7
+    # as node 13 and true as node 1
     report = _bench51_report(tmp_path, bench51_path)
     report.write_text(json.dumps(edit(json.loads(report.read_text()))))
     svg = tmp_path / "routes.svg"

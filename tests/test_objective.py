@@ -120,9 +120,6 @@ def test_evaluate_objectives_fields():
     assert obj.j_value == 0.5 * 18.0 + 0.5 * 12.0
     assert obj.overlap_total == 1
     assert obj.j_prime == obj.j_value + 2.0 * 1
-    d = obj.to_dict()
-    assert d["per_robot"] == [12.0, 6.0]
-    assert d["j_prime"] == obj.j_prime
 
 
 def test_objectives_recompute_from_solver_free_tours():

@@ -43,15 +43,6 @@ def test_angle_contiguous_on_circle():
     assert part.subsets == ((0, 1), (2, 3), (4, 5), (6, 7))
 
 
-def test_angle_depot_center_override():
-    angles = np.deg2rad(-180 + 22.5 + 45.0 * np.arange(8))
-    coords = np.column_stack([np.cos(angles), np.sin(angles)])
-    inst = Instance("circle8", coords, Metric.EUCLIDEAN)
-    moved = partition_angle(inst, 4, depot=(10.0, 0.0))
-    _check_valid(moved, 8, 4)
-    assert partition_angle(inst, 4, depot=(10.0, 0.0)).subsets == moved.subsets
-
-
 def test_kmeans_finds_two_natural_clusters():
     rng = np.random.default_rng(52)
     a = rng.normal(0.0, 1.0, size=(10, 2))

@@ -46,8 +46,6 @@ def test_config_validation():
         SolverConfig(partition_method="grid")
     with pytest.raises(ValueError, match="seed method"):
         SolverConfig(seed_method="random")
-    with pytest.raises(ValueError, match="matching"):
-        SolverConfig(matching_method="blossom")
     with pytest.raises(ValueError, match="stagnation"):
         SolverConfig(stagnation_window=0)
     with pytest.raises(ValueError, match="master_seed"):
@@ -75,7 +73,7 @@ def test_solve_tours_partition_nodes():
     sizes = sorted(len(t.order) for t in report.tours)
     assert max(sizes) - min(sizes) <= 1
     assert report.robots == 3
-    assert report.instance_name == inst.name
+    assert report.instance == inst.name
 
 
 def test_solve_objectives_recompute():
@@ -138,7 +136,7 @@ def test_classic_mode_is_parameter_degeneration():
     a = solve(inst, 2, degen)
     b = solve(inst, 2, classic)
     # the config echo differs (mode string), the results must not
-    ra, rb = (r.to_dict(include_wall_time=False) for r in (a, b))
+    ra, rb = (json.loads(r.canonical_json()) for r in (a, b))
     assert ra.pop("config") != rb.pop("config")
     assert ra == rb
 
@@ -151,53 +149,6 @@ def test_stagnation_window_stops_early():
     report = solve(inst, 1, cfg)
     assert report.iterations_run < 400
     assert len(report.convergence) == report.iterations_run
-
-
-def test_repartition_each_iter():
-    inst = random_planar_instance(15, seed=78)
-    cfg = _fast_config(
-        partition_method="kmeans", repartition_each_iter=True, master_seed=4
-    )
-    a = solve(inst, 3, cfg)
-    b = solve(inst, 3, cfg)
-    assert a.canonical_json() == b.canonical_json()
-    seen = [v for t in a.tours for v in t.order]
-    assert sorted(seen) == list(range(15))
-
-
-def test_repartition_keeps_an_unchanged_layout(monkeypatch):
-    # the angle partition ignores the iteration, so repartitioning finds the
-    # same subsets every time and must not rebuild their colonies
-    built = []
-
-    class CountingColony(SubsetColony):
-        def __init__(self, *args):
-            built.append(args[0])
-            super().__init__(*args)
-
-    monkeypatch.setattr(solver, "SubsetColony", CountingColony)
-    inst = random_planar_instance(15, seed=78)
-    again = solve(inst, 3, _fast_config(repartition_each_iter=True, master_seed=4))
-    assert len(built) == 3
-    once = solve(inst, 3, _fast_config(master_seed=4))
-    assert (again.tours, again.convergence) == (once.tours, once.convergence)
-
-
-@pytest.mark.parametrize("rho, iters", [(0.5, 1100), (1.0, 5)])
-def test_long_run_survives_trail_underflow(rho, iters):
-    # At rho = 0.5 an edge no tour deposits on decays as 0.5^t and reaches 0
-    # near t = 1075; at rho = 1 after one iteration.  With repartitioning,
-    # later subsets then meet all-zero rows and used to stop with "all
-    # successor scores vanished".
-    inst = random_planar_instance(40, seed=11)
-    cfg = SolverConfig(
-        aco=AcoParams(rho=rho, n_ants=10, max_iter=iters),
-        partition_method="kmeans",
-        repartition_each_iter=True,
-    )
-    report = solve(inst, 4, cfg)
-    assert report.iterations_run == iters
-    assert sorted(v for t in report.tours for v in t.order) == list(range(40))
 
 
 def test_depot_starts():
@@ -355,15 +306,16 @@ def test_config_to_dict():
         "lambda_weight": 0.5,
         "mu": 0.0,
         "partition_method": "angle",
-        "repartition_each_iter": False,
         "seed_with_christofides": True,
         "seed_method": "christofides",
-        "matching_method": "greedy",
-        "backbone_per_subset": False,
         "master_seed": 0,
         "mode": "sine",
         "stagnation_window": 3,
         "depots": [[0.0, 0.0], [10.0, 5.0]],
+        # retired knobs, echoed at their only value
+        "repartition_each_iter": False,
+        "matching_method": "greedy",
+        "backbone_per_subset": False,
     }
     got = cfg.to_dict()
     assert got == expected
@@ -388,5 +340,7 @@ def test_report_json_key_order():
         "per_robot", "total", "max_single", "lambda_weight", "j_value",
         "overlap_total", "mu", "j_prime",
     ]
-    assert list(data["config"]) == [f.name for f in dataclasses.fields(SolverConfig)]
+    assert list(data["config"]) == [f.name for f in dataclasses.fields(SolverConfig)] + [
+        "repartition_each_iter", "matching_method", "backbone_per_subset",
+    ]
     assert list(data["config"]["aco"]) == [f.name for f in dataclasses.fields(AcoParams)]
