@@ -5,8 +5,10 @@ Successor choice is the product rule
     p(i -> j)  ~  tau_ij^alpha * (1/d_ij)^beta * psi_ij^gamma
 
 where psi_ij = omega >= 1 on backbone (MST) edges and 1 elsewhere; omega = 1
-switches the bias off.  After each iteration the trail field evaporates by
-(1 - rho) and the best tour of each subset's colony deposits
+switches the bias off.  A subset never changes during a solve, so each
+subset's colony owns the trail over its own nodes, and no ant reads a trail
+outside its subset.  After each iteration every colony's trail evaporates by
+(1 - rho) and the colony's best tour deposits
 
     q_scale / L * (1 + kappa * [edge on the backbone])
 
@@ -93,54 +95,23 @@ class AcoParams:
         return asdict(self)
 
 
-def init_pheromone(dim: int, tau0: float) -> np.ndarray:
-    """Uniform trail field with a zero diagonal."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if tau0 <= 0:
-        raise ValueError("tau0 must be positive")
-    tau = np.full((dim, dim), float(tau0))
-    np.fill_diagonal(tau, 0.0)
-    return tau
-
-
-def deposit(tau: np.ndarray, tours, backbones, params: AcoParams) -> np.ndarray:
-    """Add q/L * (1 + kappa * [edge on the backbone]) on each tour's edges.
-
-    ``backbones`` pairs with ``tours``: one backbone edge set per tour.
-    Single-node tours deposit nothing.  The field is updated in place and
-    returned.
-    """
-    if len(tours) != len(backbones):
-        raise ValueError("one backbone edge set per tour required")
-    for tour, backbone_edges in zip(tours, backbones):
-        if len(tour.order) < 2:
-            continue
-        edges = list(tour.edge_set())
-        u, v = zip(*edges)
-        bonus = [params.kappa if e in backbone_edges else 0.0 for e in edges]
-        amount = params.q_scale / tour.length * (1.0 + np.array(bonus + bonus))
-        # Canonical edges (u < v) of one tour name 2E distinct cells, so one
-        # fancy-index add equals adding them one by one; tours still apply in
-        # list order.
-        tau[np.array(u + v), np.array(v + u)] += amount
-    return tau
-
-
-def update_pheromones(tau: np.ndarray, tours, backbones, params: AcoParams) -> np.ndarray:
-    """Evaporate the whole field, then ``deposit`` each subset's tour."""
-    tau *= 1.0 - params.rho
-    return deposit(tau, tours, backbones, params)
+def update_pheromones(colonies, tours) -> None:
+    """Evaporate each colony's trail by (1 - rho), then deposit its subset's
+    tour on it with the colony's own backbone."""
+    for colony, tour in zip(colonies, tours, strict=True):
+        colony.tau *= 1.0 - colony.params.rho
+        colony.deposit(tour, colony.backbone_edges)
 
 
 class SubsetColony:
     """Vectorised construction of a whole colony's tours over one subset.
 
-    Works in local index space.  The static score factor
-    (1/d)^beta * psi^gamma is precomputed; per iteration only tau changes.
-    Each ant's uniform draws arrive as one row of ``uniforms``: draw 0 picks
-    the start, the rest drive successor roulette, so every ant consumes the
-    same stream shape regardless of scheduling.
+    Works in local index space and owns the subset's trail ``tau``, an
+    (n_local, n_local) block that starts at tau0 with a zero diagonal.  The
+    static score factor (1/d)^beta * psi^gamma is precomputed; per iteration
+    only tau changes.  Each ant's uniform draws arrive as one row of
+    ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
+    so every ant consumes the same stream shape regardless of scheduling.
     """
 
     def __init__(
@@ -150,18 +121,17 @@ class SubsetColony:
         backbone_edges,
         omega: float,
         params: AcoParams,
+        tau0: float,
     ):
         self.nodes = np.asarray(sorted(int(v) for v in set(nodes)), dtype=np.int64)
         self.n_local = len(self.nodes)
         self.params = params
         self.backbone_edges = frozenset(backbone_edges)
         self._local_of = {int(v): k for k, v in enumerate(self.nodes)}
-        # Flat positions of the subset's block in a (dim, dim) matrix: one
-        # take() gathers it, where np.ix_ builds two index grids per call.
-        self._shape = d.shape
-        self._block = (self.nodes[:, None] * d.shape[1] + self.nodes).ravel()
+        self.tau = np.full((self.n_local, self.n_local), float(tau0))
+        np.fill_diagonal(self.tau, 0.0)
 
-        self.dist = self._gather(d)
+        self.dist = d[np.ix_(self.nodes, self.nodes)]
         off_diag = ~np.eye(self.n_local, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
             raise ValueError("zero distance inside subset: degenerate geometry")
@@ -179,17 +149,28 @@ class SubsetColony:
                 weight[lv, lu] *= boost
         self.weight = weight
 
-    def _gather(self, matrix: np.ndarray) -> np.ndarray:
-        if matrix.shape != self._shape:
-            raise ValueError(f"matrix shape {matrix.shape} differs from {self._shape}")
-        return matrix.take(self._block).reshape(self.n_local, self.n_local)
+    def deposit(self, tour, backbone_edges) -> None:
+        """Add q/L * (1 + kappa * [edge in ``backbone_edges``]) on the trail
+        of each edge of ``tour``, a tour over this subset in global ids.
+        Single-node tours deposit nothing."""
+        if len(tour.order) < 2:
+            return
+        edges = list(tour.edge_set())
+        local = self._local_of
+        u = [local[a] for a, _ in edges]
+        v = [local[b] for _, b in edges]
+        p = self.params
+        bonus = [p.kappa if e in backbone_edges else 0.0 for e in edges]
+        amount = p.q_scale / tour.length * (1.0 + np.array(bonus + bonus))
+        # Canonical edges (u < v) name 2E distinct cells, so one fancy-index
+        # add equals adding them one by one.
+        self.tau[u + v, v + u] += amount
 
-    def local_tau(self, tau: np.ndarray) -> np.ndarray:
-        """The subset's trail factor tau^alpha, floored at ``TRAIL_FLOOR`` off
-        the diagonal so that no successor score underflows to zero."""
-        sub = self._gather(tau)
-        if self.params.alpha != 1.0:
-            sub = sub ** self.params.alpha
+    def local_tau(self) -> np.ndarray:
+        """The trail factor tau^alpha, floored at ``TRAIL_FLOOR`` off the
+        diagonal so that no successor score underflows to zero."""
+        alpha = self.params.alpha
+        sub = self.tau ** alpha if alpha != 1.0 else self.tau.copy()
         np.maximum(sub, TRAIL_FLOOR, out=sub)
         sub.reshape(-1)[:: self.n_local + 1] = 0.0
         return sub

@@ -2,7 +2,9 @@
 
 The pipeline: build the distance matrix, compute the global MST, split the
 nodes into per-robot subsets, then run one pheromone colony per subset.  The
-bias and the deposit bonus see the global MST restricted to each subset; the
+subsets stay fixed, so each colony keeps the trail over its own subset and
+the solve holds no trail over the whole instance.  The bias and the deposit
+bonus see the global MST restricted to each subset; the
 optional seed tour is a Christofides-style shortcut of the per-subset MST,
 registered as the initial incumbent and given one bonus deposit before the
 first iteration.
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .aco import AcoParams, SubsetColony, deposit, init_pheromone, update_pheromones
+from .aco import AcoParams, SubsetColony, update_pheromones
 from .backbone import christofides_seed, dfs_preorder_seed, kruskal_mst, restrict_edges
 from .instances import Instance, build_distance_matrix
 from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective
@@ -203,15 +205,13 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
 
     t_begin = time.perf_counter()
     d = build_distance_matrix(inst)
-    n = inst.dimension
     p = cfg.aco
 
-    global_mst = kruskal_mst(d, range(n))
+    global_mst = kruskal_mst(d, range(inst.dimension))
     part = _make_partition(inst, m, cfg)
-    backbones = [restrict_edges(global_mst, sub) for sub in part.subsets]
     colonies = [
-        SubsetColony(sub, d, bk, cfg.omega, p)
-        for sub, bk in zip(part.subsets, backbones)
+        SubsetColony(sub, d, restrict_edges(global_mst, sub), cfg.omega, p, cfg.tau0)
+        for sub in part.subsets
     ]
     starts = [None] * len(colonies)
     if cfg.depots is not None:
@@ -219,7 +219,6 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             int(np.searchsorted(colony.nodes, start))
             for colony, start in zip(colonies, depot_start_nodes(inst, part, cfg.depots))
         ]
-    tau = init_pheromone(n, cfg.tau0)
     state = IncumbentState()
 
     if cfg.seed_with_christofides:
@@ -231,7 +230,8 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
         )
         # One flat bonus deposit before the first iteration: with each seed's
         # own edges as its backbone, every seed edge earns q/L * (1 + kappa).
-        deposit(tau, seeds, [s.edge_set() for s in seeds], p)
+        for colony, seed in zip(colonies, seeds):
+            colony.deposit(seed, seed.edge_set())
 
     iterations_run = 0
     for t in range(p.max_iter):
@@ -239,13 +239,11 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
         for k, colony in enumerate(colonies):
             ss = np.random.SeedSequence((cfg.master_seed, _STREAM_COLONY, t, k))
             uniforms = np.random.default_rng(ss).random((p.n_ants, colony.n_local))
-            orders, lengths = colony.construct_colony(
-                colony.local_tau(tau), uniforms, starts[k]
-            )
+            orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, starts[k])
             best = int(lengths.argmin())
             bests.append(Tour(colony.to_global(orders[best]), float(lengths[best])))
         incumbent_update(state, bests, cfg.lambda_weight, t)
-        update_pheromones(tau, bests, backbones, p)
+        update_pheromones(colonies, bests)
         iterations_run = t + 1
         if (
             cfg.stagnation_window is not None

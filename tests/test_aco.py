@@ -20,14 +20,7 @@ from oracles import (
     roulette_index,
     transition_probabilities,
 )
-from sinepath.aco import (
-    TRAIL_FLOOR,
-    AcoParams,
-    SubsetColony,
-    deposit,
-    init_pheromone,
-    update_pheromones,
-)
+from sinepath.aco import TRAIL_FLOOR, AcoParams, SubsetColony, update_pheromones
 from sinepath.backbone import kruskal_mst, restrict_edges
 from sinepath.instances import Instance, build_distance_matrix, random_planar_instance
 from sinepath.objective import Tour, tour_length
@@ -39,6 +32,13 @@ NO_BIAS = StructuralBias(1.0, frozenset())
 def _keys(mst):
     """The (u, v) keys of every edge of ``mst``."""
     return restrict_edges(mst, mst.nodes)
+
+
+def _uniform_trail(n, tau0=1.0):
+    """An (n, n) trail of tau0 with a zero diagonal, as a colony starts it."""
+    tau = np.full((n, n), tau0)
+    np.fill_diagonal(tau, 0.0)
+    return tau
 
 
 class ScriptedRng:
@@ -93,17 +93,16 @@ def test_tour_edge_set():
 
 
 def test_init_pheromone():
-    tau = init_pheromone(3, 1.0)
-    assert np.array_equal(tau, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    with pytest.raises(ValueError, match="tau0"):
-        init_pheromone(3, 0.0)
-    with pytest.raises(ValueError, match="dimension"):
-        init_pheromone(0, 1.0)
+    # each colony starts its own subset's trail at tau0 with a zero diagonal
+    d = build_distance_matrix(random_planar_instance(6, seed=899))
+    colony = SubsetColony([4, 1, 3], d, frozenset(), 1.0, AcoParams(), 0.25)
+    assert np.array_equal(colony.tau, [[0, 0.25, 0.25], [0.25, 0, 0.25], [0.25, 0.25, 0]])
+    assert np.array_equal(_uniform_trail(3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def test_transition_probabilities_frozen_cases():
     params = AcoParams()
-    tau = init_pheromone(3, 1.0)
+    tau = _uniform_trail(3)
 
     # equal tau, equal d, no backbone -> uniform
     d_eq = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
@@ -134,7 +133,7 @@ def test_transition_probabilities_normalized_random():
     d = build_distance_matrix(inst)
     mst = kruskal_mst(d, range(12))
     bias = StructuralBias(2.5, _keys(mst))
-    tau = init_pheromone(12, 1.0) * rng.uniform(0.5, 2.0, size=(12, 12))
+    tau = _uniform_trail(12) * rng.uniform(0.5, 2.0, size=(12, 12))
     tau = (tau + tau.T) / 2
     np.fill_diagonal(tau, 0.0)
     params = AcoParams(alpha=1.3, beta=2.7, gamma=1.1)
@@ -148,7 +147,7 @@ def test_transition_probabilities_normalized_random():
 
 def test_backbone_candidate_strictly_preferred():
     params = AcoParams(gamma=1.5)
-    tau = init_pheromone(3, 1.0)
+    tau = _uniform_trail(3)
     d_eq = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     for omega in (1.5, 2.0, 5.0):
         bias = StructuralBias(omega, frozenset({(0, 1)}))
@@ -158,7 +157,7 @@ def test_backbone_candidate_strictly_preferred():
 
 def test_transition_probability_errors():
     params = AcoParams()
-    tau = init_pheromone(3, 1.0)
+    tau = _uniform_trail(3)
     with pytest.raises(ValueError, match="no candidates"):
         transition_probabilities(0, [], tau, TRI_D, NO_BIAS, params)
     with pytest.raises(ValueError, match="own successor"):
@@ -184,7 +183,7 @@ def test_construct_tour_draw_budget_and_validity():
     rng = np.random.default_rng(62)
     inst = random_planar_instance(9, seed=901)
     d = build_distance_matrix(inst)
-    tau = init_pheromone(9, 1.0)
+    tau = _uniform_trail(9)
     params = AcoParams()
     for _ in range(10):
         subset = sorted(rng.choice(9, size=6, replace=False).tolist())
@@ -199,7 +198,7 @@ def test_construct_tour_draw_budget_and_validity():
 
 def test_construct_tour_forced_cases():
     d = build_distance_matrix(random_planar_instance(5, seed=902))
-    tau = init_pheromone(5, 1.0)
+    tau = _uniform_trail(5)
     params = AcoParams()
     one = construct_tour([3], 3, tau, d, NO_BIAS, params, ScriptedRng([]))
     assert one.order == (3,) and one.length == 0.0
@@ -225,82 +224,95 @@ def test_deposit_amount_values():
     assert deposit_amount((0, 1), tour, backbone, plain) == pytest.approx(0.1)
 
 
+def _colonies_on(tau, subsets, backbones, params):
+    """One colony per subset of a random instance, each holding its block of
+    the global trail ``tau``: the oracles then run on ``tau`` itself."""
+    d = build_distance_matrix(random_planar_instance(len(tau), seed=913))
+    colonies = [
+        SubsetColony(sub, d, bk, 1.0, params, 1.0) for sub, bk in zip(subsets, backbones)
+    ]
+    for colony in colonies:
+        colony.tau = tau[np.ix_(colony.nodes, colony.nodes)]
+    return colonies
+
+
 def test_update_pheromones_pure_evaporation():
+    # a single-node tour deposits nothing, so only evaporation is left
     params = AcoParams(rho=0.1)
-    tau = init_pheromone(3, 1.0)
-    update_pheromones(tau, [], [], params)
-    expected = init_pheromone(3, 0.9)
-    assert np.allclose(tau, expected, atol=1e-15)
+    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, params, 1.0)
+    update_pheromones([colony], [Tour((1,), 0.0)])
+    assert np.allclose(colony.tau, _uniform_trail(3, 0.9), atol=1e-15)
 
 
 def test_update_pheromones_deposits_only_at_rho_one():
     params = AcoParams(rho=1.0, q_scale=1.0, kappa=1.0)
-    tau = init_pheromone(3, 1.0)
-    tour = Tour((0, 1, 2), 12.0)
-    backbone = frozenset({(0, 1)})
-    update_pheromones(tau, [tour], [backbone], params)
+    colony = SubsetColony(range(3), TRI_D, frozenset({(0, 1)}), 1.0, params, 1.0)
+    update_pheromones([colony], [Tour((0, 1, 2), 12.0)])
     base = 1.0 / 12.0
     expected = np.array(
         [[0.0, 2 * base, base], [2 * base, 0.0, base], [base, base, 0.0]]
     )
-    assert np.allclose(tau, expected, atol=1e-15)
+    assert np.allclose(colony.tau, expected, atol=1e-15)
 
 
 def test_update_pheromones_disjoint_tours_single_deposit_each():
     params = AcoParams(rho=1.0, kappa=0.0)
-    tau = init_pheromone(5, 1.0)
-    t1 = Tour((0, 1, 2), 12.0)
-    t2 = Tour((3, 4), 8.0)
-    update_pheromones(tau, [t1, t2], [frozenset(), frozenset()], params)
-    nonzero = {(i, j) for i in range(5) for j in range(i + 1, 5) if tau[i, j] > 0}
-    assert nonzero == {(0, 1), (1, 2), (0, 2), (3, 4)}
-    assert tau[0, 1] == pytest.approx(1.0 / 12.0)
-    assert tau[3, 4] == pytest.approx(1.0 / 8.0)
-    assert np.array_equal(tau, tau.T)
+    first, second = _colonies_on(
+        _uniform_trail(5), [(0, 1, 2), (3, 4)], [frozenset(), frozenset()], params
+    )
+    update_pheromones([first, second], [Tour((0, 1, 2), 12.0), Tour((3, 4), 8.0)])
+    assert np.array_equal(first.tau, _uniform_trail(3, 1.0 / 12.0))
+    assert np.array_equal(second.tau, _uniform_trail(2, 1.0 / 8.0))
 
 
 def test_update_pheromones_bit_identical_to_edge_loop():
-    # overlapping tours (edge (0, 1) twice), a 2-node tour, a 1-node tour and
-    # backbone bonuses on a random trail: the vectorised deposit must add the
-    # same floats in the same order as one deposit_amount per edge
+    # overlapping tours (edge (0, 1) twice, deposited on one colony), a 2-node
+    # tour, a 1-node tour and backbone bonuses on a random trail: each
+    # colony's block must hold the same floats, added in the same order, as
+    # one deposit_amount per edge on the global matrix
     rng = np.random.default_rng(914)
-    tau = init_pheromone(12, 1.0) * rng.uniform(0.2, 2.0, size=(12, 12))
-    tours = [
-        Tour((0, 1, 2, 3), 7.3),
-        Tour((5, 6), 2.9),
-        Tour((1, 0, 7, 8), 11.1),
-        Tour((9,), 0.0),
-        Tour((10, 4, 11), 5.7),
-    ]
+    tau = _uniform_trail(12) * rng.uniform(0.2, 2.0, size=(12, 12))
+    subsets = [(0, 1, 2, 3, 7, 8), (5, 6), (9,), (4, 10, 11)]
     backbones = [
-        frozenset({(0, 1), (2, 3)}),
+        frozenset({(0, 1), (2, 3), (7, 8)}),
         frozenset({(5, 6)}),
-        frozenset({(0, 1), (7, 8), (4, 10)}),
         frozenset(),
         frozenset({(4, 10)}),
     ]
+    tours = [Tour((0, 1, 2, 3), 7.3), Tour((5, 6), 2.9), Tour((9,), 0.0), Tour((10, 4, 11), 5.7)]
+    overlap = Tour((1, 0, 7, 8), 11.1)
     for params in (AcoParams(rho=0.3, q_scale=1.7, kappa=1.5), AcoParams(kappa=0.0)):
-        got = update_pheromones(tau.copy(), tours, backbones, params)
-        ref = reference_update_pheromones(tau.copy(), tours, backbones, params)
-        assert np.array_equal(got, ref)
+        colonies = _colonies_on(tau, subsets, backbones, params)
+        update_pheromones(colonies, tours)
+        colonies[0].deposit(overlap, backbones[0])
+        ref = reference_update_pheromones(
+            tau.copy(), tours + [overlap], backbones + [backbones[0]], params
+        )
+        for colony in colonies:
+            assert np.array_equal(colony.tau, ref[np.ix_(colony.nodes, colony.nodes)])
         # the 2-node tour deposits exactly once in each direction
         amount = params.q_scale / 2.9 * (1.0 + params.kappa)
-        for u, v in ((5, 6), (6, 5)):
-            assert got[u, v] == tau[u, v] * (1.0 - params.rho) + amount
+        pair = colonies[1].tau
+        assert pair[0, 1] == tau[5, 6] * (1.0 - params.rho) + amount
+        assert pair[1, 0] == tau[6, 5] * (1.0 - params.rho) + amount
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.5])
 def test_seed_deposit_bit_identical_to_scalar_loop(kappa):
-    # the solver's seed bonus is deposit() with each seed's own edges as its
+    # the solver's seed bonus deposits each seed with its own edges as the
     # backbone: the flat q/L * (1 + kappa) of the former scalar loop, bit for bit
     rng = np.random.default_rng(915)
-    tau = init_pheromone(10, 1.0) * rng.uniform(0.2, 2.0, size=(10, 10))
+    tau = _uniform_trail(10) * rng.uniform(0.2, 2.0, size=(10, 10))
     seeds = [Tour((0, 3, 1, 2), 7.3), Tour((4, 5), 2.9), Tour((6,), 0.0), Tour((9, 7, 8), 5.7)]
     params = AcoParams(rho=0.3, q_scale=1.7, kappa=kappa)
-    got = deposit(tau.copy(), seeds, [s.edge_set() for s in seeds], params)
+    subsets = [sorted(s.order) for s in seeds]
+    colonies = _colonies_on(tau, subsets, [frozenset()] * len(seeds), params)
+    for colony, seed in zip(colonies, seeds):
+        colony.deposit(seed, seed.edge_set())
     ref = reference_seed_deposit(tau.copy(), seeds, params)
-    assert np.array_equal(got, ref)
-    assert not np.array_equal(got, tau)
+    for colony in colonies:
+        assert np.array_equal(colony.tau, ref[np.ix_(colony.nodes, colony.nodes)])
+    assert not np.array_equal(colonies[0].tau, tau[:4, :4])
 
 
 def test_aco_params_to_dict():
@@ -317,10 +329,12 @@ def test_aco_params_to_dict():
 
 
 def test_update_pheromones_validation():
-    params = AcoParams()
-    tau = init_pheromone(3, 1.0)
-    with pytest.raises(ValueError, match="per tour"):
-        update_pheromones(tau, [Tour((0, 1), 6.0)], [], params)
+    # one tour per colony: a missing or extra tour is refused, not dropped
+    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, AcoParams(), 1.0)
+    with pytest.raises(ValueError, match="shorter"):
+        update_pheromones([colony], [])
+    with pytest.raises(ValueError, match="longer"):
+        update_pheromones([colony], [Tour((0, 1), 6.0), Tour((2,), 0.0)])
 
 
 def test_pheromone_bounds_over_long_run():
@@ -330,21 +344,21 @@ def test_pheromone_bounds_over_long_run():
     d = build_distance_matrix(inst)
     mst = kruskal_mst(d, range(10))
     params = AcoParams(n_ants=8, rho=0.1, q_scale=1.0, kappa=1.0)
-    colony = SubsetColony(range(10), d, _keys(mst), 2.0, params)
-    tau = init_pheromone(10, 1.0)
+    colony = SubsetColony(range(10), d, _keys(mst), 2.0, params, 1.0)
     rng = np.random.default_rng(904)
     min_length = np.inf
     off_diag = ~np.eye(10, dtype=bool)
     for t in range(1000):
         uniforms = rng.random((params.n_ants, 10))
-        orders, lengths = colony.construct_colony(colony.local_tau(tau), uniforms)
+        orders, lengths = colony.construct_colony(colony.local_tau(), uniforms)
         best = int(lengths.argmin())
         tour = Tour(colony.to_global(orders[best]), float(lengths[best]))
         min_length = min(min_length, tour.length)
-        update_pheromones(tau, [tour], [_keys(mst)], params)
+        update_pheromones([colony], [tour])
         if t % 100 == 0:
-            assert np.array_equal(tau, tau.T)
-            assert np.all(tau >= 0)
+            assert np.array_equal(colony.tau, colony.tau.T)
+            assert np.all(colony.tau >= 0)
+    tau = colony.tau
     bound = max(1.0, params.q_scale * (1 + params.kappa) / min_length / params.rho)
     assert tau.max() <= bound + 1e-9
     assert np.all(tau[off_diag] > 0)
@@ -356,7 +370,7 @@ def _colony_setup(n, seed, omega=1.0, params=None):
     d = build_distance_matrix(inst)
     mst = kruskal_mst(d, range(n))
     params = params or AcoParams()
-    colony = SubsetColony(range(n), d, _keys(mst), omega, params)
+    colony = SubsetColony(range(n), d, _keys(mst), omega, params, 1.0)
     return d, mst, params, colony
 
 
@@ -364,7 +378,7 @@ def test_colony_zero_distance_rejected():
     d = build_distance_matrix(random_planar_instance(4, seed=905))
     d[1, 2] = d[2, 1] = 0.0
     with pytest.raises(ValueError, match="degenerate"):
-        SubsetColony(range(4), d, frozenset(), 1.0, AcoParams())
+        SubsetColony(range(4), d, frozenset(), 1.0, AcoParams(), 1.0)
 
 
 def test_colony_weight_matrix():
@@ -387,17 +401,16 @@ def test_colony_matches_scalar_construction():
     n = 9
     d, mst, params, colony = _colony_setup(n, 907, omega=2.0)
     bias = StructuralBias(2.0, _keys(mst))
-    tau = init_pheromone(n, 1.0)
+    tau = _uniform_trail(n)
     rng = np.random.default_rng(908)
     tau *= rng.uniform(0.5, 1.5, size=(n, n))
     tau = (tau + tau.T) / 2
     np.fill_diagonal(tau, 0.0)
+    colony.tau = tau
 
     uniforms = rng.random((6, n))
     start = 4
-    orders, lengths = colony.construct_colony(
-        colony.local_tau(tau), uniforms, start_local=start
-    )
+    orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, start_local=start)
     for ant in range(6):
         scripted = ScriptedRng(uniforms[ant, 1:].tolist())
         ref = construct_tour(range(n), start, tau, d, bias, params, scripted)
@@ -416,10 +429,11 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     nodes = np.sort(rng.choice(n, size=width, replace=False))
     backbone = _keys(kruskal_mst(d, nodes))
     params = AcoParams(alpha=alpha, beta=2.5, gamma=1.2)
-    colony = SubsetColony(nodes, d, backbone, omega, params)
-    tau = init_pheromone(n, 1.0) * rng.uniform(0.05, 3.0, size=(n, n))
-    tau_local = colony.local_tau(tau)
-    assert np.array_equal(tau_local, tau[np.ix_(nodes, nodes)] ** alpha)
+    colony = SubsetColony(nodes, d, backbone, omega, params, 1.0)
+    tau = _uniform_trail(n) * rng.uniform(0.05, 3.0, size=(n, n))
+    colony.tau = tau[np.ix_(nodes, nodes)]
+    tau_local = colony.local_tau()
+    assert np.array_equal(tau_local, colony.tau ** alpha)
     uniforms = rng.random((17, width))
     start_local = None if start is None else width // 2
     orders, lengths = colony.construct_colony(tau_local, uniforms, start_local)
@@ -436,15 +450,16 @@ def test_local_tau_floors_the_trail_factor(alpha):
     _, _, _, colony = _colony_setup(6, 917, params=params)
     off_diag = ~np.eye(6, dtype=bool)
     # an underflowed trail reads as the floor, for every alpha
-    sub = colony.local_tau(np.zeros((6, 6)))
+    colony.tau = np.zeros((6, 6))
+    sub = colony.local_tau()
     assert np.array_equal(sub[off_diag], np.full(30, TRAIL_FLOOR))
     assert np.array_equal(np.diag(sub), np.zeros(6))
     uniforms = np.random.default_rng(918).random((4, 6))
     orders, _ = colony.construct_colony(sub, uniforms)
     assert all(sorted(row) == list(range(6)) for row in orders.tolist())
     # a trail above the floor comes back as tau^alpha, bit for bit
-    tau = init_pheromone(6, 1.0) * np.random.default_rng(919).uniform(1e-40, 2.0, (6, 6))
-    assert np.array_equal(colony.local_tau(tau), tau ** alpha)
+    colony.tau = _uniform_trail(6) * np.random.default_rng(919).uniform(1e-40, 2.0, (6, 6))
+    assert np.array_equal(colony.local_tau(), colony.tau ** alpha)
 
 
 def test_colony_vanished_scores_rejected():
@@ -459,7 +474,7 @@ def test_colony_later_vanish_rejected_like_reference():
     # node 4 has no outgoing trail, so a row total vanishes only once an ant
     # stands on node 4 with nodes still to visit, never at the first step
     _, _, _, colony = _colony_setup(6, 921)
-    trail = init_pheromone(6, 1.0)
+    trail = _uniform_trail(6)
     trail[4] = 0.0
     uniforms = np.random.default_rng(922).random((8, 6))
     assert (trail[0] * colony.weight[0]).sum() > 0
@@ -491,7 +506,7 @@ def test_colony_bit_identical_to_reference_on_edge_trails(case):
         # max/4 stay finite while the row sums overflow to inf
         inst = random_planar_instance(13, seed=925)
         d = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
-        colony = SubsetColony(range(13), d, frozenset(), 1.0, AcoParams())
+        colony = SubsetColony(range(13), d, frozenset(), 1.0, AcoParams(), 1.0)
         huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
         trail = huge / (colony.weight + np.eye(13))
         np.fill_diagonal(trail, 0.0)
@@ -519,8 +534,9 @@ def test_colony_floor_total_keeps_its_clamp():
     # than column 0, which an unclamped pick would revisit.
     n = 5
     d = np.ones((n, n)) - np.eye(n)
-    colony = SubsetColony(range(n), d, frozenset(), 1.0, AcoParams())
-    tau_local = colony.local_tau(np.zeros((n, n)))
+    colony = SubsetColony(range(n), d, frozenset(), 1.0, AcoParams(), 1.0)
+    colony.tau = np.zeros((n, n))
+    tau_local = colony.local_tau()
     off_diag = ~np.eye(n, dtype=bool)
     assert np.array_equal((tau_local * colony.weight)[off_diag], np.full(n * n - n, TRAIL_FLOOR))
     last = 1.0 - 2.0**-53
@@ -584,15 +600,17 @@ def test_colony_matches_reference_across_trail_scales(
     rng = np.random.default_rng(seed)
     d = build_distance_matrix(random_planar_instance(max(width, 2), seed=seed))
     params = AcoParams(alpha=alpha, beta=beta)
-    colony = SubsetColony(range(width), d, _keys(kruskal_mst(d, range(width))), omega, params)
+    backbone = _keys(kruskal_mst(d, range(width)))
+    colony = SubsetColony(range(width), d, backbone, omega, params, 1.0)
     trail = 10.0**exponent * rng.uniform(0.5, 1.5, size=d.shape)
     trail[rng.random(d.shape) < zeros] = 0.0
+    colony.tau = trail[:width, :width]
     uniforms = rng.random((n_ants, width))
     if top is not None:
         uniforms[rng.random(uniforms.shape) < 0.3] = top
     start_local = None if start is None else start % width
     with np.errstate(over="ignore", under="ignore"):
-        tau_local = colony.local_tau(trail) if floored else trail[:width, :width]
+        tau_local = colony.local_tau() if floored else colony.tau
         if np.isinf(tau_local * colony.weight).any():
             with pytest.raises(ValueError, match="non-finite successor scores"):
                 colony.construct_colony(tau_local, uniforms, start_local)
@@ -623,19 +641,17 @@ def test_colony_overflowing_scores_rejected():
     small = Instance(inst.name, inst.coords * 1e-3, inst.metric)
     d = build_distance_matrix(small)
     with np.errstate(over="ignore"):
-        colony = SubsetColony(range(12), d, frozenset(), 1.0, AcoParams(beta=200.0))
+        colony = SubsetColony(range(12), d, frozenset(), 1.0, AcoParams(beta=200.0), 1.0)
     assert np.isinf(colony.weight).any()
-    tau = init_pheromone(12, 1.0)
     with pytest.raises(ValueError, match="non-finite successor scores"):
-        colony.construct_colony(colony.local_tau(tau), np.full((3, 12), 0.5))
+        colony.construct_colony(colony.local_tau(), np.full((3, 12), 0.5))
 
 
 def test_colony_free_start_uses_first_draw():
     n = 7
     _, _, params, colony = _colony_setup(n, 909)
-    tau = init_pheromone(n, 1.0)
     uniforms = np.random.default_rng(910).random((5, n))
-    orders, _ = colony.construct_colony(colony.local_tau(tau), uniforms)
+    orders, _ = colony.construct_colony(colony.local_tau(), uniforms)
     expected_starts = np.minimum((uniforms[:, 0] * n).astype(int), n - 1)
     assert np.array_equal(orders[:, 0], expected_starts)
     for row in orders:
@@ -647,7 +663,7 @@ def test_colony_start_out_of_range_rejected(start):
     # 13 used to raise a bare IndexError, and -1 read row 0 but marked
     # another ant's column, so every tour revisited nodes
     _, _, _, colony = _colony_setup(13, 923)
-    tau = colony.local_tau(init_pheromone(13, 1.0))
+    tau = colony.local_tau()
     uniforms = np.random.default_rng(924).random((4, 13))
     with pytest.raises(ValueError, match=rf"start_local {start} outside \[0, 13\)"):
         colony.construct_colony(tau, uniforms, start)
@@ -659,7 +675,7 @@ def test_colony_draw_outside_unit_interval_rejected(draw, cell):
     # a first draw of -0.5 used to be refused as "all successor scores
     # vanished"; a later one, or one above 1, picked some node silently
     _, _, _, colony = _colony_setup(13, 925)
-    tau = colony.local_tau(init_pheromone(13, 1.0))
+    tau = colony.local_tau()
     uniforms = np.random.default_rng(926).random((4, 13))
     uniforms[cell] = draw
     with pytest.raises(ValueError, match=r"uniform draws must lie in \[0, 1\]"):
@@ -669,7 +685,7 @@ def test_colony_draw_outside_unit_interval_rejected(draw, cell):
 def test_colony_draws_of_zero_and_one_accepted():
     # both ends of [0, 1] are legal draws
     _, _, _, colony = _colony_setup(13, 927)
-    tau = colony.local_tau(init_pheromone(13, 1.0))
+    tau = colony.local_tau()
     uniforms = np.random.default_rng(928).random((4, 13))
     uniforms[0] = 0.0
     uniforms[1] = 1.0
@@ -680,11 +696,8 @@ def test_colony_draws_of_zero_and_one_accepted():
 
 def test_colony_uniform_shape_checked():
     _, _, _, colony = _colony_setup(6, 911)
-    tau = init_pheromone(6, 1.0)
     with pytest.raises(ValueError, match="width"):
-        colony.construct_colony(colony.local_tau(tau), np.zeros((3, 5)))
-    with pytest.raises(ValueError, match="shape"):
-        colony.local_tau(init_pheromone(7, 1.0))
+        colony.construct_colony(colony.local_tau(), np.zeros((3, 5)))
 
 
 def test_colony_mean_near_optimum_with_strong_guidance():
@@ -694,8 +707,7 @@ def test_colony_mean_near_optimum_with_strong_guidance():
     params = AcoParams(beta=8.0, n_ants=400)
     d, mst, _, colony = _colony_setup(n, 25, omega=6.0, params=params)
     best_len, _ = exhaustive_tsp(d, list(range(n)))
-    tau = init_pheromone(n, 1.0)
     uniforms = np.random.default_rng(913).random((400, n))
-    _, lengths = colony.construct_colony(colony.local_tau(tau), uniforms)
+    _, lengths = colony.construct_colony(colony.local_tau(), uniforms)
     assert lengths.mean() <= 1.10 * best_len
     assert lengths.min() >= best_len - 1e-9
