@@ -88,8 +88,10 @@ class AcoParams:
             raise ValueError("q_scale must be positive")
         if self.kappa < 0:
             raise ValueError("kappa must be non-negative")
-        if self.n_ants < 1 or self.max_iter < 1:
-            raise ValueError("n_ants and max_iter must be at least 1")
+        for name in ("n_ants", "max_iter"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -163,8 +165,9 @@ class SubsetColony:
         bonus = [p.kappa if e in backbone_edges else 0.0 for e in edges]
         amount = p.q_scale / tour.length * (1.0 + np.array(bonus + bonus))
         # Canonical edges (u < v) name 2E distinct cells, so one fancy-index
-        # add equals adding them one by one.
-        self.tau[u + v, v + u] += amount
+        # add on their flat positions equals adding them one by one.
+        cells = np.array(u + v) * self.n_local + np.array(v + u)
+        self.tau.reshape(-1)[cells] += amount
 
     def local_tau(self) -> np.ndarray:
         """The trail factor tau^alpha, floored at ``TRAIL_FLOOR`` off the

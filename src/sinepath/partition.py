@@ -145,7 +145,13 @@ def partition_by_depots(inst: Instance, depots) -> Partition:
     m = len(depots)
     n = inst.dimension
     _check_m(n, m)
-    assign = _assign_nearest(inst.coords, depots)
+    try:
+        with np.errstate(over="raise"):
+            assign = _assign_nearest(inst.coords, depots)
+    except FloatingPointError:
+        raise ValueError(
+            "squared distances to the depots overflow; move the depots nearer the points"
+        ) from None
     assign = _rebalance(inst.coords, assign, m)
     return _as_partition(assign, m, "depots", n)
 

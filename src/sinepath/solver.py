@@ -57,6 +57,18 @@ _RETIRED_ECHO = {
 }
 
 
+def _is_point(p) -> bool:
+    """Whether ``p`` is an (x, y) pair of finite numbers; a bool is no number here."""
+    return (
+        isinstance(p, (tuple, list))
+        and len(p) == 2
+        and all(
+            isinstance(c, (int, float)) and type(c) is not bool and math.isfinite(c)
+            for c in p
+        )
+    )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     aco: AcoParams = field(default_factory=AcoParams)
@@ -97,10 +109,17 @@ class SolverConfig:
             raise ValueError(f"unknown partition method {self.partition_method!r}")
         if self.seed_method not in ("christofides", "dfs"):
             raise ValueError(f"unknown seed method {self.seed_method!r}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-        if self.stagnation_window is not None and self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be positive when set")
+        if type(self.master_seed) is not int or self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be a non-negative integer, got {self.master_seed!r}"
+            )
+        window = self.stagnation_window
+        if window is not None and (type(window) is not int or window < 1):
+            raise ValueError(
+                f"stagnation_window must be a positive integer when set, got {window!r}"
+            )
+        if self.depots is not None and not all(map(_is_point, self.depots)):
+            raise ValueError(f"depots must be (x, y) pairs of finite numbers, got {self.depots!r}")
 
     @staticmethod
     def classic(**kwargs) -> "SolverConfig":

@@ -75,6 +75,15 @@ def test_params_validation():
                 AcoParams(**{name: bad})
 
 
+@pytest.mark.parametrize("name", ["n_ants", "max_iter"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "4", None, np.int64(4)])
+def test_params_counts_must_be_integers(name, bad):
+    # max_iter=True used to run one iteration, n_ants=2.5 escaped from numpy
+    # as a TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        AcoParams(**{name: bad})
+
+
 def test_structural_bias():
     bias = StructuralBias(2.0, frozenset({(0, 1)}))
     assert bias.psi(0, 1) == 2.0

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,61 @@ def test_config_validation():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("master_seed", 2.5),
+        ("master_seed", True),
+        ("master_seed", None),
+        ("master_seed", np.int64(3)),
+        ("stagnation_window", 2.5),
+        ("stagnation_window", True),
+        ("stagnation_window", "3"),
+    ],
+)
+def test_config_counts_must_be_integers(name, bad):
+    # 2.5 and True used to be accepted and echoed as 2.5 and true
+    with pytest.raises(ValueError, match=f"{name} must be a"):
+        SolverConfig(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "depots",
+    [
+        ((float("nan"), 0.0), (50.0, 50.0)),
+        ((float("inf"), 0.0), (50.0, 50.0)),
+        ((0.0, float("-inf")),),
+        ((1.0,), (2.0, 3.0)),
+        ((1.0, 2.0, 3.0),),
+        (("1", 2.0),),
+        ((True, 2.0),),
+        ((None, 1.0),),
+        (1.0, 2.0),
+        "ab",
+    ],
+    ids=["nan", "inf", "-inf", "short", "long", "string", "bool", "none", "flat", "text"],
+)
+def test_config_refuses_bad_depots(depots):
+    # a NaN depot used to solve with an arbitrary partition and write a bare
+    # NaN, which is not JSON, into canonical_json()
+    with pytest.raises(ValueError, match="depots must be"):
+        SolverConfig(depots=depots)
+
+
+def test_far_depots_refused_by_name():
+    # a depot near 1e308 overflowed the squared distances with numpy
+    # warnings and made every node equally far from it
+    inst = random_planar_instance(12, seed=82)
+    far = _fast_config(depots=((1e308, 0.0), (50.0, 50.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="depots"):
+            solve(inst, 2, far)
+    # integer coordinates stay legal and are echoed as given
+    cfg = _fast_config(depots=((0, 0), [60, 60.5]))
+    assert cfg.to_dict()["depots"] == [[0, 0], [60, 60.5]]
 
 
 def test_classic_constructor():
@@ -168,6 +225,22 @@ def test_depot_starts():
     assert tuple(t.order[0] for t in report.tours) == starts
     with pytest.raises(ValueError, match="depots"):
         solve(inst, 3, _fast_config(depots=depots))
+
+
+def test_solve_memory_peak():
+    # the distance matrix, its n^2 scratch and the per-subset blocks: each
+    # colony keeps only its own subset's trail, where one n x n trail over
+    # the whole instance used to peak at ~2.5 n^2 doubles
+    n = 1000
+    inst = random_planar_instance(n, seed=5)
+    cfg = SolverConfig(aco=AcoParams(n_ants=5, max_iter=2))
+    tracemalloc.start()
+    try:
+        solve(inst, 8, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
 
 
 def test_robot_count_validation():
