@@ -4,10 +4,10 @@ The pipeline: build the distance matrix, compute the global MST, split the
 nodes into per-robot subsets, then run one pheromone colony per subset.  The
 subsets stay fixed, so each colony keeps the trail over its own subset and
 the solve holds no trail over the whole instance.  The bias and the deposit
-bonus see the global MST restricted to each subset; the
-optional seed tour is a Christofides-style shortcut of the per-subset MST,
-registered as the initial incumbent and given one bonus deposit before the
-first iteration.
+bonus see the global MST restricted to each subset; the optional seed tour is
+a Christofides-style shortcut of the per-subset MST, registered as the initial
+incumbent and given one bonus deposit on its colony's trail before the first
+iteration.
 
 Determinism contract: every uniform draw derives from
 (master_seed, stream, iteration, subset), with each ant reading its own row
@@ -118,7 +118,9 @@ class SolverConfig:
             raise ValueError(
                 f"stagnation_window must be a positive integer when set, got {window!r}"
             )
-        if self.depots is not None and not all(map(_is_point, self.depots)):
+        if self.depots is not None and not (
+            isinstance(self.depots, (tuple, list)) and all(map(_is_point, self.depots))
+        ):
             raise ValueError(f"depots must be (x, y) pairs of finite numbers, got {self.depots!r}")
 
     @staticmethod

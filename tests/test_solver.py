@@ -89,8 +89,9 @@ def test_config_counts_must_be_integers(name, bad):
         ((None, 1.0),),
         (1.0, 2.0),
         "ab",
+        5,
     ],
-    ids=["nan", "inf", "-inf", "short", "long", "string", "bool", "none", "flat", "text"],
+    ids=["nan", "inf", "-inf", "short", "long", "string", "bool", "none", "flat", "text", "number"],
 )
 def test_config_refuses_bad_depots(depots):
     # a NaN depot used to solve with an arbitrary partition and write a bare
