@@ -149,9 +149,7 @@ def partition_by_depots(inst: Instance, depots) -> Partition:
         with np.errstate(over="raise"):
             assign = _assign_nearest(inst.coords, depots)
     except FloatingPointError:
-        raise ValueError(
-            "squared distances to the depots overflow; move the depots nearer the points"
-        ) from None
+        raise ValueError("depots too far from the points: squared distances overflow") from None
     assign = _rebalance(inst.coords, assign, m)
     return _as_partition(assign, m, "depots", n)
 

@@ -59,13 +59,8 @@ _RETIRED_ECHO = {
 
 def _is_point(p) -> bool:
     """Whether ``p`` is an (x, y) pair of finite numbers; a bool is no number here."""
-    return (
-        isinstance(p, (tuple, list))
-        and len(p) == 2
-        and all(
-            isinstance(c, (int, float)) and type(c) is not bool and math.isfinite(c)
-            for c in p
-        )
+    return isinstance(p, (tuple, list)) and len(p) == 2 and all(
+        isinstance(c, (int, float)) and type(c) is not bool and math.isfinite(c) for c in p
     )
 
 
@@ -109,15 +104,11 @@ class SolverConfig:
             raise ValueError(f"unknown partition method {self.partition_method!r}")
         if self.seed_method not in ("christofides", "dfs"):
             raise ValueError(f"unknown seed method {self.seed_method!r}")
-        if type(self.master_seed) is not int or self.master_seed < 0:
-            raise ValueError(
-                f"master_seed must be a non-negative integer, got {self.master_seed!r}"
-            )
-        window = self.stagnation_window
+        seed, window = self.master_seed, self.stagnation_window
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got {seed!r}")
         if window is not None and (type(window) is not int or window < 1):
-            raise ValueError(
-                f"stagnation_window must be a positive integer when set, got {window!r}"
-            )
+            raise ValueError(f"stagnation_window must be a positive integer, got {window!r}")
         if self.depots is not None and not (
             isinstance(self.depots, (tuple, list)) and all(map(_is_point, self.depots))
         ):
