@@ -106,7 +106,6 @@ def test_init_pheromone():
     d = build_distance_matrix(random_planar_instance(6, seed=899))
     colony = SubsetColony([4, 1, 3], d, frozenset(), 1.0, AcoParams(), 0.25)
     assert np.array_equal(colony.tau, [[0, 0.25, 0.25], [0.25, 0, 0.25], [0.25, 0.25, 0]])
-    assert np.array_equal(_uniform_trail(3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def test_transition_probabilities_frozen_cases():
