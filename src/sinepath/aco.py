@@ -2,7 +2,7 @@
 
 Successor choice is the product rule
 
-    p(i -> j)  ~  tau_ij^alpha * (1/d_ij)^beta * psi_ij^gamma
+    p(i -> j)  ~  tau_ij^alpha * (1/d_ij)^beta * psi_ij
 
 where psi_ij = omega >= 1 on backbone (MST) edges and 1 elsewhere; omega = 1
 switches the bias off.  A subset never changes during a solve, so each
@@ -68,7 +68,6 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
 class AcoParams:
     alpha: float = 1.0
     beta: float = 2.0
-    gamma: float = 1.0
     rho: float = 0.1
     q_scale: float = 1.0
     kappa: float = 1.0
@@ -76,12 +75,12 @@ class AcoParams:
     max_iter: int = 1000
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "rho", "q_scale", "kappa"):
+        for name in ("alpha", "beta", "rho", "q_scale", "kappa"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
-            raise ValueError("alpha, beta, gamma must be positive")
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("alpha and beta must be positive")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
         if self.q_scale <= 0:
@@ -109,8 +108,9 @@ class SubsetColony:
     """Vectorised construction of a whole colony's tours over one subset.
 
     Works in local index space and owns the subset's trail ``tau``, an
-    (n_local, n_local) block that starts at tau0 with a zero diagonal.  The
-    static score factor (1/d)^beta * psi^gamma is precomputed; per iteration
+    (n_local, n_local) block that starts at 1 with a zero diagonal (the rule
+    ignores a uniform trail scale, so starting at c would act as q_scale / c).
+    The static score factor (1/d)^beta * psi is precomputed; per iteration
     only tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
     so every ant consumes the same stream shape regardless of scheduling.
@@ -123,15 +123,13 @@ class SubsetColony:
         backbone_edges,
         omega: float,
         params: AcoParams,
-        tau0: float,
     ):
         self.nodes = np.asarray(sorted(int(v) for v in set(nodes)), dtype=np.int64)
         self.n_local = len(self.nodes)
         self.params = params
         self.backbone_edges = frozenset(backbone_edges)
         self._local_of = {int(v): k for k, v in enumerate(self.nodes)}
-        self.tau = np.full((self.n_local, self.n_local), float(tau0))
-        np.fill_diagonal(self.tau, 0.0)
+        self.tau = 1.0 - np.eye(self.n_local)
 
         self.dist = d[np.ix_(self.nodes, self.nodes)]
         off_diag = ~np.eye(self.n_local, dtype=bool)
@@ -144,11 +142,10 @@ class SubsetColony:
         with np.errstate(over="ignore"):
             weight = eta ** params.beta
         if omega != 1.0:
-            boost = omega ** params.gamma
             for u, v in self.backbone_edges:
                 lu, lv = self._local_of[u], self._local_of[v]
-                weight[lu, lv] *= boost
-                weight[lv, lu] *= boost
+                weight[lu, lv] *= omega
+                weight[lv, lu] *= omega
         self.weight = weight
 
     def deposit(self, tour, backbone_edges) -> None:

@@ -10,6 +10,8 @@ raw runs, verdict and rank tables, and per-route SVG drawings.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -232,15 +234,17 @@ _WILCOXON_COLUMNS = (
 
 def _csv(header, rows, footer: str = "") -> str:
     """``header`` names the columns; floats are written as ``repr(float(x))``,
-    everything else with ``str``."""
-    lines = [",".join(header)]
-    lines += [
-        ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
-        for row in rows
-    ]
+    everything else with ``str``, and a field holding a comma, a quote or a
+    line break is quoted.  The footer line is written as given."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows
+    )
     if footer:
-        lines.append(footer)
-    return "\n".join(lines) + "\n"
+        out.write(footer + "\n")
+    return out.getvalue()
 
 
 def _result_rows(results: BenchResults):

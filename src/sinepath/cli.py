@@ -41,7 +41,6 @@ _SOLVER_FLAGS = {
     "--ants": ("n_ants", "colony size (default %(default)s)"),
     "--alpha": ("alpha", "pheromone exponent"),
     "--beta": ("beta", "visibility exponent"),
-    "--gamma": ("gamma", "bias exponent"),
     "--rho": ("rho", "evaporation rate"),
     "--q": ("q_scale", "deposit scale"),
     "--kappa": ("kappa", "backbone deposit bonus"),
@@ -72,14 +71,16 @@ def _config(args, mode: str) -> SolverConfig:
 
 
 def _list(cast, what: str):
-    """An argparse type: a comma separated list of ``what`` values.  Each
-    entry names one result, so a repeated entry is refused."""
+    """An argparse type: a non-empty comma separated list of ``what`` values.
+    Each entry names one result, so a repeated entry is refused."""
 
     def parse(text: str) -> list:
         try:
             values = [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a comma separated {what} list: {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {what} list: {text!r}")
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise argparse.ArgumentTypeError(f"duplicate entry {value} in {text!r}")
@@ -154,9 +155,6 @@ def _cmd_bench(args) -> int:
     paths = sorted(glob.glob(args.instances))
     if not paths:
         print(f"no instances match {args.instances!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.algorithms:
-        print("no algorithms given", file=sys.stderr)
         return EXIT_USAGE
     specs = []
     for name in args.algorithms:

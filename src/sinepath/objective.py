@@ -3,8 +3,8 @@
 The solver minimises J = lambda * sum(L_k) + (1 - lambda) * max(L_k) over the
 per-robot closed tour lengths L_k.  lambda = 1 recovers the pure total, 0 the
 pure bottleneck.  Disjoint node subsets make inter-robot edge overlap zero by
-construction; the penalised variant J' = J + mu * sum(overlaps) exists for
-configurations that relax disjointness.
+construction, so the penalised J' = J + mu * sum(overlaps) that
+``evaluate_objectives`` also reports equals J in every solve (mu = 0).
 """
 
 from __future__ import annotations

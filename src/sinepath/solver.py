@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .aco import AcoParams, SubsetColony, update_pheromones
-from .backbone import christofides_seed, dfs_preorder_seed, kruskal_mst, restrict_edges
+from .backbone import christofides_seed, kruskal_mst, restrict_edges
+from .backbone import dfs_preorder_seed  # noqa: F401  perfbench's tracer wraps this name
 from .instances import Instance, build_distance_matrix
 from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective
 from .partition import (
@@ -47,13 +48,17 @@ PARTITION_METHODS = ("angle", "kmeans")
 _STREAM_PARTITION = 0
 _STREAM_COLONY = 1
 
-# Knobs retired because they measurably did nothing, echoed at their only
-# value so that reports and their golden hashes stay byte-identical; the next
-# declared re-record of the goldens drops them from the echo.
+# Knobs retired because they reached nothing that another value does not,
+# echoed at their only value (``gamma`` inside ``aco``) so that reports and
+# their golden hashes stay byte-identical; the next declared re-record of the
+# goldens drops them from the echo.
 _RETIRED_ECHO = {
     "repartition_each_iter": False,
     "matching_method": "greedy",
     "backbone_per_subset": False,
+    "tau0": 1.0,
+    "mu": 0.0,
+    "seed_method": "christofides",
 }
 
 
@@ -68,19 +73,16 @@ def _is_point(p) -> bool:
 class SolverConfig:
     aco: AcoParams = field(default_factory=AcoParams)
     omega: float = 2.0
-    tau0: float = 1.0
     lambda_weight: float = 0.5
-    mu: float = 0.0
     partition_method: str = "angle"
     seed_with_christofides: bool = True
-    seed_method: str = "christofides"
     master_seed: int = 0
     mode: str = MODE_SINE
     stagnation_window: int | None = None
     depots: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        for name in ("omega", "tau0", "lambda_weight", "mu"):
+        for name in ("omega", "lambda_weight"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -94,16 +96,10 @@ class SolverConfig:
                 )
         if self.omega < 1.0:
             raise ValueError("omega must be at least 1")
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
         if self.partition_method not in PARTITION_METHODS:
             raise ValueError(f"unknown partition method {self.partition_method!r}")
-        if self.seed_method not in ("christofides", "dfs"):
-            raise ValueError(f"unknown seed method {self.seed_method!r}")
         seed, window = self.master_seed, self.stagnation_window
         if type(seed) is not int or seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, got {seed!r}")
@@ -126,7 +122,8 @@ class SolverConfig:
 
     def to_dict(self) -> dict:
         depots = None if self.depots is None else [list(p) for p in self.depots]
-        return {**asdict(self), "depots": depots, **_RETIRED_ECHO}
+        aco = {**asdict(self.aco), "gamma": 1.0}
+        return {**asdict(self), "aco": aco, "depots": depots, **_RETIRED_ECHO}
 
 
 @dataclass
@@ -222,7 +219,7 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     global_mst = kruskal_mst(d, range(inst.dimension))
     part = _make_partition(inst, m, cfg)
     colonies = [
-        SubsetColony(sub, d, restrict_edges(global_mst, sub), cfg.omega, p, cfg.tau0)
+        SubsetColony(sub, d, restrict_edges(global_mst, sub), cfg.omega, p)
         for sub in part.subsets
     ]
     starts = [None] * len(colonies)
@@ -234,8 +231,7 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     state = IncumbentState()
 
     if cfg.seed_with_christofides:
-        make_seed = christofides_seed if cfg.seed_method == "christofides" else dfs_preorder_seed
-        seeds = [make_seed(d, sub) for sub in part.subsets]
+        seeds = [christofides_seed(d, sub) for sub in part.subsets]
         state.tours = tuple(seeds)
         state.j_value = scalarized_objective(
             [t.length for t in seeds], cfg.lambda_weight
@@ -264,7 +260,7 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             break
 
     assert state.tours is not None
-    objectives = evaluate_objectives(state.tours, cfg.lambda_weight, cfg.mu)
+    objectives = evaluate_objectives(state.tours, cfg.lambda_weight)
     return SolveReport(
         instance=inst.name,
         robots=m,

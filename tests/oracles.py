@@ -16,6 +16,8 @@ reads ``results.csv`` back, so that the emitter's round trip can be checked.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -298,7 +300,7 @@ def transition_probabilities(
     params: AcoParams,
 ) -> np.ndarray:
     """Normalised successor probabilities from ``i``, aligned with ``candidates``:
-    tau^alpha * (1/d)^beta * psi^gamma over their sum."""
+    tau^alpha * (1/d)^beta * psi over their sum."""
     cand = np.asarray(list(candidates), dtype=np.int64)
     if cand.size == 0:
         raise ValueError("no candidates")
@@ -310,11 +312,7 @@ def transition_probabilities(
             f"zero distance from node {i} to a candidate: degenerate geometry"
         )
     psi = np.array([bias.psi(i, int(j)) for j in cand])
-    scores = (
-        tau[i, cand] ** params.alpha
-        * (1.0 / dist) ** params.beta
-        * psi ** params.gamma
-    )
+    scores = tau[i, cand] ** params.alpha * (1.0 / dist) ** params.beta * psi
     total = scores.sum()
     if not total > 0:
         raise ValueError(f"all successor scores vanished at node {i}")
@@ -485,15 +483,14 @@ def reference_distance_matrix(coords: np.ndarray) -> np.ndarray:
 def parse_results_csv(text: str) -> BenchResults:
     """A ``results.csv`` read back: aggregates only, since the csv carries no
     raw runs."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "instance,robots,algorithm,metric,mean,std,n":
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows or rows[0] != ["instance", "robots", "algorithm", "metric", "mean", "std", "n"]:
         raise ValueError("unrecognised results csv header")
     results = BenchResults()
-    for ln in lines[1:]:
-        fields = ln.split(",")
-        if len(fields) != 7:
-            raise ValueError(f"bad results row: {ln!r}")
-        inst, robots, alg, metric, mean, std, n = fields
+    for row in rows[1:]:
+        if len(row) != 7:
+            raise ValueError(f"bad results row: {row!r}")
+        inst, robots, alg, metric, mean, std, n = row
         results.cells[(inst, int(robots), alg, metric)] = CellStats(
             float(mean), float(std), (), int(n)
         )

@@ -261,10 +261,13 @@ def test_criterion_09_degeneration_identity():
     rng = np.random.default_rng(1009)
     mismatches = 0
     for trial in range(10):
+        alpha, beta = float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 3.5))
+        # A draw once spent on a bias exponent, kept so that the trials stay
+        # the same; with omega = 1 there is no bias to raise.
+        rng.uniform(0.5, 2.0)
         params = AcoParams(
-            alpha=float(rng.uniform(0.5, 2.5)),
-            beta=float(rng.uniform(0.5, 3.5)),
-            gamma=float(rng.uniform(0.5, 2.0)),
+            alpha=alpha,
+            beta=beta,
             rho=float(rng.uniform(0.05, 0.5)),
             q_scale=float(rng.uniform(0.5, 2.0)),
             kappa=0.0,

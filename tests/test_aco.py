@@ -34,9 +34,10 @@ def _keys(mst):
     return restrict_edges(mst, mst.nodes)
 
 
-def _uniform_trail(n, tau0=1.0):
-    """An (n, n) trail of tau0 with a zero diagonal, as a colony starts it."""
-    tau = np.full((n, n), tau0)
+def _uniform_trail(n, level=1.0):
+    """An (n, n) trail of ``level`` with a zero diagonal; a colony starts
+    its trail at level 1."""
+    tau = np.full((n, n), level)
     np.fill_diagonal(tau, 0.0)
     return tau
 
@@ -69,7 +70,7 @@ def test_params_validation():
         AcoParams(n_ants=0)
     with pytest.raises(ValueError, match="at least 1"):
         AcoParams(max_iter=0)
-    for name in ("alpha", "beta", "gamma", "rho", "q_scale", "kappa"):
+    for name in ("alpha", "beta", "rho", "q_scale", "kappa"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 AcoParams(**{name: bad})
@@ -102,10 +103,10 @@ def test_tour_edge_set():
 
 
 def test_init_pheromone():
-    # each colony starts its own subset's trail at tau0 with a zero diagonal
+    # each colony starts its own subset's trail at 1 with a zero diagonal
     d = build_distance_matrix(random_planar_instance(6, seed=899))
-    colony = SubsetColony([4, 1, 3], d, frozenset(), 1.0, AcoParams(), 0.25)
-    assert np.array_equal(colony.tau, [[0, 0.25, 0.25], [0.25, 0, 0.25], [0.25, 0.25, 0]])
+    colony = SubsetColony([4, 1, 3], d, frozenset(), 1.0, AcoParams())
+    assert np.array_equal(colony.tau, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def test_transition_probabilities_frozen_cases():
@@ -140,11 +141,11 @@ def test_transition_probabilities_normalized_random():
     inst = random_planar_instance(12, seed=900)
     d = build_distance_matrix(inst)
     mst = kruskal_mst(d, range(12))
-    bias = StructuralBias(2.5, _keys(mst))
+    bias = StructuralBias(2.5**1.1, _keys(mst))
     tau = _uniform_trail(12) * rng.uniform(0.5, 2.0, size=(12, 12))
     tau = (tau + tau.T) / 2
     np.fill_diagonal(tau, 0.0)
-    params = AcoParams(alpha=1.3, beta=2.7, gamma=1.1)
+    params = AcoParams(alpha=1.3, beta=2.7)
     for _ in range(30):
         i = int(rng.integers(0, 12))
         cands = [j for j in range(12) if j != i]
@@ -154,11 +155,11 @@ def test_transition_probabilities_normalized_random():
 
 
 def test_backbone_candidate_strictly_preferred():
-    params = AcoParams(gamma=1.5)
+    params = AcoParams()
     tau = _uniform_trail(3)
     d_eq = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     for omega in (1.5, 2.0, 5.0):
-        bias = StructuralBias(omega, frozenset({(0, 1)}))
+        bias = StructuralBias(omega**1.5, frozenset({(0, 1)}))
         p = transition_probabilities(0, [1, 2], tau, d_eq, bias, params)
         assert p[0] > p[1]
 
@@ -237,7 +238,7 @@ def _colonies_on(tau, subsets, backbones, params):
     the global trail ``tau``: the oracles then run on ``tau`` itself."""
     d = build_distance_matrix(random_planar_instance(len(tau), seed=913))
     colonies = [
-        SubsetColony(sub, d, bk, 1.0, params, 1.0) for sub, bk in zip(subsets, backbones)
+        SubsetColony(sub, d, bk, 1.0, params) for sub, bk in zip(subsets, backbones)
     ]
     for colony in colonies:
         colony.tau = tau[np.ix_(colony.nodes, colony.nodes)]
@@ -247,14 +248,14 @@ def _colonies_on(tau, subsets, backbones, params):
 def test_update_pheromones_pure_evaporation():
     # a single-node tour deposits nothing, so only evaporation is left
     params = AcoParams(rho=0.1)
-    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, params, 1.0)
+    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, params)
     update_pheromones([colony], [Tour((1,), 0.0)])
     assert np.allclose(colony.tau, _uniform_trail(3, 0.9), atol=1e-15)
 
 
 def test_update_pheromones_deposits_only_at_rho_one():
     params = AcoParams(rho=1.0, q_scale=1.0, kappa=1.0)
-    colony = SubsetColony(range(3), TRI_D, frozenset({(0, 1)}), 1.0, params, 1.0)
+    colony = SubsetColony(range(3), TRI_D, frozenset({(0, 1)}), 1.0, params)
     update_pheromones([colony], [Tour((0, 1, 2), 12.0)])
     base = 1.0 / 12.0
     expected = np.array(
@@ -327,7 +328,6 @@ def test_aco_params_to_dict():
     assert AcoParams().to_dict() == {
         "alpha": 1.0,
         "beta": 2.0,
-        "gamma": 1.0,
         "rho": 0.1,
         "q_scale": 1.0,
         "kappa": 1.0,
@@ -338,7 +338,7 @@ def test_aco_params_to_dict():
 
 def test_update_pheromones_validation():
     # one tour per colony: a missing or extra tour is refused, not dropped
-    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, AcoParams(), 1.0)
+    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, AcoParams())
     with pytest.raises(ValueError, match="shorter"):
         update_pheromones([colony], [])
     with pytest.raises(ValueError, match="longer"):
@@ -347,12 +347,13 @@ def test_update_pheromones_validation():
 
 def test_pheromone_bounds_over_long_run():
     # 1000 iterations of construct + update on one subset; tau must stay
-    # nonnegative, symmetric, and under max(tau0, max_deposit / rho).
+    # nonnegative, symmetric, and under max(1, max_deposit / rho), 1 being
+    # the initial trail.
     inst = random_planar_instance(10, seed=903)
     d = build_distance_matrix(inst)
     mst = kruskal_mst(d, range(10))
     params = AcoParams(n_ants=8, rho=0.1, q_scale=1.0, kappa=1.0)
-    colony = SubsetColony(range(10), d, _keys(mst), 2.0, params, 1.0)
+    colony = SubsetColony(range(10), d, _keys(mst), 2.0, params)
     rng = np.random.default_rng(904)
     min_length = np.inf
     off_diag = ~np.eye(10, dtype=bool)
@@ -378,7 +379,7 @@ def _colony_setup(n, seed, omega=1.0, params=None):
     d = build_distance_matrix(inst)
     mst = kruskal_mst(d, range(n))
     params = params or AcoParams()
-    colony = SubsetColony(range(n), d, _keys(mst), omega, params, 1.0)
+    colony = SubsetColony(range(n), d, _keys(mst), omega, params)
     return d, mst, params, colony
 
 
@@ -386,7 +387,7 @@ def test_colony_zero_distance_rejected():
     d = build_distance_matrix(random_planar_instance(4, seed=905))
     d[1, 2] = d[2, 1] = 0.0
     with pytest.raises(ValueError, match="degenerate"):
-        SubsetColony(range(4), d, frozenset(), 1.0, AcoParams(), 1.0)
+        SubsetColony(range(4), d, frozenset(), 1.0, AcoParams())
 
 
 def test_colony_weight_matrix():
@@ -396,8 +397,8 @@ def test_colony_weight_matrix():
     np.fill_diagonal(eta, 0.0)
     expected = eta**params.beta
     for u, v in _keys(mst):
-        expected[u, v] *= 3.0**params.gamma
-        expected[v, u] *= 3.0**params.gamma
+        expected[u, v] *= 3.0
+        expected[v, u] *= 3.0
     assert np.array_equal(colony.weight, expected)
     # omega=1 leaves the matrix untouched, bit for bit
     _, _, _, neutral = _colony_setup(8, 906, omega=1.0)
@@ -436,8 +437,9 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     rng = np.random.default_rng(916 + width)
     nodes = np.sort(rng.choice(n, size=width, replace=False))
     backbone = _keys(kruskal_mst(d, nodes))
-    params = AcoParams(alpha=alpha, beta=2.5, gamma=1.2)
-    colony = SubsetColony(nodes, d, backbone, omega, params, 1.0)
+    params = AcoParams(alpha=alpha, beta=2.5)
+    # omega**1.2: a backbone boost that is no round number
+    colony = SubsetColony(nodes, d, backbone, omega**1.2, params)
     tau = _uniform_trail(n) * rng.uniform(0.05, 3.0, size=(n, n))
     colony.tau = tau[np.ix_(nodes, nodes)]
     tau_local = colony.local_tau()
@@ -514,7 +516,7 @@ def test_colony_bit_identical_to_reference_on_edge_trails(case):
         # max/4 stay finite while the row sums overflow to inf
         inst = random_planar_instance(13, seed=925)
         d = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
-        colony = SubsetColony(range(13), d, frozenset(), 1.0, AcoParams(), 1.0)
+        colony = SubsetColony(range(13), d, frozenset(), 1.0, AcoParams())
         huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
         trail = huge / (colony.weight + np.eye(13))
         np.fill_diagonal(trail, 0.0)
@@ -542,7 +544,7 @@ def test_colony_floor_total_keeps_its_clamp():
     # than column 0, which an unclamped pick would revisit.
     n = 5
     d = np.ones((n, n)) - np.eye(n)
-    colony = SubsetColony(range(n), d, frozenset(), 1.0, AcoParams(), 1.0)
+    colony = SubsetColony(range(n), d, frozenset(), 1.0, AcoParams())
     colony.tau = np.zeros((n, n))
     tau_local = colony.local_tau()
     off_diag = ~np.eye(n, dtype=bool)
@@ -609,7 +611,7 @@ def test_colony_matches_reference_across_trail_scales(
     d = build_distance_matrix(random_planar_instance(max(width, 2), seed=seed))
     params = AcoParams(alpha=alpha, beta=beta)
     backbone = _keys(kruskal_mst(d, range(width)))
-    colony = SubsetColony(range(width), d, backbone, omega, params, 1.0)
+    colony = SubsetColony(range(width), d, backbone, omega, params)
     trail = 10.0**exponent * rng.uniform(0.5, 1.5, size=d.shape)
     trail[rng.random(d.shape) < zeros] = 0.0
     colony.tau = trail[:width, :width]
@@ -649,7 +651,7 @@ def test_colony_overflowing_scores_rejected():
     small = Instance(inst.name, inst.coords * 1e-3, inst.metric)
     d = build_distance_matrix(small)
     with np.errstate(over="ignore"):
-        colony = SubsetColony(range(12), d, frozenset(), 1.0, AcoParams(beta=200.0), 1.0)
+        colony = SubsetColony(range(12), d, frozenset(), 1.0, AcoParams(beta=200.0))
     assert np.isinf(colony.weight).any()
     with pytest.raises(ValueError, match="non-finite successor scores"):
         colony.construct_colony(colony.local_tau(), np.full((3, 12), 0.5))

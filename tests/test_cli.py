@@ -1,6 +1,8 @@
 """Command line behaviour: exit codes, artifacts, reruns."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,14 +11,16 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sinepath
+from oracles import parse_results_csv
 from sinepath.aco import AcoParams
+from sinepath.bench import format_results_csv
 from sinepath.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -93,9 +97,8 @@ def test_solve_bad_parameter_is_domain_error(tri3_path, tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
     "flag, name",
-    [("--alpha", "alpha"), ("--beta", "beta"), ("--gamma", "gamma"), ("--rho", "rho"),
-     ("--q", "q_scale"), ("--kappa", "kappa"), ("--omega", "omega"),
-     ("--lambda", "lambda_weight")],
+    [("--alpha", "alpha"), ("--beta", "beta"), ("--rho", "rho"), ("--q", "q_scale"),
+     ("--kappa", "kappa"), ("--omega", "omega"), ("--lambda", "lambda_weight")],
 )
 def test_solve_non_finite_parameter_is_named(flag, name, value, bench51_path, tmp_path, capsys):
     # NaN passes every `x <= 0` test and used to fail late as "all successor
@@ -227,14 +230,30 @@ def test_solver_flag_defaults_are_the_library_defaults(argv):
     assert _config(args, "aco") == SolverConfig.classic()
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_parameter_table_states_live_defaults():
+    # each row must name an AcoParams or SolverConfig field and state its
+    # default, so a retired knob or a moved default cannot stay documented
+    section = README.read_text().split("## Parameters and defaults\n", 1)[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    assert rows
+    defaults = {**asdict(SolverConfig()), **asdict(AcoParams())}
+    for row in rows:
+        name, default = (cell.strip().strip("`") for cell in row.split("|")[1:3])
+        field = "lambda_weight" if name == "lambda" else name
+        assert field in defaults, f"README documents {name!r}, which is no parameter"
+        assert default == str(defaults[field]), f"README states {name} = {default}"
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--seed", 7, "master_seed"), ("--omega", 3.5, "omega"),
      ("--lambda", 0.25, "lambda_weight"), ("--partition", "kmeans", "partition_method"),
      ("--iters", 7, "aco.max_iter"), ("--ants", 3, "aco.n_ants"),
      ("--alpha", 1.5, "aco.alpha"), ("--beta", 2.5, "aco.beta"),
-     ("--gamma", 0.5, "aco.gamma"), ("--rho", 0.3, "aco.rho"),
-     ("--q", 2.5, "aco.q_scale"), ("--kappa", 0.75, "aco.kappa")],
+     ("--rho", 0.3, "aco.rho"), ("--q", 2.5, "aco.q_scale"), ("--kappa", 0.75, "aco.kappa")],
 )
 def test_solver_flag_lands_in_its_field(flag, value, field):
     args = build_parser().parse_args(["solve", "x.tsp", flag, str(value)])
@@ -330,6 +349,28 @@ def test_bench_two_instances_adds_friedman(tmp_path, tri3_path, bench51_path):
     )
     assert code == EXIT_OK
     assert (out_dir / "friedman.csv").exists()
+
+
+def test_bench_quotes_instance_names_with_commas(tmp_path, tri3_path, data_dir):
+    # a comma in an instance name used to write 8 fields under the 7-column
+    # header of results.csv (and 9 under the 8 of wilcoxon.csv), exit 0
+    inst_dir = tmp_path / "inst"
+    inst_dir.mkdir()
+    (inst_dir / "a.tsp").write_text(tri3_path.read_text().replace("NAME: tri3", "NAME: tri,3"))
+    shutil.copy(data_dir / "geo50.csv", inst_dir / "g,eo.csv")
+    out_dir = tmp_path / "out"
+    code = main(["bench", "--instances", str(inst_dir / "*"), "--robots", "2",
+                 "--repeats", "2", "--out-dir", str(out_dir)] + FAST)
+    assert code == EXIT_OK
+    text = (out_dir / "results.csv").read_text()
+    results = parse_results_csv(text)
+    assert {key[0] for key in results.cells} == {"tri,3", "g,eo"}
+    assert format_results_csv(results) == text
+    rows = list(csv.reader(io.StringIO((out_dir / "wilcoxon.csv").read_text())))
+    assert rows[0] == ["instance", "robots", "metric", "algorithm", "mean", "std", "p_value",
+                       "verdict"]
+    assert [len(row) for row in rows[1:-1]] == [8] * 8
+    assert {row[0] for row in rows[1:-1]} == {"tri,3", "g,eo"}
 
 
 def test_bench_refuses_repeated_instance_name(tmp_path, bench51_path, capsys):
@@ -588,13 +629,32 @@ def test_ablate_obeys_workers(bench51_path, tmp_path, pools, capsys):
     ],
 )
 def test_duplicate_list_entries_are_usage_errors(argv, flag, tri3_path, tmp_path, capsys):
+    _assert_list_usage_error(argv, flag, "duplicate", tri3_path, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ablate", "{tri3}", "--robots", ""], "--robots"),
+        (["ablate", "{tri3}", "--robots", "1", "--weights", ","], "--weights"),
+        (["bench", "--instances", "{tri3}", "--robots", ","], "--robots"),
+        (["bench", "--instances", "{tri3}", "--robots", "1", "--algorithms", " , "],
+         "--algorithms"),
+    ],
+)
+def test_empty_list_flags_are_usage_errors(argv, flag, tri3_path, tmp_path, capsys):
+    # ablate used to print a bare table header and exit 0; bench exited 4
+    _assert_list_usage_error(argv, flag, "empty", tri3_path, tmp_path, capsys)
+
+
+def _assert_list_usage_error(argv, flag, cause, tri3_path, tmp_path, capsys):
     argv = [a.format(tri3=tri3_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--repeats", "2", "--out-dir" if argv[0] == "bench" else "--out",
                      str(tmp_path / "out")] + FAST)
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"argument {flag}" in err and "duplicate" in err
+    assert f"argument {flag}" in err and cause in err
     assert list(tmp_path.iterdir()) == []
 
 

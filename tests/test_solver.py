@@ -38,21 +38,15 @@ def test_config_validation():
         SolverConfig(mode="hybrid")
     with pytest.raises(ValueError, match="omega"):
         SolverConfig(omega=0.5)
-    with pytest.raises(ValueError, match="tau0"):
-        SolverConfig(tau0=0.0)
     with pytest.raises(ValueError, match="lambda"):
         SolverConfig(lambda_weight=1.5)
-    with pytest.raises(ValueError, match="mu"):
-        SolverConfig(mu=-1.0)
     with pytest.raises(ValueError, match="partition"):
         SolverConfig(partition_method="grid")
-    with pytest.raises(ValueError, match="seed method"):
-        SolverConfig(seed_method="random")
     with pytest.raises(ValueError, match="stagnation"):
         SolverConfig(stagnation_window=0)
     with pytest.raises(ValueError, match="master_seed"):
         SolverConfig(master_seed=-1)
-    for name in ("omega", "tau0", "lambda_weight", "mu"):
+    for name in ("omega", "lambda_weight"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SolverConfig(**{name: bad})
@@ -368,20 +362,17 @@ def test_config_to_dict():
         "aco": {
             "alpha": 1.0,
             "beta": 2.0,
-            "gamma": 1.0,
             "rho": 0.1,
             "q_scale": 1.0,
             "kappa": 1.0,
             "n_ants": 50,
             "max_iter": 1000,
+            "gamma": 1.0,  # retired, echoed at its only value
         },
         "omega": 2.0,
-        "tau0": 1.0,
         "lambda_weight": 0.5,
-        "mu": 0.0,
         "partition_method": "angle",
         "seed_with_christofides": True,
-        "seed_method": "christofides",
         "master_seed": 0,
         "mode": "sine",
         "stagnation_window": 3,
@@ -390,6 +381,9 @@ def test_config_to_dict():
         "repartition_each_iter": False,
         "matching_method": "greedy",
         "backbone_per_subset": False,
+        "tau0": 1.0,
+        "mu": 0.0,
+        "seed_method": "christofides",
     }
     got = cfg.to_dict()
     assert got == expected
@@ -416,5 +410,8 @@ def test_report_json_key_order():
     ]
     assert list(data["config"]) == [f.name for f in dataclasses.fields(SolverConfig)] + [
         "repartition_each_iter", "matching_method", "backbone_per_subset",
+        "tau0", "mu", "seed_method",
     ]
-    assert list(data["config"]["aco"]) == [f.name for f in dataclasses.fields(AcoParams)]
+    assert list(data["config"]["aco"]) == [
+        f.name for f in dataclasses.fields(AcoParams)
+    ] + ["gamma"]
