@@ -34,15 +34,6 @@ class Edge(NamedTuple):
     weight: float
 
 
-def make_edge(u: int, v: int, weight: float) -> Edge:
-    """Canonical edge with u < v."""
-    if u == v:
-        raise ValueError("self-loops are not edges")
-    if u > v:
-        u, v = v, u
-    return Edge(int(u), int(v), float(weight))
-
-
 @dataclass(frozen=True)
 class Backbone:
     """MST over a node subset: edge list, total cost, adjacency view."""
@@ -167,7 +158,7 @@ def greedy_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
         if matched[a] or matched[b]:
             continue
         matched[a] = matched[b] = True
-        out.append(make_edge(int(verts[a]), int(verts[b]), float(weight)))
+        out.append(Edge(int(verts[a]), int(verts[b]), float(weight)))
         if len(out) * 2 == len(verts):
             break
     return tuple(out)
@@ -177,12 +168,9 @@ def euler_tour(backbone: Backbone, matching, start: int) -> list[int]:
     """Closed Eulerian walk over the MST-plus-matching multigraph.
 
     Hierholzer's algorithm over sorted adjacency lists; parallel edges are
-    kept apart by edge id.  Returns ``[start]`` for an edgeless graph.
+    kept apart by edge id.
     """
     edges = list(backbone.edges) + list(matching)
-    if not edges:
-        return [int(start)]
-
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid, e in enumerate(edges):
         adj.setdefault(e.u, []).append((e.v, eid))
@@ -213,8 +201,7 @@ def euler_tour(backbone: Backbone, matching, start: int) -> list[int]:
             stack.append(nbr)
     if not all(used):
         raise RuntimeError("multigraph is disconnected; Euler walk incomplete")
-    walk = walk_rev[::-1]
-    return walk
+    return walk_rev[::-1]
 
 
 def shortcut(walk, d: np.ndarray) -> Tour:

@@ -38,6 +38,18 @@ class AlgorithmSpec:
     config: SolverConfig
 
 
+def _check_counts(robot_counts, repeats, seed_base) -> None:
+    """Refuse, by name, counts that would fail every cell or key cells wrongly."""
+    if not robot_counts or any(type(m) is not int or m < 1 for m in robot_counts):
+        raise ValueError(f"robot counts must be positive integers, got {list(robot_counts)}")
+    if len(set(robot_counts)) != len(robot_counts):
+        raise ValueError(f"robot counts must be unique, got {list(robot_counts)}")
+    if type(repeats) is not int or repeats < 2:
+        raise ValueError(f"repeats must be an integer of at least 2, got {repeats!r}")
+    if type(seed_base) is not int or seed_base < 0:
+        raise ValueError(f"seed_base must be a non-negative integer, got {seed_base!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     instances: tuple[str, ...]
@@ -49,17 +61,12 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.instances:
             raise ValueError("plan needs at least one instance")
-        if not self.robot_counts or any(m < 1 for m in self.robot_counts):
-            raise ValueError("robot counts must be positive")
-        if len(set(self.robot_counts)) != len(self.robot_counts):
-            raise ValueError("robot counts must be unique")
+        _check_counts(self.robot_counts, self.repeats, self.seed_base)
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ValueError("algorithm names must be unique")
-        if self.repeats < 2:
-            raise ValueError("repeats must be at least 2 for mean/std cells")
 
 
 @dataclass(frozen=True)
@@ -205,11 +212,8 @@ def ablation_sweep(
     """
     if base_config is None:
         base_config = SolverConfig(omega=1.0, seed_with_christofides=False)
-    if repeats < 2:
-        raise ValueError("repeats must be at least 2")
     robot_counts = list(robot_counts)
-    if len(set(robot_counts)) != len(robot_counts):
-        raise ValueError(f"robot counts must be unique, got {robot_counts}")
+    _check_counts(robot_counts, repeats, seed_base)
     weights = [float(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("structural weights must be non-negative")
@@ -274,9 +278,7 @@ def format_results_json(results: BenchResults) -> str:
     ) + "\n"
 
 
-def wilcoxon_verdict_rows(
-    results: BenchResults, significance: float = DEFAULT_SIGNIFICANCE
-) -> list[dict]:
+def wilcoxon_verdict_rows(results: BenchResults) -> list[dict]:
     """Per (instance, robots, metric): each algorithm against the best mean.
 
     The best-mean algorithm anchors the comparison and gets verdict "best".
@@ -303,23 +305,23 @@ def wilcoxon_verdict_rows(
                     elif len(cell.runs) < 5 or len(cell.runs) != len(best_runs):
                         verdict, p = "untested", ""
                     else:
-                        res = wilcoxon_signed_rank(cell.runs, best_runs, significance)
+                        res = wilcoxon_signed_rank(cell.runs, best_runs)
                         verdict, p = res.verdict, repr(float(res.p_value))
                     row = (inst, m, metric, alg, cell.mean, cell.std, p, verdict)
                     rows.append(dict(zip(_WILCOXON_COLUMNS, row)))
     return rows
 
 
-def format_wilcoxon_csv(rows: list[dict], significance: float = DEFAULT_SIGNIFICANCE) -> str:
+def format_wilcoxon_csv(rows: list[dict]) -> str:
     return _csv(
         _WILCOXON_COLUMNS,
         ([r[c] for c in _WILCOXON_COLUMNS] for r in rows),
-        f"# wilcoxon signed-rank, two-sided, significance {significance}",
+        f"# wilcoxon signed-rank, two-sided, significance {DEFAULT_SIGNIFICANCE}",
     )
 
 
-def friedman_blocks(results: BenchResults, metric: str = "total") -> dict[str, RankTable]:
-    """Mean-rank tables per robot count plus an overall block.
+def friedman_blocks(results: BenchResults) -> dict[str, RankTable]:
+    """Mean-rank tables of the mean total, per robot count plus an overall block.
 
     The overall block treats every (instance, robots) pair as one ranking
     unit.  Blocks that lack two algorithms or two complete units (rows with
@@ -328,7 +330,7 @@ def friedman_blocks(results: BenchResults, metric: str = "total") -> dict[str, R
     # One table, (instance, robots) -> {algorithm: mean}, feeds every block.
     means: dict[tuple[str, int], dict[str, float]] = {}
     for (inst, m, alg, cell_metric), cell in results.cells.items():
-        if cell_metric == metric:
+        if cell_metric == "total":
             means.setdefault((inst, m), {})[alg] = cell.mean
     units = {
         str(m): {inst: row for (inst, k), row in means.items() if k == m}
@@ -379,8 +381,9 @@ _ROUTE_COLORS = (
 )
 
 
-def format_svg_routes(report: SolveReport, inst: Instance, size: float = 640.0) -> str:
-    """SVG 1.1 drawing: nodes as dots, one closed polyline per robot.
+def format_svg_routes(report: SolveReport, inst: Instance) -> str:
+    """SVG 1.1 drawing, 640 units on its longer side: nodes as dots, one
+    closed polyline per robot.
 
     The viewBox fits the coordinate bounding box with a 5% margin; the
     vertical axis is flipped so y grows upward.  Geographic instances draw
@@ -398,7 +401,7 @@ def format_svg_routes(report: SolveReport, inst: Instance, size: float = 640.0) 
     margin_x, margin_y = 0.05 * span_x, 0.05 * span_y
     width = span_x + 2 * margin_x
     height = span_y + 2 * margin_y
-    scale = size / max(width, height)
+    scale = 640.0 / max(width, height)
 
     def sx(x: float) -> float:
         return (x - xmin + margin_x) * scale
@@ -430,11 +433,7 @@ def format_svg_routes(report: SolveReport, inst: Instance, size: float = 640.0) 
     return "\n".join(parts) + "\n"
 
 
-def emit_bench_artifacts(
-    results: BenchResults,
-    out_dir,
-    significance: float = DEFAULT_SIGNIFICANCE,
-) -> list[Path]:
+def emit_bench_artifacts(results: BenchResults, out_dir) -> list[Path]:
     """Write results.csv, results.json, wilcoxon.csv and, when at least two
     instances completed, friedman.csv.  Returns the paths written."""
     out = Path(out_dir)
@@ -442,9 +441,7 @@ def emit_bench_artifacts(
     texts = {
         "results.csv": format_results_csv(results),
         "results.json": format_results_json(results),
-        "wilcoxon.csv": format_wilcoxon_csv(
-            wilcoxon_verdict_rows(results, significance), significance
-        ),
+        "wilcoxon.csv": format_wilcoxon_csv(wilcoxon_verdict_rows(results)),
     }
     if len(results.instances()) >= 2:
         blocks = friedman_blocks(results)

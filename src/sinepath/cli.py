@@ -1,7 +1,8 @@
 """Command line front end: solve, bench, ablate, plot.
 
 Exit codes: 0 success, 2 usage error, 3 instance or report parse/read failure,
-4 solver domain error (bad robot count, parameter out of range).
+4 solver domain error (bad robot count, parameter out of range, a bench
+whose every cell failed).
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ def _cmd_bench(args) -> int:
         print(f"failed: {key}: {msg}", file=sys.stderr)
     for path in written:
         print(f"wrote {path}")
+    if not results.cells:
+        print("error: every bench cell failed", file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

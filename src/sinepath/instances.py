@@ -69,8 +69,9 @@ class Instance:
         return self.coords.shape[0]
 
 
-def build_distance_matrix(inst: Instance, max_dimension: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
-    """Dense symmetric distance matrix for every node pair.
+def build_distance_matrix(inst: Instance) -> np.ndarray:
+    """Dense symmetric distance matrix for every node pair, for at most
+    ``DEFAULT_DIMENSION_CAP`` nodes.
 
     Symmetry and the zero diagonal hold exactly.  A Euclidean coordinate
     difference negates exactly, so the matrix is built in place without a
@@ -79,9 +80,9 @@ def build_distance_matrix(inst: Instance, max_dimension: int = DEFAULT_DIMENSION
     ``ValueError``.
     """
     n = inst.dimension
-    if n > max_dimension:
+    if n > DEFAULT_DIMENSION_CAP:
         raise ValueError(
-            f"instance has {n} nodes, above the dense-matrix cap of {max_dimension}"
+            f"instance has {n} nodes, above the dense-matrix cap of {DEFAULT_DIMENSION_CAP}"
         )
     if inst.metric is Metric.EUCLIDEAN:
         x, y = inst.coords[:, 0], inst.coords[:, 1]
@@ -134,7 +135,7 @@ def _collapse_duplicates(coords: np.ndarray, name: str) -> np.ndarray:
 _EDGE_WEIGHT_METRICS = {"EUC_2D": Metric.EUCLIDEAN, "GEO": Metric.GREAT_CIRCLE}
 
 
-def parse_tsplib(source) -> Instance:
+def parse_tsplib(text: str) -> Instance:
     """Read the NODE_COORD_SECTION subset of the TSPLIB format.
 
     Recognised header keys: NAME, TYPE (ignored), COMMENT (ignored),
@@ -143,7 +144,6 @@ def parse_tsplib(source) -> Instance:
     file indices become zero-based node ids; node order follows file order.
     GEO coordinates are decimal degrees ``lat lon``.
     """
-    text = source.read() if hasattr(source, "read") else str(source)
     lines = [ln.strip() for ln in text.splitlines()]
 
     header: dict[str, str] = {}
@@ -229,9 +229,8 @@ def serialize_tsplib(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_geo_csv(source, name: str = "geo") -> Instance:
+def parse_geo_csv(text: str, name: str = "geo") -> Instance:
     """Read an ``id,lat,lon`` CSV into a great-circle instance."""
-    text = source.read() if hasattr(source, "read") else str(source)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty geo csv")
@@ -267,24 +266,21 @@ def load_instance(path) -> Instance:
 
 
 def random_planar_instance(
-    n: int,
-    seed: int,
-    clusters: int = 0,
-    box: float = 100.0,
-    name: str | None = None,
+    n: int, seed: int, clusters: int = 0, name: str | None = None
 ) -> Instance:
-    """Seeded synthetic planar instance, optionally drawn around cluster centers."""
+    """Seeded synthetic planar instance in the 100 x 100 box, optionally
+    drawn around cluster centers."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
     if clusters > 0:
-        centers = rng.uniform(0.0, box, size=(clusters, 2))
+        centers = rng.uniform(0.0, 100.0, size=(clusters, 2))
         which = rng.integers(0, clusters, size=n)
-        coords = centers[which] + rng.normal(0.0, 0.06 * box, size=(n, 2))
-        coords = np.clip(coords, 0.0, box)
+        coords = centers[which] + rng.normal(0.0, 6.0, size=(n, 2))
+        coords = np.clip(coords, 0.0, 100.0)
     else:
-        coords = rng.uniform(0.0, box, size=(n, 2))
+        coords = rng.uniform(0.0, 100.0, size=(n, 2))
     if len(np.unique(coords, axis=0)) != n:
         # Vanishingly unlikely with float64 draws; resample rather than collapse.
-        return random_planar_instance(n, seed + 993319, clusters, box, name)
+        return random_planar_instance(n, seed + 993319, clusters, name)
     return Instance(name or f"rand{n}-s{seed}", coords, Metric.EUCLIDEAN)

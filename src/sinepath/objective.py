@@ -3,8 +3,8 @@
 The solver minimises J = lambda * sum(L_k) + (1 - lambda) * max(L_k) over the
 per-robot closed tour lengths L_k.  lambda = 1 recovers the pure total, 0 the
 pure bottleneck.  Disjoint node subsets make inter-robot edge overlap zero by
-construction, so the penalised J' = J + mu * sum(overlaps) that
-``evaluate_objectives`` also reports equals J in every solve (mu = 0).
+construction.  ``evaluate_objectives`` reports the overlap count and the
+penalised J' = J + mu * overlap at its one weight mu = 0, so J' = J.
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ class Objectives:
     j_prime: float
 
 
-def evaluate_objectives(tours, lambda_weight: float, mu: float = 0.0) -> Objectives:
+def evaluate_objectives(tours, lambda_weight: float) -> Objectives:
     """Objectives for a collection of tours carrying .length and .edge_set()."""
     lengths = tuple(float(t.length) for t in tours)
-    overlap = pairwise_overlap_total(tours)
     j = scalarized_objective(lengths, lambda_weight)
     return Objectives(
         per_robot=lengths,
@@ -96,7 +95,7 @@ def evaluate_objectives(tours, lambda_weight: float, mu: float = 0.0) -> Objecti
         max_single=float(np.max(lengths)),
         lambda_weight=lambda_weight,
         j_value=j,
-        overlap_total=overlap,
-        mu=mu,
-        j_prime=j + mu * overlap,
+        overlap_total=pairwise_overlap_total(tours),
+        mu=0.0,
+        j_prime=j,
     )

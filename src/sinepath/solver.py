@@ -137,7 +137,7 @@ class IncumbentState:
 
 
 def incumbent_update(
-    state: IncumbentState, candidates, lam: float, iteration: int = 0
+    state: IncumbentState, candidates, lam: float, iteration: int
 ) -> IncumbentState:
     """Replace the incumbent only on strict J improvement; append to the trace."""
     j = scalarized_objective([t.length for t in candidates], lam)
@@ -209,6 +209,8 @@ def _make_partition(inst: Instance, m: int, cfg: SolverConfig) -> Partition:
 
 def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     """Optimise ``m`` closed tours over the instance; see the module docstring."""
+    if type(m) is not int:
+        raise ValueError(f"robot count must be an integer, got {m!r}")
     if not 1 <= m <= inst.dimension:
         raise ValueError(f"robot count {m} outside [1, {inst.dimension}]")
 
@@ -241,7 +243,6 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
         for colony, seed in zip(colonies, seeds):
             colony.deposit(seed, seed.edge_set())
 
-    iterations_run = 0
     for t in range(p.max_iter):
         bests = []
         for k, colony in enumerate(colonies):
@@ -252,7 +253,6 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             bests.append(Tour(colony.to_global(orders[best]), float(lengths[best])))
         incumbent_update(state, bests, cfg.lambda_weight, t)
         update_pheromones(colonies, bests)
-        iterations_run = t + 1
         if (
             cfg.stagnation_window is not None
             and t - max(state.last_improvement, 0) >= cfg.stagnation_window
@@ -267,7 +267,7 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
         tours=state.tours,
         objectives=objectives,
         convergence=tuple(state.trace),
-        iterations_run=iterations_run,
+        iterations_run=len(state.trace),
         seed=cfg.master_seed,
         config=cfg.to_dict(),
         wall_time=time.perf_counter() - t_begin,

@@ -5,7 +5,7 @@ differences get average ranks, and the statistic is the smaller signed rank
 sum.  Up to 25 effective pairs the p-value comes from the exact null
 distribution (a count convolution over doubled ranks, so tied half-ranks
 stay integral); beyond that, a normal approximation with continuity and tie
-correction.  Verdicts compare at the 0.05 level unless told otherwise.
+correction.  Verdicts compare at the fixed 0.05 level.
 
 Friedman-style mean ranks: within each instance the algorithms are ranked by
 mean metric ascending (ties share the average rank), then ranks are averaged
@@ -82,9 +82,7 @@ def _normal_two_sided_p(ranks: np.ndarray, w_min: float) -> float:
     return min(1.0, p)
 
 
-def wilcoxon_signed_rank(
-    a, b, significance: float = DEFAULT_SIGNIFICANCE
-) -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Two-sided paired test; verdict says whether ``a`` is significantly
     lower ("better", for minimised metrics), higher ("worse"), or neither."""
     a = np.asarray(a, dtype=np.float64)
@@ -115,7 +113,7 @@ def wilcoxon_signed_rank(
     else:
         p = _normal_two_sided_p(ranks, w_min)
 
-    if p < significance:
+    if p < DEFAULT_SIGNIFICANCE:
         verdict = "better" if w_plus < w_minus else "worse"
     else:
         verdict = "equal"

@@ -12,6 +12,7 @@ the package's own earlier forms, kept verbatim so that their replacements
 can be checked bit for bit. ``exact_min_matching`` is the exact matching
 criterion 04 holds the solver's greedy one against. ``parse_results_csv``
 reads ``results.csv`` back, so that the emitter's round trip can be checked.
+``make_edge`` builds hand-written edges in canonical u < v form.
 """
 
 from __future__ import annotations
@@ -26,10 +27,19 @@ import numpy as np
 from scipy.stats import rankdata
 
 from sinepath.aco import AcoParams
-from sinepath.backbone import Backbone, Edge, _sorted_pair_order, make_edge
+from sinepath.backbone import Backbone, Edge, _sorted_pair_order
 from sinepath.bench import BenchResults, CellStats
 from sinepath.instances import EARTH_RADIUS_KM
 from sinepath.objective import Tour, tour_length
+
+
+def make_edge(u: int, v: int, weight: float) -> Edge:
+    """Canonical edge with u < v; a self-loop is refused."""
+    if u == v:
+        raise ValueError("self-loops are not edges")
+    if u > v:
+        u, v = v, u
+    return Edge(int(u), int(v), float(weight))
 
 
 def prim_mst_cost(dist: np.ndarray) -> float:

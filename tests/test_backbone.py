@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_matching,
     exact_min_matching,
+    make_edge,
     prim_mst_cost,
     reference_distance_matrix,
     reference_kruskal_mst,
@@ -22,7 +23,6 @@ from sinepath.backbone import (
     euler_tour,
     greedy_min_matching,
     kruskal_mst,
-    make_edge,
     odd_degree_vertices,
     restrict_edges,
     shortcut,
@@ -184,6 +184,7 @@ def test_matching_greedy_vs_exact_vs_oracle():
         oracle_cost, _ = brute_force_matching(d, verts)
         assert exact_cost == pytest.approx(oracle_cost, rel=1e-12)
         assert greedy_cost >= exact_cost - 1e-12
+        assert all(e.u < e.v for e in greedy)
         # both are perfect matchings over the vertex set
         for matching in (exact, greedy):
             touched = [v for e in matching for v in (e.u, e.v)]
@@ -228,8 +229,10 @@ def test_euler_tour_parallel_edges():
 
 
 def test_euler_tour_edgeless_and_errors():
-    bb = Backbone((3,), (), 0.0)
-    assert euler_tour(bb, (), 3) == [3]
+    # an edgeless graph leaves the start isolated; christofides_seed never
+    # walks one, since it returns a single node's tour before the walk
+    with pytest.raises(RuntimeError, match="isolated"):
+        euler_tour(Backbone((3,), (), 0.0), (), 3)
     # odd degree
     chain = Backbone((0, 1), (make_edge(0, 1, 1.0),), 1.0)
     with pytest.raises(RuntimeError, match="odd"):

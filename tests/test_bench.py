@@ -77,6 +77,16 @@ def test_plan_validation():
         ExperimentPlan(("x.tsp",), (2,), (specs[0], specs[0]))
     with pytest.raises(ValueError, match="repeats"):
         ExperimentPlan(("x.tsp",), (2,), specs, repeats=1)
+    # Each used to pass and fail every cell of the run one by one.
+    for repeats in (2.5, True):
+        with pytest.raises(ValueError, match=f"repeats must be an integer.*got {repeats!r}"):
+            ExperimentPlan(("x.tsp",), (2,), specs, repeats=repeats)
+    for seed_base in (0.5, -1):
+        with pytest.raises(ValueError, match=f"seed_base must be .*got {seed_base!r}"):
+            ExperimentPlan(("x.tsp",), (2,), specs, seed_base=seed_base)
+    for counts in ((2.5,), (True,), (2, 0)):
+        with pytest.raises(ValueError, match="robot counts must be positive integers"):
+            ExperimentPlan(("x.tsp",), counts, specs)
 
 
 def test_plan_refuses_duplicate_robot_counts():
@@ -306,6 +316,14 @@ def test_ablation_validation(inst_file):
         ablation_sweep(inst, [2], weights=[-1.0], repeats=2)
     with pytest.raises(ValueError, match="repeats"):
         ablation_sweep(inst, [2], repeats=1)
+    # Each used to raise a bare TypeError, or to key the sweep by True.
+    with pytest.raises(ValueError, match="repeats must be an integer.*got 2.5"):
+        ablation_sweep(inst, [2], repeats=2.5)
+    with pytest.raises(ValueError, match="seed_base must be .*got -1"):
+        ablation_sweep(inst, [2], repeats=2, seed_base=-1)
+    for counts in ([True], [2.5]):
+        with pytest.raises(ValueError, match="robot counts must be positive integers"):
+            ablation_sweep(inst, counts, repeats=2)
 
 
 def test_ablation_refuses_duplicate_weights(inst_file, monkeypatch):

@@ -373,6 +373,24 @@ def test_bench_quotes_instance_names_with_commas(tmp_path, tri3_path, data_dir):
     assert {row[0] for row in rows[1:-1]} == {"tri,3", "g,eo"}
 
 
+def test_bench_exits_4_when_every_cell_failed(tmp_path, tri3_path, capsys):
+    # five robots on three nodes fail both cells; this used to exit 0
+    out_dir = tmp_path / "out"
+    argv = ["bench", "--instances", str(tri3_path), "--robots", "5", "--repeats", "2",
+            "--out-dir", str(out_dir)] + FAST
+    assert main(argv) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.count("failed: ('tri3', 5,") == 2
+    assert "every bench cell failed" in err
+    assert (out_dir / "results.csv").read_text() == "instance,robots,algorithm,metric,mean,std,n\n"
+    assert (out_dir / "wilcoxon.csv").exists()
+    # a plan where some cells succeed still exits 0, naming the failures
+    assert main(argv[:4] + ["2,5"] + argv[5:]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("failed: ('tri3', 5,") == 2
+    assert "every bench cell failed" not in err
+
+
 def test_bench_refuses_repeated_instance_name(tmp_path, bench51_path, capsys):
     import shutil
 

@@ -12,6 +12,7 @@ from oracles import (
     law_of_cosines_km,
     reference_distance_matrix,
 )
+from sinepath import instances
 from sinepath.instances import (
     EARTH_RADIUS_KM,
     Instance,
@@ -288,11 +289,13 @@ def test_haversine_longitude_shift_invariance():
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
     inst = random_planar_instance(11, seed=1)
+    monkeypatch.setattr(instances, "DEFAULT_DIMENSION_CAP", 10)
     with pytest.raises(ValueError, match="cap of 10"):
-        build_distance_matrix(inst, max_dimension=10)
-    assert build_distance_matrix(inst, max_dimension=11).shape == (11, 11)
+        build_distance_matrix(inst)
+    monkeypatch.setattr(instances, "DEFAULT_DIMENSION_CAP", 11)
+    assert build_distance_matrix(inst).shape == (11, 11)
 
 
 def test_matrix_refuses_non_finite_distances():

@@ -99,27 +99,25 @@ def test_pairwise_overlap_total():
 
 
 def test_penalized_objective():
-    # J' = J + mu * (pairwise shared edges); t shares (0, 1) with a and
-    # (1, 2) with b, a and b share nothing
+    # J' = J + mu * (pairwise shared edges) at mu = 0; t shares (0, 1) with
+    # a and (1, 2) with b, a and b share nothing
     tours = (_tour([0, 1, 2]), Tour((0, 1), 6.0), Tour((1, 2), 10.0))
     base = evaluate_objectives(tours, 0.5)
     assert base.overlap_total == 2
     assert base.j_value == 0.5 * 28.0 + 0.5 * 12.0
+    assert base.mu == 0.0
     assert base.j_prime == base.j_value  # mu = 0 recovers J exactly
-    penalized = evaluate_objectives(tours, 0.5, mu=3.0)
-    assert penalized.j_value == base.j_value
-    assert penalized.j_prime == base.j_value + 3.0 * 2
 
 
 def test_evaluate_objectives_fields():
     tours = (_tour([0, 1, 2]), Tour((0, 1), 6.0))
-    obj = evaluate_objectives(tours, 0.5, mu=2.0)
+    obj = evaluate_objectives(tours, 0.5)
     assert obj.per_robot == (12.0, 6.0)
     assert obj.total == 18.0
     assert obj.max_single == 12.0
     assert obj.j_value == 0.5 * 18.0 + 0.5 * 12.0
     assert obj.overlap_total == 1
-    assert obj.j_prime == obj.j_value + 2.0 * 1
+    assert (obj.mu, obj.j_prime) == (0.0, obj.j_value)
 
 
 def test_objectives_recompute_from_solver_free_tours():

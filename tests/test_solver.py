@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -244,6 +245,11 @@ def test_robot_count_validation():
         solve(inst, 0, _fast_config())
     with pytest.raises(ValueError, match="robot count"):
         solve(inst, 11, _fast_config())
+    # True used to run one robot and report "robots": true; 2.0 died inside
+    # the partition with a bare TypeError.
+    for bad in (True, 2.0, np.int64(2), "2", None):
+        with pytest.raises(ValueError, match=re.escape(f"robot count must be an integer, got {bad!r}")):
+            solve(inst, bad, _fast_config())
 
 
 def test_report_round_trip():
