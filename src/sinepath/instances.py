@@ -111,25 +111,55 @@ def build_distance_matrix(inst: Instance) -> np.ndarray:
 
 
 def _collapse_duplicates(coords: np.ndarray, name: str) -> np.ndarray:
-    """Drop repeated coordinate rows, keeping first occurrences in file order.
+    """Drop repeated coordinate rows, keeping first occurrences in node order.
 
     Zero-distance pairs make the visibility term 1/d undefined, so duplicates
     cannot survive loading.
     """
-    seen = {}
-    keep = []
-    for i, row in enumerate(coords):
-        key = (float(row[0]), float(row[1]))
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
+    first: dict[tuple[float, float], int] = {}
+    for i, (x, y) in enumerate(coords.tolist()):
+        first.setdefault((x, y), i)
+    keep = list(first.values())
     if len(keep) < len(coords):
         warnings.warn(
             f"{name}: collapsed {len(coords) - len(keep)} duplicate coordinate rows",
-            stacklevel=3,
+            stacklevel=4,
         )
         return coords[np.array(keep)]
     return coords
+
+
+def _rows_to_instance(
+    rows: list[list[str]], label: str, name: str, metric: Metric, indexed: bool
+) -> Instance:
+    """Build an instance from ``id x y`` field rows, naming a bad one ``label i``.
+
+    With ``indexed`` the ids must be 1..len(rows), each once, in any order,
+    and id - 1 is the node id; otherwise the ids are ignored and nodes follow
+    row order.
+    """
+    n = len(rows)
+    points: list[tuple[float, float] | None] = [None] * n
+    for i, fields in enumerate(rows, start=1):
+        if len(fields) != 3:
+            raise ParseError(f"{label} {i}: expected 3 fields, got {len(fields)}")
+        try:
+            xy = float(fields[1]), float(fields[2])
+        except ValueError:
+            raise ParseError(f"{label} {i}: non-numeric coordinate") from None
+        node = i - 1
+        if indexed:
+            node = int(fields[0]) - 1 if fields[0].isdecimal() else -1
+            if not 0 <= node < n:
+                raise ParseError(f"{label} {i}: node index {fields[0]!r} is not in 1..{n}")
+            if points[node] is not None:
+                raise ParseError(f"{label} {i}: node index {fields[0]!r} repeats")
+        points[node] = xy
+    coords = np.array(points, dtype=np.float64).reshape(n, 2)
+    try:
+        return Instance(name, _collapse_duplicates(coords, name), metric)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 _EDGE_WEIGHT_METRICS = {"EUC_2D": Metric.EUCLIDEAN, "GEO": Metric.GREAT_CIRCLE}
@@ -140,73 +170,38 @@ def parse_tsplib(text: str) -> Instance:
 
     Recognised header keys: NAME, TYPE (ignored), COMMENT (ignored),
     DIMENSION, EDGE_WEIGHT_TYPE (EUC_2D or GEO), then NODE_COORD_SECTION with
-    one ``index x y`` line per node and an optional trailing EOF.  One-based
-    file indices become zero-based node ids; node order follows file order.
-    GEO coordinates are decimal degrees ``lat lon``.
+    one ``index x y`` line per node and an optional trailing EOF.  The
+    indices must be 1..DIMENSION, each once, in any line order; index i
+    becomes node id i - 1.  GEO coordinates are decimal degrees ``lat lon``.
     """
     lines = [ln.strip() for ln in text.splitlines()]
-
-    header: dict[str, str] = {}
-    coord_lines: list[str] = []
-    in_coords = False
-    for ln in lines:
-        if not ln:
-            continue
-        if not in_coords:
-            if ln.upper() == "NODE_COORD_SECTION":
-                in_coords = True
-                continue
-            if ln.upper() == "EOF":
-                break
-            if ":" in ln:
-                key, _, value = ln.partition(":")
-                header[key.strip().upper()] = value.strip()
-            else:
-                raise ParseError(f"malformed header line {ln!r}")
-        else:
-            if ln.upper() == "EOF":
-                break
-            coord_lines.append(ln)
-
-    if not in_coords:
+    upper = [ln.upper() for ln in lines]
+    end = upper.index("EOF") if "EOF" in upper else len(upper)
+    if "NODE_COORD_SECTION" not in upper[:end]:
         raise ParseError("missing NODE_COORD_SECTION")
+    start = upper.index("NODE_COORD_SECTION")
+    header: dict[str, str] = {}
+    for ln in filter(None, lines[:start]):
+        key, colon, value = ln.partition(":")
+        if not colon:
+            raise ParseError(f"malformed header line {ln!r}")
+        header[key.strip().upper()] = value.strip()
+    rows = [ln.split() for ln in lines[start + 1 : end] if ln]
+
     for key in ("NAME", "DIMENSION", "EDGE_WEIGHT_TYPE"):
         if key not in header:
             raise ParseError(f"missing header key {key}")
-    try:
-        dim = int(header["DIMENSION"])
-    except ValueError:
-        raise ParseError(f"malformed header key DIMENSION: {header['DIMENSION']!r}") from None
+    dim = int(header["DIMENSION"]) if header["DIMENSION"].isdecimal() else 0
     if dim < 1:
-        raise ParseError(f"malformed header key DIMENSION: {dim}")
+        raise ParseError(f"malformed header key DIMENSION: {header['DIMENSION']!r}")
     ewt = header["EDGE_WEIGHT_TYPE"].upper()
     if ewt not in _EDGE_WEIGHT_METRICS:
         raise UnsupportedFormatError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
-    metric = _EDGE_WEIGHT_METRICS[ewt]
-
-    if len(coord_lines) != dim:
-        raise ParseError(
-            f"expected {dim} coordinate lines, got {len(coord_lines)}"
-        )
-    coords = np.empty((dim, 2), dtype=np.float64)
-    for i, ln in enumerate(coord_lines):
-        tokens = ln.split()
-        if len(tokens) != 3:
-            raise ParseError(
-                f"coordinate line {i + 1}: expected 3 fields, got {len(tokens)}"
-            )
-        try:
-            coords[i, 0] = float(tokens[1])
-            coords[i, 1] = float(tokens[2])
-        except ValueError:
-            raise ParseError(f"coordinate line {i + 1}: non-numeric field") from None
-
-    name = header["NAME"]
-    coords = _collapse_duplicates(coords, name)
-    try:
-        return Instance(name, coords, metric)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    if len(rows) != dim:
+        raise ParseError(f"expected {dim} coordinate lines, got {len(rows)}")
+    return _rows_to_instance(
+        rows, "coordinate line", header["NAME"], _EDGE_WEIGHT_METRICS[ewt], indexed=True
+    )
 
 
 def serialize_tsplib(inst: Instance) -> str:
@@ -230,36 +225,26 @@ def serialize_tsplib(inst: Instance) -> str:
 
 
 def parse_geo_csv(text: str, name: str = "geo") -> Instance:
-    """Read an ``id,lat,lon`` CSV into a great-circle instance."""
+    """Read an ``id,lat,lon`` CSV into a great-circle instance; nodes follow
+    row order."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty geo csv")
     header = [f.strip().lower() for f in lines[0].split(",")]
     if header != ["id", "lat", "lon"]:
         raise ParseError(f"geo csv header must be 'id,lat,lon', got {lines[0]!r}")
-    coords = np.empty((len(lines) - 1, 2), dtype=np.float64)
-    for i, ln in enumerate(lines[1:]):
-        fields = [f.strip() for f in ln.split(",")]
-        if len(fields) != 3:
-            raise ParseError(f"geo csv row {i + 1}: expected 3 fields, got {len(fields)}")
-        try:
-            coords[i, 0] = float(fields[1])
-            coords[i, 1] = float(fields[2])
-        except ValueError:
-            raise ParseError(f"geo csv row {i + 1}: non-numeric coordinate") from None
-    if len(coords) < 2:
-        raise ParseError("geo csv needs at least 2 nodes")
-    coords = _collapse_duplicates(coords, name)
-    try:
-        return Instance(name, coords, Metric.GREAT_CIRCLE)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    rows = [[f.strip() for f in ln.split(",")] for ln in lines[1:]]
+    return _rows_to_instance(rows, "geo csv row", name, Metric.GREAT_CIRCLE, indexed=False)
 
 
 def load_instance(path) -> Instance:
-    """Load a .tsp (TSPLIB) or .csv (id,lat,lon) instance file."""
+    """Load a .tsp (TSPLIB) or .csv (id,lat,lon) instance file; a leading
+    UTF-8 byte-order mark is skipped."""
     p = Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if p.suffix.lower() == ".csv":
         return parse_geo_csv(text, name=p.stem)
     return parse_tsplib(text)

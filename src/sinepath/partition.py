@@ -23,25 +23,10 @@ from .instances import Instance
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint covering subsets, each stored as a sorted node tuple."""
+    """Disjoint covering subsets, each stored as a sorted node tuple; built
+    only by ``_as_partition``, from one robot label per node."""
 
     subsets: tuple[tuple[int, ...], ...]
-    method: str
-    dimension: int
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        count = 0
-        for sub in self.subsets:
-            if len(sub) == 0:
-                raise ValueError("empty subset")
-            count += len(sub)
-            seen.update(sub)
-        if count != len(seen) or seen != set(range(self.dimension)):
-            raise ValueError("subsets must partition the full node set")
-        sizes = [len(s) for s in self.subsets]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError("subset sizes must differ by at most 1")
 
 
 def _block_sizes(n: int, m: int) -> list[int]:
@@ -64,13 +49,9 @@ def partition_angle(inst: Instance, m: int) -> Partition:
     rel = inst.coords - inst.coords.mean(axis=0)
     ang = np.arctan2(rel[:, 1], rel[:, 0])
     order = np.lexsort((np.arange(n), ang))
-    subsets = []
-    pos = 0
-    for size in _block_sizes(n, m):
-        block = order[pos : pos + size]
-        subsets.append(tuple(sorted(int(v) for v in block)))
-        pos += size
-    return Partition(tuple(subsets), "angle", n)
+    assign = np.empty(n, dtype=np.intp)
+    assign[order] = np.repeat(np.arange(m), _block_sizes(n, m))
+    return _as_partition(assign, m)
 
 
 def _assign_nearest(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -99,11 +80,9 @@ def _rebalance(coords: np.ndarray, assign: np.ndarray, m: int) -> np.ndarray:
     raise RuntimeError("rebalance did not converge")
 
 
-def _as_partition(assign: np.ndarray, m: int, method: str, n: int) -> Partition:
-    subsets = tuple(
-        tuple(int(v) for v in np.flatnonzero(assign == k)) for k in range(m)
-    )
-    return Partition(subsets, method, n)
+def _as_partition(assign: np.ndarray, m: int) -> Partition:
+    """The partition whose subset k holds the nodes labelled k."""
+    return Partition(tuple(tuple(np.flatnonzero(assign == k).tolist()) for k in range(m)))
 
 
 def partition_kmeans_like(inst: Instance, m: int, seed: int) -> Partition:
@@ -134,7 +113,7 @@ def partition_kmeans_like(inst: Instance, m: int, seed: int) -> Partition:
         assign = new_assign
 
     assign = _rebalance(coords, assign, m)
-    return _as_partition(assign, m, "kmeans", n)
+    return _as_partition(assign, m)
 
 
 def partition_by_depots(inst: Instance, depots) -> Partition:
@@ -151,7 +130,7 @@ def partition_by_depots(inst: Instance, depots) -> Partition:
     except FloatingPointError:
         raise ValueError("depots too far from the points: squared distances overflow") from None
     assign = _rebalance(inst.coords, assign, m)
-    return _as_partition(assign, m, "depots", n)
+    return _as_partition(assign, m)
 
 
 def depot_start_nodes(inst: Instance, part: Partition, depots) -> tuple[int, ...]:

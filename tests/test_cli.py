@@ -77,6 +77,28 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+def test_solve_refuses_bad_tsplib_node_index(tmp_path, capsys):
+    # this index column used to solve with exit 0, numbering nodes in line order;
+    # the first bad line in file order is named
+    bad = tmp_path / "odd.tsp"
+    bad.write_text(
+        "NAME: odd\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+        "3 0.0 0.0\n1 3.0 0.0\n1 0.0 4.0\nabc 5.0 5.0\nEOF\n"
+    )
+    code = main(["solve", str(bad), "--out", str(tmp_path / "r.json")] + FAST)
+    assert code == EXIT_PARSE
+    assert "coordinate line 3: node index '1' repeats" in capsys.readouterr().err
+
+
+def test_solve_refuses_non_utf8_file(tmp_path, tri3_path, capsys):
+    # a Latin-1 header used to exit 4, as if the instance were out of domain
+    bad = tmp_path / "latin1.tsp"
+    bad.write_bytes(tri3_path.read_bytes().replace(b"NAME: tri3", b"NAME: caf\xe9"))
+    code = main(["solve", str(bad), "--out", str(tmp_path / "r.json")] + FAST)
+    assert code == EXIT_PARSE
+    assert "latin1.tsp: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_solve_too_many_robots(bench51_path, tmp_path):
     out = tmp_path / "r.json"
     code = main(

@@ -90,6 +90,47 @@ def test_parse_tsplib_bad_coordinate_lines():
         parse_tsplib(TRI3_TEXT.replace("2 3.0 0.0", "2 x 0.0"))
 
 
+@pytest.mark.parametrize(
+    "index, cause",
+    [
+        ("abc", r"'abc' is not in 1\.\.3"),
+        ("2.0", r"'2\.0' is not in 1\.\.3"),
+        ("+3", r"'\+3' is not in 1\.\.3"),
+        ("0", r"'0' is not in 1\.\.3"),
+        ("4", r"'4' is not in 1\.\.3"),
+        ("1", "'1' repeats"),
+    ],
+)
+def test_parse_tsplib_refuses_bad_node_indices(index, cause):
+    # the third coordinate line carries the bad index; it used to be ignored
+    text = TRI3_TEXT.replace("3 0.0 4.0", f"{index} 0.0 4.0")
+    with pytest.raises(ParseError, match=f"coordinate line 3: node index {cause}"):
+        parse_tsplib(text)
+
+
+def test_parse_tsplib_node_ids_follow_indices_not_line_order():
+    rng = np.random.default_rng(9)
+    inst = Instance("shuffled", rng.uniform(-50, 50, size=(17, 2)), Metric.EUCLIDEAN)
+    lines = serialize_tsplib(inst).splitlines()
+    start = lines.index("NODE_COORD_SECTION") + 1
+    coord_lines = lines[start:-1]
+    rng.shuffle(coord_lines)
+    assert coord_lines != lines[start:-1]
+    back = parse_tsplib("\n".join(lines[:start] + coord_lines + ["EOF"]))
+    assert np.array_equal(back.coords, inst.coords)
+
+
+@pytest.mark.parametrize("fixture", ["tri3_path", "geo50_path"])
+def test_load_instance_skips_utf8_byte_order_mark(fixture, request, tmp_path):
+    # spreadsheet exports start with a BOM; it used to break the header check
+    path = request.getfixturevalue(fixture)
+    with_bom = tmp_path / path.name
+    with_bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    plain, marked = load_instance(path), load_instance(with_bom)
+    assert (marked.name, marked.metric) == (plain.name, plain.metric)
+    assert np.array_equal(marked.coords, plain.coords)
+
+
 def test_parse_tsplib_missing_section():
     text = "NAME: x\nDIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\n"
     with pytest.raises(ParseError, match="NODE_COORD_SECTION"):
@@ -105,8 +146,9 @@ def test_duplicate_rows_collapse_with_warning():
     text = TRI3_TEXT.replace("DIMENSION: 3", "DIMENSION: 4").replace(
         "3 0.0 4.0", "3 0.0 4.0\n4 3.0 0.0"
     )
-    with pytest.warns(UserWarning, match="1 duplicate"):
+    with pytest.warns(UserWarning, match="1 duplicate") as record:
         inst = parse_tsplib(text)
+    assert record[0].filename == __file__  # points at the parser's caller
     assert inst.dimension == 3
     # first occurrence survives, file order kept
     assert np.array_equal(inst.coords, [[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])

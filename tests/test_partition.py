@@ -5,7 +5,6 @@ import pytest
 
 from sinepath.instances import Instance, Metric, random_planar_instance
 from sinepath.partition import (
-    Partition,
     depot_start_nodes,
     partition_angle,
     partition_by_depots,
@@ -25,12 +24,15 @@ def _check_valid(part, n, m):
 
 def test_partitions_valid_across_methods():
     rng = np.random.default_rng(51)
+    depot_rng = np.random.default_rng(58)
     for trial in range(20):
         n = int(rng.integers(6, 30))
         m = int(rng.integers(1, min(n, 9) + 1))
         inst = random_planar_instance(n, seed=800 + trial)
         _check_valid(partition_angle(inst, m), n, m)
         _check_valid(partition_kmeans_like(inst, m, seed=trial), n, m)
+        depots = depot_rng.uniform(-20.0, 120.0, size=(m, 2))
+        _check_valid(partition_by_depots(inst, depots), n, m)
 
 
 def test_angle_contiguous_on_circle():
@@ -108,15 +110,3 @@ def test_extreme_robot_counts():
             partition_angle(inst, bad)
         with pytest.raises(ValueError, match="robot count"):
             partition_kmeans_like(inst, bad, seed=0)
-
-
-def test_partition_type_validation():
-    with pytest.raises(ValueError, match="partition"):
-        Partition(((0, 1), (1, 2)), "x", 3)  # overlap
-    with pytest.raises(ValueError, match="partition"):
-        Partition(((0,), (2,)), "x", 3)  # hole
-    with pytest.raises(ValueError, match="empty"):
-        Partition(((0, 1, 2), ()), "x", 3)
-    with pytest.raises(ValueError, match="at most 1"):
-        Partition(((0, 1, 2), (3,), (4,)), "x", 5)
-    Partition(((0, 2), (1,)), "x", 3)  #2-vs-1 is fine
