@@ -11,7 +11,6 @@ import pathlib
 
 from sinepath.aco import AcoParams
 from sinepath.bench import (
-    AlgorithmSpec,
     ExperimentPlan,
     emit_bench_artifacts,
     friedman_blocks,
@@ -43,10 +42,10 @@ def main():
         instances=tuple(str(p) for p in paths),
         robot_counts=(2, 4),
         repeats=6,
-        algorithms=(
-            AlgorithmSpec("sine", SolverConfig(aco=budget)),
-            AlgorithmSpec("aco", SolverConfig.classic(aco=budget)),
-        ),
+        algorithms={
+            "sine": SolverConfig(aco=budget),
+            "aco": SolverConfig.classic(aco=budget),
+        },
         seed_base=100,
     )
     results = run_plan(plan, workers=2)

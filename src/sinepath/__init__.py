@@ -8,7 +8,7 @@ recovers the plain ant colony on the same code path.
 """
 
 from .aco import AcoParams
-from .bench import AlgorithmSpec, ExperimentPlan, run_plan
+from .bench import ExperimentPlan, run_plan
 from .instances import Instance, load_instance, random_planar_instance
 from .solver import SolveReport, SolverConfig, solve
 

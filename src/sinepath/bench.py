@@ -30,14 +30,6 @@ METRICS = ("total", "max_single")
 DEFAULT_ABLATION_WEIGHTS = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """Named solver preset; the plan overrides its master seed per run."""
-
-    name: str
-    config: SolverConfig
-
-
 def _check_counts(robot_counts, repeats, seed_base) -> None:
     """Refuse, by name, counts that would fail every cell or key cells wrongly."""
     if not robot_counts or any(type(m) is not int or m < 1 for m in robot_counts):
@@ -54,7 +46,7 @@ def _check_counts(robot_counts, repeats, seed_base) -> None:
 class ExperimentPlan:
     instances: tuple[str, ...]
     robot_counts: tuple[int, ...]
-    algorithms: tuple[AlgorithmSpec, ...]
+    algorithms: dict[str, SolverConfig]  # name -> preset; each run sets its master seed
     repeats: int = 8
     seed_base: int = 0
 
@@ -64,9 +56,6 @@ class ExperimentPlan:
         _check_counts(self.robot_counts, self.repeats, self.seed_base)
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
-        names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ValueError("algorithm names must be unique")
 
 
 @dataclass(frozen=True)
@@ -124,11 +113,10 @@ def _run_cell(repeats: int, seed_base: int, task) -> dict[str, CellStats]:
 
 
 def _try_cell(repeats: int, seed_base: int, task) -> dict[str, CellStats] | Exception:
-    """``_run_cell`` on an (instance, robots, algorithm) task; a failure is
-    returned, not raised, so the rest of the plan still runs."""
-    inst, m, spec = task
+    """``_run_cell``, but a failure is returned, not raised, so the rest of
+    the plan still runs."""
     try:
-        return _run_cell(repeats, seed_base, (inst, m, spec.config))
+        return _run_cell(repeats, seed_base, task)
     except Exception as exc:
         return exc
 
@@ -173,21 +161,21 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> BenchResults:
         path_of[inst.name] = path
         loaded.append(inst)
 
-    tasks = [
-        (inst, m, spec)
+    tasks = {
+        (inst.name, m, name): (inst, m, config)
         for inst in loaded
         for m in plan.robot_counts
-        for spec in plan.algorithms
-    ]
+        for name, config in plan.algorithms.items()
+    }
 
     run_task = partial(_try_cell, plan.repeats, plan.seed_base)
     results = BenchResults(seed_base=plan.seed_base)
-    for (inst, m, spec), outcome in zip(tasks, _map(run_task, tasks, workers)):
+    for key, outcome in zip(tasks, _map(run_task, list(tasks.values()), workers)):
         if isinstance(outcome, Exception):
-            results.failed[(inst.name, m, spec.name)] = str(outcome)
+            results.failed[key] = str(outcome)
             continue
         for metric, cell in outcome.items():
-            results.cells[(inst.name, m, spec.name, metric)] = cell
+            results.cells[(*key, metric)] = cell
     return results
 
 

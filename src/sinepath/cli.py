@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import glob
 import json
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,7 +17,6 @@ from pathlib import Path
 from .aco import AcoParams
 from .bench import (
     DEFAULT_ABLATION_WEIGHTS,
-    AlgorithmSpec,
     ExperimentPlan,
     ablation_sweep,
     emit_bench_artifacts,
@@ -54,8 +52,10 @@ _FLAG_OPTIONS = {"--lambda": {"metavar": "LAM"}, "--partition": {"choices": PART
 _ACO_FIELDS = {f.name for f in fields(AcoParams)}
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
+def _add_solver_flags(p: argparse.ArgumentParser, skip=()):
     for flag, (name, text) in _SOLVER_FLAGS.items():
+        if flag in skip:
+            continue
         default = getattr(AcoParams if name in _ACO_FIELDS else SolverConfig, name)
         options = _FLAG_OPTIONS.get(flag, {"metavar": flag[2:].upper()})
         p.add_argument(flag, dest=name, type=type(default), default=default, help=text,
@@ -63,17 +63,18 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _config(args, mode: str) -> SolverConfig:
-    given = {name: getattr(args, name) for name, _ in _SOLVER_FLAGS.values()}
+    # A solver flag that the subcommand lacks keeps the library default.
+    given = {name: getattr(args, name) for name, _ in _SOLVER_FLAGS.values() if name in args}
     aco = AcoParams(**{name: given.pop(name) for name in _ACO_FIELDS & set(given)})
     if mode == MODE_CLASSIC:
-        del given["omega"]  # the plain colony has no backbone bias
+        given.pop("omega", None)  # the plain colony has no backbone bias
         return SolverConfig.classic(aco=aco, **given)
     return SolverConfig(aco=aco, **given)
 
 
-def _list(cast, what: str):
-    """An argparse type: a non-empty comma separated list of ``what`` values.
-    Each entry names one result, so a repeated entry is refused."""
+def _list(cast, what: str, choices=None):
+    """An argparse type: a non-empty comma separated list of ``what`` values, each
+    one of ``choices`` if given.  Each names one result, so a repeat is refused."""
 
     def parse(text: str) -> list:
         try:
@@ -85,9 +86,19 @@ def _list(cast, what: str):
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise argparse.ArgumentTypeError(f"duplicate entry {value} in {text!r}")
+            if choices and value not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {what} {value!r} (choose from {', '.join(choices)})")
         return values
 
     return parse
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True, help="glob of instance files")
     p.add_argument("--robots", type=_list(int, "int"), required=True, help="e.g. 2,4,8")
     p.add_argument("--repeats", type=int, default=8)
-    p.add_argument("--algorithms", type=_list(str, "name"),
+    p.add_argument("--algorithms", type=_list(str, "algorithm", (MODE_SINE, MODE_CLASSIC)),
                    default=f"{MODE_SINE},{MODE_CLASSIC}",
                    help=f"comma list of {MODE_SINE},{MODE_CLASSIC}")
     p.add_argument("--out-dir", default="bench_out")
@@ -122,12 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(DEFAULT_ABLATION_WEIGHTS))
     p.add_argument("--repeats", type=int, default=8)
     p.add_argument("--out", default=None, help="write the sweep table as csv")
-    _add_solver_flags(p)
+    # The sweep sets omega = 1 and kappa to each weight.
+    _add_solver_flags(p, skip=("--omega", "--kappa"))
     for name in ("bench", "ablate"):
         sub.choices[name].add_argument(
-            "--workers", type=int, default=None,
-            help="worker processes for the cells (default: SINE_WORKERS or 1); the "
-                 "output is the same for any count")
+            "--workers", type=_positive_int, default=1,
+            help="worker processes for the cells (default 1); same output for any count")
 
     p = sub.add_parser("plot", help="draw the routes of an existing report")
     p.add_argument("report", help="JSON report from solve")
@@ -157,17 +168,10 @@ def _cmd_bench(args) -> int:
     if not paths:
         print(f"no instances match {args.instances!r}", file=sys.stderr)
         return EXIT_USAGE
-    specs = []
-    for name in args.algorithms:
-        if name not in (MODE_SINE, MODE_CLASSIC):
-            print(f"unknown algorithm {name!r} (want {MODE_SINE}, {MODE_CLASSIC})",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        specs.append(AlgorithmSpec(name, _config(args, name)))
     plan = ExperimentPlan(
         instances=tuple(paths),
         robot_counts=tuple(args.robots),
-        algorithms=tuple(specs),
+        algorithms={name: _config(args, name) for name in args.algorithms},
         repeats=args.repeats,
         seed_base=args.master_seed,
     )
@@ -243,19 +247,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "workers" in vars(args):
-        source = "argument --workers"
-        if args.workers is None:
-            source = "environment variable SINE_WORKERS"
-            text = os.environ.get("SINE_WORKERS", "1")
-            try:
-                args.workers = int(text)
-            except ValueError:
-                parser.error(f"{source}: invalid int value: {text!r}")
-        if args.workers < 1:
-            parser.error(f"{source}: must be at least 1, got {args.workers}")
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, OSError) as exc:

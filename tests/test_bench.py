@@ -13,7 +13,6 @@ import sinepath.bench as bench
 from sinepath.aco import AcoParams
 from sinepath.bench import (
     DEFAULT_ABLATION_WEIGHTS,
-    AlgorithmSpec,
     BenchResults,
     CellStats,
     ExperimentPlan,
@@ -42,11 +41,8 @@ from sinepath.solver import SolverConfig, solve
 TINY = AcoParams(n_ants=4, max_iter=4)
 
 
-def _tiny_specs():
-    return (
-        AlgorithmSpec("sine", SolverConfig(aco=TINY)),
-        AlgorithmSpec("aco", SolverConfig.classic(aco=TINY)),
-    )
+def _tiny_algorithms():
+    return {"sine": SolverConfig(aco=TINY), "aco": SolverConfig.classic(aco=TINY)}
 
 
 @pytest.fixture()
@@ -66,34 +62,32 @@ def inst_file2(tmp_path):
 
 
 def test_plan_validation():
-    specs = _tiny_specs()
+    algorithms = _tiny_algorithms()
     with pytest.raises(ValueError, match="at least one instance"):
-        ExperimentPlan((), (2,), specs)
+        ExperimentPlan((), (2,), algorithms)
     with pytest.raises(ValueError, match="robot counts"):
-        ExperimentPlan(("x.tsp",), (), specs)
+        ExperimentPlan(("x.tsp",), (), algorithms)
     with pytest.raises(ValueError, match="at least one algorithm"):
-        ExperimentPlan(("x.tsp",), (2,), ())
-    with pytest.raises(ValueError, match="unique"):
-        ExperimentPlan(("x.tsp",), (2,), (specs[0], specs[0]))
+        ExperimentPlan(("x.tsp",), (2,), {})
     with pytest.raises(ValueError, match="repeats"):
-        ExperimentPlan(("x.tsp",), (2,), specs, repeats=1)
+        ExperimentPlan(("x.tsp",), (2,), algorithms, repeats=1)
     # Each used to pass and fail every cell of the run one by one.
     for repeats in (2.5, True):
         with pytest.raises(ValueError, match=f"repeats must be an integer.*got {repeats!r}"):
-            ExperimentPlan(("x.tsp",), (2,), specs, repeats=repeats)
+            ExperimentPlan(("x.tsp",), (2,), algorithms, repeats=repeats)
     for seed_base in (0.5, -1):
         with pytest.raises(ValueError, match=f"seed_base must be .*got {seed_base!r}"):
-            ExperimentPlan(("x.tsp",), (2,), specs, seed_base=seed_base)
+            ExperimentPlan(("x.tsp",), (2,), algorithms, seed_base=seed_base)
     for counts in ((2.5,), (True,), (2, 0)):
         with pytest.raises(ValueError, match="robot counts must be positive integers"):
-            ExperimentPlan(("x.tsp",), counts, specs)
+            ExperimentPlan(("x.tsp",), counts, algorithms)
 
 
 def test_plan_refuses_duplicate_robot_counts():
     # Cells are keyed by robot count, so a repeated count would be solved
     # twice and reported once.
     with pytest.raises(ValueError, match="robot counts must be unique"):
-        ExperimentPlan(("x.tsp",), (2, 4, 2), _tiny_specs())
+        ExperimentPlan(("x.tsp",), (2, 4, 2), _tiny_algorithms())
 
 
 def test_cell_stats_matches_numpy():
@@ -119,7 +113,7 @@ def test_run_plan_counts_and_seeds(inst_file, monkeypatch):
 
     monkeypatch.setattr(bench, "solve", counting_solve)
     plan = ExperimentPlan(
-        (str(inst_file),), (2,), _tiny_specs(), repeats=3, seed_base=10
+        (str(inst_file),), (2,), _tiny_algorithms(), repeats=3, seed_base=10
     )
     results = run_plan(plan)
     assert len(calls) == 6  # 1 instance x 1 robot count x 2 algorithms x 3
@@ -133,7 +127,7 @@ def test_run_plan_counts_and_seeds(inst_file, monkeypatch):
 
 
 def test_run_plan_deterministic(inst_file):
-    plan = ExperimentPlan((str(inst_file),), (2,), _tiny_specs(), repeats=2)
+    plan = ExperimentPlan((str(inst_file),), (2,), _tiny_algorithms(), repeats=2)
     a = run_plan(plan)
     b = run_plan(plan, workers=3)
     assert multiprocessing.active_children() == []
@@ -144,7 +138,7 @@ def test_run_plan_deterministic(inst_file):
 def test_run_plan_parse_failure_names_file(tmp_path):
     bad = tmp_path / "broken.tsp"
     bad.write_text("NAME: broken\nDIMENSION: 2\n")
-    plan = ExperimentPlan((str(bad),), (2,), _tiny_specs(), repeats=2)
+    plan = ExperimentPlan((str(bad),), (2,), _tiny_algorithms(), repeats=2)
     with pytest.raises(Exception, match="broken.tsp"):
         run_plan(plan)
 
@@ -157,7 +151,7 @@ def test_run_plan_refuses_repeated_instance_name(tmp_path, inst_file, monkeypatc
     other.write_text(inst_file.read_text())
     solves = []
     monkeypatch.setattr(bench, "solve", lambda *args: solves.append(args))
-    plan = ExperimentPlan((str(inst_file), str(other)), (2,), _tiny_specs(), repeats=2)
+    plan = ExperimentPlan((str(inst_file), str(other)), (2,), _tiny_algorithms(), repeats=2)
     with pytest.raises(ValueError, match="'p8'") as err:
         run_plan(plan)
     assert str(inst_file) in str(err.value) and str(other) in str(err.value)
@@ -172,7 +166,7 @@ def test_run_plan_failed_cell_continues(inst_file, workers):
     plan = ExperimentPlan(
         (str(inst_file),),
         (2,),
-        (AlgorithmSpec("sine", SolverConfig(aco=TINY)), AlgorithmSpec("bad", bad_cfg)),
+        {"sine": SolverConfig(aco=TINY), "bad": bad_cfg},
         repeats=2,
     )
     results = run_plan(plan, workers=workers)
@@ -185,7 +179,7 @@ def test_run_plan_failed_cell_continues(inst_file, workers):
 
 
 def test_results_csv_round_trip(inst_file):
-    plan = ExperimentPlan((str(inst_file),), (2, 3), _tiny_specs(), repeats=2)
+    plan = ExperimentPlan((str(inst_file),), (2, 3), _tiny_algorithms(), repeats=2)
     results = run_plan(plan)
     text = format_results_csv(results)
     again = format_results_csv(parse_results_csv(text))
@@ -206,7 +200,7 @@ def test_results_csv_empty_and_errors():
 
 
 def test_results_json_carries_raw_runs(inst_file):
-    plan = ExperimentPlan((str(inst_file),), (2,), _tiny_specs(), repeats=3)
+    plan = ExperimentPlan((str(inst_file),), (2,), _tiny_algorithms(), repeats=3)
     results = run_plan(plan)
     data = json.loads(format_results_json(results))
     assert data["seed_base"] == 0
@@ -396,12 +390,12 @@ def test_svg_geo_axes():
 
 
 def test_emit_artifacts_file_set(tmp_path, inst_file, inst_file2):
-    plan1 = ExperimentPlan((str(inst_file),), (2,), _tiny_specs(), repeats=2)
+    plan1 = ExperimentPlan((str(inst_file),), (2,), _tiny_algorithms(), repeats=2)
     written = emit_bench_artifacts(run_plan(plan1), tmp_path / "one")
     assert [p.name for p in written] == ["results.csv", "results.json", "wilcoxon.csv"]
 
     plan2 = ExperimentPlan(
-        (str(inst_file), str(inst_file2)), (2, 3), _tiny_specs(), repeats=2
+        (str(inst_file), str(inst_file2)), (2, 3), _tiny_algorithms(), repeats=2
     )
     written2 = emit_bench_artifacts(run_plan(plan2), tmp_path / "two")
     assert [p.name for p in written2] == [

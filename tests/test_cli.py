@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -65,16 +66,20 @@ def test_solve_svg_output(tmp_path, tri3_path):
 
 
 def test_solve_missing_file(tmp_path, capsys):
-    code = main(["solve", str(tmp_path / "absent.tsp")] + FAST)
+    out = tmp_path / "r.json"
+    code = main(["solve", str(tmp_path / "absent.tsp"), "--out", str(out)] + FAST)
     assert code == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.tsp"
     bad.write_text("DIMENSION: 2\n")
-    code = main(["solve", str(bad)] + FAST)
+    out = tmp_path / "r.json"
+    code = main(["solve", str(bad), "--out", str(out)] + FAST)
     assert code == EXIT_PARSE
+    assert not out.exists()
 
 
 def test_solve_refuses_bad_tsplib_node_index(tmp_path, capsys):
@@ -269,6 +274,17 @@ def test_readme_parameter_table_states_live_defaults():
         assert default == str(defaults[field]), f"README states {name} = {default}"
 
 
+def test_readme_names_exactly_the_root_exports():
+    # the sentence listing the package root's names must not drift from it
+    text = " ".join(README.read_text().split())
+    sentence = text.split("The package root re-exports", 1)[1].split("Everything else", 1)[0]
+    exported = {
+        name for name, value in vars(sinepath).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(re.findall(r"`(\w+)`", sentence)) == exported
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--seed", 7, "master_seed"), ("--omega", 3.5, "omega"),
@@ -303,22 +319,16 @@ def test_bench_empty_glob(tmp_path, capsys):
 
 
 def test_bench_unknown_algorithm(tri3_path, tmp_path, capsys):
-    code = main(
-        [
-            "bench",
-            "--instances",
-            str(tri3_path),
-            "--robots",
-            "1",
-            "--algorithms",
-            "sine,genetic",
-            "--out-dir",
-            str(tmp_path / "out"),
-        ]
-        + FAST
-    )
-    assert code == EXIT_USAGE
-    assert "genetic" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["bench", "--instances", str(tri3_path), "--robots", "1",
+             "--algorithms", "sine,genetic", "--out-dir", str(tmp_path / "out")]
+            + FAST
+        )
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --algorithms: unknown algorithm 'genetic' (choose from sine, aco)" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_writes_three_files_and_reruns_identically(
@@ -464,6 +474,17 @@ def test_ablate_table_labels_each_weight_exactly(tri3_path, capsys):
     assert [row.split()[0] for row in rows] == ["0.1", "0.1", "0.14", "0.14"]
 
 
+@pytest.mark.parametrize("flag", ["--omega", "--kappa"])
+def test_ablate_refuses_structural_weight_flags(flag, tri3_path, tmp_path, capsys):
+    # the sweep sets omega = 1 and kappa to each weight; both flags used to
+    # be accepted and then overwritten
+    with pytest.raises(SystemExit) as exc:
+        main(_workers_argv("ablate", tri3_path, tmp_path) + [flag, "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ablate_default_weights_row_count(tmp_path, tri3_path, capsys):
     out = tmp_path / "ablation.csv"
     code = main(
@@ -570,33 +591,30 @@ def pools(monkeypatch):
     return sizes
 
 
-def test_workers_env_fallback(tmp_path, bench51_path, monkeypatch, pools, capsys):
-    def bench(out: str):
+def test_bench_obeys_workers(tmp_path, bench51_path, pools, capsys):
+    def bench(out: str, workers: str):
         argv = ["bench", "--instances", str(bench51_path), "--robots", "2,3",
-                "--repeats", "2", "--out-dir", str(tmp_path / out)] + FAST
+                "--repeats", "2", "--out-dir", str(tmp_path / out),
+                "--workers", workers] + FAST
         assert main(argv) == EXIT_OK
         return sorted((p.name, p.read_bytes()) for p in (tmp_path / out).iterdir())
 
-    monkeypatch.delenv("SINE_WORKERS", raising=False)
-    serial = bench("a")
-    monkeypatch.setenv("SINE_WORKERS", "3")
-    assert bench("b") == serial
+    serial = bench("a", "1")
+    assert bench("b", "3") == serial
     assert pools == [3]
     capsys.readouterr()
 
 
-def test_workers_env_not_an_int_is_usage_error(tri3_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SINE_WORKERS", "abc")
+def test_workers_flag_not_an_int_is_usage_error(tri3_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(_workers_argv("bench", tri3_path, tmp_path))
+        main(_workers_argv("bench", tri3_path, tmp_path) + ["--workers", "abc"])
     assert exc.value.code == EXIT_USAGE
-    assert "SINE_WORKERS" in capsys.readouterr().err
+    assert "argument --workers" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_solve_takes_no_worker_count(tri3_path, tmp_path, monkeypatch, capsys):
-    # solve runs in this process: it refuses --workers and ignores SINE_WORKERS
-    monkeypatch.setenv("SINE_WORKERS", "0")
+def test_solve_takes_no_worker_count(tri3_path, tmp_path, capsys):
+    # solve runs in this process, so it refuses --workers
     argv = _workers_argv("solve", tri3_path, tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--workers", "2"])
@@ -620,27 +638,11 @@ def _workers_argv(command, path, tmp_path):
 # solve has no --workers at all, so it refuses these values too.
 @pytest.mark.parametrize("command", ["solve", "bench", "ablate"])
 @pytest.mark.parametrize("value", ["0", "-5"])
-def test_workers_flag_below_one_is_usage_error(
-    command, value, tri3_path, tmp_path, monkeypatch, capsys
-):
-    monkeypatch.delenv("SINE_WORKERS", raising=False)
+def test_workers_flag_below_one_is_usage_error(command, value, tri3_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(_workers_argv(command, tri3_path, tmp_path) + ["--workers", value])
     assert exc.value.code == EXIT_USAGE
     assert "--workers" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command", ["bench", "ablate"])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_workers_env_below_one_is_usage_error(
-    command, value, tri3_path, tmp_path, monkeypatch, capsys
-):
-    monkeypatch.setenv("SINE_WORKERS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(_workers_argv(command, tri3_path, tmp_path))
-    assert exc.value.code == EXIT_USAGE
-    assert "SINE_WORKERS" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
