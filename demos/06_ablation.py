@@ -20,11 +20,7 @@ OUT.mkdir(exist_ok=True)
 inst = load_instance(HERE.parent / "data" / "bench51.tsp")
 m = 4
 
-base = SolverConfig(
-    aco=AcoParams(n_ants=12, max_iter=80),
-    omega=1.0,
-    seed_with_christofides=False,
-)
+base = SolverConfig.classic(aco=AcoParams(n_ants=12, max_iter=80))
 sweep = ablation_sweep(inst, [m], repeats=4, seed_base=7, base_config=base)[m]
 
 print(f"{inst.name}, m={m}, 4 repeats per weight")

@@ -141,11 +141,11 @@ class SubsetColony:
         # An overflow to inf is refused by name in construct_colony.
         with np.errstate(over="ignore"):
             weight = eta ** params.beta
-        if omega != 1.0:
-            for u, v in self.backbone_edges:
-                lu, lv = self._local_of[u], self._local_of[v]
-                weight[lu, lv] *= omega
-                weight[lv, lu] *= omega
+            if omega != 1.0:
+                for u, v in self.backbone_edges:
+                    lu, lv = self._local_of[u], self._local_of[v]
+                    weight[lu, lv] *= omega
+                    weight[lv, lu] *= omega
         self.weight = weight
 
     def deposit(self, tour, backbone_edges) -> None:
@@ -203,7 +203,8 @@ class SubsetColony:
         u_lo, u_hi = uniforms.min(initial=0.0), uniforms.max(initial=0.0)
         if not 0.0 <= u_lo <= u_hi <= 1.0:  # NaN fails this too
             raise ValueError(f"uniform draws must lie in [0, 1], got {u_lo} to {u_hi}")
-        score_tau = tau_local * self.weight
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            score_tau = tau_local * self.weight
         # weight has a zero diagonal, so the diagonal of score_tau holds only
         # +-0 or NaN: the full max sees every NaN, and the off-diagonal min
         # is the least score a successor can have.

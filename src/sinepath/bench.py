@@ -192,14 +192,13 @@ def ablation_sweep(
     held fixed; the result maps robots -> weight -> metric -> cell.
 
     The weight drives the deposit-side backbone influence (kappa).  The
-    default base keeps the transition bias neutral (omega = 1) and seeding
-    off, so weight 0 degenerates to the plain colony: with the same seeds it
+    default base is the plain colony, ``SolverConfig.classic()``, so weight 0
     is bit-identical to mode "aco".  With ``workers`` above one, all the
     (robots, weight) cells run in one pool of that many worker processes,
     like the cells of ``run_plan``.
     """
     if base_config is None:
-        base_config = SolverConfig(omega=1.0, seed_with_christofides=False)
+        base_config = SolverConfig.classic()
     robot_counts = list(robot_counts)
     _check_counts(robot_counts, repeats, seed_base)
     weights = [float(w) for w in weights]
@@ -328,9 +327,9 @@ def friedman_blocks(results: BenchResults) -> dict[str, RankTable]:
     blocks: dict[str, RankTable] = {}
     for block, rows in units.items():
         algs = set().union(*rows.values())
-        complete = sum(set(row) == algs for row in rows.values())
-        if len(algs) >= 2 and complete >= 2:
-            blocks[block] = friedman_mean_ranks(rows)
+        complete = {unit: row for unit, row in rows.items() if set(row) == algs}
+        if len(algs) >= 2 and len(complete) >= 2:
+            blocks[block] = friedman_mean_ranks(complete)
     return blocks
 
 

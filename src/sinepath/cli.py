@@ -11,7 +11,7 @@ import argparse
 import glob
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .aco import AcoParams
@@ -189,10 +189,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_ablate(args) -> int:
     inst = load_instance(args.instance)
-    base = replace(_config(args, MODE_SINE), omega=1.0, seed_with_christofides=False)
     sweep = ablation_sweep(
         inst, args.robots, args.weights, repeats=args.repeats,
-        seed_base=args.master_seed, base_config=base, workers=args.workers,
+        seed_base=args.master_seed, base_config=_config(args, MODE_CLASSIC),
+        workers=args.workers,
     )
     print("weight  robots  metric      mean        std       n")
     for m, per_weight in sweep.items():

@@ -116,11 +116,17 @@ def partition_kmeans_like(inst: Instance, m: int, seed: int) -> Partition:
     return _as_partition(assign, m)
 
 
+def _depot_array(depots) -> np.ndarray:
+    """``depots`` as an (m, 2) array of finite coordinates, or a ValueError."""
+    depots = np.asarray(depots, dtype=np.float64)
+    if depots.ndim != 2 or depots.shape[1] != 2 or not np.isfinite(depots).all():
+        raise ValueError(f"depots must be (m, 2) finite coordinates, got {depots.tolist()}")
+    return depots
+
+
 def partition_by_depots(inst: Instance, depots) -> Partition:
     """Nearest-depot assignment, rebalanced to within one node per robot."""
-    depots = np.asarray(depots, dtype=np.float64)
-    if depots.ndim != 2 or depots.shape[1] != 2:
-        raise ValueError("depots must be an (m, 2) coordinate array")
+    depots = _depot_array(depots)
     m = len(depots)
     n = inst.dimension
     _check_m(n, m)
@@ -135,7 +141,7 @@ def partition_by_depots(inst: Instance, depots) -> Partition:
 
 def depot_start_nodes(inst: Instance, part: Partition, depots) -> tuple[int, ...]:
     """Per subset, the member node nearest its depot; used as the fixed tour start."""
-    depots = np.asarray(depots, dtype=np.float64)
+    depots = _depot_array(depots)
     if len(depots) != len(part.subsets):
         raise ValueError("one depot per subset required")
     starts = []

@@ -77,7 +77,6 @@ class SolverConfig:
     partition_method: str = "angle"
     seed_with_christofides: bool = True
     master_seed: int = 0
-    mode: str = MODE_SINE
     stagnation_window: int | None = None
     depots: tuple[tuple[float, float], ...] | None = None
 
@@ -86,14 +85,6 @@ class SolverConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.mode not in (MODE_SINE, MODE_CLASSIC):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_CLASSIC:
-            if self.omega != 1.0 or self.aco.kappa != 0.0 or self.seed_with_christofides:
-                raise ValueError(
-                    "mode 'aco' requires omega=1, kappa=0 and seeding off; "
-                    "use SolverConfig.classic()"
-                )
         if self.omega < 1.0:
             raise ValueError("omega must be at least 1")
         if not 0.0 <= self.lambda_weight <= 1.0:
@@ -110,20 +101,22 @@ class SolverConfig:
         ):
             raise ValueError(f"depots must be (x, y) pairs of finite numbers, got {self.depots!r}")
 
+    @property
+    def mode(self) -> str:
+        """Derived: "aco" if the prior is off (omega 1, kappa 0, no seed tour), else "sine"."""
+        plain = self.omega == 1.0 and self.aco.kappa == 0.0 and not self.seed_with_christofides
+        return MODE_CLASSIC if plain else MODE_SINE
+
     @staticmethod
     def classic(**kwargs) -> "SolverConfig":
         """Plain ant colony: the biased solver with its prior switched off."""
-        aco = kwargs.pop("aco", AcoParams())
-        aco = replace(aco, kappa=0.0)
-        kwargs.setdefault("mode", MODE_CLASSIC)
-        return SolverConfig(
-            aco=aco, omega=1.0, seed_with_christofides=False, **kwargs
-        )
+        aco = replace(kwargs.pop("aco", AcoParams()), kappa=0.0)
+        return SolverConfig(aco=aco, omega=1.0, seed_with_christofides=False, **kwargs)
 
     def to_dict(self) -> dict:
         depots = None if self.depots is None else [list(p) for p in self.depots]
         aco = {**asdict(self.aco), "gamma": 1.0}
-        return {**asdict(self), "aco": aco, "depots": depots, **_RETIRED_ECHO}
+        return {**asdict(self), "aco": aco, "depots": depots, "mode": self.mode, **_RETIRED_ECHO}
 
 
 @dataclass

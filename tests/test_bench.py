@@ -274,6 +274,18 @@ def test_friedman_blocks_single_instance_overall_only():
     assert set(blocks) == {"overall"}
 
 
+def test_friedman_blocks_rank_only_complete_units():
+    # a unit lacking an algorithm (one failed cell) used to reach
+    # friedman_mean_ranks, which skipped it with a UserWarning
+    results = BenchResults()
+    for inst, algs in (("a", ("aco",)), ("b", ("sine", "aco")), ("c", ("sine", "aco"))):
+        for k, alg in enumerate(algs):
+            results.cells[(inst, 2, alg, "total")] = cell_stats([10.0 + k, 11.0 + k])
+    blocks = friedman_blocks(results)
+    assert set(blocks["2"].per_instance) == {"b", "c"}
+    assert set(blocks["overall"].per_instance) == {"b@2", "c@2"}
+
+
 def test_friedman_blocks_refuse_a_nan_mean():
     # the skip for blocks without two complete units used to swallow this
     # refusal too, and silently dropped both blocks

@@ -153,6 +153,23 @@ def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_refusal_is_the_only_stderr_line(bench51_path, tmp_path):
+    # What a user sees, with Python's default warning filters: numpy used to
+    # print an overflow RuntimeWarning and its source line before the refusal
+    src = str(Path(sinepath.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    argv = ["solve", str(bench51_path), "--robots", "2", "--iters", "30", "--ants", "5",
+            "--q", "1e308", "--out", str(tmp_path / "r.json")]
+    result = subprocess.run([sys.executable, "-m", "sinepath.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == EXIT_DOMAIN
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: non-finite successor scores")
+
+
 def test_solve_underflowing_visibility_is_named(bench51_path, tmp_path, capsys):
     # (1/d)^400 underflows to 0 for 2384 of bench51's 2550 node pairs, so
     # every successor score of some ant vanishes; the refusal names why.

@@ -110,3 +110,20 @@ def test_extreme_robot_counts():
             partition_angle(inst, bad)
         with pytest.raises(ValueError, match="robot count"):
             partition_kmeans_like(inst, bad, seed=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_partition_by_depots_refuses_non_finite_depots(bad):
+    # a NaN or infinite depot used to return an arbitrary balanced split
+    inst = random_planar_instance(10, seed=57)
+    with pytest.raises(ValueError, match="finite coordinates"):
+        partition_by_depots(inst, [(bad, 0.0), (100.0, 100.0)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_depot_start_nodes_refuses_non_finite_depots(bad):
+    # and depot_start_nodes an arbitrary start node
+    inst = random_planar_instance(10, seed=57)
+    part = partition_angle(inst, 2)
+    with pytest.raises(ValueError, match="finite coordinates"):
+        depot_start_nodes(inst, part, [(bad, 0.0), (100.0, 100.0)])

@@ -14,7 +14,12 @@ import pytest
 
 from sinepath import solver
 from sinepath.aco import AcoParams, SubsetColony
-from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
+from sinepath.instances import (
+    Instance,
+    build_distance_matrix,
+    load_instance,
+    random_planar_instance,
+)
 from sinepath.objective import scalarized_objective, tour_length
 from sinepath.solver import (
     IncumbentState,
@@ -33,10 +38,6 @@ def _fast_config(**kwargs):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="classic"):
-        SolverConfig(mode="aco")  # omega/kappa/seeding not degenerate
-    with pytest.raises(ValueError, match="unknown mode"):
-        SolverConfig(mode="hybrid")
     with pytest.raises(ValueError, match="omega"):
         SolverConfig(omega=0.5)
     with pytest.raises(ValueError, match="lambda"):
@@ -107,6 +108,31 @@ def test_far_depots_refused_by_name():
     # integer coordinates stay legal and are echoed as given
     cfg = _fast_config(depots=((0, 0), [60, 60.5]))
     assert cfg.to_dict()["depots"] == [[0, 0], [60, 60.5]]
+
+
+def test_overflowing_scores_refused_without_warnings(bench51_path):
+    # numpy printed "RuntimeWarning: overflow" (an error in this suite) before
+    # the refusal: from the trail times the weight, and from the omega boost
+    huge_q = SolverConfig(aco=AcoParams(q_scale=1e308, n_ants=5, max_iter=30))
+    with pytest.raises(ValueError, match="non-finite successor scores"):
+        solve(load_instance(bench51_path), 2, huge_q)
+    base = random_planar_instance(12, seed=83)
+    fine = Instance("fine12", base.coords * 1e-5, base.metric)
+    with pytest.raises(ValueError, match="non-finite successor scores"):
+        solve(fine, 2, _fast_config(omega=1e300))
+
+
+def test_mode_is_derived_from_the_prior():
+    # "aco" exactly when omega = 1, kappa = 0 and seeding is off; no field sets it
+    assert SolverConfig().mode == "sine"
+    assert SolverConfig.classic().mode == "aco"
+    assert dataclasses.replace(SolverConfig.classic(), aco=AcoParams(kappa=0.5)).mode == "sine"
+    neutral = SolverConfig(aco=AcoParams(kappa=0.0), omega=1.0, seed_with_christofides=False)
+    assert neutral == SolverConfig.classic()
+    assert neutral.to_dict()["mode"] == "aco"
+    assert len(dataclasses.fields(SolverConfig)) == 8
+    with pytest.raises(TypeError, match="mode"):
+        SolverConfig(mode="aco")
 
 
 def test_classic_constructor():
@@ -186,12 +212,8 @@ def test_classic_mode_is_parameter_degeneration():
         master_seed=11,
     )
     classic = SolverConfig.classic(aco=FAST, master_seed=11)
-    a = solve(inst, 2, degen)
-    b = solve(inst, 2, classic)
-    # the config echo differs (mode string), the results must not
-    ra, rb = (json.loads(r.canonical_json()) for r in (a, b))
-    assert ra.pop("config") != rb.pop("config")
-    assert ra == rb
+    # the mode is derived, so even the config echo agrees
+    assert solve(inst, 2, degen).canonical_json() == solve(inst, 2, classic).canonical_json()
 
 
 def test_stagnation_window_stops_early():
@@ -380,9 +402,9 @@ def test_config_to_dict():
         "partition_method": "angle",
         "seed_with_christofides": True,
         "master_seed": 0,
-        "mode": "sine",
         "stagnation_window": 3,
         "depots": [[0.0, 0.0], [10.0, 5.0]],
+        "mode": "sine",  # derived from omega, kappa and seeding
         # retired knobs, echoed at their only value
         "repartition_each_iter": False,
         "matching_method": "greedy",
@@ -415,7 +437,7 @@ def test_report_json_key_order():
         "overlap_total", "mu", "j_prime",
     ]
     assert list(data["config"]) == [f.name for f in dataclasses.fields(SolverConfig)] + [
-        "repartition_each_iter", "matching_method", "backbone_per_subset",
+        "mode", "repartition_each_iter", "matching_method", "backbone_per_subset",
         "tau0", "mu", "seed_method",
     ]
     assert list(data["config"]["aco"]) == [
