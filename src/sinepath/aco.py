@@ -101,7 +101,7 @@ def update_pheromones(colonies, tours) -> None:
     tour on it with the colony's own backbone."""
     for colony, tour in zip(colonies, tours, strict=True):
         colony.tau *= 1.0 - colony.params.rho
-        colony.deposit(tour, colony.backbone_edges)
+        colony.deposit(tour)
 
 
 class SubsetColony:
@@ -114,6 +114,8 @@ class SubsetColony:
     only tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
     so every ant consumes the same stream shape regardless of scheduling.
+    The step buffers are kept from one call to the next (see
+    ``_workspace``); a call returns arrays of its own.
     """
 
     def __init__(
@@ -125,46 +127,55 @@ class SubsetColony:
         params: AcoParams,
     ):
         self.nodes = np.asarray(sorted(int(v) for v in set(nodes)), dtype=np.int64)
-        self.n_local = len(self.nodes)
+        self.n_local = n = len(self.nodes)
         self.params = params
-        self.backbone_edges = frozenset(backbone_edges)
-        self._local_of = {int(v): k for k, v in enumerate(self.nodes)}
-        self.tau = 1.0 - np.eye(self.n_local)
+        self.tau = 1.0 - np.eye(n)
+        edges = np.array(sorted(backbone_edges), dtype=np.int64).reshape(-1, 2)
+        if not np.isin(edges, self.nodes).all():
+            raise ValueError("backbone edge with an end outside the subset")
+        bu, bv = np.searchsorted(self.nodes, edges).T
+        # Per flat trail cell, the deposit factor 1 + kappa * [edge on the backbone].
+        gain = np.ones((n, n))
+        gain[bu, bv] = gain[bv, bu] = 1.0 + params.kappa
+        self._gain = gain.reshape(-1)
+        self._work = None
 
         self.dist = d[np.ix_(self.nodes, self.nodes)]
-        off_diag = ~np.eye(self.n_local, dtype=bool)
+        off_diag = ~np.eye(n, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
             raise ValueError("zero distance inside subset: degenerate geometry")
-        safe = self.dist + np.eye(self.n_local)
+        safe = self.dist + np.eye(n)
         eta = 1.0 / safe
         np.fill_diagonal(eta, 0.0)
         # An overflow to inf is refused by name in construct_colony.
         with np.errstate(over="ignore"):
             weight = eta ** params.beta
             if omega != 1.0:
-                for u, v in self.backbone_edges:
-                    lu, lv = self._local_of[u], self._local_of[v]
-                    weight[lu, lv] *= omega
-                    weight[lv, lu] *= omega
+                weight[bu, bv] *= omega
+                weight[bv, bu] *= omega
         self.weight = weight
 
-    def deposit(self, tour, backbone_edges) -> None:
-        """Add q/L * (1 + kappa * [edge in ``backbone_edges``]) on the trail
-        of each edge of ``tour``, a tour over this subset in global ids.
-        Single-node tours deposit nothing."""
-        if len(tour.order) < 2:
+    def deposit(self, tour, *, flat_bonus: bool = False) -> None:
+        """Add q/L * (1 + kappa * [edge on the backbone]) on the trail of
+        each edge of ``tour``, a tour over this subset in global ids; with
+        ``flat_bonus`` every edge earns q/L * (1 + kappa), as the seed tour's
+        do.  Single-node tours deposit nothing."""
+        order = tuple(tour.order)
+        if len(order) < 2:
             return
-        edges = list(tour.edge_set())
-        local = self._local_of
-        u = [local[a] for a, _ in edges]
-        v = [local[b] for _, b in edges]
+        # Local ids of the tour closed on its start: legs run ring[i] -> ring[i + 1].
+        ring = self.nodes.searchsorted(order + order[:1])
+        here, succ = ring[:-1], ring[1:]
+        fwd = here * self.n_local + succ
         p = self.params
-        bonus = [p.kappa if e in backbone_edges else 0.0 for e in edges]
-        amount = p.q_scale / tour.length * (1.0 + np.array(bonus + bonus))
-        # Canonical edges (u < v) name 2E distinct cells, so one fancy-index
-        # add on their flat positions equals adding them one by one.
-        cells = np.array(u + v) * self.n_local + np.array(v + u)
-        self.tau.reshape(-1)[cells] += amount
+        scale = p.q_scale / tour.length
+        amount = scale * (1.0 + p.kappa) if flat_bonus else scale * self._gain[fwd]
+        # A tour's forward cells are distinct, and so are its backward ones;
+        # only a 2-node tour's backward cells repeat its forward ones.
+        tau = self.tau.reshape(-1)
+        tau[fwd] += amount
+        if len(order) > 2:
+            tau[succ * self.n_local + here] += amount
 
     def local_tau(self) -> np.ndarray:
         """The trail factor tau^alpha, floored at ``TRAIL_FLOOR`` off the
@@ -224,52 +235,50 @@ class SubsetColony:
             )
         exact = lo > TRAIL_FLOOR and hi < _TOTAL_LIMIT / nl and u_hi < 1.0
 
-        # picks[step] holds every ant's node at that step; it is copied to
-        # one C-ordered row per ant at the end.
-        picks = np.empty((nl, na), dtype=np.int64)
-        avail = np.ones((na, nl))
+        (picks, avail, offsets, flat, draws, scores, cum, below, target, cap, low,
+         target_col, total) = self._workspace(na)
+        avail.fill(1.0)
+        low.fill(np.inf)
         avail_flat = avail.reshape(-1)
-        offsets = np.arange(na) * nl
-        flat = np.empty(na, dtype=np.int64)
+        put = avail_flat.put
+        add, multiply, minimum, nextafter = np.add, np.multiply, np.minimum, np.nextafter
+        accumulate, less_equal, argmin = np.add.accumulate, np.less_equal, below.argmin
 
         cur = picks[0]
         if start_local is None:
-            np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1, out=cur)
+            minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1, out=cur)
         else:
             cur[:] = int(start_local)
-        avail_flat[np.add(offsets, cur, out=flat)] = 0.0
+        put(add(offsets, cur, out=flat), 0.0)
 
-        draws = np.ascontiguousarray(uniforms.T)
+        draws[...] = uniforms.T
         take = score_tau.take
-        scores = np.empty((na, nl))
-        cum = np.empty((na, nl))
-        below = np.empty((na, nl), dtype=bool)
-        target = np.empty(na)
-        cap = np.empty(na)
-        target_col = target[:, None]
-        total = cum[:, -1]
-        low = np.full(na, np.inf)
-        for step in range(1, nl):
+        # On the exact path the last step is not run: each ant has one
+        # unvisited node left, whose score alone is positive and whose
+        # prefix sum, the total, exceeds the target, so the roulette picks it.
+        for step in range(1, nl - 1 if exact else nl):
             # Indices are in range; mode="clip" only spares take() from
             # buffering its output.
             take(cur, axis=0, out=scores, mode="clip")
-            np.multiply(scores, avail, out=scores)
-            np.add.accumulate(scores, axis=1, out=cum)
-            np.multiply(draws[step], total, out=target)
+            multiply(scores, avail, out=scores)
+            accumulate(scores, axis=1, out=cum)
+            multiply(draws[step], total, out=target)
             if not exact:
-                np.minimum(low, total, out=low)
-                np.nextafter(total, -np.inf, out=cap)
-                np.minimum(target, cap, out=target)
+                minimum(low, total, out=low)
+                nextafter(total, -np.inf, out=cap)
+                minimum(target, cap, out=target)
             # Scores are non-negative, so each row of cum never decreases and
             # `below` is a run of True followed only by False, with the last
             # column False (target < total): the first False, at the count
             # of True, is the pick.  A zero or NaN total leaves a row all
             # False and picks 0, a valid index; the check after the loop then
             # refuses the whole call.
-            np.less_equal(cum, target_col, out=below)
-            cur = below.argmin(axis=1, out=picks[step])
-            avail_flat[np.add(offsets, cur, out=flat)] = 0.0
-        if not exact and not (low > 0).all():  # NaN fails this too
+            less_equal(cum, target_col, out=below)
+            cur = argmin(axis=1, out=picks[step])
+            put(add(offsets, cur, out=flat), 0.0)
+        if exact and nl > 1:
+            avail.argmax(axis=1, out=picks[-1])
+        elif not exact and not (low > 0).all():  # NaN fails this too
             cause = ""
             if (_off_diagonal(self.weight) == 0).any():
                 cause = ": (1/d)^beta underflows to 0; rescale the coordinates or lower beta"
@@ -279,11 +288,38 @@ class SubsetColony:
         if nl == 1:
             lengths = np.zeros(na)
         else:
-            # orders is C-contiguous; the pairwise sum of an F-ordered gather
-            # would round differently.
-            lengths = self.dist[orders[:, :-1], orders[:, 1:]].sum(axis=1)
-            lengths = lengths + self.dist[orders[:, -1], orders[:, 0]]
+            # orders is C-contiguous, and so is the gather of its legs; the
+            # pairwise sum of an F-ordered gather would round differently.
+            dist = self.dist.reshape(-1)
+            lengths = dist.take(orders[:, :-1] * nl + orders[:, 1:]).sum(axis=1)
+            lengths = lengths + dist.take(orders[:, -1] * nl + orders[:, 0])
         return orders, lengths
+
+    def _workspace(self, na: int) -> tuple:
+        """The step buffers for ``na`` ants, allocated on the first call and
+        again only when the ant count changes.  picks[step] holds every
+        ant's node at that step; it is copied to one C-ordered row per ant
+        at the end."""
+        if self._work is None or self._work[0] != na:
+            nl = self.n_local
+            cum = np.empty((na, nl))
+            target = np.empty(na)
+            self._work = na, (
+                np.empty((nl, na), dtype=np.int64),  # picks
+                np.empty((na, nl)),  # avail
+                np.arange(na) * nl,  # offsets
+                np.empty(na, dtype=np.int64),  # flat
+                np.empty((nl, na)),  # draws
+                np.empty((na, nl)),  # scores
+                cum,
+                np.empty((na, nl), dtype=bool),  # below
+                target,
+                np.empty(na),  # cap
+                np.empty(na),  # low
+                target[:, None],
+                cum[:, -1],  # total
+            )
+        return self._work[1]
 
     def to_global(self, local_order: np.ndarray) -> tuple[int, ...]:
         return tuple(self.nodes[local_order].tolist())

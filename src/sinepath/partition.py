@@ -54,9 +54,13 @@ def partition_angle(inst: Instance, m: int) -> Partition:
     return _as_partition(assign, m)
 
 
+def _squared_distances(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances from each point to each center."""
+    return ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
 def _assign_nearest(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return _squared_distances(coords, centers).argmin(axis=1)
 
 
 def _rebalance(coords: np.ndarray, assign: np.ndarray, m: int) -> np.ndarray:
@@ -124,18 +128,22 @@ def _depot_array(depots) -> np.ndarray:
     return depots
 
 
+def _depot_distances(inst: Instance, depots: np.ndarray) -> np.ndarray:
+    """Squared point-to-depot distances, or a ValueError if they overflow."""
+    try:
+        with np.errstate(over="raise"):
+            return _squared_distances(inst.coords, depots)
+    except FloatingPointError:
+        raise ValueError("depots too far from the points: squared distances overflow") from None
+
+
 def partition_by_depots(inst: Instance, depots) -> Partition:
     """Nearest-depot assignment, rebalanced to within one node per robot."""
     depots = _depot_array(depots)
     m = len(depots)
     n = inst.dimension
     _check_m(n, m)
-    try:
-        with np.errstate(over="raise"):
-            assign = _assign_nearest(inst.coords, depots)
-    except FloatingPointError:
-        raise ValueError("depots too far from the points: squared distances overflow") from None
-    assign = _rebalance(inst.coords, assign, m)
+    assign = _rebalance(inst.coords, _depot_distances(inst, depots).argmin(axis=1), m)
     return _as_partition(assign, m)
 
 
@@ -144,9 +152,9 @@ def depot_start_nodes(inst: Instance, part: Partition, depots) -> tuple[int, ...
     depots = _depot_array(depots)
     if len(depots) != len(part.subsets):
         raise ValueError("one depot per subset required")
+    d2 = _depot_distances(inst, depots)
     starts = []
-    for sub, depot in zip(part.subsets, depots):
+    for k, sub in enumerate(part.subsets):
         members = np.asarray(sub, dtype=np.int64)
-        dist = ((inst.coords[members] - depot) ** 2).sum(axis=1)
-        starts.append(int(members[int(dist.argmin())]))
+        starts.append(int(members[int(d2[members, k].argmin())]))
     return tuple(starts)

@@ -12,6 +12,8 @@ iteration.
 Determinism contract: every uniform draw derives from
 (master_seed, stream, iteration, subset), with each ant reading its own row
 of the per-subset draw block, so no draw depends on the order the subsets run in.
+Each block's SeedSequence is seeded from the uint32 words numpy makes of
+that tuple, which draws exactly what seeding from the tuple does.
 The incumbent only improves strictly, which makes the convergence trace
 monotone non-increasing.
 
@@ -200,6 +202,26 @@ def _make_partition(inst: Instance, m: int, cfg: SolverConfig) -> Partition:
     return partition_kmeans_like(inst, m, int(ss.generate_state(1)[0]))
 
 
+def _uint32_words(x: int) -> list[int]:
+    """The little-endian 32-bit words of ``x >= 0``, at least one."""
+    words = [x & 0xFFFFFFFF]
+    while x := x >> 32:
+        words.append(x & 0xFFFFFFFF)
+    return words
+
+
+def _colony_entropy(master_seed: int, t: int, m: int) -> np.ndarray:
+    """Row k is the uint32 array numpy builds from the tuple
+    (master_seed, _STREAM_COLONY, t, k) when it seeds a SeedSequence, so
+    seeding from the row draws what seeding from the tuple does, without
+    coercing the tuple again for every block."""
+    head = _uint32_words(master_seed) + [_STREAM_COLONY] + _uint32_words(t)
+    entropy = np.empty((m, len(head) + 1), dtype=np.uint32)
+    entropy[:, :-1] = head
+    entropy[:, -1] = np.arange(m)
+    return entropy
+
+
 def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     """Optimise ``m`` closed tours over the instance; see the module docstring."""
     if type(m) is not int:
@@ -231,15 +253,16 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
         state.j_value = scalarized_objective(
             [t.length for t in seeds], cfg.lambda_weight
         )
-        # One flat bonus deposit before the first iteration: with each seed's
-        # own edges as its backbone, every seed edge earns q/L * (1 + kappa).
+        # One flat bonus deposit before the first iteration: every seed edge
+        # earns q/L * (1 + kappa).
         for colony, seed in zip(colonies, seeds):
-            colony.deposit(seed, seed.edge_set())
+            colony.deposit(seed, flat_bonus=True)
 
     for t in range(p.max_iter):
         bests = []
+        entropy = _colony_entropy(cfg.master_seed, t, len(colonies))
         for k, colony in enumerate(colonies):
-            ss = np.random.SeedSequence((cfg.master_seed, _STREAM_COLONY, t, k))
+            ss = np.random.SeedSequence(entropy[k])
             uniforms = np.random.default_rng(ss).random((p.n_ants, colony.n_local))
             orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, starts[k])
             best = int(lengths.argmin())

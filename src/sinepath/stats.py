@@ -15,7 +15,6 @@ across instances.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +136,8 @@ def friedman_mean_ranks(means: dict[str, dict[str, float]]) -> RankTable:
     """Rank algorithms within each instance by mean metric, then average.
 
     ``means`` maps instance -> algorithm -> mean metric (lower is better).
-    Instances missing any algorithm are skipped with a warning, and a NaN
-    mean is refused.  Within one instance the ranks always sum to A(A+1)/2
-    for A algorithms.
+    An instance missing any algorithm and a NaN mean are refused by name.
+    Within one instance the ranks always sum to A(A+1)/2 for A algorithms.
     """
     algorithms: set[str] = set()
     for per_alg in means.values():
@@ -151,9 +149,10 @@ def friedman_mean_ranks(means: dict[str, dict[str, float]]) -> RankTable:
     per_instance: dict[str, dict[str, float]] = {}
     for inst_name in sorted(means):
         per_alg = means[inst_name]
-        if set(per_alg) != set(algs):
-            warnings.warn(f"instance {inst_name!r} lacks some algorithms; skipped")
-            continue
+        missing = [a for a in algs if a not in per_alg]
+        if missing:
+            names = ", ".join(map(repr, missing))
+            raise ValueError(f"instance {inst_name!r} lacks algorithm {names}")
         for alg in algs:
             if math.isnan(per_alg[alg]):
                 raise ValueError(f"instance {inst_name!r}, algorithm {alg!r}: mean is NaN")

@@ -293,7 +293,7 @@ def test_update_pheromones_bit_identical_to_edge_loop():
     for params in (AcoParams(rho=0.3, q_scale=1.7, kappa=1.5), AcoParams(kappa=0.0)):
         colonies = _colonies_on(tau, subsets, backbones, params)
         update_pheromones(colonies, tours)
-        colonies[0].deposit(overlap, backbones[0])
+        colonies[0].deposit(overlap)
         ref = reference_update_pheromones(
             tau.copy(), tours + [overlap], backbones + [backbones[0]], params
         )
@@ -308,8 +308,8 @@ def test_update_pheromones_bit_identical_to_edge_loop():
 
 @pytest.mark.parametrize("kappa", [0.0, 1.5])
 def test_seed_deposit_bit_identical_to_scalar_loop(kappa):
-    # the solver's seed bonus deposits each seed with its own edges as the
-    # backbone: the flat q/L * (1 + kappa) of the former scalar loop, bit for bit
+    # the solver's seed bonus deposits each seed with a flat bonus: the
+    # q/L * (1 + kappa) of the former scalar loop, bit for bit
     rng = np.random.default_rng(915)
     tau = _uniform_trail(10) * rng.uniform(0.2, 2.0, size=(10, 10))
     seeds = [Tour((0, 3, 1, 2), 7.3), Tour((4, 5), 2.9), Tour((6,), 0.0), Tour((9, 7, 8), 5.7)]
@@ -317,7 +317,7 @@ def test_seed_deposit_bit_identical_to_scalar_loop(kappa):
     subsets = [sorted(s.order) for s in seeds]
     colonies = _colonies_on(tau, subsets, [frozenset()] * len(seeds), params)
     for colony, seed in zip(colonies, seeds):
-        colony.deposit(seed, seed.edge_set())
+        colony.deposit(seed, flat_bonus=True)
     ref = reference_seed_deposit(tau.copy(), seeds, params)
     for colony in colonies:
         assert np.array_equal(colony.tau, ref[np.ix_(colony.nodes, colony.nodes)])
@@ -452,6 +452,51 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     )
     assert np.array_equal(orders, ref_orders)
     assert np.array_equal(lengths, ref_lengths)
+
+
+def test_colony_reused_buffers_match_fresh_colonies():
+    # one colony keeps its step buffers between calls: a changed ant count
+    # and a refused call in between leave every call bit-identical to a
+    # fresh colony's, and the arrays a call returns are the caller's own
+    n = 13
+    d = build_distance_matrix(random_planar_instance(n, seed=930))
+    backbone = _keys(kruskal_mst(d, range(n)))
+
+    def fresh():
+        return SubsetColony(range(n), d, backbone, 2.0, AcoParams())
+
+    rng = np.random.default_rng(931)
+    colony = fresh()
+    tau = colony.local_tau() * rng.uniform(0.5, 1.5, size=(n, n))
+    calls = []
+    for na, start in ((50, None), (7, 4), (50, None), ("refused", None), (50, 0)):
+        if na == "refused":
+            with pytest.raises(ValueError, match="vanished"):
+                colony.construct_colony(np.zeros((n, n)), rng.random((50, n)))
+            continue
+        uniforms = rng.random((na, n))
+        orders, lengths = colony.construct_colony(tau, uniforms, start)
+        ref_orders, ref_lengths = fresh().construct_colony(tau, uniforms, start)
+        assert np.array_equal(orders, ref_orders)
+        assert np.array_equal(lengths, ref_lengths)
+        calls.append((orders, lengths, ref_orders, ref_lengths, uniforms, start))
+    # later calls left the earlier results alone
+    for orders, lengths, ref_orders, ref_lengths, _, _ in calls:
+        assert np.array_equal(orders, ref_orders)
+        assert np.array_equal(lengths, ref_lengths)
+    # and writing into a result does not reach the next call
+    orders, lengths, ref_orders, ref_lengths, uniforms, start = calls[-1]
+    orders[:] = 0
+    lengths[:] = -1.0
+    again, again_lengths = colony.construct_colony(tau, uniforms, start)
+    assert np.array_equal(again, ref_orders)
+    assert np.array_equal(again_lengths, ref_lengths)
+
+
+def test_colony_refuses_backbone_edge_outside_subset():
+    d = build_distance_matrix(random_planar_instance(6, seed=932))
+    with pytest.raises(ValueError, match="outside the subset"):
+        SubsetColony((0, 1, 2), d, frozenset({(0, 1), (2, 5)}), 2.0, AcoParams())
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sinepath.instances import Instance, Metric, random_planar_instance
+from sinepath.instances import Instance, Metric, load_instance, random_planar_instance
 from sinepath.partition import (
     depot_start_nodes,
     partition_angle,
@@ -127,3 +127,15 @@ def test_depot_start_nodes_refuses_non_finite_depots(bad):
     part = partition_angle(inst, 2)
     with pytest.raises(ValueError, match="finite coordinates"):
         depot_start_nodes(inst, part, [(bad, 0.0), (100.0, 100.0)])
+
+
+@pytest.mark.parametrize("far", [1e200, 1e308])
+def test_far_depots_refused_alike(bench51_path, far):
+    # a finite but far depot used to overflow depot_start_nodes' squared
+    # offsets, warn and return the lowest-index member of each subset
+    inst = load_instance(bench51_path)
+    depots = [(far, 0.0), (100.0, 100.0)]
+    with pytest.raises(ValueError, match="depots too far"):
+        partition_by_depots(inst, depots)
+    with pytest.raises(ValueError, match="depots too far"):
+        depot_start_nodes(inst, partition_angle(inst, 2), depots)

@@ -5,12 +5,15 @@ import hashlib
 import importlib
 import json
 import re
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinepath import solver
 from sinepath.aco import AcoParams, SubsetColony
@@ -339,22 +342,58 @@ def test_bench51_m4_matches_benchmark_golden(bench51_path, master_seed):
 def test_one_colony_call_per_subset_per_iteration(bench51_path, monkeypatch):
     # perfbench's traced run counts one construct_colony call per subset per
     # iteration and reads the (n_ants, n_local) uniform block from the second
-    # positional argument; a change to that call pattern must show here first
+    # positional argument; a change to that call pattern must show here first.
+    # Block (t, k) holds the draws the determinism contract documents: those
+    # of a SeedSequence seeded with the tuple (master_seed, 1, t, k).
     calls = []
     original = SubsetColony.construct_colony
 
     def counted(self, *args, **kwargs):
-        calls.append((self.n_local, args[1].shape))
+        calls.append((self.n_local, args[1].copy()))
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SubsetColony, "construct_colony", counted)
-    report = solve(load_instance(bench51_path), 4, _fast_config())
+    master_seed = 2**40 + 7
+    report = solve(load_instance(bench51_path), 4, _fast_config(master_seed=master_seed))
     sizes = sorted(len(t.order) for t in report.tours)
     assert report.iterations_run == FAST.max_iter
     assert len(calls) == FAST.max_iter * 4
-    assert all(shape == (FAST.n_ants, n_local) for n_local, shape in calls)
+    assert all(block.shape == (FAST.n_ants, n_local) for n_local, block in calls)
     for t in range(FAST.max_iter):
         assert sorted(n_local for n_local, _ in calls[4 * t : 4 * t + 4]) == sizes
+        for k, (n_local, block) in enumerate(calls[4 * t : 4 * t + 4]):
+            ss = np.random.SeedSequence((master_seed, 1, t, k))
+            expected = np.random.default_rng(ss).random((FAST.n_ants, n_local))
+            assert np.array_equal(block, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**80 - 1),
+    st.integers(0, 10**6 - 1),
+    st.integers(0, 63),
+)
+@example(0, 0, 0)
+@example(2**32 - 1, 0, 0)
+@example(2**32, 999_999, 63)
+@example(2**64 + 3, 5, 1)
+def test_colony_entropy_seeds_like_the_tuple(master_seed, t, k):
+    # the solver seeds block (t, k) from uint32 words; the generator must
+    # start where seeding from the documented tuple starts
+    words = solver._colony_entropy(master_seed, t, k + 1)[k]
+    from_words = np.random.PCG64(np.random.SeedSequence(words)).state
+    from_tuple = np.random.PCG64(np.random.SeedSequence((master_seed, 1, t, k))).state
+    assert from_words == from_tuple
+
+
+def test_huge_budget_stops_at_stagnation_quickly(bench51_path):
+    # the seed words are built per iteration, never for the whole budget
+    inst = load_instance(bench51_path)
+    cfg = _fast_config(aco=AcoParams(n_ants=8, max_iter=10**7), stagnation_window=1)
+    start = time.perf_counter()
+    report = solve(inst, 4, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert report.iterations_run < 100
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -176,16 +176,15 @@ def test_friedman_rank_sums():
             assert 1.0 <= table.mean_ranks[a] <= n_alg
 
 
-def test_friedman_incomplete_instance_skipped():
+def test_friedman_incomplete_instance_refused():
+    # an instance lacking an algorithm used to be skipped with a warning
     means = {
         "full1": {"a": 1.0, "b": 2.0},
         "full2": {"a": 2.0, "b": 1.0},
         "partial": {"a": 1.0},
     }
-    with pytest.warns(UserWarning, match="partial"):
-        table = friedman_mean_ranks(means)
-    assert set(table.per_instance) == {"full1", "full2"}
-    assert table.mean_ranks == {"a": 1.5, "b": 1.5}
+    with pytest.raises(ValueError, match=r"'partial' lacks algorithm 'b'"):
+        friedman_mean_ranks(means)
 
 
 def test_friedman_preconditions():
