@@ -107,9 +107,12 @@ def update_pheromones(colonies, tours) -> None:
 class SubsetColony:
     """Vectorised construction of a whole colony's tours over one subset.
 
-    Works in local index space and owns the subset's trail ``tau``, an
-    (n_local, n_local) block that starts at 1 with a zero diagonal (the rule
-    ignores a uniform trail scale, so starting at c would act as q_scale / c).
+    Works in local index space, whose order is ascending node id order.
+    ``dist`` is the subset's (n_local, n_local) distance block (see
+    ``instances.distance_block``), which the colony keeps.  The colony owns
+    the subset's trail ``tau``, an (n_local, n_local) block that starts at 1
+    with a zero diagonal (the rule ignores a uniform trail scale, so starting
+    at c would act as q_scale / c).
     The static score factor (1/d)^beta * psi is precomputed; per iteration
     only tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
@@ -121,13 +124,19 @@ class SubsetColony:
     def __init__(
         self,
         nodes,
-        d: np.ndarray,
+        dist: np.ndarray,
         backbone_edges,
         omega: float,
         params: AcoParams,
     ):
         self.nodes = np.asarray(sorted(int(v) for v in set(nodes)), dtype=np.int64)
         self.n_local = n = len(self.nodes)
+        self._members = frozenset(self.nodes.tolist())
+        if np.shape(dist) != (n, n):
+            raise ValueError(
+                f"distance block of shape {np.shape(dist)} for a subset of {n} nodes; "
+                f"pass the subset's ({n}, {n}) block"
+            )
         self.params = params
         self.tau = 1.0 - np.eye(n)
         edges = np.array(sorted(backbone_edges), dtype=np.int64).reshape(-1, 2)
@@ -140,7 +149,7 @@ class SubsetColony:
         self._gain = gain.reshape(-1)
         self._work = None
 
-        self.dist = d[np.ix_(self.nodes, self.nodes)]
+        self.dist = np.ascontiguousarray(dist, dtype=np.float64)
         off_diag = ~np.eye(n, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
             raise ValueError("zero distance inside subset: degenerate geometry")
@@ -159,8 +168,13 @@ class SubsetColony:
         """Add q/L * (1 + kappa * [edge on the backbone]) on the trail of
         each edge of ``tour``, a tour over this subset in global ids; with
         ``flat_bonus`` every edge earns q/L * (1 + kappa), as the seed tour's
-        do.  Single-node tours deposit nothing."""
+        do.  Single-node tours deposit nothing; a node outside the subset is
+        refused."""
         order = tuple(tour.order)
+        # searchsorted below would put a foreign node on a neighbour's cells.
+        if not self._members.issuperset(order):
+            foreign = next(v for v in order if v not in self._members)
+            raise ValueError(f"tour node {foreign} is outside the subset")
         if len(order) < 2:
             return
         # Local ids of the tour closed on its start: legs run ring[i] -> ring[i + 1].

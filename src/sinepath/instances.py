@@ -3,8 +3,11 @@
 An instance is an immutable list of task coordinates plus the rule for
 measuring distance between them.  Planar instances use unrounded Euclidean
 distance; geographic instances use the haversine great-circle distance on a
-sphere of radius 6371 km.  Both produce a dense symmetric matrix that every
-downstream component consumes.
+sphere of radius 6371 km.  One kernel, ``distance_block``, computes the
+distances among any ascending set of node ids, a row block at a time.  The
+dense matrix (``build_distance_matrix``) is the block over every node, and a
+subset's block holds the matrix's bits for its node pairs, so a consumer that
+reads only within a subset can take its block in place of the matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ EARTH_RADIUS_KM = 6371.0
 
 # Dense n x n matrices; beyond this the quadratic memory is no longer "desk scale".
 DEFAULT_DIMENSION_CAP = 4000
+
+# Cells per row block of ``distance_block``: its scratch is a few such blocks,
+# never an n x n array.
+_BLOCK_CELLS = 1 << 15
 
 
 class ParseError(ValueError):
@@ -71,43 +78,75 @@ class Instance:
 
 def build_distance_matrix(inst: Instance) -> np.ndarray:
     """Dense symmetric distance matrix for every node pair, for at most
-    ``DEFAULT_DIMENSION_CAP`` nodes.
-
-    Symmetry and the zero diagonal hold exactly.  A Euclidean coordinate
-    difference negates exactly, so the matrix is built in place without a
-    mirror; the great-circle upper triangle is computed once and mirrored.
-    Coordinates so large that a distance overflows are refused with a
-    ``ValueError``.
-    """
+    ``DEFAULT_DIMENSION_CAP`` nodes: ``distance_block`` over all nodes."""
     n = inst.dimension
     if n > DEFAULT_DIMENSION_CAP:
         raise ValueError(
             f"instance has {n} nodes, above the dense-matrix cap of {DEFAULT_DIMENSION_CAP}"
         )
-    if inst.metric is Metric.EUCLIDEAN:
-        x, y = inst.coords[:, 0], inst.coords[:, 1]
-        full = np.subtract.outer(x, x)
-        full *= full
-        dy = np.subtract.outer(y, y)
-        dy *= dy
-        full += dy
-        del dy
-        np.sqrt(full, out=full)
+    return distance_block(inst, np.arange(n))
+
+
+def distance_block(inst: Instance, nodes) -> np.ndarray:
+    """The (k, k) distances among ``nodes``, k ascending node ids: entry
+    [a, b] is the distance between nodes[a] and nodes[b].
+
+    Rows are computed ``_BLOCK_CELLS`` cells at a time, so the scratch stays
+    a few row blocks whatever k is.  Each cell depends only on its two
+    nodes' coordinates, so a subset's block holds the bits of the full
+    matrix's cells.  Symmetry and the zero diagonal hold exactly.  A
+    Euclidean coordinate difference negates exactly, so every cell is
+    computed in place; the great-circle upper triangle is computed once and
+    copied below the diagonal.  Coordinates so large that a distance
+    overflows are refused with a ``ValueError``.
+    """
+    idx = np.asarray(nodes)
+    n = inst.dimension
+    if not (
+        idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
+        and 0 <= idx[0] and idx[-1] < n and (idx[1:] > idx[:-1]).all()
+    ):
+        raise ValueError(f"nodes must be ascending, distinct node ids in [0, {n})")
+    coords = inst.coords[idx]
+    k = len(idx)
+    out = np.empty((k, k))
+    euclidean = inst.metric is Metric.EUCLIDEAN
+    if euclidean:
+        x, y = coords.T
     else:
-        rad = np.radians(inst.coords)
-        lat, lon = rad[:, 0], rad[:, 1]
-        dphi = lat[:, None] - lat[None, :]
-        dlmb = lon[:, None] - lon[None, :]
-        s = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlmb / 2.0) ** 2
-        upper = np.triu(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))), k=1)
-        full = upper + upper.T
-    if not np.isfinite(full).all():
-        scale = float(np.abs(inst.coords).max())
-        raise ValueError(
-            f"non-finite distances: the coordinate scale {scale:.3g} overflows "
-            "the distance matrix; rescale the coordinates"
-        )
-    return full
+        lat, lon = np.radians(coords).T
+        cos_lat = np.cos(lat)
+    step = max(1, _BLOCK_CELLS // k)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        rows = out[lo:hi]
+        if euclidean:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                np.subtract.outer(x[lo:hi], x, out=rows)
+                rows *= rows
+                dy = np.subtract.outer(y[lo:hi], y)
+                dy *= dy
+                rows += dy
+            np.sqrt(rows, out=rows)
+        else:
+            # Columns lo..k-1, kept above the diagonal.
+            dphi = lat[lo:hi, None] - lat[None, lo:]
+            dlmb = lon[lo:hi, None] - lon[None, lo:]
+            s = np.sin(dphi / 2.0) ** 2 + cos_lat[lo:hi, None] * cos_lat[None, lo:] * np.sin(dlmb / 2.0) ** 2
+            rows[:, lo:] = np.triu(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))), k=1)
+            # Below the diagonal: earlier rows' cells copied, and the square
+            # block added to its transpose, which adds only +0.0 to a cell.
+            rows[:, :lo] = out[:lo, lo:hi].T
+            square = rows[:, lo:hi]
+            square += square.T
+        # Distances are non-negative: the max is finite exactly when every cell is.
+        if not np.isfinite(rows.max()):
+            scale = float(np.abs(coords).max())
+            raise ValueError(
+                f"non-finite distances: the coordinate scale {scale:.3g} overflows "
+                "the distance matrix; rescale the coordinates"
+            )
+    return out
 
 
 def _collapse_duplicates(coords: np.ndarray, name: str) -> np.ndarray:

@@ -1,13 +1,16 @@
 """End-to-end solve: partition, backbone, seed, colony loop, report.
 
-The pipeline: build the distance matrix, compute the global MST, split the
-nodes into per-robot subsets, then run one pheromone colony per subset.  The
-subsets stay fixed, so each colony keeps the trail over its own subset and
-the solve holds no trail over the whole instance.  The bias and the deposit
-bonus see the global MST restricted to each subset; the optional seed tour is
-a Christofides-style shortcut of the per-subset MST, registered as the initial
-incumbent and given one bonus deposit on its colony's trail before the first
-iteration.
+The pipeline: build the dense distance matrix, compute the global MST on
+it and drop it, split the nodes into per-robot subsets, then run one
+pheromone colony per subset.  The global MST is the only step that reads
+distances across subsets; each colony gets its own subset's distance block
+(``instances.distance_block``, the matrix's bits for those node pairs), so
+after the MST the solve holds no n x n array.  The subsets stay fixed, so
+each colony also keeps the trail over its own subset.  The bias and the
+deposit bonus see the global MST restricted to each subset; the optional
+seed tour is a Christofides-style shortcut of the per-subset MST, computed
+on the colony's block, registered as the initial incumbent and given one
+bonus deposit on its colony's trail before the first iteration.
 
 Determinism contract: every uniform draw derives from
 (master_seed, stream, iteration, subset), with each ant reading its own row
@@ -32,7 +35,7 @@ import numpy as np
 from .aco import AcoParams, SubsetColony, update_pheromones
 from .backbone import christofides_seed, kruskal_mst, restrict_edges
 from .backbone import dfs_preorder_seed  # noqa: F401  perfbench's tracer wraps this name
-from .instances import Instance, build_distance_matrix
+from .instances import Instance, build_distance_matrix, distance_block
 from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective
 from .partition import (
     Partition,
@@ -230,13 +233,15 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
         raise ValueError(f"robot count {m} outside [1, {inst.dimension}]")
 
     t_begin = time.perf_counter()
-    d = build_distance_matrix(inst)
     p = cfg.aco
 
-    global_mst = kruskal_mst(d, range(inst.dimension))
+    # The only reader of distances across subsets: the matrix is freed on return.
+    global_mst = kruskal_mst(build_distance_matrix(inst), range(inst.dimension))
     part = _make_partition(inst, m, cfg)
     colonies = [
-        SubsetColony(sub, d, restrict_edges(global_mst, sub), cfg.omega, p)
+        SubsetColony(
+            sub, distance_block(inst, sub), restrict_edges(global_mst, sub), cfg.omega, p
+        )
         for sub in part.subsets
     ]
     starts = [None] * len(colonies)
@@ -248,7 +253,12 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     state = IncumbentState()
 
     if cfg.seed_with_christofides:
-        seeds = [christofides_seed(d, sub) for sub in part.subsets]
+        # Local order is global order, so a block's seed mapped to global ids
+        # is the subset's seed, bit for bit.
+        seeds = []
+        for colony in colonies:
+            local = christofides_seed(colony.dist, range(colony.n_local))
+            seeds.append(Tour(colony.to_global(list(local.order)), local.length))
         state.tours = tuple(seeds)
         state.j_value = scalarized_objective(
             [t.length for t in seeds], cfg.lambda_weight

@@ -490,6 +490,18 @@ def reference_distance_matrix(coords: np.ndarray) -> np.ndarray:
     return upper + upper.T
 
 
+def reference_great_circle_matrix(coords: np.ndarray) -> np.ndarray:
+    """The great-circle matrix as built in one piece: every cell of the
+    haversine expression at once, then its upper triangle mirrored."""
+    rad = np.radians(coords)
+    lat, lon = rad[:, 0], rad[:, 1]
+    dphi = lat[:, None] - lat[None, :]
+    dlmb = lon[:, None] - lon[None, :]
+    s = np.sin(dphi / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlmb / 2.0) ** 2
+    upper = np.triu(2.0 * 6371.0 * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))), k=1)
+    return upper + upper.T
+
+
 def parse_results_csv(text: str) -> BenchResults:
     """A ``results.csv`` read back: aggregates only, since the csv carries no
     raw runs."""

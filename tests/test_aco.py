@@ -105,7 +105,7 @@ def test_tour_edge_set():
 def test_init_pheromone():
     # each colony starts its own subset's trail at 1 with a zero diagonal
     d = build_distance_matrix(random_planar_instance(6, seed=899))
-    colony = SubsetColony([4, 1, 3], d, frozenset(), 1.0, AcoParams())
+    colony = SubsetColony([4, 1, 3], d[np.ix_([1, 3, 4], [1, 3, 4])], frozenset(), 1.0, AcoParams())
     assert np.array_equal(colony.tau, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
@@ -238,7 +238,8 @@ def _colonies_on(tau, subsets, backbones, params):
     the global trail ``tau``: the oracles then run on ``tau`` itself."""
     d = build_distance_matrix(random_planar_instance(len(tau), seed=913))
     colonies = [
-        SubsetColony(sub, d, bk, 1.0, params) for sub, bk in zip(subsets, backbones)
+        SubsetColony(sub, d[np.ix_(sorted(sub), sorted(sub))], bk, 1.0, params)
+        for sub, bk in zip(subsets, backbones)
     ]
     for colony in colonies:
         colony.tau = tau[np.ix_(colony.nodes, colony.nodes)]
@@ -439,7 +440,7 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     backbone = _keys(kruskal_mst(d, nodes))
     params = AcoParams(alpha=alpha, beta=2.5)
     # omega**1.2: a backbone boost that is no round number
-    colony = SubsetColony(nodes, d, backbone, omega**1.2, params)
+    colony = SubsetColony(nodes, d[np.ix_(nodes, nodes)], backbone, omega**1.2, params)
     tau = _uniform_trail(n) * rng.uniform(0.05, 3.0, size=(n, n))
     colony.tau = tau[np.ix_(nodes, nodes)]
     tau_local = colony.local_tau()
@@ -496,7 +497,31 @@ def test_colony_reused_buffers_match_fresh_colonies():
 def test_colony_refuses_backbone_edge_outside_subset():
     d = build_distance_matrix(random_planar_instance(6, seed=932))
     with pytest.raises(ValueError, match="outside the subset"):
-        SubsetColony((0, 1, 2), d, frozenset({(0, 1), (2, 5)}), 2.0, AcoParams())
+        SubsetColony((0, 1, 2), d[:3, :3], frozenset({(0, 1), (2, 5)}), 2.0, AcoParams())
+
+
+def test_colony_refuses_a_distance_block_of_another_shape():
+    # the colony takes its subset's block, not the instance's matrix
+    d = build_distance_matrix(random_planar_instance(6, seed=933))
+    for dist in (d, d[:3, :2], d[0]):
+        with pytest.raises(ValueError, match=r"distance block of shape .* subset of 3 nodes"):
+            SubsetColony((1, 3, 5), dist, frozenset(), 2.0, AcoParams())
+
+
+@pytest.mark.parametrize("order", [(1, 4, 5), (0, 3, 5), (3, 5, 9), (5, 3, 2), (6,)])
+def test_deposit_refuses_a_node_outside_the_subset(order):
+    # searchsorted put a foreign node on a neighbouring local id and
+    # deposited on the wrong cells without an error
+    d = build_distance_matrix(random_planar_instance(10, seed=934))
+    nodes = [1, 3, 5]
+    colony = SubsetColony(nodes, d[np.ix_(nodes, nodes)], frozenset(), 2.0, AcoParams())
+    before = colony.tau.copy()
+    foreign = next(v for v in order if v not in nodes)
+    with pytest.raises(ValueError, match=rf"tour node {foreign} is outside the subset"):
+        colony.deposit(Tour(order, 10.0))
+    assert np.array_equal(colony.tau, before)
+    with pytest.raises(ValueError, match=rf"tour node {foreign} is outside the subset"):
+        update_pheromones([colony], [Tour(order, 10.0)])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -656,7 +681,7 @@ def test_colony_matches_reference_across_trail_scales(
     d = build_distance_matrix(random_planar_instance(max(width, 2), seed=seed))
     params = AcoParams(alpha=alpha, beta=beta)
     backbone = _keys(kruskal_mst(d, range(width)))
-    colony = SubsetColony(range(width), d, backbone, omega, params)
+    colony = SubsetColony(range(width), d[:width, :width], backbone, omega, params)
     trail = 10.0**exponent * rng.uniform(0.5, 1.5, size=d.shape)
     trail[rng.random(d.shape) < zeros] = 0.0
     colony.tau = trail[:width, :width]

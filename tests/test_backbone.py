@@ -27,7 +27,13 @@ from sinepath.backbone import (
     restrict_edges,
     shortcut,
 )
-from sinepath.instances import build_distance_matrix, random_planar_instance
+from sinepath.instances import (
+    Instance,
+    Metric,
+    build_distance_matrix,
+    distance_block,
+    random_planar_instance,
+)
 from sinepath.objective import tour_length
 
 
@@ -289,6 +295,35 @@ def test_seed_single_node():
     assert dfs_preorder_seed(d, [2]).order == (2,)
     with pytest.raises(ValueError, match="non-empty"):
         christofides_seed(d, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    metric=st.sampled_from(list(Metric)),
+    n=st.integers(2, 60),
+    lattice=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_block_seed_maps_to_the_subset_seed(metric, n, lattice, seed, data):
+    # the solver seeds each colony from its own block in local ids; mapped
+    # back through the ascending node ids it must be the seed the full
+    # matrix gives the subset: same order, same length bits.  A lattice
+    # makes many equal weights, so the (weight, u, v) tie rule is exercised.
+    rng = np.random.default_rng(seed)
+    if lattice:
+        cells = rng.choice(64, size=n, replace=False)
+        coords = np.column_stack([cells // 8, cells % 8]).astype(float)
+    else:
+        coords = rng.uniform(-60.0, 60.0, size=(n, 2))
+    inst = Instance("seeded", coords, metric)
+    d = build_distance_matrix(inst)
+    k = data.draw(st.integers(1, n))
+    nodes = np.sort(rng.choice(n, size=k, replace=False))
+    local = christofides_seed(distance_block(inst, nodes), range(k))
+    expected = christofides_seed(d, nodes.tolist())
+    assert tuple(nodes[list(local.order)].tolist()) == expected.order
+    assert local.length == expected.length
 
 
 def test_dfs_preorder_seed():

@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     euclidean_distance,
     haversine_distance,
     law_of_cosines_km,
     reference_distance_matrix,
+    reference_great_circle_matrix,
 )
 from sinepath import instances
 from sinepath.instances import (
@@ -20,6 +23,7 @@ from sinepath.instances import (
     ParseError,
     UnsupportedFormatError,
     build_distance_matrix,
+    distance_block,
     load_instance,
     parse_geo_csv,
     parse_tsplib,
@@ -251,8 +255,23 @@ def test_matrix_bit_identical_to_reference(n, scale):
     assert np.array_equal(np.diag(d), np.zeros(n))
 
 
+@pytest.mark.parametrize("n", [2, 3, 301, 1500])
+def test_great_circle_matrix_bit_identical_to_reference(n):
+    # the row-blocked kernel computes only the upper triangle and copies it
+    # down; the whole-matrix expression it replaced must read the same bits
+    rng = np.random.default_rng(n + 1)
+    coords = np.column_stack([rng.uniform(-90, 90, size=n), rng.uniform(-180, 180, size=n)])
+    inst = Instance("g", coords, Metric.GREAT_CIRCLE)
+    d = build_distance_matrix(inst)
+    assert np.array_equal(d, reference_great_circle_matrix(inst.coords))
+    assert np.array_equal(d, d.T)
+    assert not np.signbit(d).any()
+
+
 def test_matrix_memory_peak():
-    # the result plus one n^2 scratch array; the (n, n, 2) broadcast needed 5x
+    # the result and a few row blocks of scratch; one n^2 scratch array
+    # beside the result used to peak at 2.02 n^2 doubles, and the (n, n, 2)
+    # broadcast before it at 5x
     n = 1500
     inst = random_planar_instance(n, seed=5)
     tracemalloc.start()
@@ -261,7 +280,74 @@ def test_matrix_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * n * 8
+    assert peak <= 1.25 * n * n * 8
+
+
+def _scaled_instance(metric, n, scale, seed):
+    """n distinct points: a box of half-width ``scale`` times up to 1e5 for
+    the plane, which overflows a squared difference near the top scales,
+    and up to the full sphere for lat/lon."""
+    rng = np.random.default_rng(seed)
+    if metric is Metric.EUCLIDEAN:
+        coords = rng.uniform(-1.0, 1.0, size=(n, 2)) * (scale * 10.0 ** rng.uniform(0, 5))
+    else:
+        box = min(scale, 1.0) * np.array([90.0, 180.0])
+        coords = rng.uniform(-1.0, 1.0, size=(n, 2)) * box
+    return Instance("scaled", coords, metric)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    metric=st.sampled_from(list(Metric)),
+    # 1500 and 301 leave a short last row block; 2000 fills its blocks
+    n=st.sampled_from([2, 3, 301, 1500, 2000]),
+    exponent=st.floats(-9.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.floats(0.0, 1.0),
+)
+@example(metric=Metric.EUCLIDEAN, n=301, exponent=150.0, seed=1, share=0.5)  # overflows
+@example(metric=Metric.EUCLIDEAN, n=2000, exponent=-9.0, seed=1, share=1.0)
+@example(metric=Metric.GREAT_CIRCLE, n=2000, exponent=0.0, seed=2, share=0.1)
+@example(metric=Metric.GREAT_CIRCLE, n=1500, exponent=-9.0, seed=3, share=0.7)
+def test_distance_block_is_the_matrix_block(metric, n, exponent, seed, share):
+    # a block over any ascending node ids holds the full matrix's bits for
+    # its node pairs; where the matrix overflows it is refused by name,
+    # without a numpy warning (an error in this suite)
+    inst = _scaled_instance(metric, n, 10.0**exponent, seed)
+    rng = np.random.default_rng(seed)
+    k = max(1, round(share * n))
+    nodes = np.sort(rng.choice(n, size=k, replace=False))
+    try:
+        d = build_distance_matrix(inst)
+    except ValueError as exc:
+        assert "non-finite distances" in str(exc) and "rescale the coordinates" in str(exc)
+        with pytest.raises(ValueError, match="non-finite distances"):
+            distance_block(inst, np.arange(n))
+        # a subset overflows exactly when its own matrix does
+        sub = Instance("sub", inst.coords[nodes], metric) if k > 1 else None
+        try:
+            block = distance_block(inst, nodes)
+        except ValueError as sub_exc:
+            assert "non-finite distances" in str(sub_exc)
+            with pytest.raises(ValueError, match="non-finite distances"):
+                build_distance_matrix(sub)
+        else:
+            assert np.isfinite(block).all()
+        return
+    block = distance_block(inst, nodes)
+    assert np.array_equal(block, d[np.ix_(nodes, nodes)])
+    assert np.array_equal(block, block.T)
+    assert not np.signbit(block).any()
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[], [1, 0, 2], [0, 0, 1], [0, 3], [-1, 2], [0.0, 1.0], [[0, 1]], "01"],
+)
+def test_distance_block_refuses_bad_node_ids(nodes):
+    inst = random_planar_instance(3, seed=6)
+    with pytest.raises(ValueError, match=r"ascending, distinct node ids in \[0, 3\)"):
+        distance_block(inst, nodes)
 
 
 def test_matrix_triangle_inequality():

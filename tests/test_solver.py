@@ -8,6 +8,7 @@ import re
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from sinepath import solver
 from sinepath.aco import AcoParams, SubsetColony
 from sinepath.instances import (
     Instance,
+    Metric,
     build_distance_matrix,
     load_instance,
     random_planar_instance,
@@ -249,9 +251,10 @@ def test_depot_starts():
 
 
 def test_solve_memory_peak():
-    # the distance matrix, its n^2 scratch and the per-subset blocks: each
-    # colony keeps only its own subset's trail, where one n x n trail over
-    # the whole instance used to peak at ~2.5 n^2 doubles
+    # the distance matrix lives only through the global MST, and each colony
+    # keeps its own subset's block and trail: ~1.08 n^2 doubles at m = 8.
+    # Holding the matrix beside its n^2 scratch and then through the colony
+    # loop peaked at 2.02, and one n x n trail at ~2.5
     n = 1000
     inst = random_planar_instance(n, seed=5)
     cfg = SolverConfig(aco=AcoParams(n_ants=5, max_iter=2))
@@ -261,7 +264,67 @@ def test_solve_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * n * n * 8
+    assert peak <= 1.25 * n * n * 8
+
+
+def test_matrix_released_before_the_colonies_run(monkeypatch):
+    # solve builds the dense matrix once, for the global MST, and must drop
+    # it before the first colony step; the colonies read their own blocks
+    built = []
+    original = solver.build_distance_matrix
+
+    def watched(inst):
+        d = original(inst)
+        built.append(weakref.finalize(d, lambda: None))
+        return d
+
+    alive_at_first_step = []
+    construct = SubsetColony.construct_colony
+
+    def first_step(self, *args, **kwargs):
+        if not alive_at_first_step:
+            alive_at_first_step.append(built[0].alive)
+        return construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_distance_matrix", watched)
+    monkeypatch.setattr(SubsetColony, "construct_colony", first_step)
+    solve(random_planar_instance(60, seed=6), 3, _fast_config())
+    assert len(built) == 1
+    assert alive_at_first_step == [False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    direction=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -7.0)]),
+    exponent=st.floats(-6.0, 6.0),
+    robots=st.sampled_from(["one", "all", "some"]),
+    partition_method=st.sampled_from(["angle", "kmeans"]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=2, direction=(1.0, 0.0), exponent=-6.0, robots="all", partition_method="angle",
+         seed=0)
+@example(n=24, direction=(1.0, 1.0), exponent=6.0, robots="one", partition_method="kmeans",
+         seed=1)
+def test_solve_on_collinear_points(n, direction, exponent, robots, partition_method, seed):
+    # points on one line at scales 1e-6 to 1e6, one robot or one robot per
+    # node: the tours are a disjoint cover, and each reported length is the
+    # full matrix's tour length bit for bit, so every block held its bits
+    rng = np.random.default_rng(seed)
+    steps = np.cumsum(rng.uniform(0.5, 2.0, size=n)) * 10.0**exponent
+    coords = np.outer(steps, direction) + 10.0**exponent
+    inst = Instance("line", coords, Metric.EUCLIDEAN)
+    m = {"one": 1, "all": n, "some": max(1, n // 3)}[robots]
+    cfg = _fast_config(
+        aco=AcoParams(n_ants=4, max_iter=6), partition_method=partition_method, master_seed=seed
+    )
+    report = solve(inst, m, cfg)
+    visited = [v for t in report.tours for v in t.order]
+    assert sorted(visited) == list(range(n))
+    assert len(report.tours) == m
+    d = build_distance_matrix(inst)
+    for tour in report.tours:
+        assert tour.length == tour_length(tour.order, d)
 
 
 def test_robot_count_validation():
