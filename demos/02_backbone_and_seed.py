@@ -19,9 +19,8 @@ from sinepath.objective import tour_length
 
 inst = random_planar_instance(24, seed=42, clusters=2)
 d = build_distance_matrix(inst)
-nodes = range(inst.dimension)
 
-mst = kruskal_mst(d, nodes)
+mst = kruskal_mst(d)
 print(f"MST: {len(mst.edges)} edges, cost {mst.total_cost:.2f}")
 
 odd = odd_degree_vertices(mst)
@@ -29,17 +28,17 @@ matching = greedy_min_matching(d, odd)
 matching_cost = sum(e.weight for e in matching)
 print(f"odd vertices: {len(odd)}, matching cost {matching_cost:.2f}")
 
-seed = christofides_seed(d, nodes)
+seed = christofides_seed(d)
 print(f"seed tour: length {seed.length:.2f}")
 print(f"  lower bound (MST)            {mst.total_cost:.2f}")
 print(f"  upper bound (MST + matching) {mst.total_cost + matching_cost:.2f}")
 assert mst.total_cost <= seed.length <= mst.total_cost + matching_cost + 1e-9
 
 # The tree-walk alternative skips the matching and is usually longer.
-walk = dfs_preorder_seed(d, nodes)
+walk = dfs_preorder_seed(d)
 print(f"preorder-walk tour: length {walk.length:.2f}")
 
 # Both are honest closed tours over the same nodes.
 for built in (seed, walk):
-    assert sorted(built.order) == list(nodes)
+    assert sorted(built.order) == list(range(inst.dimension))
     assert abs(tour_length(built.order, d) - built.length) < 1e-9

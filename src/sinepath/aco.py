@@ -98,21 +98,23 @@ class AcoParams:
 
 def update_pheromones(colonies, tours) -> None:
     """Evaporate each colony's trail by (1 - rho), then deposit its subset's
-    tour on it with the colony's own backbone."""
-    for colony, tour in zip(colonies, tours, strict=True):
+    tour on it with the colony's own backbone.  Every tour is checked before
+    any trail changes, so a refused call leaves every trail as it was."""
+    rings = [colony._ring(tour) for colony, tour in zip(colonies, tours, strict=True)]
+    for colony, tour, ring in zip(colonies, tours, rings):
         colony.tau *= 1.0 - colony.params.rho
-        colony.deposit(tour)
+        colony._deposit(ring, tour.length)
 
 
 class SubsetColony:
     """Vectorised construction of a whole colony's tours over one subset.
 
-    Works in local index space, whose order is ascending node id order.
-    ``dist`` is the subset's (n_local, n_local) distance block (see
-    ``instances.distance_block``), which the colony keeps.  The colony owns
-    the subset's trail ``tau``, an (n_local, n_local) block that starts at 1
-    with a zero diagonal (the rule ignores a uniform trail scale, so starting
-    at c would act as q_scale / c).
+    Works in the subset's local ids 0..n_local-1.  ``dist`` is the subset's
+    (n_local, n_local) distance block (see ``instances.distance_block``),
+    which the colony keeps, and ``backbone_edges`` are (u, v) pairs of local
+    ids.  The colony owns the subset's trail ``tau``, an (n_local, n_local)
+    block that starts at 1 with a zero diagonal (the rule ignores a uniform
+    trail scale, so starting at c would act as q_scale / c).
     The static score factor (1/d)^beta * psi is precomputed; per iteration
     only tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
@@ -121,35 +123,23 @@ class SubsetColony:
     ``_workspace``); a call returns arrays of its own.
     """
 
-    def __init__(
-        self,
-        nodes,
-        dist: np.ndarray,
-        backbone_edges,
-        omega: float,
-        params: AcoParams,
-    ):
-        self.nodes = np.asarray(sorted(int(v) for v in set(nodes)), dtype=np.int64)
-        self.n_local = n = len(self.nodes)
-        self._members = frozenset(self.nodes.tolist())
-        if np.shape(dist) != (n, n):
-            raise ValueError(
-                f"distance block of shape {np.shape(dist)} for a subset of {n} nodes; "
-                f"pass the subset's ({n}, {n}) block"
-            )
+    def __init__(self, dist: np.ndarray, backbone_edges, omega: float, params: AcoParams):
+        self.dist = np.ascontiguousarray(dist, dtype=np.float64)
+        if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
+            raise ValueError(f"distance block of shape {np.shape(dist)} is not square")
+        self.n_local = n = len(self.dist)
         self.params = params
         self.tau = 1.0 - np.eye(n)
         edges = np.array(sorted(backbone_edges), dtype=np.int64).reshape(-1, 2)
-        if not np.isin(edges, self.nodes).all():
-            raise ValueError("backbone edge with an end outside the subset")
-        bu, bv = np.searchsorted(self.nodes, edges).T
+        if ((edges < 0) | (edges >= n)).any():
+            raise ValueError(f"backbone edge with an end outside [0, {n})")
+        bu, bv = edges.T
         # Per flat trail cell, the deposit factor 1 + kappa * [edge on the backbone].
         gain = np.ones((n, n))
         gain[bu, bv] = gain[bv, bu] = 1.0 + params.kappa
         self._gain = gain.reshape(-1)
         self._work = None
 
-        self.dist = np.ascontiguousarray(dist, dtype=np.float64)
         off_diag = ~np.eye(n, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
             raise ValueError("zero distance inside subset: degenerate geometry")
@@ -166,29 +156,35 @@ class SubsetColony:
 
     def deposit(self, tour, *, flat_bonus: bool = False) -> None:
         """Add q/L * (1 + kappa * [edge on the backbone]) on the trail of
-        each edge of ``tour``, a tour over this subset in global ids; with
+        each edge of ``tour``, a tour in this colony's local ids; with
         ``flat_bonus`` every edge earns q/L * (1 + kappa), as the seed tour's
-        do.  Single-node tours deposit nothing; a node outside the subset is
-        refused."""
+        do.  Single-node tours deposit nothing; an id outside [0, n_local)
+        is refused."""
+        self._deposit(self._ring(tour), tour.length, flat_bonus)
+
+    def _ring(self, tour) -> np.ndarray:
+        """The tour's ids closed on its start, so that its legs run
+        ring[i] -> ring[i + 1]; an id outside [0, n_local) is refused."""
         order = tuple(tour.order)
-        # searchsorted below would put a foreign node on a neighbour's cells.
-        if not self._members.issuperset(order):
-            foreign = next(v for v in order if v not in self._members)
-            raise ValueError(f"tour node {foreign} is outside the subset")
-        if len(order) < 2:
-            return
-        # Local ids of the tour closed on its start: legs run ring[i] -> ring[i + 1].
-        ring = self.nodes.searchsorted(order + order[:1])
+        ring = np.array(order + order[:1], dtype=np.int64)
+        if len(order) and not (0 <= ring.min() and ring.max() < self.n_local):
+            foreign = next(v for v in order if not 0 <= v < self.n_local)
+            raise ValueError(f"tour node {foreign} outside [0, {self.n_local})")
+        return ring
+
+    def _deposit(self, ring: np.ndarray, length: float, flat_bonus: bool = False) -> None:
         here, succ = ring[:-1], ring[1:]
+        if len(here) < 2:
+            return
         fwd = here * self.n_local + succ
         p = self.params
-        scale = p.q_scale / tour.length
+        scale = p.q_scale / length
         amount = scale * (1.0 + p.kappa) if flat_bonus else scale * self._gain[fwd]
         # A tour's forward cells are distinct, and so are its backward ones;
         # only a 2-node tour's backward cells repeat its forward ones.
         tau = self.tau.reshape(-1)
         tau[fwd] += amount
-        if len(order) > 2:
+        if len(here) > 2:
             tau[succ * self.n_local + here] += amount
 
     def local_tau(self) -> np.ndarray:
@@ -334,6 +330,3 @@ class SubsetColony:
                 cum[:, -1],  # total
             )
         return self._work[1]
-
-    def to_global(self, local_order: np.ndarray) -> tuple[int, ...]:
-        return tuple(self.nodes[local_order].tolist())

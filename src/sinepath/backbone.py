@@ -1,10 +1,13 @@
 """Minimum-spanning-tree backbone and shortcut seed tours.
 
-The backbone is the MST of a node subset.  Edges are ranked by (weight, u, v),
-a strict total order, so the MST is unique; dense O(k^2) Prim finds it
-(Prim, Bell System Tech. J. 1957) and returns the tree Kruskal would.  The
-function keeps the name ``kruskal_mst`` for the public API and for the
-benchmark tracer, whose span is ``backbone.kruskal``.
+Every function here takes a square distance block and works on its local ids
+0..k-1; only the solver knows which node ids a block stands for.  The
+backbone is the MST of a block.  Edges are ranked by (weight, u, v), a strict
+total order, so the MST is unique; dense O(k^2) Prim finds it (Prim, Bell
+System Tech. J. 1957) and returns the tree Kruskal would.  The function keeps
+the name ``kruskal_mst`` for the public API and for the benchmark tracer,
+whose span is ``backbone.kruskal``.  ``restrict_edges`` cuts the global MST
+down to one subset's edges, in that subset's local ids.
 
 A seed tour comes from the classic Christofides-style construction: pair the
 odd-degree MST vertices with a perfect matching, walk an Euler tour of the
@@ -36,7 +39,7 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class Backbone:
-    """MST over a node subset: edge list, total cost, adjacency view."""
+    """MST over a block's local ids: edge list, total cost, adjacency view."""
 
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -52,41 +55,35 @@ class Backbone:
 
 
 def _sorted_pair_order(d: np.ndarray, nodes: np.ndarray):
-    """All node pairs as local index arrays, ranked by (weight, u, v)."""
+    """All pairs of ``nodes`` as index arrays into it, ranked by (weight, u, v)."""
     iu, ju = np.triu_indices(len(nodes), k=1)
     w = d[nodes[iu], nodes[ju]]
     # triu_indices lists pairs in (u, v) order and nodes are ascending, so a
-    # stable sort on weight alone breaks ties by canonical global (u, v).
+    # stable sort on weight alone breaks ties by canonical (u, v).
     order = np.argsort(w, kind="stable")
     return iu[order], ju[order], w[order]
 
 
-def kruskal_mst(d: np.ndarray, subset) -> Backbone:
-    """MST over ``subset`` by dense Prim, edges ranked by (weight, u, v).
+def kruskal_mst(d: np.ndarray) -> Backbone:
+    """MST over all nodes of ``d`` by dense Prim, edges ranked by (weight, u, v).
 
-    Grows the tree from the lowest node.  Each weight is read from the upper
+    Grows the tree from node 0.  Each weight is read from the upper
     triangle, ``d[min, max]``.  ``edges`` lists the tree in (weight, u, v)
-    order and ``total_cost`` sums them in that order.  A block with
-    non-finite entries is refused.
+    order and ``total_cost`` sums them in that order.  An empty matrix and
+    one with non-finite entries are refused.
     """
-    nodes = np.unique(np.asarray(list(subset), dtype=np.int64))
-    k = len(nodes)
+    k = len(d)
     if k == 0:
-        raise ValueError("subset must be non-empty")
+        raise ValueError("the distance matrix must be non-empty")
     if k == 1:
-        return Backbone((int(nodes[0]),), (), 0.0)
-    if k == len(d) and nodes[0] == 0 and nodes[-1] == k - 1:
-        block = d
-    else:
-        block = d[np.ix_(nodes, nodes)]
+        return Backbone((0,), (), 0.0)
     # min and max carry a NaN or an inf through without an n^2 temporary.
-    if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+    if not (np.isfinite(d.min()) and np.isfinite(d.max())):
         raise ValueError("non-finite weights in the MST block")
 
-    # Local order is global order because nodes are sorted.  best[j] is the
-    # lightest edge from the tree to j and parent[j] its tree end; a tie on
-    # weight goes to the smaller (u, v), which for a fixed j is the smaller
-    # tree end.  Tree vertices hold inf, so they never win a pick.
+    # best[j] is the lightest edge from the tree to j and parent[j] its tree
+    # end; a tie on weight goes to the smaller (u, v), which for a fixed j is
+    # the smaller tree end.  Tree vertices hold inf, so they never win a pick.
     best = np.full(k, np.inf)
     parent = np.zeros(k, dtype=np.int64)
     free = np.ones(k, dtype=bool)
@@ -97,8 +94,8 @@ def kruskal_mst(d: np.ndarray, subset) -> Backbone:
     v = 0
     for step in range(k - 1):
         free[v] = False
-        row[:v] = block[:v, v]
-        row[v:] = block[v, v:]
+        row[:v] = d[:v, v]
+        row[v:] = d[v, v:]
         closer = row < best
         closer |= (row == best) & (v < parent)
         closer &= free
@@ -116,20 +113,20 @@ def kruskal_mst(d: np.ndarray, subset) -> Backbone:
     lo = np.minimum(ends, picks)
     hi = np.maximum(ends, picks)
     order = np.lexsort((hi, lo, weights))
-    us = nodes[lo[order]].tolist()
-    vs = nodes[hi[order]].tolist()
     ws = weights[order].tolist()
     total = 0.0
     for w in ws:
         total += w
-    return Backbone(tuple(nodes.tolist()), tuple(map(Edge, us, vs, ws)), total)
+    edges = map(Edge, lo[order].tolist(), hi[order].tolist(), ws)
+    return Backbone(tuple(range(k)), tuple(edges), total)
 
 
 def restrict_edges(backbone: Backbone, subset) -> frozenset[tuple[int, int]]:
-    """Backbone edges whose endpoints both lie inside ``subset``."""
-    inside = set(int(v) for v in subset)
+    """Backbone edges with both ends in ``subset``, each end given as its
+    position in the ascending subset."""
+    local = {v: i for i, v in enumerate(sorted(set(map(int, subset))))}
     return frozenset(
-        (e.u, e.v) for e in backbone.edges if e.u in inside and e.v in inside
+        (local[e.u], local[e.v]) for e in backbone.edges if e.u in local and e.v in local
     )
 
 
@@ -218,34 +215,24 @@ def shortcut(walk, d: np.ndarray) -> Tour:
     return Tour(tuple(order), tour_length(order, d))
 
 
-def christofides_seed(d: np.ndarray, subset) -> Tour:
-    """MST + greedy odd-vertex matching + Euler walk + shortcut for one subset."""
-    nodes = sorted(int(v) for v in set(subset))
-    if not nodes:
-        raise ValueError("subset must be non-empty")
-    if len(nodes) == 1:
-        return Tour((nodes[0],), 0.0)
-    mst = kruskal_mst(d, nodes)
+def christofides_seed(d: np.ndarray) -> Tour:
+    """MST + greedy odd-vertex matching + Euler walk + shortcut over all nodes of ``d``."""
+    mst = kruskal_mst(d)
+    if len(d) == 1:
+        return Tour((0,), 0.0)
     matching = greedy_min_matching(d, odd_degree_vertices(mst))
-    walk = euler_tour(mst, matching, nodes[0])
-    return shortcut(walk, d)
+    return shortcut(euler_tour(mst, matching, 0), d)
 
 
-def dfs_preorder_seed(d: np.ndarray, subset) -> Tour:
-    """Alternative seed: depth-first preorder of the MST from its lowest node.
+def dfs_preorder_seed(d: np.ndarray) -> Tour:
+    """Alternative seed: depth-first preorder of the MST of ``d`` from node 0.
 
     Skips the matching/Euler stage; kept for ablating the seed construction.
     """
-    nodes = sorted(int(v) for v in set(subset))
-    if not nodes:
-        raise ValueError("subset must be non-empty")
-    if len(nodes) == 1:
-        return Tour((nodes[0],), 0.0)
-    mst = kruskal_mst(d, nodes)
-    adj = mst.adjacency
+    adj = kruskal_mst(d).adjacency
     seen = set()
     order: list[int] = []
-    stack = [nodes[0]]
+    stack = [0]
     while stack:
         v = stack.pop()
         if v in seen:

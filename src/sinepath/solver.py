@@ -12,6 +12,11 @@ seed tour is a Christofides-style shortcut of the per-subset MST, computed
 on the colony's block, registered as the initial incumbent and given one
 bonus deposit on its colony's trail before the first iteration.
 
+``solve`` is the only code that knows node ids.  Each colony, its backbone
+edges, its seed and its tours use the subset's local ids 0..k-1 (position i
+of the ascending subset); the incumbent is mapped to node ids once, after
+the last iteration.
+
 Determinism contract: every uniform draw derives from
 (master_seed, stream, iteration, subset), with each ant reading its own row
 of the per-subset draw block, so no draw depends on the order the subsets run in.
@@ -236,29 +241,23 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     p = cfg.aco
 
     # The only reader of distances across subsets: the matrix is freed on return.
-    global_mst = kruskal_mst(build_distance_matrix(inst), range(inst.dimension))
+    global_mst = kruskal_mst(build_distance_matrix(inst))
     part = _make_partition(inst, m, cfg)
+    # From here on, local id i of a subset's colony, seed or tour is node sub[i].
     colonies = [
-        SubsetColony(
-            sub, distance_block(inst, sub), restrict_edges(global_mst, sub), cfg.omega, p
-        )
+        SubsetColony(distance_block(inst, sub), restrict_edges(global_mst, sub), cfg.omega, p)
         for sub in part.subsets
     ]
     starts = [None] * len(colonies)
     if cfg.depots is not None:
         starts = [
-            int(np.searchsorted(colony.nodes, start))
-            for colony, start in zip(colonies, depot_start_nodes(inst, part, cfg.depots))
+            sub.index(start)
+            for sub, start in zip(part.subsets, depot_start_nodes(inst, part, cfg.depots))
         ]
     state = IncumbentState()
 
     if cfg.seed_with_christofides:
-        # Local order is global order, so a block's seed mapped to global ids
-        # is the subset's seed, bit for bit.
-        seeds = []
-        for colony in colonies:
-            local = christofides_seed(colony.dist, range(colony.n_local))
-            seeds.append(Tour(colony.to_global(list(local.order)), local.length))
+        seeds = [christofides_seed(colony.dist) for colony in colonies]
         state.tours = tuple(seeds)
         state.j_value = scalarized_objective(
             [t.length for t in seeds], cfg.lambda_weight
@@ -276,7 +275,7 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             uniforms = np.random.default_rng(ss).random((p.n_ants, colony.n_local))
             orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, starts[k])
             best = int(lengths.argmin())
-            bests.append(Tour(colony.to_global(orders[best]), float(lengths[best])))
+            bests.append(Tour(tuple(orders[best].tolist()), float(lengths[best])))
         incumbent_update(state, bests, cfg.lambda_weight, t)
         update_pheromones(colonies, bests)
         if (
@@ -286,11 +285,16 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             break
 
     assert state.tours is not None
-    objectives = evaluate_objectives(state.tours, cfg.lambda_weight)
+    # The one step back to node ids, before the overlap count compares tours.
+    tours = tuple(
+        Tour(tuple(sub[v] for v in tour.order), tour.length)
+        for sub, tour in zip(part.subsets, state.tours)
+    )
+    objectives = evaluate_objectives(tours, cfg.lambda_weight)
     return SolveReport(
         instance=inst.name,
         robots=m,
-        tours=state.tours,
+        tours=tours,
         objectives=objectives,
         convergence=tuple(state.trace),
         iterations_run=len(state.trace),

@@ -120,7 +120,7 @@ def test_criterion_02_mst_matches_prim_oracle():
         n = int(rng.integers(4, 13))
         inst = random_planar_instance(n, seed=int(rng.integers(2**31)))
         d = build_distance_matrix(inst)
-        got = kruskal_mst(d, range(n)).total_cost
+        got = kruskal_mst(d).total_cost
         want = prim_mst_cost(d)
         worst = max(worst, abs(got - want) / want)
     ok = worst <= 1e-12
@@ -135,11 +135,11 @@ def test_criterion_03_seed_tour_bounds():
         n = int(rng.integers(8, 31))
         inst = random_planar_instance(n, seed=int(rng.integers(2**31)))
         d = build_distance_matrix(inst)
-        mst = kruskal_mst(d, range(n))
+        mst = kruskal_mst(d)
         matching_cost = sum(
             e.weight for e in greedy_min_matching(d, odd_degree_vertices(mst))
         )
-        seed = christofides_seed(d, range(n))
+        seed = christofides_seed(d)
         lower = mst.total_cost - 1e-9
         upper = mst.total_cost + matching_cost + 1e-9
         violations += not (lower <= seed.length <= upper)

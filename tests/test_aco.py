@@ -4,6 +4,8 @@ The scalar transition rule and deposit live in ``tests/oracles.py``; the
 tests here pin them to hand-computed values and the colony to them.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -105,7 +107,7 @@ def test_tour_edge_set():
 def test_init_pheromone():
     # each colony starts its own subset's trail at 1 with a zero diagonal
     d = build_distance_matrix(random_planar_instance(6, seed=899))
-    colony = SubsetColony([4, 1, 3], d[np.ix_([1, 3, 4], [1, 3, 4])], frozenset(), 1.0, AcoParams())
+    colony = SubsetColony(d[np.ix_([1, 3, 4], [1, 3, 4])], frozenset(), 1.0, AcoParams())
     assert np.array_equal(colony.tau, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
@@ -140,7 +142,7 @@ def test_transition_probabilities_normalized_random():
     rng = np.random.default_rng(61)
     inst = random_planar_instance(12, seed=900)
     d = build_distance_matrix(inst)
-    mst = kruskal_mst(d, range(12))
+    mst = kruskal_mst(d)
     bias = StructuralBias(2.5**1.1, _keys(mst))
     tau = _uniform_trail(12) * rng.uniform(0.5, 2.0, size=(12, 12))
     tau = (tau + tau.T) / 2
@@ -233,30 +235,36 @@ def test_deposit_amount_values():
     assert deposit_amount((0, 1), tour, backbone, plain) == pytest.approx(0.1)
 
 
+def _to_local(sub, tour):
+    """``tour``, given in node ids, in the local ids of the ascending ``sub``."""
+    return Tour(tuple(sub.index(v) for v in tour.order), tour.length)
+
+
 def _colonies_on(tau, subsets, backbones, params):
-    """One colony per subset of a random instance, each holding its block of
-    the global trail ``tau``: the oracles then run on ``tau`` itself."""
+    """One colony per ascending subset of a random instance, each holding its
+    block of the global trail ``tau`` and its backbone (given in node ids) in
+    local ids: the oracles then run on ``tau`` itself, in node ids."""
     d = build_distance_matrix(random_planar_instance(len(tau), seed=913))
-    colonies = [
-        SubsetColony(sub, d[np.ix_(sorted(sub), sorted(sub))], bk, 1.0, params)
-        for sub, bk in zip(subsets, backbones)
-    ]
-    for colony in colonies:
-        colony.tau = tau[np.ix_(colony.nodes, colony.nodes)]
+    colonies = []
+    for sub, bk in zip(subsets, backbones):
+        local_bk = {(sub.index(u), sub.index(v)) for u, v in bk}
+        colony = SubsetColony(d[np.ix_(sub, sub)], local_bk, 1.0, params)
+        colony.tau = tau[np.ix_(sub, sub)]
+        colonies.append(colony)
     return colonies
 
 
 def test_update_pheromones_pure_evaporation():
     # a single-node tour deposits nothing, so only evaporation is left
     params = AcoParams(rho=0.1)
-    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, params)
+    colony = SubsetColony(TRI_D, frozenset(), 1.0, params)
     update_pheromones([colony], [Tour((1,), 0.0)])
     assert np.allclose(colony.tau, _uniform_trail(3, 0.9), atol=1e-15)
 
 
 def test_update_pheromones_deposits_only_at_rho_one():
     params = AcoParams(rho=1.0, q_scale=1.0, kappa=1.0)
-    colony = SubsetColony(range(3), TRI_D, frozenset({(0, 1)}), 1.0, params)
+    colony = SubsetColony(TRI_D, frozenset({(0, 1)}), 1.0, params)
     update_pheromones([colony], [Tour((0, 1, 2), 12.0)])
     base = 1.0 / 12.0
     expected = np.array(
@@ -270,7 +278,7 @@ def test_update_pheromones_disjoint_tours_single_deposit_each():
     first, second = _colonies_on(
         _uniform_trail(5), [(0, 1, 2), (3, 4)], [frozenset(), frozenset()], params
     )
-    update_pheromones([first, second], [Tour((0, 1, 2), 12.0), Tour((3, 4), 8.0)])
+    update_pheromones([first, second], [Tour((0, 1, 2), 12.0), Tour((0, 1), 8.0)])
     assert np.array_equal(first.tau, _uniform_trail(3, 1.0 / 12.0))
     assert np.array_equal(second.tau, _uniform_trail(2, 1.0 / 8.0))
 
@@ -293,13 +301,13 @@ def test_update_pheromones_bit_identical_to_edge_loop():
     overlap = Tour((1, 0, 7, 8), 11.1)
     for params in (AcoParams(rho=0.3, q_scale=1.7, kappa=1.5), AcoParams(kappa=0.0)):
         colonies = _colonies_on(tau, subsets, backbones, params)
-        update_pheromones(colonies, tours)
-        colonies[0].deposit(overlap)
+        update_pheromones(colonies, list(map(_to_local, subsets, tours)))
+        colonies[0].deposit(_to_local(subsets[0], overlap))
         ref = reference_update_pheromones(
             tau.copy(), tours + [overlap], backbones + [backbones[0]], params
         )
-        for colony in colonies:
-            assert np.array_equal(colony.tau, ref[np.ix_(colony.nodes, colony.nodes)])
+        for sub, colony in zip(subsets, colonies):
+            assert np.array_equal(colony.tau, ref[np.ix_(sub, sub)])
         # the 2-node tour deposits exactly once in each direction
         amount = params.q_scale / 2.9 * (1.0 + params.kappa)
         pair = colonies[1].tau
@@ -317,11 +325,11 @@ def test_seed_deposit_bit_identical_to_scalar_loop(kappa):
     params = AcoParams(rho=0.3, q_scale=1.7, kappa=kappa)
     subsets = [sorted(s.order) for s in seeds]
     colonies = _colonies_on(tau, subsets, [frozenset()] * len(seeds), params)
-    for colony, seed in zip(colonies, seeds):
-        colony.deposit(seed, flat_bonus=True)
+    for sub, colony, seed in zip(subsets, colonies, seeds):
+        colony.deposit(_to_local(sub, seed), flat_bonus=True)
     ref = reference_seed_deposit(tau.copy(), seeds, params)
-    for colony in colonies:
-        assert np.array_equal(colony.tau, ref[np.ix_(colony.nodes, colony.nodes)])
+    for sub, colony in zip(subsets, colonies):
+        assert np.array_equal(colony.tau, ref[np.ix_(sub, sub)])
     assert not np.array_equal(colonies[0].tau, tau[:4, :4])
 
 
@@ -339,7 +347,7 @@ def test_aco_params_to_dict():
 
 def test_update_pheromones_validation():
     # one tour per colony: a missing or extra tour is refused, not dropped
-    colony = SubsetColony(range(3), TRI_D, frozenset(), 1.0, AcoParams())
+    colony = SubsetColony(TRI_D, frozenset(), 1.0, AcoParams())
     with pytest.raises(ValueError, match="shorter"):
         update_pheromones([colony], [])
     with pytest.raises(ValueError, match="longer"):
@@ -352,9 +360,9 @@ def test_pheromone_bounds_over_long_run():
     # the initial trail.
     inst = random_planar_instance(10, seed=903)
     d = build_distance_matrix(inst)
-    mst = kruskal_mst(d, range(10))
+    mst = kruskal_mst(d)
     params = AcoParams(n_ants=8, rho=0.1, q_scale=1.0, kappa=1.0)
-    colony = SubsetColony(range(10), d, _keys(mst), 2.0, params)
+    colony = SubsetColony(d, _keys(mst), 2.0, params)
     rng = np.random.default_rng(904)
     min_length = np.inf
     off_diag = ~np.eye(10, dtype=bool)
@@ -362,7 +370,7 @@ def test_pheromone_bounds_over_long_run():
         uniforms = rng.random((params.n_ants, 10))
         orders, lengths = colony.construct_colony(colony.local_tau(), uniforms)
         best = int(lengths.argmin())
-        tour = Tour(colony.to_global(orders[best]), float(lengths[best]))
+        tour = Tour(tuple(orders[best].tolist()), float(lengths[best]))
         min_length = min(min_length, tour.length)
         update_pheromones([colony], [tour])
         if t % 100 == 0:
@@ -378,9 +386,9 @@ def test_pheromone_bounds_over_long_run():
 def _colony_setup(n, seed, omega=1.0, params=None):
     inst = random_planar_instance(n, seed=seed)
     d = build_distance_matrix(inst)
-    mst = kruskal_mst(d, range(n))
+    mst = kruskal_mst(d)
     params = params or AcoParams()
-    colony = SubsetColony(range(n), d, _keys(mst), omega, params)
+    colony = SubsetColony(d, _keys(mst), omega, params)
     return d, mst, params, colony
 
 
@@ -388,7 +396,7 @@ def test_colony_zero_distance_rejected():
     d = build_distance_matrix(random_planar_instance(4, seed=905))
     d[1, 2] = d[2, 1] = 0.0
     with pytest.raises(ValueError, match="degenerate"):
-        SubsetColony(range(4), d, frozenset(), 1.0, AcoParams())
+        SubsetColony(d, frozenset(), 1.0, AcoParams())
 
 
 def test_colony_weight_matrix():
@@ -424,7 +432,7 @@ def test_colony_matches_scalar_construction():
     for ant in range(6):
         scripted = ScriptedRng(uniforms[ant, 1:].tolist())
         ref = construct_tour(range(n), start, tau, d, bias, params, scripted)
-        assert colony.to_global(orders[ant]) == ref.order
+        assert tuple(orders[ant].tolist()) == ref.order
         assert lengths[ant] == pytest.approx(ref.length, rel=1e-12)
 
 
@@ -437,10 +445,10 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     d = build_distance_matrix(random_planar_instance(n, seed=915))
     rng = np.random.default_rng(916 + width)
     nodes = np.sort(rng.choice(n, size=width, replace=False))
-    backbone = _keys(kruskal_mst(d, nodes))
+    block = d[np.ix_(nodes, nodes)]
     params = AcoParams(alpha=alpha, beta=2.5)
     # omega**1.2: a backbone boost that is no round number
-    colony = SubsetColony(nodes, d[np.ix_(nodes, nodes)], backbone, omega**1.2, params)
+    colony = SubsetColony(block, _keys(kruskal_mst(block)), omega**1.2, params)
     tau = _uniform_trail(n) * rng.uniform(0.05, 3.0, size=(n, n))
     colony.tau = tau[np.ix_(nodes, nodes)]
     tau_local = colony.local_tau()
@@ -461,10 +469,10 @@ def test_colony_reused_buffers_match_fresh_colonies():
     # fresh colony's, and the arrays a call returns are the caller's own
     n = 13
     d = build_distance_matrix(random_planar_instance(n, seed=930))
-    backbone = _keys(kruskal_mst(d, range(n)))
+    backbone = _keys(kruskal_mst(d))
 
     def fresh():
-        return SubsetColony(range(n), d, backbone, 2.0, AcoParams())
+        return SubsetColony(d, backbone, 2.0, AcoParams())
 
     rng = np.random.default_rng(931)
     colony = fresh()
@@ -495,33 +503,51 @@ def test_colony_reused_buffers_match_fresh_colonies():
 
 
 def test_colony_refuses_backbone_edge_outside_subset():
+    # backbone edges are local ids of the block, so each end lies in [0, 3)
     d = build_distance_matrix(random_planar_instance(6, seed=932))
-    with pytest.raises(ValueError, match="outside the subset"):
-        SubsetColony((0, 1, 2), d[:3, :3], frozenset({(0, 1), (2, 5)}), 2.0, AcoParams())
+    for edge in ((2, 3), (-1, 2), (0, 7)):
+        with pytest.raises(ValueError, match=re.escape("backbone edge with an end outside [0, 3)")):
+            SubsetColony(d[:3, :3], frozenset({(0, 1), edge}), 2.0, AcoParams())
 
 
 def test_colony_refuses_a_distance_block_of_another_shape():
-    # the colony takes its subset's block, not the instance's matrix
+    # the colony takes its subset's square block
     d = build_distance_matrix(random_planar_instance(6, seed=933))
-    for dist in (d, d[:3, :2], d[0]):
-        with pytest.raises(ValueError, match=r"distance block of shape .* subset of 3 nodes"):
-            SubsetColony((1, 3, 5), dist, frozenset(), 2.0, AcoParams())
+    for dist in (d[:3, :2], d[0], np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError, match=r"distance block of shape .* is not square"):
+            SubsetColony(dist, frozenset(), 2.0, AcoParams())
 
 
-@pytest.mark.parametrize("order", [(1, 4, 5), (0, 3, 5), (3, 5, 9), (5, 3, 2), (6,)])
+@pytest.mark.parametrize("order", [(0, 1, 3), (-1, 0, 2), (2, 1, 7), (1, 0, -3), (3,)])
 def test_deposit_refuses_a_node_outside_the_subset(order):
-    # searchsorted put a foreign node on a neighbouring local id and
-    # deposited on the wrong cells without an error
+    # a tour holds local ids 0..2 of a 3-node colony; any other id would put
+    # its deposit on another row's cells, or past the trail
     d = build_distance_matrix(random_planar_instance(10, seed=934))
     nodes = [1, 3, 5]
-    colony = SubsetColony(nodes, d[np.ix_(nodes, nodes)], frozenset(), 2.0, AcoParams())
+    colony = SubsetColony(d[np.ix_(nodes, nodes)], frozenset(), 2.0, AcoParams())
     before = colony.tau.copy()
-    foreign = next(v for v in order if v not in nodes)
-    with pytest.raises(ValueError, match=rf"tour node {foreign} is outside the subset"):
+    foreign = next(v for v in order if not 0 <= v < 3)
+    message = re.escape(f"tour node {foreign} outside [0, 3)")
+    with pytest.raises(ValueError, match=message):
         colony.deposit(Tour(order, 10.0))
     assert np.array_equal(colony.tau, before)
-    with pytest.raises(ValueError, match=rf"tour node {foreign} is outside the subset"):
+    with pytest.raises(ValueError, match=message):
         update_pheromones([colony], [Tour(order, 10.0)])
+    assert np.array_equal(colony.tau, before)
+
+
+def test_update_pheromones_refusal_leaves_every_trail_unchanged():
+    # the first colony used to evaporate and take its deposit before the
+    # second colony's tour was found to hold an id outside its block
+    d = build_distance_matrix(random_planar_instance(7, seed=935))
+    first = SubsetColony(d[:4, :4], frozenset({(0, 1)}), 2.0, AcoParams())
+    second = SubsetColony(d[4:, 4:], frozenset(), 2.0, AcoParams())
+    before = [first.tau.copy(), second.tau.copy()]
+    tours = [Tour((0, 2, 1, 3), 9.0), Tour((0, 3, 1), 4.0)]
+    with pytest.raises(ValueError, match=re.escape("tour node 3 outside [0, 3)")):
+        update_pheromones([first, second], tours)
+    assert np.array_equal(first.tau, before[0])
+    assert np.array_equal(second.tau, before[1])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -586,7 +612,7 @@ def test_colony_bit_identical_to_reference_on_edge_trails(case):
         # max/4 stay finite while the row sums overflow to inf
         inst = random_planar_instance(13, seed=925)
         d = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
-        colony = SubsetColony(range(13), d, frozenset(), 1.0, AcoParams())
+        colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
         huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
         trail = huge / (colony.weight + np.eye(13))
         np.fill_diagonal(trail, 0.0)
@@ -614,7 +640,7 @@ def test_colony_floor_total_keeps_its_clamp():
     # than column 0, which an unclamped pick would revisit.
     n = 5
     d = np.ones((n, n)) - np.eye(n)
-    colony = SubsetColony(range(n), d, frozenset(), 1.0, AcoParams())
+    colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
     colony.tau = np.zeros((n, n))
     tau_local = colony.local_tau()
     off_diag = ~np.eye(n, dtype=bool)
@@ -680,8 +706,8 @@ def test_colony_matches_reference_across_trail_scales(
     rng = np.random.default_rng(seed)
     d = build_distance_matrix(random_planar_instance(max(width, 2), seed=seed))
     params = AcoParams(alpha=alpha, beta=beta)
-    backbone = _keys(kruskal_mst(d, range(width)))
-    colony = SubsetColony(range(width), d[:width, :width], backbone, omega, params)
+    backbone = _keys(kruskal_mst(d[:width, :width]))
+    colony = SubsetColony(d[:width, :width], backbone, omega, params)
     trail = 10.0**exponent * rng.uniform(0.5, 1.5, size=d.shape)
     trail[rng.random(d.shape) < zeros] = 0.0
     colony.tau = trail[:width, :width]
@@ -721,7 +747,7 @@ def test_colony_overflowing_scores_rejected():
     small = Instance(inst.name, inst.coords * 1e-3, inst.metric)
     d = build_distance_matrix(small)
     with np.errstate(over="ignore"):
-        colony = SubsetColony(range(12), d, frozenset(), 1.0, AcoParams(beta=200.0))
+        colony = SubsetColony(d, frozenset(), 1.0, AcoParams(beta=200.0))
     assert np.isinf(colony.weight).any()
     with pytest.raises(ValueError, match="non-finite successor scores"):
         colony.construct_colony(colony.local_tau(), np.full((3, 12), 0.5))

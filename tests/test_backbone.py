@@ -18,6 +18,7 @@ from oracles import (
 )
 from sinepath.backbone import (
     Backbone,
+    Edge,
     christofides_seed,
     dfs_preorder_seed,
     euler_tour,
@@ -34,7 +35,7 @@ from sinepath.instances import (
     distance_block,
     random_planar_instance,
 )
-from sinepath.objective import tour_length
+from sinepath.objective import Tour, tour_length
 
 
 def _random_matrix(n, seed):
@@ -54,14 +55,14 @@ def test_kruskal_matches_prim_oracle():
     for trial in range(40):
         n = int(rng.integers(4, 13))
         d = _random_matrix(n, 300 + trial)
-        got = kruskal_mst(d, range(n))
+        got = kruskal_mst(d)
         assert got.total_cost == pytest.approx(prim_mst_cost(d), rel=1e-12)
         assert len(got.edges) == n - 1
 
 
 def test_kruskal_tree_structure():
     d = _random_matrix(14, 32)
-    mst = kruskal_mst(d, range(14))
+    mst = kruskal_mst(d)
     assert mst.nodes == tuple(range(14))
     for e in mst.edges:
         assert e.u < e.v
@@ -79,14 +80,16 @@ def test_kruskal_tree_structure():
 
 
 def test_kruskal_on_subset():
+    # a subset's MST is the MST of its block, in the block's local ids
     d = _random_matrix(12, 33)
     subset = [2, 5, 7, 11]
-    mst = kruskal_mst(d, subset)
-    assert mst.nodes == (2, 5, 7, 11)
+    mst = kruskal_mst(d[np.ix_(subset, subset)])
+    assert mst.nodes == (0, 1, 2, 3)
     assert len(mst.edges) == 3
-    assert all(e.u in subset and e.v in subset for e in mst.edges)
-    single = kruskal_mst(d, [4])
-    assert single.edges == () and single.total_cost == 0.0
+    assert all(e.weight == d[subset[e.u], subset[e.v]] for e in mst.edges)
+    assert kruskal_mst(d[np.ix_([4], [4])]) == Backbone((0,), (), 0.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        kruskal_mst(np.zeros((0, 0)))
 
 
 def test_kruskal_tie_break_frozen():
@@ -94,10 +97,10 @@ def test_kruskal_tie_break_frozen():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     diff = coords[:, None] - coords[None, :]
     d = np.sqrt((diff**2).sum(axis=2))
-    mst = kruskal_mst(d, range(4))
+    mst = kruskal_mst(d)
     assert [(e.u, e.v) for e in mst.edges] == [(0, 1), (0, 2), (1, 3)]
     assert mst.total_cost == pytest.approx(3.0)
-    again = kruskal_mst(d, range(4))
+    again = kruskal_mst(d)
     assert again.edges == mst.edges
 
 
@@ -126,13 +129,24 @@ def _mst_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(_mst_inputs())
 def test_mst_equals_reference_kruskal(case):
+    # the MST of the subset's block, mapped back through the ascending
+    # subset: same nodes, same edges in the same order, same total bits
     d, subset = case
-    assert kruskal_mst(d, subset) == reference_kruskal_mst(d, subset)
+    s = np.unique(np.asarray(list(subset)))
+    local = kruskal_mst(d[np.ix_(s, s)])
+    got = Backbone(
+        tuple(s[list(local.nodes)].tolist()),
+        tuple(Edge(int(s[e.u]), int(s[e.v]), e.weight) for e in local.edges),
+        local.total_cost,
+    )
+    want = reference_kruskal_mst(d, subset)
+    assert got == want
+    assert got.total_cost.hex() == want.total_cost.hex()
 
 
 def test_mst_equals_reference_kruskal_at_2000_nodes():
     d = build_distance_matrix(random_planar_instance(2000, seed=2000))
-    assert kruskal_mst(d, range(2000)) == reference_kruskal_mst(d, range(2000))
+    assert kruskal_mst(d) == reference_kruskal_mst(d, range(2000))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -141,8 +155,8 @@ def test_mst_refuses_non_finite_weights(bad):
     d[2, 5] = bad
     for subset in (range(8), [1, 2, 5, 7]):
         with pytest.raises(ValueError, match="non-finite"):
-            kruskal_mst(d, subset)
-    kruskal_mst(d, [0, 1, 3, 4])  # a block without the bad entry is fine
+            kruskal_mst(d[np.ix_(subset, subset)])
+    kruskal_mst(d[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])])  # a block without the bad entry is fine
 
 
 def test_mst_memory_peak():
@@ -151,7 +165,7 @@ def test_mst_memory_peak():
     d = _random_matrix(n, 37)
     tracemalloc.start()
     try:
-        kruskal_mst(d, range(n))
+        kruskal_mst(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -160,13 +174,16 @@ def test_mst_memory_peak():
 
 def test_restrict_edges():
     d = _random_matrix(10, 34)
-    mst = kruskal_mst(d, range(10))
-    subset = {1, 3, 5, 7, 9}
-    kept = restrict_edges(mst, subset)
-    for u, v in kept:
-        assert u in subset and v in subset
-    dropped = restrict_edges(mst, mst.nodes) - kept
-    assert all(u not in subset or v not in subset for u, v in dropped)
+    mst = kruskal_mst(d)
+    # the edges inside the subset, each end as its position in the
+    # ascending subset; the subset may come in any order
+    subset = [1, 3, 5, 7, 9]
+    kept = restrict_edges(mst, {9, 1, 7, 3, 5})
+    inside = [(e.u, e.v) for e in mst.edges if e.u in subset and e.v in subset]
+    assert inside
+    assert kept == {(subset.index(u), subset.index(v)) for u, v in inside}
+    assert all(u < v for u, v in kept)
+    assert restrict_edges(mst, range(10)) == {(e.u, e.v) for e in mst.edges}
 
 
 def test_odd_degree_vertices_path():
@@ -214,7 +231,7 @@ def test_euler_tour_covers_edge_multiset():
     for trial in range(20):
         n = int(rng.integers(5, 16))
         d = _random_matrix(n, 500 + trial)
-        mst = kruskal_mst(d, range(n))
+        mst = kruskal_mst(d)
         matching = greedy_min_matching(d, odd_degree_vertices(mst))
         walk = euler_tour(mst, matching, 0)
         assert walk[0] == 0 and walk[-1] == 0
@@ -266,7 +283,7 @@ def test_shortcut_never_longer_than_walk():
     for trial in range(20):
         n = int(rng.integers(5, 14))
         d = _random_matrix(n, 600 + trial)
-        mst = kruskal_mst(d, range(n))
+        mst = kruskal_mst(d)
         matching = greedy_min_matching(d, odd_degree_vertices(mst))
         walk = euler_tour(mst, matching, 0)
         walk_len = sum(d[a, b] for a, b in zip(walk, walk[1:]))
@@ -279,10 +296,10 @@ def test_seed_sandwiched_by_mst_and_matching():
     for trial in range(30):
         n = int(rng.integers(8, 31))
         d = _random_matrix(n, 700 + trial)
-        mst = kruskal_mst(d, range(n))
+        mst = kruskal_mst(d)
         matching = greedy_min_matching(d, odd_degree_vertices(mst))
         matching_cost = sum(e.weight for e in matching)
-        seed = christofides_seed(d, range(n))
+        seed = christofides_seed(d)
         assert sorted(seed.order) == list(range(n))
         assert mst.total_cost - 1e-9 <= seed.length
         assert seed.length <= mst.total_cost + matching_cost + 1e-9
@@ -290,11 +307,12 @@ def test_seed_sandwiched_by_mst_and_matching():
 
 def test_seed_single_node():
     d = _random_matrix(6, 42)
-    assert christofides_seed(d, [3]).order == (3,)
-    assert christofides_seed(d, [3]).length == 0.0
-    assert dfs_preorder_seed(d, [2]).order == (2,)
-    with pytest.raises(ValueError, match="non-empty"):
-        christofides_seed(d, [])
+    one = d[np.ix_([3], [3])]
+    assert christofides_seed(one) == Tour((0,), 0.0)
+    assert dfs_preorder_seed(one) == Tour((0,), 0.0)
+    for seed in (christofides_seed, dfs_preorder_seed):
+        with pytest.raises(ValueError, match="non-empty"):
+            seed(np.zeros((0, 0)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,10 +324,12 @@ def test_seed_single_node():
     data=st.data(),
 )
 def test_block_seed_maps_to_the_subset_seed(metric, n, lattice, seed, data):
-    # the solver seeds each colony from its own block in local ids; mapped
-    # back through the ascending node ids it must be the seed the full
-    # matrix gives the subset: same order, same length bits.  A lattice
-    # makes many equal weights, so the (weight, u, v) tie rule is exercised.
+    # the solver seeds each colony from its own block in local ids and maps
+    # the order back through the ascending node ids once: the result must be
+    # a tour over the subset from its lowest node whose length bits are
+    # those of the same tour measured on the full matrix, and the seed must
+    # be the one the matrix's block for the subset gives.  A lattice makes
+    # many equal weights, so the (weight, u, v) tie rule is exercised.
     rng = np.random.default_rng(seed)
     if lattice:
         cells = rng.choice(64, size=n, replace=False)
@@ -320,15 +340,16 @@ def test_block_seed_maps_to_the_subset_seed(metric, n, lattice, seed, data):
     d = build_distance_matrix(inst)
     k = data.draw(st.integers(1, n))
     nodes = np.sort(rng.choice(n, size=k, replace=False))
-    local = christofides_seed(distance_block(inst, nodes), range(k))
-    expected = christofides_seed(d, nodes.tolist())
-    assert tuple(nodes[list(local.order)].tolist()) == expected.order
-    assert local.length == expected.length
+    local = christofides_seed(distance_block(inst, nodes))
+    mapped = nodes[list(local.order)]
+    assert sorted(mapped.tolist()) == nodes.tolist() and mapped[0] == nodes[0]
+    assert local.length.hex() == tour_length(mapped, d).hex()
+    assert local == christofides_seed(d[np.ix_(nodes, nodes)])
 
 
 def test_dfs_preorder_seed():
     d = _random_matrix(10, 43)
-    seed = dfs_preorder_seed(d, range(10))
+    seed = dfs_preorder_seed(d)
     assert sorted(seed.order) == list(range(10))
     assert seed.order[0] == 0
     assert seed.length == pytest.approx(tour_length(seed.order, d), rel=1e-15)
@@ -336,4 +357,4 @@ def test_dfs_preorder_seed():
     coords = np.array([[float(i), 0.0] for i in range(5)])
     diff = coords[:, None] - coords[None, :]
     chain_d = np.sqrt((diff**2).sum(axis=2))
-    assert dfs_preorder_seed(chain_d, range(5)).order == (0, 1, 2, 3, 4)
+    assert dfs_preorder_seed(chain_d).order == (0, 1, 2, 3, 4)

@@ -193,7 +193,7 @@ def test_seeded_incumbent_bounds_first_trace_entry():
     d = build_distance_matrix(inst)
     subsets = [tuple(sorted(t.order)) for t in report.tours]
     seed_j = scalarized_objective(
-        [christofides_seed(d, s).length for s in subsets], cfg.lambda_weight
+        [christofides_seed(d[np.ix_(s, s)]).length for s in subsets], cfg.lambda_weight
     )
     assert report.convergence[0] <= seed_j + 1e-9
 
