@@ -22,7 +22,13 @@ from oracles import (
     roulette_index,
     transition_probabilities,
 )
-from sinepath.aco import TRAIL_FLOOR, AcoParams, SubsetColony, update_pheromones
+from sinepath.aco import (
+    TRAIL_FLOOR,
+    AcoParams,
+    SubsetColony,
+    _compaction_steps,
+    update_pheromones,
+)
 from sinepath.backbone import kruskal_mst, restrict_edges
 from sinepath.instances import Instance, build_distance_matrix, random_planar_instance
 from sinepath.objective import Tour, tour_length
@@ -436,7 +442,9 @@ def test_colony_matches_scalar_construction():
         assert lengths[ant] == pytest.approx(ref.length, rel=1e-12)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 13, 64, 250])
+# 45 is the widest row that is never compacted and 46 the narrowest that is
+# (see test_only_wide_rows_are_compacted)
+@pytest.mark.parametrize("width", [1, 2, 3, 13, 45, 46, 64, 250])
 @pytest.mark.parametrize("alpha", [1.0, 1.3])
 @pytest.mark.parametrize("omega", [1.0, 2.0])
 @pytest.mark.parametrize("start", [None, "fixed"])
@@ -463,11 +471,27 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     assert np.array_equal(lengths, ref_lengths)
 
 
-def test_colony_reused_buffers_match_fresh_colonies():
+def test_only_wide_rows_are_compacted():
+    # no bench51 subset (12-26 nodes) is ever compacted; a row is compacted
+    # when the nodes left number at most 0.7 of its current width, while
+    # they still number at least 32
+    assert all(_compaction_steps(n) == () for n in range(1, 46))
+    assert _compaction_steps(46) == (14,)
+    steps = _compaction_steps(250)
+    assert [250 - s for s in steps] == [175, 122, 85, 59, 41]
+    for n in (46, 64, 120, 250, 500):
+        widths = [n] + [n - s for s in _compaction_steps(n)]
+        assert all(32 <= r <= 0.7 * w for w, r in zip(widths, widths[1:]))
+        # the row would have been compacted at no earlier step
+        assert all(r + 1 > 0.7 * w for w, r in zip(widths, widths[1:]))
+
+
+@pytest.mark.parametrize("n", [13, 120])
+def test_colony_reused_buffers_match_fresh_colonies(n):
     # one colony keeps its step buffers between calls: a changed ant count
     # and a refused call in between leave every call bit-identical to a
-    # fresh colony's, and the arrays a call returns are the caller's own
-    n = 13
+    # fresh colony's, and the arrays a call returns are the caller's own;
+    # at n = 120 the rows are compacted, and the buffers cut to each width
     d = build_distance_matrix(random_planar_instance(n, seed=930))
     backbone = _keys(kruskal_mst(d))
 
@@ -476,6 +500,7 @@ def test_colony_reused_buffers_match_fresh_colonies():
 
     rng = np.random.default_rng(931)
     colony = fresh()
+    assert bool(colony._compact_at) == (n == 120)
     tau = colony.local_tau() * rng.uniform(0.5, 1.5, size=(n, n))
     calls = []
     for na, start in ((50, None), (7, 4), (50, None), ("refused", None), (50, 0)):
@@ -670,7 +695,7 @@ def _colony_outcome(construct, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    width=st.integers(1, 40),
+    width=st.integers(1, 160),
     n_ants=st.integers(1, 20),
     exponent=st.floats(-320.0, 308.0),
     zeros=st.sampled_from([0.0, 0.3, 0.9]),
@@ -678,7 +703,7 @@ def _colony_outcome(construct, *args):
     alpha=st.floats(0.5, 2.0),
     beta=st.floats(0.5, 6.0),
     omega=st.sampled_from([1.0, 2.0, 6.0]),
-    start=st.one_of(st.none(), st.integers(0, 39)),
+    start=st.one_of(st.none(), st.integers(0, 159)),
     top=st.sampled_from([None, 1.0 - 2.0**-53, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -697,6 +722,21 @@ def _colony_outcome(construct, *args):
          beta=2.0, omega=2.0, start=None, top=1.0, seed=5)
 @example(width=13, n_ants=20, exponent=0.0, zeros=0.9, floored=False, alpha=1.0,
          beta=2.0, omega=1.0, start=2, top=None, seed=6)
+# wide rows, which the proven branch compacts and the clamped branch does not:
+# proven at unit and 1e300 scales, then clamped under a draw of exactly 1, a
+# floored trail, subnormal scores and scores at 1e306, past the total bound
+@example(width=120, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.3,
+         beta=2.0, omega=2.0, start=None, top=1.0 - 2.0**-53, seed=7)
+@example(width=120, n_ants=20, exponent=300.0, zeros=0.0, floored=False, alpha=1.0,
+         beta=1.0, omega=6.0, start=70, top=None, seed=8)
+@example(width=120, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+         beta=2.0, omega=2.0, start=None, top=1.0, seed=9)
+@example(width=120, n_ants=20, exponent=-320.0, zeros=0.3, floored=True, alpha=1.0,
+         beta=2.0, omega=1.0, start=4, top=1.0 - 2.0**-53, seed=10)
+@example(width=120, n_ants=20, exponent=-318.0, zeros=0.0, floored=False, alpha=1.0,
+         beta=0.5, omega=1.0, start=None, top=1.0 - 2.0**-53, seed=11)
+@example(width=120, n_ants=20, exponent=306.0, zeros=0.0, floored=False, alpha=1.0,
+         beta=1.0, omega=1.0, start=None, top=None, seed=12)
 def test_colony_matches_reference_across_trail_scales(
     width, n_ants, exponent, zeros, floored, alpha, beta, omega, start, top, seed
 ):
@@ -804,6 +844,20 @@ def test_colony_uniform_shape_checked():
     _, _, _, colony = _colony_setup(6, 911)
     with pytest.raises(ValueError, match="width"):
         colony.construct_colony(colony.local_tau(), np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("shape", [(13,), (1, 13), (13, 1), (), (12, 12), (13, 13, 1)], ids=str)
+def test_colony_refuses_a_trail_factor_of_another_shape(shape):
+    # tau_local * weight used to broadcast, so a 1-D tau[0], a row, a
+    # column or a scalar each stood silently for a whole (13, 13) trail
+    _, _, _, colony = _colony_setup(13, 912)
+    uniforms = np.random.default_rng(913).random((4, 13))
+    message = re.escape(f"trail factor of shape {shape} is not (13, 13)")
+    with pytest.raises(ValueError, match=message):
+        colony.construct_colony(np.ones(shape), uniforms)
+    if shape == (13,):
+        with pytest.raises(ValueError, match=message):
+            colony.construct_colony(colony.local_tau()[0], uniforms)
 
 
 def test_colony_mean_near_optimum_with_strong_guidance():

@@ -402,6 +402,18 @@ def test_bench51_m4_matches_benchmark_golden(bench51_path, master_seed):
     assert digest == golden[f"bench51/m4/seed{master_seed}"]
 
 
+def test_rand2000_m8_matches_benchmark_golden():
+    # the benchmark's wide workload, read only: its colonies run on 250-wide
+    # rows, which the bench51 subsets never reach, so this is the check of
+    # the compacted colony steps against a recorded answer
+    golden = json.loads(GOLDEN.read_text())["rand2000-m8"]
+    config = SolverConfig(aco=AcoParams(max_iter=20), master_seed=0)
+    report = solve(random_planar_instance(2000, 2000), 8, config)
+    assert {len(t.order) for t in report.tours} == {250}
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == golden["rand2000-s2000/m8/seed0"]
+
+
 def test_one_colony_call_per_subset_per_iteration(bench51_path, monkeypatch):
     # perfbench's traced run counts one construct_colony call per subset per
     # iteration and reads the (n_ants, n_local) uniform block from the second
