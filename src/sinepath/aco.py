@@ -23,11 +23,11 @@ is clamped strictly below the total, so the final positive-score candidate
 absorbs residual rounding mass and a visited node can never be re-selected,
 and a call in which some row total was zero or NaN is refused.
 
-A call refuses a start outside [0, n_local) and a draw outside [0, 1].  The
-clamp and the vanish check are skipped when one min/max pass over a call's
-scores and draws proves them no-ops: every successor score exceeds
-TRAIL_FLOOR, n_local times the largest stays below half the largest double
-and every draw lies below 1.  Each row total then sums at least one
+A call refuses a start that is not an integer in [0, n_local) and a draw
+outside [0, 1].  The clamp and the vanish check are skipped when one
+min/max pass over a call's scores and draws proves them no-ops: every
+successor score exceeds TRAIL_FLOOR, n_local times the largest stays below
+half the largest double and every draw lies below 1.  Each row total then sums at least one
 unvisited score, so it is finite, normal and above TRAIL_FLOOR and cannot
 vanish.  For such a total T and u <= 1 - 2^-53, the exact u * T lies at
 least T * 2^-53 below T: more than half the spacing of the doubles just
@@ -39,26 +39,27 @@ rounds back to TRAIL_FLOOR.
 
 On that exact path a wide row is compacted as it empties: once the r nodes
 each ant has left number at most _COMPACT_RATIO of the row's current width,
-and while r is at least _COMPACT_MIN, the row is cut to each ant's r
-unvisited columns in ascending order, and later steps mask, sum, compare
-and pick over those alone.  The picks keep their bits.  A visited column
-holds a zero, and x + 0 == x for every nonzero x, so each kept column's
-prefix sum and the row total are the same doubles as on the full row; a
-visited column repeats the prefix sum before it, so it is never the first
-to exceed the target.  Only the exact path compacts: there every row has
-exactly r unvisited nodes, while a clamped call whose total vanishes picks
-column 0, perhaps visited again, before the call is refused.  The two
-constants were set by timing 50-ant calls at widths 25 to 500 on a busy
-two-core x86_64 machine, compaction on against off in one process, where
-repeated measurements of one setting spread by up to 8 %.  At ratio 0.7 and
-minimum 32 a call took 5-15 % less time at width 125, 17-24 % less at 250
-and 23-28 % less at 500; at width 64, compacted once, it moved by -2 % to
-+8 %, within that spread, and rows of up to 45 nodes, such as every bench51
-subset, are never compacted.  Ratios from 0.5 to 0.9 saved 16-19 % at
-width 250, and minima of 48 and 64 saved less there (19 % and 16 %, against
-23 % in the same run).  A minimum of 16 or 24 made calls at width 25 or 40
-13-19 % slower, since a compacted step's extra gather and pick then cost
-more than the columns it skips.
+and while r is at least _COMPACT_MIN, the step loop first cuts the row to
+each ant's r unvisited columns in ascending order: it keeps their node ids
+and re-views its buffers at width r, so that later steps gather, mask, sum,
+compare and pick over those columns alone and map each pick back to its node
+id.  The picks keep their bits.  A visited column holds a zero, and x + 0 == x
+for every nonzero x, so each kept column's prefix sum and the row total are
+the same doubles as on the full row; a visited column repeats the prefix sum
+before it, so it is never the first to exceed the target.  Only the exact
+path compacts: there every row has exactly r unvisited nodes, while a
+clamped call whose total vanishes picks column 0, perhaps visited again,
+before the call is refused.  The two constants were set by timing 50-ant
+calls at widths 25 to 500 on a busy two-core x86_64 machine, compaction on
+against off in one process, where repeated measurements of one setting
+spread by up to 8 %.  At ratio 0.7 and minimum 32 a call took 5-15 % less
+time at width 125, 17-24 % less at 250 and 23-28 % less at 500; at width 64,
+compacted once, it moved by -2 % to +8 %, within that spread, and rows of up
+to 45 nodes, such as every bench51 subset, are never compacted.  Ratios from
+0.5 to 0.9 saved 16-19 % at width 250, and minima of 48 and 64 saved less
+there (19 % and 16 %, against 23 % in the same run).  A minimum of 16 or 24
+made calls at width 25 or 40 13-19 % slower, since a compacted step's extra
+gather and pick then cost more than the columns it skips.
 """
 
 from __future__ import annotations
@@ -97,47 +98,6 @@ def _compaction_steps(n: int) -> tuple[int, ...]:
             steps.append(step)
             width = left
     return tuple(steps)
-
-
-def _compacted_steps(
-    work: tuple, score_tau: np.ndarray, cur: np.ndarray, compact_at: tuple[int, ...]
-) -> None:
-    """Steps compact_at[0] to n_local - 2 of the exact path, and the last
-    pick, over rows cut down to each ant's unvisited columns at every step
-    in ``compact_at`` (see the module docstring).  ``work`` is the colony's
-    workspace (see ``SubsetColony._workspace``), whose picks[compact_at[0]:]
-    this writes."""
-    (picks, avail, offsets, flat, draws, rows, cum, below, target, _, _, target_col, _,
-     packed) = work
-    na, nl = avail.shape
-    cols = np.broadcast_to(np.arange(nl), avail.shape)
-    live = avail
-    for step in range(compact_at[0], nl - 1):
-        if step in compact_at:
-            # Every ant has exactly r nodes left, so its unvisited
-            # columns, ascending, fill one row of an (na, r) array.
-            r = nl - step
-            cols = cols[live != 0].reshape(na, r)
-            index = offsets[:, None] + cols  # into the rows taken below
-            ends = np.arange(na) * r
-            live, cum_r, below_r, packed_r = (
-                buf.reshape(-1)[: na * r].reshape(na, r) for buf in (avail, cum, below, packed)
-            )
-            live.fill(1.0)
-            total = cum_r[:, -1]
-        score_tau.take(cur, axis=0, out=rows, mode="clip")
-        rows.take(index, out=packed_r, mode="clip")
-        np.multiply(packed_r, live, out=packed_r)
-        np.add.accumulate(packed_r, axis=1, out=cum_r)
-        np.multiply(draws[step], total, out=target)
-        np.less_equal(cum_r, target_col, out=below_r)
-        # take and put read flat indices: the ant's row start plus the
-        # pick's position in the row
-        np.add(below_r.argmin(axis=1, out=flat), ends, out=flat)
-        cur = cols.take(flat, out=picks[step], mode="clip")
-        live.put(flat, 0.0)
-    np.add(live.argmax(axis=1, out=flat), ends, out=flat)
-    cols.take(flat, out=picks[-1], mode="clip")
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
@@ -243,14 +203,23 @@ class SubsetColony:
         """Add q/L * (1 + kappa * [edge on the backbone]) on the trail of
         each edge of ``tour``, a tour in this colony's local ids; with
         ``flat_bonus`` every edge earns q/L * (1 + kappa), as the seed tour's
-        do.  Single-node tours deposit nothing; an id outside [0, n_local)
-        is refused."""
+        do.  Single-node tours deposit nothing; an id that is not an integer
+        in [0, n_local) is refused, and so is a tour of 2 or more nodes whose
+        length is not a positive finite number."""
         self._deposit(self._ring(tour), tour.length, flat_bonus)
 
     def _ring(self, tour) -> np.ndarray:
         """The tour's ids closed on its start, so that its legs run
-        ring[i] -> ring[i + 1]; an id outside [0, n_local) is refused."""
+        ring[i] -> ring[i + 1].  It refuses every tour that ``deposit``
+        refuses, so that ``update_pheromones`` checks each before any trail
+        changes."""
         order = tuple(tour.order)
+        for kind in set(map(type, order)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                bad = next(v for v in order if type(v) is kind)
+                raise ValueError(f"tour node {bad!r} is not an integer")
+        if len(order) > 1 and not 0.0 < tour.length < math.inf:  # NaN fails this too
+            raise ValueError(f"tour length {tour.length!r} is not a positive finite number")
         ring = np.array(order + order[:1], dtype=np.int64)
         if len(order) and not (0 <= ring.min() and ring.max() < self.n_local):
             foreign = next(v for v in order if not 0 <= v < self.n_local)
@@ -290,7 +259,7 @@ class SubsetColony:
         """All ants' tours for one iteration.
 
         ``uniforms`` is (n_ants, n_local) with every draw in [0, 1], and
-        ``start_local`` lies in [0, n_local) when given.  Returns (orders,
+        ``start_local`` is an integer in [0, n_local) when given.  Returns (orders,
         lengths) with orders in local indices, one row per ant.
 
         The clamp and the vanish check run only when the scores and draws
@@ -306,8 +275,11 @@ class SubsetColony:
             raise ValueError("uniform block width must equal the subset size")
         if np.shape(tau_local) != (nl, nl):
             raise ValueError(f"trail factor of shape {np.shape(tau_local)} is not ({nl}, {nl})")
-        if start_local is not None and not 0 <= start_local < nl:
-            raise ValueError(f"start_local {start_local} outside [0, {nl})")
+        if start_local is not None:
+            if isinstance(start_local, bool) or not isinstance(start_local, (int, np.integer)):
+                raise ValueError(f"start_local must be an integer, got {start_local!r}")
+            if not 0 <= start_local < nl:
+                raise ValueError(f"start_local {start_local} outside [0, {nl})")
         u_lo, u_hi = uniforms.min(initial=0.0), uniforms.max(initial=0.0)
         if not 0.0 <= u_lo <= u_hi <= 1.0:  # NaN fails this too
             raise ValueError(f"uniform draws must lie in [0, 1], got {u_lo} to {u_hi}")
@@ -332,35 +304,51 @@ class SubsetColony:
             )
         exact = lo > TRAIL_FLOOR and hi < _TOTAL_LIMIT / nl and u_hi < 1.0
 
-        work = self._workspace(na)
         (picks, avail, offsets, flat, draws, scores, cum, below, target, cap, low,
-         target_col, total, _) = work
+         packed) = self._workspace(na)
         avail.fill(1.0)
         low.fill(np.inf)
-        avail_flat = avail.reshape(-1)
-        put = avail_flat.put
         add, multiply, minimum, nextafter = np.add, np.multiply, np.minimum, np.nextafter
-        accumulate, less_equal, argmin = np.add.accumulate, np.less_equal, below.argmin
+        accumulate, less_equal = np.add.accumulate, np.less_equal
+        # The row state, which a compaction changes: each ant's first flat
+        # cell, the buffers the row spans and the node id of each column.
+        row_start, rows, target_col, cols = offsets, scores, target[:, None], None
+        total, put, argmin = cum[:, -1], avail.put, below.argmin
 
         cur = picks[0]
         if start_local is None:
             minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1, out=cur)
         else:
-            cur[:] = int(start_local)
-        put(add(offsets, cur, out=flat), 0.0)
+            cur[:] = start_local
+        put(add(row_start, cur, out=flat), 0.0)
 
         draws[...] = uniforms.T
         take = score_tau.take
         # On the exact path the last step is not run: each ant has one
         # unvisited node left, whose score alone is positive and whose
         # prefix sum, the total, exceeds the target, so the roulette picks it.
-        # A wide row leaves this loop at its first compaction.
         stop = nl - 1 if exact else nl
-        compact_at = self._compact_at if exact else ()
-        for step in range(1, compact_at[0] if compact_at else stop):
+        cuts = iter(self._compact_at if exact else ())
+        cut = next(cuts, 0)
+        for step in range(1, stop):
+            if step == cut:
+                # Every ant has exactly r nodes left, so its unvisited
+                # columns, ascending, fill one row of an (na, r) array.
+                r = nl - step
+                cols = (avail.nonzero()[1] if cols is None else cols[avail != 0]).reshape(na, r)
+                index = offsets[:, None] + cols  # into the full rows taken below
+                row_start = np.arange(na) * r
+                avail, scores, cum, below = (
+                    buf.reshape(-1)[: na * r].reshape(na, r) for buf in (avail, packed, cum, below)
+                )
+                avail.fill(1.0)
+                total, put, argmin = cum[:, -1], avail.put, below.argmin
+                cut = next(cuts, 0)
             # Indices are in range; mode="clip" only spares take() from
             # buffering its output.
-            take(cur, axis=0, out=scores, mode="clip")
+            take(cur, axis=0, out=rows, mode="clip")
+            if cols is not None:
+                rows.take(index, out=scores, mode="clip")
             multiply(scores, avail, out=scores)
             accumulate(scores, axis=1, out=cum)
             multiply(draws[step], total, out=target)
@@ -375,13 +363,20 @@ class SubsetColony:
             # False and picks 0, a valid index; the check after the loop then
             # refuses the whole call.
             less_equal(cum, target_col, out=below)
-            cur = argmin(axis=1, out=picks[step])
-            put(add(offsets, cur, out=flat), 0.0)
-        if compact_at:
-            _compacted_steps(work, score_tau, cur, compact_at)
-        elif exact and nl > 1:
+            # put and cols read flat indices: the ant's row start plus the pick's column
+            if cols is None:
+                cur = argmin(axis=1, out=picks[step])
+                put(add(row_start, cur, out=flat), 0.0)
+            else:
+                add(argmin(axis=1, out=flat), row_start, out=flat)
+                cur = cols.take(flat, out=picks[step], mode="clip")
+                put(flat, 0.0)
+        if exact and cols is None:
             avail.argmax(axis=1, out=picks[-1])
-        elif not exact and not (low > 0).all():  # NaN fails this too
+        elif exact:
+            add(avail.argmax(axis=1, out=flat), row_start, out=flat)
+            cols.take(flat, out=picks[-1], mode="clip")
+        elif not (low > 0).all():  # NaN fails this too
             cause = ""
             if (_off_diagonal(self.weight) == 0).any():
                 cause = ": (1/d)^beta underflows to 0; rescale the coordinates or lower beta"
@@ -402,11 +397,11 @@ class SubsetColony:
         """The step buffers for ``na`` ants, allocated on the first call and
         again only when the ant count changes.  picks[step] holds every
         ant's node at that step; it is copied to one C-ordered row per ant
-        at the end."""
+        at the end.  A compaction re-views the first cells of avail, cum and
+        below at the row's new width, and the kept columns of the full rows
+        taken into scores are gathered into packed."""
         if self._work is None or self._work[0] != na:
             nl = self.n_local
-            cum = np.empty((na, nl))
-            target = np.empty(na)
             self._work = na, (
                 np.empty((nl, na), dtype=np.int64),  # picks
                 np.empty((na, nl)),  # avail
@@ -414,13 +409,11 @@ class SubsetColony:
                 np.empty(na, dtype=np.int64),  # flat
                 np.empty((nl, na)),  # draws
                 np.empty((na, nl)),  # scores
-                cum,
+                np.empty((na, nl)),  # cum
                 np.empty((na, nl), dtype=bool),  # below
-                target,
+                np.empty(na),  # target
                 np.empty(na),  # cap
                 np.empty(na),  # low
-                target[:, None],
-                cum[:, -1],  # total
-                np.empty((na, nl)),  # packed: a compacted step's scores
+                np.empty((na, nl)),  # packed: a compacted row's scores
             )
         return self._work[1]

@@ -488,10 +488,12 @@ def test_only_wide_rows_are_compacted():
 
 @pytest.mark.parametrize("n", [13, 120])
 def test_colony_reused_buffers_match_fresh_colonies(n):
-    # one colony keeps its step buffers between calls: a changed ant count
-    # and a refused call in between leave every call bit-identical to a
-    # fresh colony's, and the arrays a call returns are the caller's own;
-    # at n = 120 the rows are compacted, and the buffers cut to each width
+    # one colony keeps its step buffers between calls: a changed ant count,
+    # a clamped call and a refused call in between leave every call
+    # bit-identical to a fresh colony's, and the arrays a call returns are
+    # the caller's own; at n = 120 the exact calls compact their rows and cut
+    # the buffers to each width, and the clamped call, whose draws of exactly
+    # 1 keep it at full width, must see them whole again
     d = build_distance_matrix(random_planar_instance(n, seed=930))
     backbone = _keys(kruskal_mst(d))
 
@@ -503,12 +505,17 @@ def test_colony_reused_buffers_match_fresh_colonies(n):
     assert bool(colony._compact_at) == (n == 120)
     tau = colony.local_tau() * rng.uniform(0.5, 1.5, size=(n, n))
     calls = []
-    for na, start in ((50, None), (7, 4), (50, None), ("refused", None), (50, 0)):
+    sequence = ((50, None), (7, 4), (50, None), ("clamped", None), ("refused", None), (50, 0))
+    for na, start in sequence:
         if na == "refused":
             with pytest.raises(ValueError, match="vanished"):
                 colony.construct_colony(np.zeros((n, n)), rng.random((50, n)))
             continue
-        uniforms = rng.random((na, n))
+        if na == "clamped":
+            uniforms = rng.random((50, n))
+            uniforms[:, ::7] = 1.0
+        else:
+            uniforms = rng.random((na, n))
         orders, lengths = colony.construct_colony(tau, uniforms, start)
         ref_orders, ref_lengths = fresh().construct_colony(tau, uniforms, start)
         assert np.array_equal(orders, ref_orders)
@@ -559,6 +566,37 @@ def test_deposit_refuses_a_node_outside_the_subset(order):
     with pytest.raises(ValueError, match=message):
         update_pheromones([colony], [Tour(order, 10.0)])
     assert np.array_equal(colony.tau, before)
+
+
+@pytest.mark.parametrize(
+    "order, length, message",
+    [
+        # 1.5 used to deposit as if it were 1, and True as 1
+        ((0, 1.5, 2, 3, 4), 10.0, "tour node 1.5 is not an integer"),
+        ((0, True, 2, 3, 4), 10.0, "tour node True is not an integer"),
+        ((0, 1, np.float64(2.0), 3), 10.0, "tour node np.float64(2.0) is not an integer"),
+        # 0 used to raise ZeroDivisionError, -5 lowered the trail, inf
+        # deposited nothing and NaN was refused later as vanished scores
+        ((0, 1, 2, 3, 4), 0.0, "tour length 0.0 is not a positive finite number"),
+        ((0, 1, 2, 3, 4), -5.0, "tour length -5.0 is not a positive finite number"),
+        ((0, 1, 2, 3, 4), np.inf, "tour length inf is not a positive finite number"),
+        ((0, 1), np.nan, "tour length nan is not a positive finite number"),
+    ],
+    ids=["float-id", "bool-id", "numpy-float-id", "zero", "negative", "inf", "nan"],
+)
+def test_deposit_refuses_a_tour_that_cannot_mean_what_it_says(order, length, message):
+    d = build_distance_matrix(random_planar_instance(5, seed=936))
+    colony = SubsetColony(d, frozenset({(0, 1)}), 2.0, AcoParams())
+    before = colony.tau.copy()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        colony.deposit(Tour(order, length))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        update_pheromones([colony], [Tour(order, length)])
+    assert np.array_equal(colony.tau, before)
+    # numpy integer ids and a single node of length 0 still deposit as before
+    colony.deposit(Tour((np.int64(0), np.int32(1), 2), 4.0))
+    assert colony.tau[0, 1] > before[0, 1]
+    update_pheromones([colony], [Tour((3,), 0.0)])
 
 
 def test_update_pheromones_refusal_leaves_every_trail_unchanged():
@@ -737,6 +775,11 @@ def _colony_outcome(construct, *args):
          beta=0.5, omega=1.0, start=None, top=1.0 - 2.0**-53, seed=11)
 @example(width=120, n_ants=20, exponent=306.0, zeros=0.0, floored=False, alpha=1.0,
          beta=1.0, omega=1.0, start=None, top=None, seed=12)
+# one and two ants on the proven branch, whose rows are compacted
+@example(width=120, n_ants=1, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+         beta=2.0, omega=2.0, start=None, top=None, seed=13)
+@example(width=120, n_ants=2, exponent=0.0, zeros=0.0, floored=True, alpha=1.3,
+         beta=2.0, omega=2.0, start=50, top=1.0 - 2.0**-53, seed=14)
 def test_colony_matches_reference_across_trail_scales(
     width, n_ants, exponent, zeros, floored, alpha, beta, omega, start, top, seed
 ):
@@ -813,6 +856,20 @@ def test_colony_start_out_of_range_rejected(start):
     uniforms = np.random.default_rng(924).random((4, 13))
     with pytest.raises(ValueError, match=rf"start_local {start} outside \[0, 13\)"):
         colony.construct_colony(tau, uniforms, start)
+
+
+@pytest.mark.parametrize("start", [2.5, np.float64(3.9), True, np.bool_(False), "3"], ids=repr)
+def test_colony_start_must_be_an_integer(start):
+    # 2.5 used to start every ant at node 2, np.float64(3.9) at 3 and True
+    # at 1; "3" raised a bare TypeError
+    _, _, _, colony = _colony_setup(13, 923)
+    tau = colony.local_tau()
+    uniforms = np.random.default_rng(924).random((4, 13))
+    message = re.escape(f"start_local must be an integer, got {start!r}")
+    with pytest.raises(ValueError, match=message):
+        colony.construct_colony(tau, uniforms, start)
+    orders, _ = colony.construct_colony(tau, uniforms, np.int64(3))
+    assert (orders[:, 0] == 3).all()
 
 
 @pytest.mark.parametrize("draw", [-0.5, -1e-300, 1.0 + 2.0**-52, 1.5, np.nan, np.inf])
