@@ -204,8 +204,8 @@ class SubsetColony:
         each edge of ``tour``, a tour in this colony's local ids; with
         ``flat_bonus`` every edge earns q/L * (1 + kappa), as the seed tour's
         do.  Single-node tours deposit nothing; an id that is not an integer
-        in [0, n_local) is refused, and so is a tour of 2 or more nodes whose
-        length is not a positive finite number."""
+        in [0, n_local) or that appears twice is refused, and so is a tour of
+        2 or more nodes whose length is not a positive finite number."""
         self._deposit(self._ring(tour), tour.length, flat_bonus)
 
     def _ring(self, tour) -> np.ndarray:
@@ -224,6 +224,9 @@ class SubsetColony:
         if len(order) and not (0 <= ring.min() and ring.max() < self.n_local):
             foreign = next(v for v in order if not 0 <= v < self.n_local)
             raise ValueError(f"tour node {foreign} outside [0, {self.n_local})")
+        if len(set(order)) < len(order):
+            repeated = next(v for i, v in enumerate(order) if v in order[:i])
+            raise ValueError(f"tour node {repeated} is visited more than once")
         return ring
 
     def _deposit(self, ring: np.ndarray, length: float, flat_bonus: bool = False) -> None:
@@ -234,8 +237,9 @@ class SubsetColony:
         p = self.params
         scale = p.q_scale / length
         amount = scale * (1.0 + p.kappa) if flat_bonus else scale * self._gain[fwd]
-        # A tour's forward cells are distinct, and so are its backward ones;
-        # only a 2-node tour's backward cells repeat its forward ones.
+        # ``_ring`` refuses a repeated node, so a tour's forward cells are
+        # distinct, and so are its backward ones; only a 2-node tour's
+        # backward cells repeat its forward ones.
         tau = self.tau.reshape(-1)
         tau[fwd] += amount
         if len(here) > 2:
@@ -270,6 +274,9 @@ class SubsetColony:
         the draw times it is already below it (see the module docstring).
         Both ways pick the same nodes, bit for bit.
         """
+        if uniforms.ndim != 2:
+            raise ValueError(
+                f"uniform block of shape {uniforms.shape} is not (n_ants, {self.n_local})")
         na, nl = uniforms.shape
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")

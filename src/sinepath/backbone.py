@@ -143,7 +143,8 @@ def odd_degree_vertices(backbone: Backbone) -> tuple[int, ...]:
 
 def greedy_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
     """Shortest-edge-first perfect matching on an even vertex set."""
-    verts = np.unique(np.asarray(list(odd_vertices), dtype=np.int64))
+    # Sorted distinct ids, as np.unique gives them; np.unique would import numpy.ma.
+    verts = np.array(sorted(set(map(int, odd_vertices))), dtype=np.int64)
     if len(verts) % 2 != 0:
         raise ValueError("matching needs an even number of vertices")
     if len(verts) == 0:

@@ -10,12 +10,19 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .aco import AcoParams
-from .bench import (
+# sinepath makes no BLAS call, but numpy's bundled OpenBLAS starts a helper
+# thread per extra core as numpy loads, and each spins before it sleeps.  The
+# CLI owns its process, so it asks for one thread before any module below
+# loads numpy; a value the user set wins, and bench workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .aco import AcoParams  # noqa: E402
+from .bench import (  # noqa: E402
     DEFAULT_ABLATION_WEIGHTS,
     ExperimentPlan,
     ablation_sweep,
@@ -24,8 +31,10 @@ from .bench import (
     format_svg_routes,
     run_plan,
 )
-from .instances import ParseError, load_instance
-from .solver import MODE_CLASSIC, MODE_SINE, PARTITION_METHODS, SolveReport, SolverConfig, solve
+from .instances import ParseError, load_instance  # noqa: E402
+from .solver import (  # noqa: E402
+    MODE_CLASSIC, MODE_SINE, PARTITION_METHODS, SolveReport, SolverConfig, solve,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2

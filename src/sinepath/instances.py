@@ -304,7 +304,8 @@ def random_planar_instance(
         coords = np.clip(coords, 0.0, 100.0)
     else:
         coords = rng.uniform(0.0, 100.0, size=(n, 2))
-    if len(np.unique(coords, axis=0)) != n:
+    # Distinct points counted in a set: np.unique would import numpy.ma.
+    if len(set(map(tuple, coords.tolist()))) != n:
         # Vanishingly unlikely with float64 draws; resample rather than collapse.
         return random_planar_instance(n, seed + 993319, clusters, name)
     return Instance(name or f"rand{n}-s{seed}", coords, Metric.EUCLIDEAN)

@@ -599,6 +599,28 @@ def test_deposit_refuses_a_tour_that_cannot_mean_what_it_says(order, length, mes
     update_pheromones([colony], [Tour((3,), 0.0)])
 
 
+@pytest.mark.parametrize(
+    "order, repeated",
+    [((0, 1, 1, 2), 1), ((0, 1, 0, 1), 0), ((4, 2, 3, 0, 3), 3), ((2, np.int64(2)), 2)],
+    ids=["adjacent", "edge-twice", "apart", "numpy-id"],
+)
+def test_deposit_refuses_a_tour_that_repeats_a_node(order, repeated):
+    # a tour visits each node once: (0, 1, 1, 2) used to raise the diagonal
+    # cell tau[1, 1] from 0, and (0, 1, 0, 1) deposited its one edge once
+    # instead of four times, since a fancy-index += drops repeated cells
+    d = build_distance_matrix(random_planar_instance(5, seed=936))
+    colony = SubsetColony(d, frozenset({(0, 1)}), 2.0, AcoParams())
+    other = SubsetColony(d[:3, :3], frozenset(), 2.0, AcoParams())
+    before = [colony.tau.copy(), other.tau.copy()]
+    message = re.escape(f"tour node {repeated} is visited more than once")
+    with pytest.raises(ValueError, match=message):
+        colony.deposit(Tour(order, 5.0))
+    with pytest.raises(ValueError, match=message):
+        update_pheromones([other, colony], [Tour((0, 2, 1), 3.0), Tour(order, 5.0)])
+    assert np.array_equal(colony.tau, before[0])
+    assert np.array_equal(other.tau, before[1])
+
+
 def test_update_pheromones_refusal_leaves_every_trail_unchanged():
     # the first colony used to evaporate and take its deposit before the
     # second colony's tour was found to hold an id outside its block
@@ -901,6 +923,16 @@ def test_colony_uniform_shape_checked():
     _, _, _, colony = _colony_setup(6, 911)
     with pytest.raises(ValueError, match="width"):
         colony.construct_colony(colony.local_tau(), np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 6, 1), (), (1, 2, 6)], ids=str)
+def test_colony_refuses_a_draw_block_that_is_not_2d(shape):
+    # the unpack na, nl = uniforms.shape used to fail with numpy's bare
+    # "not enough values to unpack" or "too many values to unpack"
+    _, _, _, colony = _colony_setup(6, 911)
+    message = re.escape(f"uniform block of shape {shape} is not (n_ants, 6)")
+    with pytest.raises(ValueError, match=message):
+        colony.construct_colony(colony.local_tau(), np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("shape", [(13,), (1, 13), (13, 1), (), (12, 12), (13, 13, 1)], ids=str)

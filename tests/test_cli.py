@@ -1,8 +1,8 @@
 """Command line behaviour: exit codes, artifacts, reruns."""
 
+import ast
 import csv
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -153,13 +153,28 @@ def test_solve_overflowing_visibility_is_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _child_env(*drop: str) -> dict:
+    """This process's environment without the variables ``drop``, with the
+    tested ``src`` first on PYTHONPATH, for a fresh Python process."""
+    src = str(Path(sinepath.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    return env
+
+
+def _fresh_python(code: str, env: dict):
+    """What a fresh ``python -c code`` prints as its last line, read as JSON."""
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def test_solve_refusal_is_the_only_stderr_line(bench51_path, tmp_path):
     # What a user sees, with Python's default warning filters: numpy used to
     # print an overflow RuntimeWarning and its source line before the refusal
-    src = str(Path(sinepath.__file__).resolve().parent.parent)
-    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(path)
+    env = _child_env("PYTHONWARNINGS")
     argv = ["solve", str(bench51_path), "--robots", "2", "--iters", "30", "--ants", "5",
             "--q", "1e308", "--out", str(tmp_path / "r.json")]
     result = subprocess.run([sys.executable, "-m", "sinepath.cli", *argv], env=env,
@@ -209,16 +224,14 @@ def test_import_leaves_scipy_unloaded(tmp_path, tri3_path, bench51_path):
     # The runtime is numpy only: a whole bench, with its signed-rank and mean-rank
     # tables, may not even try to import scipy.  A meta-path finder records every
     # attempt before any other finder sees it.
-    src = str(Path(sinepath.__file__).resolve().parent.parent)
-    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = _child_env()
     for p in (tri3_path, bench51_path):
         shutil.copyfile(p, tmp_path / p.name)
     out = tmp_path / "out"
     argv = ["bench", "--instances", str(tmp_path / "*.tsp"), "--robots", "1",
             "--repeats", "5", "--out-dir", str(out)] + FAST
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "tried = []\n"
         "class Record:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
@@ -226,17 +239,124 @@ def test_import_leaves_scipy_unloaded(tmp_path, tri3_path, bench51_path):
         "sys.meta_path.insert(0, Record())\n"
         "import sinepath.cli\n"
         f"assert sinepath.cli.main({argv!r}) == 0\n"
-        "print(tried, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(json.dumps([tried, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[] []"
+    assert _fresh_python(code, env) == [[], []]
     # the run reached both statistics: a signed-rank p-value and the mean ranks
     rows = [line.split(",") for line in (out / "wilcoxon.csv").read_text().splitlines()[1:-1]]
     assert any(row[6] for row in rows)
     assert (out / "friedman.csv").exists()
+
+
+ROOT_NAMES = {"AcoParams", "ExperimentPlan", "run_plan", "Instance", "load_instance",
+              "random_planar_instance", "SolveReport", "SolverConfig", "solve"}
+BLAS = "OPENBLAS_NUM_THREADS"
+
+
+def test_import_sinepath_loads_no_numpy():
+    # The root resolves its names on first access, so that sinepath.cli is
+    # reached before numpy loads; each name still resolves to the object its
+    # module defines
+    code = (
+        "import json, sys\n"
+        "import sinepath\n"
+        "numpy = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
+        "listed = [sinepath.__all__, dir(sinepath)]\n"
+        "homes = {n: getattr(sinepath, n).__module__ for n in sinepath.__all__}\n"
+        "same = all(getattr(sinepath, n) is getattr(sys.modules[m], n) for n, m in homes.items())\n"
+        "print(json.dumps([numpy, listed, homes, same]))\n"
+    )
+    numpy, (exported, listed), homes, same = _fresh_python(code, _child_env())
+    assert numpy == []
+    assert len(exported) == len(set(exported)) == 9
+    assert set(exported) == set(listed) == ROOT_NAMES == set(homes)
+    assert all(home.startswith("sinepath.") for home in homes.values())
+    assert same
+    with pytest.raises(AttributeError, match="has no attribute 'SubsetColony'"):
+        sinepath.SubsetColony
+
+
+def test_cli_import_starts_numpy_with_one_blas_thread():
+    # OpenBLAS starts one helper thread per extra core as numpy loads; the
+    # CLI makes no BLAS call, so it asks for none before numpy loads
+    code = (
+        "import json, os, sys\n"
+        "import sinepath.cli\n"
+        "linux = sys.platform.startswith('linux')\n"
+        "threads = len(os.listdir('/proc/self/task')) if linux else None\n"
+        f"print(json.dumps([os.environ.get({BLAS!r}), threads]))\n"
+    )
+    value, threads = _fresh_python(code, _child_env(BLAS))
+    assert value == "1"
+    if sys.platform.startswith("linux"):
+        assert threads == 1
+    # a value the user set wins
+    assert _fresh_python(code, {**_child_env(), BLAS: "2"})[0] == "2"
+
+
+def test_library_imports_leave_the_blas_threads_alone():
+    # Only the CLI owns its process; a program that imports the library
+    # keeps numpy's default thread pool
+    code = (
+        "import importlib, json, os, pkgutil\n"
+        "import sinepath\n"
+        "[getattr(sinepath, n) for n in sinepath.__all__]\n"
+        "for m in pkgutil.iter_modules(sinepath.__path__):\n"
+        "    if m.name != 'cli': importlib.import_module('sinepath.' + m.name)\n"
+        f"print(json.dumps(os.environ.get({BLAS!r})))\n"
+    )
+    assert _fresh_python(code, _child_env(BLAS)) is None
+
+
+def test_solve_and_random_instance_leave_numpy_ma_unloaded(bench51_path):
+    # np.unique without counts imports numpy.ma (numpy 2.4.6): ~1.3 MB and
+    # ~12 ms per process
+    code = (
+        "import json, sys\n"
+        "from sinepath import AcoParams, SolverConfig, load_instance, random_planar_instance, solve\n"
+        f"inst = load_instance({str(bench51_path)!r})\n"
+        "solve(inst, 4, SolverConfig(aco=AcoParams(max_iter=2)))\n"
+        "random_planar_instance(2000, 5)\n"
+        "print(json.dumps('numpy.ma' in sys.modules))\n"
+    )
+    assert _fresh_python(code, _child_env()) is False
+
+
+# Names of numpy's BLAS-backed routines.  np.subtract.outer is a ufunc method,
+# not BLAS, so "outer" is not listed.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(tree: ast.AST):
+    """(line, what) for each ``@``, ``@=`` and BLAS routine name in ``tree``."""
+    for node in ast.walk(tree):
+        names = set()
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.alias):
+            names = set(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names = set((node.module or "").split("."))
+        for name in names & BLAS_NAMES:
+            yield node.lineno, name
+
+
+def test_package_makes_no_blas_call():
+    # The CLI starts numpy with one OpenBLAS thread (see above); a BLAS call
+    # added later must fail here rather than run single-threaded unnoticed
+    sample = ("a @ b\nc @= d\nnp.dot(a, b)\na.dot(b)\nfrom numpy.linalg import norm\n"
+              "import numpy.linalg\nfrom numpy import einsum\nnp.subtract.outer(a, b)\n")
+    assert sorted(_blas_uses(ast.parse(sample))) == [
+        (1, "@"), (2, "@"), (3, "dot"), (4, "dot"), (5, "linalg"), (6, "linalg"), (7, "einsum"),
+    ]
+    package = Path(sinepath.__file__).resolve().parent
+    found = [f"{path.name}:{line} {what}" for path in sorted(package.glob("*.py"))
+             for line, what in _blas_uses(ast.parse(path.read_text()))]
+    assert found == []
 
 
 def test_help_exits_zero(capsys):
@@ -295,11 +415,7 @@ def test_readme_names_exactly_the_root_exports():
     # the sentence listing the package root's names must not drift from it
     text = " ".join(README.read_text().split())
     sentence = text.split("The package root re-exports", 1)[1].split("Everything else", 1)[0]
-    exported = {
-        name for name, value in vars(sinepath).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
-    assert set(re.findall(r"`(\w+)`", sentence)) == exported
+    assert set(re.findall(r"`(\w+)`", sentence)) == set(sinepath.__all__)
 
 
 @pytest.mark.parametrize(
