@@ -220,14 +220,13 @@ class SubsetColony:
                 raise ValueError(f"tour node {bad!r} is not an integer")
         if len(order) > 1 and not 0.0 < tour.length < math.inf:  # NaN fails this too
             raise ValueError(f"tour length {tour.length!r} is not a positive finite number")
-        ring = np.array(order + order[:1], dtype=np.int64)
-        if len(order) and not (0 <= ring.min() and ring.max() < self.n_local):
+        if order and not (0 <= min(order) and max(order) < self.n_local):
             foreign = next(v for v in order if not 0 <= v < self.n_local)
             raise ValueError(f"tour node {foreign} outside [0, {self.n_local})")
         if len(set(order)) < len(order):
             repeated = next(v for i, v in enumerate(order) if v in order[:i])
             raise ValueError(f"tour node {repeated} is visited more than once")
-        return ring
+        return np.array(order + order[:1], dtype=np.int64)
 
     def _deposit(self, ring: np.ndarray, length: float, flat_bonus: bool = False) -> None:
         here, succ = ring[:-1], ring[1:]
@@ -241,9 +240,10 @@ class SubsetColony:
         # distinct, and so are its backward ones; only a 2-node tour's
         # backward cells repeat its forward ones.
         tau = self.tau.reshape(-1)
-        tau[fwd] += amount
+        tau.put(fwd, tau.take(fwd) + amount)
         if len(here) > 2:
-            tau[succ * self.n_local + here] += amount
+            bwd = succ * self.n_local + here
+            tau.put(bwd, tau.take(bwd) + amount)
 
     def local_tau(self) -> np.ndarray:
         """The trail factor tau^alpha, floored at ``TRAIL_FLOOR`` off the
@@ -287,7 +287,10 @@ class SubsetColony:
                 raise ValueError(f"start_local must be an integer, got {start_local!r}")
             if not 0 <= start_local < nl:
                 raise ValueError(f"start_local {start_local} outside [0, {nl})")
-        u_lo, u_hi = uniforms.min(initial=0.0), uniforms.max(initial=0.0)
+        # The ufunc reductions themselves: ndarray.min/max add a Python wrapper per call.
+        minimum, maximum = np.minimum, np.maximum
+        u_lo = minimum.reduce(uniforms, axis=None, initial=0.0)
+        u_hi = maximum.reduce(uniforms, axis=None, initial=0.0)
         if not 0.0 <= u_lo <= u_hi <= 1.0:  # NaN fails this too
             raise ValueError(f"uniform draws must lie in [0, 1], got {u_lo} to {u_hi}")
         with np.errstate(over="ignore"):  # an overflow is refused below
@@ -295,8 +298,8 @@ class SubsetColony:
         # weight has a zero diagonal, so the diagonal of score_tau holds only
         # +-0 or NaN: the full max sees every NaN, and the off-diagonal min
         # is the least score a successor can have.
-        lo = _off_diagonal(score_tau).min(initial=np.inf)
-        hi = score_tau.max()
+        lo = minimum.reduce(_off_diagonal(score_tau), axis=None, initial=np.inf)
+        hi = maximum.reduce(score_tau, axis=None)
         has_nan = math.isnan(hi)
         # NaN passes the sign check, as it always has, and is left to the
         # vanish check.
@@ -315,7 +318,9 @@ class SubsetColony:
          packed) = self._workspace(na)
         avail.fill(1.0)
         low.fill(np.inf)
-        add, multiply, minimum, nextafter = np.add, np.multiply, np.minimum, np.nextafter
+        # Each out= goes by position, except to minimum, which deprecates a
+        # third positional argument.
+        add, multiply, nextafter = np.add, np.multiply, np.nextafter
         accumulate, less_equal = np.add.accumulate, np.less_equal
         # The row state, which a compaction changes: each ant's first flat
         # cell, the buffers the row spans and the node id of each column.
@@ -327,7 +332,7 @@ class SubsetColony:
             minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1, out=cur)
         else:
             cur[:] = start_local
-        put(add(row_start, cur, out=flat), 0.0)
+        put(add(row_start, cur, flat), 0.0)
 
         draws[...] = uniforms.T
         take = score_tau.take
@@ -337,7 +342,7 @@ class SubsetColony:
         stop = nl - 1 if exact else nl
         cuts = iter(self._compact_at if exact else ())
         cut = next(cuts, 0)
-        for step in range(1, stop):
+        for step, draw, pick in zip(range(1, stop), draws[1:stop], picks[1:stop]):
             if step == cut:
                 # Every ant has exactly r nodes left, so its unvisited
                 # columns, ascending, fill one row of an (na, r) array.
@@ -353,12 +358,12 @@ class SubsetColony:
                 cut = next(cuts, 0)
             # Indices are in range; mode="clip" only spares take() from
             # buffering its output.
-            take(cur, axis=0, out=rows, mode="clip")
+            take(cur, 0, rows, "clip")
             if cols is not None:
-                rows.take(index, out=scores, mode="clip")
-            multiply(scores, avail, out=scores)
-            accumulate(scores, axis=1, out=cum)
-            multiply(draws[step], total, out=target)
+                rows.take(index, None, scores, "clip")
+            multiply(scores, avail, scores)
+            accumulate(scores, 1, None, cum)
+            multiply(draw, total, target)
             if not exact:
                 minimum(low, total, out=low)
                 nextafter(total, -np.inf, out=cap)
@@ -369,14 +374,14 @@ class SubsetColony:
             # of True, is the pick.  A zero or NaN total leaves a row all
             # False and picks 0, a valid index; the check after the loop then
             # refuses the whole call.
-            less_equal(cum, target_col, out=below)
+            less_equal(cum, target_col, below)
             # put and cols read flat indices: the ant's row start plus the pick's column
             if cols is None:
-                cur = argmin(axis=1, out=picks[step])
-                put(add(row_start, cur, out=flat), 0.0)
+                cur = argmin(1, pick)
+                put(add(row_start, cur, flat), 0.0)
             else:
-                add(argmin(axis=1, out=flat), row_start, out=flat)
-                cur = cols.take(flat, out=picks[step], mode="clip")
+                add(argmin(1, flat), row_start, flat)
+                cur = cols.take(flat, None, pick, "clip")
                 put(flat, 0.0)
         if exact and cols is None:
             avail.argmax(axis=1, out=picks[-1])
@@ -393,11 +398,16 @@ class SubsetColony:
         if nl == 1:
             lengths = np.zeros(na)
         else:
-            # orders is C-contiguous, and so is the gather of its legs; the
-            # pairwise sum of an F-ordered gather would round differently.
-            dist = self.dist.reshape(-1)
-            lengths = dist.take(orders[:, :-1] * nl + orders[:, 1:]).sum(axis=1)
-            lengths = lengths + dist.take(orders[:, -1] * nl + orders[:, 0])
+            # One gather of every leg, the closing one last.  Each row of the
+            # gather is contiguous, so the sum of its first nl - 1 legs rounds
+            # as the sum of a C-ordered (na, nl - 1) array does; the pairwise
+            # sum of an F-ordered gather would round differently.
+            succ = np.empty_like(orders)
+            succ[:, :-1] = orders[:, 1:]
+            succ[:, -1] = orders[:, 0]
+            legs = self.dist.reshape(-1).take(add(orders * nl, succ, succ))
+            lengths = add.reduce(legs[:, :-1], axis=1)
+            lengths += legs[:, -1]
         return orders, lengths
 
     def _workspace(self, na: int) -> tuple:

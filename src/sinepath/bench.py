@@ -422,7 +422,9 @@ def format_svg_routes(report: SolveReport, inst: Instance) -> str:
 
 def emit_bench_artifacts(results: BenchResults, out_dir) -> list[Path]:
     """Write results.csv, results.json, wilcoxon.csv and, when at least two
-    instances completed, friedman.csv.  Returns the paths written."""
+    instances completed, friedman.csv; otherwise an earlier run's
+    friedman.csv is removed, so that no ranks of another run sit next to
+    these results.  Returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     texts = {
@@ -436,4 +438,6 @@ def emit_bench_artifacts(results: BenchResults, out_dir) -> list[Path]:
             texts["friedman.csv"] = format_friedman_csv(blocks)
     for name, text in texts.items():
         (out / name).write_text(text)
+    if "friedman.csv" not in texts:
+        (out / "friedman.csv").unlink(missing_ok=True)
     return [out / name for name in texts]

@@ -1,8 +1,8 @@
 """Command line front end: solve, bench, ablate, plot.
 
-Exit codes: 0 success, 2 usage error, 3 instance or report parse/read failure,
-4 solver domain error (bad robot count, parameter out of range, a bench
-whose every cell failed).
+Exit codes: 0 success, 2 usage error, 3 instance or report parse/read failure
+or an output file whose directory is missing, 4 solver domain error (bad
+robot count, parameter out of range, a bench whose every cell failed).
 """
 
 from __future__ import annotations
@@ -157,7 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(*paths) -> None:
+    """Refuse, before any loading or solving, an output path whose directory
+    is missing, so that a long run does not end in a failed write."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise OSError(f"{path}: {Path(path).parent} is not a directory")
+
+
 def _cmd_solve(args) -> int:
+    _check_output_dirs(args.out, args.svg)
     inst = load_instance(args.instance)
     cfg = _config(args, args.mode)
     report = solve(inst, args.robots, cfg)
@@ -197,6 +206,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_output_dirs(args.out)
     inst = load_instance(args.instance)
     sweep = ablation_sweep(
         inst, args.robots, args.weights, repeats=args.repeats,
@@ -234,6 +244,7 @@ def _read_report(path: str, n: int) -> SolveReport:
 
 
 def _cmd_plot(args) -> int:
+    _check_output_dirs(args.out)
     inst = load_instance(args.instance)
     report = _read_report(args.report, inst.dimension)
     if report.instance != inst.name:

@@ -20,8 +20,11 @@ the last iteration.
 Determinism contract: every uniform draw derives from
 (master_seed, stream, iteration, subset), with each ant reading its own row
 of the per-subset draw block, so no draw depends on the order the subsets run in.
-Each block's SeedSequence is seeded from the uint32 words numpy makes of
-that tuple, which draws exactly what seeding from the tuple does.
+Each block's generator starts from the state a SeedSequence of that tuple
+would give it, so it draws exactly what seeding from the tuple does; those
+states are hashed in one pass of uint32 array operations per
+``_SEED_CHUNK`` iterations (``_colony_seeds``) instead of by one
+SeedSequence per block.
 The incumbent only improves strictly, which makes the convergence trace
 monotone non-increasing.
 
@@ -218,16 +221,101 @@ def _uint32_words(x: int) -> list[int]:
     return words
 
 
-def _colony_entropy(master_seed: int, t: int, m: int) -> np.ndarray:
-    """Row k is the uint32 array numpy builds from the tuple
-    (master_seed, _STREAM_COLONY, t, k) when it seeds a SeedSequence, so
-    seeding from the row draws what seeding from the tuple does, without
-    coercing the tuple again for every block."""
-    head = _uint32_words(master_seed) + [_STREAM_COLONY] + _uint32_words(t)
-    entropy = np.empty((m, len(head) + 1), dtype=np.uint32)
-    entropy[:, :-1] = head
-    entropy[:, -1] = np.arange(m)
-    return entropy
+def _colony_entropy(master_seed: int, t: int, n: int, m: int) -> np.ndarray:
+    """Row i * m + k is the uint32 array numpy builds from the tuple
+    (master_seed, _STREAM_COLONY, t + i, k) when it seeds a SeedSequence,
+    for i < n and k < m.  The n iterations must share every word of t above
+    the lowest, so that the rows share one width."""
+    low, high = t & 0xFFFFFFFF, t >> 32
+    assert (t + n - 1) >> 32 == high, "iterations that differ above their lowest word"
+    head = _uint32_words(master_seed) + [_STREAM_COLONY]
+    tail = _uint32_words(high) if high else []
+    entropy = np.empty((n, m, len(head) + len(tail) + 2), dtype=np.uint32)
+    entropy[...] = head + [0] + tail + [0]
+    entropy[:, :, len(head)] = np.arange(low, low + n)[:, None]
+    entropy[:, :, -1] = np.arange(m)
+    return entropy.reshape(n * m, -1)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which NEP 19
+# keeps stream-stable: a pool of 4 uint32 words, multiply-xorshift steps
+# whose running constants do not depend on the data, and a mix of each pool
+# word with every other.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column vectors of what n successive hash steps xor with and multiply
+    by: the running constant before and after each step's update."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _xorshift(_MIX_L * x - _MIX_R * y)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """Row r is ``SeedSequence(entropy[r]).generate_state(4, np.uint64)``
+    for an (rows, w) uint32 array with w >= 4, as every colony block's
+    entropy is: numpy's pool mix and output hash run as uint32 array
+    operations over all rows at once, which wrap as numpy's scalar C code
+    does.  Past the pool a zero word is not neutral, so rows of another
+    width need a call of their own."""
+    words = entropy.T
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL * len(words))
+    pool = _xorshift((words[:_POOL] ^ xor[:_POOL]) * mul[:_POOL])
+    c = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _xorshift((pool[src] ^ xor[c]) * mul[c]))
+                c += 1
+    for word in words[_POOL:]:
+        pool = _mix(pool, _xorshift((word ^ xor[c : c + _POOL]) * mul[c : c + _POOL]))
+        c += _POOL
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    out = _xorshift((np.concatenate((pool, pool)) ^ xor) * mul).astype(np.uint64)
+    # Little-endian word pairs, as generate_state views them.
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+
+
+def _colony_seeds(master_seed: int, t: int, n: int, m: int) -> np.ndarray:
+    """(n, m, 4) uint64: entry [i, k] is the state that
+    ``SeedSequence((master_seed, _STREAM_COLONY, t + i, k))`` hands PCG64,
+    hashed in one pass.  The n iterations must share every word of t above
+    the lowest, as those of one seeding chunk do."""
+    return _seed_states(_colony_entropy(master_seed, t, n, m)).reshape(n, m, _POOL)
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed whose PCG64 state was hashed in advance by ``_colony_seeds``."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state  # PCG64 asks for 4 uint64 words
+
+
+# Iterations whose draw blocks are seeded in one pass: enough rows to spread
+# numpy's per-call cost, few enough that a solve that stops early has hashed
+# little it does not use.  A chunk starts at a multiple of this power of two,
+# which divides 2^32, so its iterations share every word above the lowest.
+_SEED_CHUNK = 256
 
 
 def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
@@ -268,11 +356,13 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             colony.deposit(seed, flat_bonus=True)
 
     for t in range(p.max_iter):
+        if t % _SEED_CHUNK == 0:
+            seeds = _colony_seeds(
+                cfg.master_seed, t, min(_SEED_CHUNK, p.max_iter - t), len(colonies))
         bests = []
-        entropy = _colony_entropy(cfg.master_seed, t, len(colonies))
-        for k, colony in enumerate(colonies):
-            ss = np.random.SeedSequence(entropy[k])
-            uniforms = np.random.default_rng(ss).random((p.n_ants, colony.n_local))
+        for k, (colony, seed) in enumerate(zip(colonies, seeds[t % _SEED_CHUNK])):
+            rng = np.random.Generator(np.random.PCG64(_SeedState(seed)))
+            uniforms = rng.random((p.n_ants, colony.n_local))
             orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, starts[k])
             best = int(lengths.argmin())
             bests.append(Tour(tuple(orders[best].tolist()), float(lengths[best])))

@@ -418,3 +418,16 @@ def test_emit_artifacts_file_set(tmp_path, inst_file, inst_file2):
     ]
     for p in written2:
         assert p.read_text().strip()
+
+
+def test_emit_artifacts_removes_a_stale_friedman_table(tmp_path, inst_file, inst_file2):
+    # a one-instance run into a directory that holds an earlier two-instance
+    # run's friedman.csv used to leave those ranks next to its own results
+    out = tmp_path / "out"
+    two = ExperimentPlan((str(inst_file), str(inst_file2)), (2,), _tiny_algorithms(), repeats=2)
+    emit_bench_artifacts(run_plan(two), out)
+    assert (out / "friedman.csv").exists()
+    one = ExperimentPlan((str(inst_file),), (2,), _tiny_algorithms(), repeats=2)
+    written = emit_bench_artifacts(run_plan(one), out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written)
+    assert not (out / "friedman.csv").exists()

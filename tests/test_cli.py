@@ -82,6 +82,49 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_solve_output_in_a_missing_directory_fails_first(flag, tmp_path, bench51_path, capsys,
+                                                         monkeypatch):
+    # solve used to run its whole budget before the write failed, and with
+    # a bad --svg it had already written report.json; it now names the path
+    # before it loads or solves, and writes nothing
+    def no_load(path):
+        raise AssertionError("loaded the instance")
+
+    monkeypatch.setattr("sinepath.cli.load_instance", no_load)
+    outputs = {"--out": str(tmp_path / "r.json"), "--svg": str(tmp_path / "r.svg")}
+    bad = tmp_path / "absent" / "x"
+    outputs[flag] = str(bad)
+    argv = ["solve", str(bench51_path)] + [a for kv in outputs.items() for a in kv]
+    assert main(argv + FAST) == EXIT_PARSE
+    assert f"error: {bad}: {bad.parent} is not a directory\n" == capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_ablate_output_in_a_missing_directory_fails_first(tmp_path, tri3_path, capsys,
+                                                          monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("ran the sweep")
+
+    monkeypatch.setattr("sinepath.cli.ablation_sweep", no_sweep)
+    bad = tmp_path / "absent" / "a.csv"
+    argv = ["ablate", str(tri3_path), "--robots", "1", "--weights", "0,1", "--repeats", "2",
+            "--out", str(bad)]
+    assert main(argv + FAST) == EXIT_PARSE
+    assert f"error: {bad}: {bad.parent} is not a directory\n" == capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_plot_output_in_a_missing_directory_fails_first(tmp_path, tri3_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["solve", str(tri3_path), "--out", str(report)] + FAST) == EXIT_OK
+    capsys.readouterr()
+    bad = tmp_path / "absent" / "routes.svg"
+    assert main(["plot", str(report), str(tri3_path), "--out", str(bad)]) == EXIT_PARSE
+    assert f"error: {bad}: {bad.parent} is not a directory\n" == capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [report]
+
+
 def test_solve_refuses_bad_tsplib_node_index(tmp_path, capsys):
     # this index column used to solve with exit 0, numbering nodes in line order;
     # the first bad line in file order is named

@@ -445,20 +445,79 @@ def test_one_colony_call_per_subset_per_iteration(bench51_path, monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**80 - 1),
-    st.integers(0, 10**6 - 1),
+    st.integers(0, 10**6 - 1) | st.integers(2**32 - 4, 2**32 + 4),
     st.integers(0, 63),
 )
 @example(0, 0, 0)
 @example(2**32 - 1, 0, 0)
 @example(2**32, 999_999, 63)
 @example(2**64 + 3, 5, 1)
+@example(7, 2**32 - 1, 3)  # the last iteration of one word
+@example(7, 2**32, 2)  # the first of two words: the entropy rows widen
+@example(2**40, 2**64 + 1, 0)  # three words of t
+@example(1, solver._SEED_CHUNK - 1, 3)  # the last iteration of a seeding chunk
+@example(1, solver._SEED_CHUNK, 3)  # the first of the next
 def test_colony_entropy_seeds_like_the_tuple(master_seed, t, k):
-    # the solver seeds block (t, k) from uint32 words; the generator must
-    # start where seeding from the documented tuple starts
-    words = solver._colony_entropy(master_seed, t, k + 1)[k]
-    from_words = np.random.PCG64(np.random.SeedSequence(words)).state
+    # the solver builds the uint32 words of block (t, k) and hashes them in
+    # one pass over a chunk of iterations; both the words and the hashed state
+    # must start the generator where seeding from the documented tuple does
     from_tuple = np.random.PCG64(np.random.SeedSequence((master_seed, 1, t, k))).state
-    assert from_words == from_tuple
+    words = solver._colony_entropy(master_seed, t, 1, k + 1)[k]
+    assert np.random.PCG64(np.random.SeedSequence(words)).state == from_tuple
+    # a few iterations of the seeding chunk that holds t, up to t
+    lo = max(t - 2, t - t % solver._SEED_CHUNK)
+    states = solver._colony_seeds(master_seed, lo, t + 1 - lo, k + 1)
+    assert np.random.PCG64(solver._SeedState(states[t - lo, k])).state == from_tuple
+
+
+def test_draw_blocks_across_a_seeding_chunk(bench51_path, monkeypatch):
+    # a budget that crosses a seeding chunk: each block (t, k) still holds
+    # the draws of a SeedSequence seeded with (master_seed, 1, t, k)
+    blocks = []
+    original = SubsetColony.construct_colony
+
+    def recorded(self, *args, **kwargs):
+        blocks.append(args[1].copy())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubsetColony, "construct_colony", recorded)
+    iters = solver._SEED_CHUNK + 3
+    cfg = _fast_config(aco=AcoParams(n_ants=2, max_iter=iters), master_seed=11)
+    solve(load_instance(bench51_path), 4, cfg)
+    assert len(blocks) == 4 * iters
+    for i, block in enumerate(blocks):
+        t, k = divmod(i, 4)
+        expected = np.random.default_rng(np.random.SeedSequence((11, 1, t, k)))
+        assert np.array_equal(block, expected.random(block.shape)), (t, k)
+
+
+def test_no_draw_block_is_hashed_by_numpy(bench51_path, monkeypatch):
+    # every block's generator starts from a state hashed in advance for many
+    # blocks at once; a SeedSequence per block, or a seed that numpy hashes
+    # itself, would bring back the per-block hash
+    sequences, rngs, seeds = [], [], []
+    real_sequence, real_rng, real_pcg64 = (
+        np.random.SeedSequence, np.random.default_rng, np.random.PCG64)
+
+    def sequence(*args, **kwargs):
+        sequences.append(args)
+        return real_sequence(*args, **kwargs)
+
+    def default_rng(*args, **kwargs):
+        rngs.append(args)
+        return real_rng(*args, **kwargs)
+
+    def pcg64(seed=None):
+        seeds.append(seed)
+        return real_pcg64(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", sequence)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    solve(load_instance(bench51_path), 4, _fast_config())
+    assert sequences == [] and rngs == []
+    assert len(seeds) == 4 * FAST.max_iter
+    assert all(type(seed) is solver._SeedState for seed in seeds)
 
 
 def test_huge_budget_stops_at_stagnation_quickly(bench51_path):
