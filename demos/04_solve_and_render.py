@@ -7,7 +7,7 @@ End-to-end solve with an SVG rendering
 import pathlib
 
 from sinepath.aco import AcoParams
-from sinepath.bench import format_svg_routes
+from sinepath.cli import format_svg_routes
 from sinepath.instances import load_instance
 from sinepath.solver import SolverConfig, solve
 
@@ -27,7 +27,6 @@ print(f"{inst.name}, 4 robots, seed {cfg.master_seed}")
 print(f"  total length    {obj.total:.2f}")
 print(f"  longest tour    {obj.max_single:.2f}")
 print(f"  scalarized J    {obj.j_value:.2f}")
-print(f"  edge overlaps   {obj.overlap_total}")
 print(f"  wall time       {report.wall_time:.2f}s")
 
 print("\nper-robot tours:")

@@ -65,9 +65,12 @@ gather and pick then cost more than the columns it skips.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .objective import tour_lengths
 
 # Smallest normal double.  Evaporation takes an untouched edge below it after
 # ~1075 iterations at rho = 0.5 (after one at rho = 1); default runs stay far
@@ -108,6 +111,20 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
+def finite_real(name: str, value) -> float:
+    """``value`` as a Python float; a bool, a value that is not a real number
+    and one that is not finite are refused by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer past the largest double
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return real
+
+
 @dataclass(frozen=True)
 class AcoParams:
     alpha: float = 1.0
@@ -120,9 +137,7 @@ class AcoParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "rho", "q_scale", "kappa"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
         if not 0.0 < self.rho <= 1.0:
@@ -394,21 +409,7 @@ class SubsetColony:
                 cause = ": (1/d)^beta underflows to 0; rescale the coordinates or lower beta"
             raise ValueError("all successor scores vanished during construction" + cause)
         orders = picks.T.copy()
-
-        if nl == 1:
-            lengths = np.zeros(na)
-        else:
-            # One gather of every leg, the closing one last.  Each row of the
-            # gather is contiguous, so the sum of its first nl - 1 legs rounds
-            # as the sum of a C-ordered (na, nl - 1) array does; the pairwise
-            # sum of an F-ordered gather would round differently.
-            succ = np.empty_like(orders)
-            succ[:, :-1] = orders[:, 1:]
-            succ[:, -1] = orders[:, 0]
-            legs = self.dist.reshape(-1).take(add(orders * nl, succ, succ))
-            lengths = add.reduce(legs[:, :-1], axis=1)
-            lengths += legs[:, -1]
-        return orders, lengths
+        return orders, tour_lengths(orders, self.dist)
 
     def _workspace(self, na: int) -> tuple:
         """The step buffers for ``na`` ants, allocated on the first call and

@@ -5,7 +5,7 @@ Run r of every cell uses master seed ``seed_base + r``, so runs pair up
 across algorithms for the signed-rank test.  Each run records both metrics
 (total and max single tour length).  Results aggregate to mean / sample std
 cells, and emit as canonical CSV (byte-stable under re-parse), JSON with the
-raw runs, verdict and rank tables, and per-route SVG drawings.
+raw runs, and verdict and rank tables.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .instances import Instance, load_instance
-from .solver import SolveReport, SolverConfig, solve
+from .solver import SolverConfig, solve
 from .stats import DEFAULT_SIGNIFICANCE, RankTable, friedman_mean_ranks, wilcoxon_signed_rank
 
 METRICS = ("total", "max_single")
@@ -357,67 +357,6 @@ def format_ablation_csv(sweep: dict[int, dict[float, dict[str, CellStats]]]) -> 
         ("weight", "robots", "metric", "mean", "std", "n"),
         ((w, m, metric, c.mean, c.std, c.n) for w, m, metric, c in cells),
     )
-
-
-# ---------------------------------------------------------------------------
-# Route drawing.
-
-_ROUTE_COLORS = (
-    "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
-    "#a65628", "#f781bf", "#17becf", "#666666", "#bcbd22",
-)
-
-
-def format_svg_routes(report: SolveReport, inst: Instance) -> str:
-    """SVG 1.1 drawing, 640 units on its longer side: nodes as dots, one
-    closed polyline per robot.
-
-    The viewBox fits the coordinate bounding box with a 5% margin; the
-    vertical axis is flipped so y grows upward.  Geographic instances draw
-    as lon (x) by lat (y).
-    """
-    coords = inst.coords
-    if inst.metric.value == "greatcircle":
-        xs, ys = coords[:, 1], coords[:, 0]
-    else:
-        xs, ys = coords[:, 0], coords[:, 1]
-    xmin, xmax = float(xs.min()), float(xs.max())
-    ymin, ymax = float(ys.min()), float(ys.max())
-    span_x = max(xmax - xmin, 1e-9)
-    span_y = max(ymax - ymin, 1e-9)
-    margin_x, margin_y = 0.05 * span_x, 0.05 * span_y
-    width = span_x + 2 * margin_x
-    height = span_y + 2 * margin_y
-    scale = 640.0 / max(width, height)
-
-    def sx(x: float) -> float:
-        return (x - xmin + margin_x) * scale
-
-    def sy(y: float) -> float:
-        return (ymax - y + margin_y) * scale
-
-    w_px, h_px = width * scale, height * scale
-    radius = 0.006 * max(w_px, h_px)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {w_px:.2f} {h_px:.2f}">',
-        f'<rect width="{w_px:.2f}" height="{h_px:.2f}" fill="white"/>',
-    ]
-    for i, tour in enumerate(report.tours):
-        color = _ROUTE_COLORS[i % len(_ROUTE_COLORS)]
-        pts = [f"{sx(xs[v]):.2f},{sy(ys[v]):.2f}" for v in tour.order]
-        pts.append(pts[0])  # close the loop
-        parts.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" '
-            f'stroke="{color}" stroke-width="{radius / 2:.2f}"/>'
-        )
-    for x, y in zip(xs, ys):
-        parts.append(
-            f'<circle cx="{sx(float(x)):.2f}" cy="{sy(float(y)):.2f}" '
-            f'r="{radius:.2f}" fill="#222222"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def emit_bench_artifacts(results: BenchResults, out_dir) -> list[Path]:

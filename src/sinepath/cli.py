@@ -1,8 +1,10 @@
-"""Command line front end: solve, bench, ablate, plot.
+"""Command line front end: solve, bench, ablate, plot, and the SVG route
+drawing that ``solve --svg`` and ``plot`` write.
 
 Exit codes: 0 success, 2 usage error, 3 instance or report parse/read failure
-or an output file whose directory is missing, 4 solver domain error (bad
-robot count, parameter out of range, a bench whose every cell failed).
+or an output path that cannot be written (checked before anything is loaded
+or solved), 4 solver domain error (bad robot count, parameter out of range, a
+bench whose every cell failed).
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .bench import (  # noqa: E402
     ablation_sweep,
     emit_bench_artifacts,
     format_ablation_csv,
-    format_svg_routes,
     run_plan,
 )
-from .instances import ParseError, load_instance  # noqa: E402
+from .instances import Instance, ParseError, load_instance  # noqa: E402
 from .solver import (  # noqa: E402
     MODE_CLASSIC, MODE_SINE, PARTITION_METHODS, SolveReport, SolverConfig, solve,
 )
@@ -157,12 +158,86 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ROUTE_COLORS = (
+    "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
+    "#a65628", "#f781bf", "#17becf", "#666666", "#bcbd22",
+)
+
+
+def format_svg_routes(report: SolveReport, inst: Instance) -> str:
+    """SVG 1.1 drawing, 640 units on its longer side: nodes as dots, one
+    closed polyline per robot.
+
+    The viewBox fits the coordinate bounding box with a 5% margin; the
+    vertical axis is flipped so y grows upward.  Geographic instances draw
+    as lon (x) by lat (y).
+    """
+    coords = inst.coords
+    if inst.metric.value == "greatcircle":
+        xs, ys = coords[:, 1], coords[:, 0]
+    else:
+        xs, ys = coords[:, 0], coords[:, 1]
+    xmin, xmax = float(xs.min()), float(xs.max())
+    ymin, ymax = float(ys.min()), float(ys.max())
+    span_x = max(xmax - xmin, 1e-9)
+    span_y = max(ymax - ymin, 1e-9)
+    margin_x, margin_y = 0.05 * span_x, 0.05 * span_y
+    width = span_x + 2 * margin_x
+    height = span_y + 2 * margin_y
+    scale = 640.0 / max(width, height)
+
+    def sx(x: float) -> float:
+        return (x - xmin + margin_x) * scale
+
+    def sy(y: float) -> float:
+        return (ymax - y + margin_y) * scale
+
+    w_px, h_px = width * scale, height * scale
+    radius = 0.006 * max(w_px, h_px)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 {w_px:.2f} {h_px:.2f}">',
+        f'<rect width="{w_px:.2f}" height="{h_px:.2f}" fill="white"/>',
+    ]
+    for i, tour in enumerate(report.tours):
+        color = _ROUTE_COLORS[i % len(_ROUTE_COLORS)]
+        pts = [f"{sx(xs[v]):.2f},{sy(ys[v]):.2f}" for v in tour.order]
+        pts.append(pts[0])  # close the loop
+        parts.append(
+            f'<polyline points="{" ".join(pts)}" fill="none" '
+            f'stroke="{color}" stroke-width="{radius / 2:.2f}"/>'
+        )
+    for x, y in zip(xs, ys):
+        parts.append(
+            f'<circle cx="{sx(float(x)):.2f}" cy="{sy(float(y)):.2f}" '
+            f'r="{radius:.2f}" fill="#222222"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def _check_output_dirs(*paths) -> None:
-    """Refuse, before any loading or solving, an output path whose directory
-    is missing, so that a long run does not end in a failed write."""
+    """Refuse, before any loading or solving, an output file path whose
+    directory is missing or that is a directory itself, so that a long run
+    does not end in a failed write."""
     for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise OSError(f"{path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise OSError(f"{path}: {Path(path).parent} is not a directory")
+
+
+def _check_out_dir(path) -> None:
+    """Refuse, before the plan runs, an output directory that cannot be
+    made: its nearest existing ancestor, itself included, must be a
+    directory."""
+    for ancestor in (Path(path), *Path(path).parents):
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise OSError(f"{path}: {ancestor} is not a directory")
+            return
 
 
 def _cmd_solve(args) -> int:
@@ -182,6 +257,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_out_dir(args.out_dir)
     paths = sorted(glob.glob(args.instances))
     if not paths:
         print(f"no instances match {args.instances!r}", file=sys.stderr)

@@ -1,16 +1,15 @@
-"""Route-set quality: closed-tour lengths, the scalarized trade-off, overlap.
+"""Route-set quality: closed-tour lengths and the scalarized trade-off.
 
 The solver minimises J = lambda * sum(L_k) + (1 - lambda) * max(L_k) over the
 per-robot closed tour lengths L_k.  lambda = 1 recovers the pure total, 0 the
-pure bottleneck.  Disjoint node subsets make inter-robot edge overlap zero by
-construction.  ``evaluate_objectives`` reports the overlap count and the
-penalised J' = J + mu * overlap at its one weight mu = 0, so J' = J.
+pure bottleneck.  ``tour_lengths`` is the one closed-tour length rule: the
+colony measures every ant's tour with it and ``tour_length`` every single
+tour, the seeds included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,29 +21,36 @@ class Tour:
     order: tuple[int, ...]
     length: float
 
-    @cached_property
-    def _edges(self) -> frozenset[tuple[int, int]]:
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        """Unordered edges traversed, closing edge included."""
         if len(self.order) < 2:
             return frozenset()
         pairs = zip(self.order, self.order[1:] + self.order[:1])
         return frozenset((a, b) if a < b else (b, a) for a, b in pairs)
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        """Unordered edges traversed, closing edge included."""
-        return self._edges
+
+def tour_lengths(orders: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Closed-tour length of each row of ``orders``, an integer (tours, nodes)
+    array of ids into the C-ordered square ``d``.  One gather takes every leg,
+    the closing one last; each row of it is contiguous, so the sum of its
+    first legs rounds as their 1-D sum does (an F-ordered gather would not).
+    A one-node tour's one leg is the zero diagonal; a two-node tour traverses
+    its edge twice."""
+    succ = np.empty_like(orders)
+    succ[:, :-1] = orders[:, 1:]
+    succ[:, -1] = orders[:, 0]
+    legs = d.reshape(-1).take(np.add(orders * len(d), succ, succ))
+    lengths = np.add.reduce(legs[:, :-1], axis=1)
+    lengths += legs[:, -1]
+    return lengths
 
 
 def tour_length(order, d: np.ndarray) -> float:
-    """Length of the closed tour visiting ``order`` and returning to its start.
-
-    A single-node tour has length 0; a two-node tour traverses its edge twice.
-    """
+    """Length of the closed tour visiting ``order`` and returning to its start."""
     idx = np.asarray(order, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty tour")
-    if idx.size == 1:
-        return 0.0
-    return float(d[idx[:-1], idx[1:]].sum() + d[idx[-1], idx[0]])
+    return float(tour_lengths(idx[None, :], np.ascontiguousarray(d))[0])
 
 
 def scalarized_objective(lengths, lam: float) -> float:
@@ -57,20 +63,6 @@ def scalarized_objective(lengths, lam: float) -> float:
     return float(lam * arr.sum() + (1.0 - lam) * arr.max())
 
 
-def edge_overlap(a, b) -> int:
-    """Number of unordered edges shared by two closed tours."""
-    return len(a.edge_set() & b.edge_set())
-
-
-def pairwise_overlap_total(tours) -> int:
-    """Sum of edge_overlap over all unordered tour pairs."""
-    total = 0
-    for i in range(len(tours)):
-        for j in range(i + 1, len(tours)):
-            total += edge_overlap(tours[i], tours[j])
-    return total
-
-
 @dataclass(frozen=True)
 class Objectives:
     """Evaluated quality of one tour collection."""
@@ -80,22 +72,15 @@ class Objectives:
     max_single: float
     lambda_weight: float
     j_value: float
-    overlap_total: int
-    mu: float
-    j_prime: float
 
 
 def evaluate_objectives(tours, lambda_weight: float) -> Objectives:
-    """Objectives for a collection of tours carrying .length and .edge_set()."""
+    """Objectives for a collection of tours carrying .length."""
     lengths = tuple(float(t.length) for t in tours)
-    j = scalarized_objective(lengths, lambda_weight)
     return Objectives(
         per_robot=lengths,
         total=float(np.sum(lengths)),
         max_single=float(np.max(lengths)),
         lambda_weight=lambda_weight,
-        j_value=j,
-        overlap_total=pairwise_overlap_total(tours),
-        mu=0.0,
-        j_prime=j,
+        j_value=scalarized_objective(lengths, lambda_weight),
     )

@@ -13,6 +13,8 @@ can be checked bit for bit. ``exact_min_matching`` is the exact matching
 criterion 04 holds the solver's greedy one against. ``parse_results_csv``
 reads ``results.csv`` back, so that the emitter's round trip can be checked.
 ``make_edge`` builds hand-written edges in canonical u < v form.
+``edge_overlap`` and ``pairwise_overlap_total`` count the edges tours share,
+which criterion 08 holds at 0 for every solve.
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ def make_edge(u: int, v: int, weight: float) -> Edge:
     if u > v:
         u, v = v, u
     return Edge(int(u), int(v), float(weight))
+
+
+def edge_overlap(a: Tour, b: Tour) -> int:
+    """Number of unordered edges shared by two closed tours."""
+    return len(a.edge_set() & b.edge_set())
+
+
+def pairwise_overlap_total(tours) -> int:
+    """Sum of edge_overlap over all unordered tour pairs."""
+    return sum(edge_overlap(a, b) for a, b in itertools.combinations(tours, 2))
 
 
 def prim_mst_cost(dist: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from oracles import (
     exact_min_matching,
     exhaustive_tsp,
     held_karp_bound,
+    pairwise_overlap_total,
     prim_mst_cost,
     wilcoxon_enumerated,
 )
@@ -40,7 +41,7 @@ from sinepath.instances import (
     load_instance,
     random_planar_instance,
 )
-from sinepath.objective import pairwise_overlap_total, scalarized_objective
+from sinepath.objective import scalarized_objective
 from sinepath.solver import SolverConfig, solve
 from sinepath.stats import friedman_mean_ranks, wilcoxon_signed_rank
 

@@ -4,6 +4,7 @@ The scalar transition rule and deposit live in ``tests/oracles.py``; the
 tests here pin them to hand-computed values and the colony to them.
 """
 
+import json
 import re
 
 import numpy as np
@@ -91,6 +92,32 @@ def test_params_counts_must_be_integers(name, bad):
     # as a TypeError
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         AcoParams(**{name: bad})
+
+
+_REALS = ("alpha", "beta", "rho", "q_scale", "kappa")
+
+
+@pytest.mark.parametrize("name", _REALS)
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1", None, 1j])
+def test_params_reals_must_be_real_numbers(name, bad):
+    # rho=True ran at rho = 1 and echoed "rho": true; alpha="1" raised a bare
+    # TypeError from math.isfinite
+    message = f"{name} must be a real number, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        AcoParams(**{name: bad})
+
+
+def test_params_reals_are_stored_as_floats():
+    # alpha=np.float32(1.5) and q_scale=np.int64(2) ran a whole solve and then
+    # canonical_json() raised TypeError; kappa=1 echoed 1 where 1.0 echoes 1.0
+    given = AcoParams(alpha=np.float32(1.5), beta=2, rho=np.float64(0.5),
+                      q_scale=np.int64(2), kappa=1)
+    spelled = AcoParams(alpha=1.5, beta=2.0, rho=0.5, q_scale=2.0, kappa=1.0)
+    assert given == spelled
+    assert [type(getattr(given, name)) for name in _REALS] == [float] * len(_REALS)
+    assert json.dumps(given.to_dict()) == json.dumps(spelled.to_dict())
+    with pytest.raises(ValueError, match="q_scale must be finite"):
+        AcoParams(q_scale=10**400)  # past the largest double
 
 
 def test_structural_bias():

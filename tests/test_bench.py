@@ -23,12 +23,12 @@ from sinepath.bench import (
     format_friedman_csv,
     format_results_csv,
     format_results_json,
-    format_svg_routes,
     format_wilcoxon_csv,
     friedman_blocks,
     run_plan,
     wilcoxon_verdict_rows,
 )
+from sinepath.cli import format_svg_routes
 from sinepath.instances import (
     Instance,
     Metric,

@@ -92,13 +92,25 @@ def test_solve_output_in_a_missing_directory_fails_first(flag, tmp_path, bench51
         raise AssertionError("loaded the instance")
 
     monkeypatch.setattr("sinepath.cli.load_instance", no_load)
-    outputs = {"--out": str(tmp_path / "r.json"), "--svg": str(tmp_path / "r.svg")}
-    bad = tmp_path / "absent" / "x"
-    outputs[flag] = str(bad)
-    argv = ["solve", str(bench51_path)] + [a for kv in outputs.items() for a in kv]
-    assert main(argv + FAST) == EXIT_PARSE
-    assert f"error: {bad}: {bad.parent} is not a directory\n" == capsys.readouterr().err
-    assert sorted(tmp_path.iterdir()) == []
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    # an existing directory ran the whole budget and then failed with a bare
+    # "[Errno 21] Is a directory", after a good --out was written
+    for bad, cause in _unwritable_outputs(tmp_path, taken):
+        outputs = {"--out": str(tmp_path / "r.json"), "--svg": str(tmp_path / "r.svg")}
+        outputs[flag] = str(bad)
+        argv = ["solve", str(bench51_path)] + [a for kv in outputs.items() for a in kv]
+        assert main(argv + FAST) == EXIT_PARSE
+        assert f"error: {bad}: {cause}\n" == capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [taken]
+        assert sorted(taken.iterdir()) == []
+
+
+def _unwritable_outputs(tmp_path, taken):
+    """(output file path, the cause named) for a path in a missing directory
+    and for a path that is an existing directory, ``taken``."""
+    missing = tmp_path / "absent" / "x"
+    return [(missing, f"{missing.parent} is not a directory"), (taken, "is a directory")]
 
 
 def test_ablate_output_in_a_missing_directory_fails_first(tmp_path, tri3_path, capsys,
@@ -107,22 +119,55 @@ def test_ablate_output_in_a_missing_directory_fails_first(tmp_path, tri3_path, c
         raise AssertionError("ran the sweep")
 
     monkeypatch.setattr("sinepath.cli.ablation_sweep", no_sweep)
-    bad = tmp_path / "absent" / "a.csv"
-    argv = ["ablate", str(tri3_path), "--robots", "1", "--weights", "0,1", "--repeats", "2",
-            "--out", str(bad)]
-    assert main(argv + FAST) == EXIT_PARSE
-    assert f"error: {bad}: {bad.parent} is not a directory\n" == capsys.readouterr().err
-    assert sorted(tmp_path.iterdir()) == []
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for bad, cause in _unwritable_outputs(tmp_path, taken):
+        argv = ["ablate", str(tri3_path), "--robots", "1", "--weights", "0,1", "--repeats", "2",
+                "--out", str(bad)]
+        assert main(argv + FAST) == EXIT_PARSE
+        assert f"error: {bad}: {cause}\n" == capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [taken]
+        assert sorted(taken.iterdir()) == []
 
 
-def test_plot_output_in_a_missing_directory_fails_first(tmp_path, tri3_path, capsys):
+def test_plot_output_in_a_missing_directory_fails_first(tmp_path, tri3_path, capsys,
+                                                        monkeypatch):
     report = tmp_path / "r.json"
     assert main(["solve", str(tri3_path), "--out", str(report)] + FAST) == EXIT_OK
     capsys.readouterr()
-    bad = tmp_path / "absent" / "routes.svg"
-    assert main(["plot", str(report), str(tri3_path), "--out", str(bad)]) == EXIT_PARSE
-    assert f"error: {bad}: {bad.parent} is not a directory\n" == capsys.readouterr().err
-    assert sorted(tmp_path.iterdir()) == [report]
+
+    def no_load(path):
+        raise AssertionError("loaded the instance")
+
+    monkeypatch.setattr("sinepath.cli.load_instance", no_load)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for bad, cause in _unwritable_outputs(tmp_path, taken):
+        assert main(["plot", str(report), str(tri3_path), "--out", str(bad)]) == EXIT_PARSE
+        assert f"error: {bad}: {cause}\n" == capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [report, taken]
+        assert sorted(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_bench_out_dir_that_cannot_be_made_fails_first(below, tmp_path, tri3_path, capsys,
+                                                       monkeypatch):
+    # an --out-dir that is a file ran the whole plan and then failed with
+    # "[Errno 17] File exists", and one below a file with "[Errno 20] Not a
+    # directory"; the directory is now checked before the plan runs
+    def no_plan(*args, **kwargs):
+        raise AssertionError("ran the plan")
+
+    monkeypatch.setattr("sinepath.cli.run_plan", no_plan)
+    blocker = tmp_path / "results"
+    blocker.write_text("kept\n")
+    bad = blocker / "sub" if below else blocker
+    argv = ["bench", "--instances", str(tri3_path), "--robots", "1", "--repeats", "2",
+            "--out-dir", str(bad)]
+    assert main(argv + FAST) == EXIT_PARSE
+    assert f"error: {bad}: {blocker} is not a directory\n" == capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept\n"
 
 
 def test_solve_refuses_bad_tsplib_node_index(tmp_path, capsys):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import pairwise_overlap_total
 from sinepath import solver
 from sinepath.aco import AcoParams, SubsetColony
 from sinepath.instances import (
@@ -77,6 +78,28 @@ def test_config_counts_must_be_integers(name, bad):
         SolverConfig(**{name: bad})
 
 
+@pytest.mark.parametrize("name", ["omega", "lambda_weight"])
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "2", None, 1j])
+def test_config_reals_must_be_real_numbers(name, bad):
+    # omega=True ran at omega = 1 and echoed "omega": true; omega="2" raised a
+    # bare TypeError from math.isfinite
+    message = f"{name} must be a real number, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{name: bad})
+
+
+def test_config_reals_are_stored_as_floats():
+    # omega=2 echoed "omega": 2 where omega=2.0 echoes 2.0, and depots
+    # ((0, 0),) echoed [[0, 0]], so one configuration had two report hashes
+    given = SolverConfig(omega=2, lambda_weight=np.float32(0.25),
+                         depots=[(0, np.int64(0)), [60, 60.5]])
+    spelled = SolverConfig(omega=2.0, lambda_weight=0.25, depots=((0.0, 0.0), (60.0, 60.5)))
+    assert given == spelled
+    assert (type(given.omega), type(given.lambda_weight)) == (float, float)
+    assert {type(c) for p in given.depots for c in p} == {float}
+    assert json.dumps(given.to_dict()) == json.dumps(spelled.to_dict())
+
+
 @pytest.mark.parametrize(
     "depots",
     [
@@ -110,9 +133,9 @@ def test_far_depots_refused_by_name():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="depots"):
             solve(inst, 2, far)
-    # integer coordinates stay legal and are echoed as given
+    # integer coordinates stay legal and are echoed as floats
     cfg = _fast_config(depots=((0, 0), [60, 60.5]))
-    assert cfg.to_dict()["depots"] == [[0, 0], [60, 60.5]]
+    assert cfg.to_dict()["depots"] == [[0.0, 0.0], [60.0, 60.5]]
 
 
 def test_overflowing_scores_refused_without_warnings(bench51_path):
@@ -172,7 +195,12 @@ def test_solve_objectives_recompute():
     assert report.objectives.j_value == pytest.approx(
         scalarized_objective(lengths, 0.4), rel=1e-9
     )
-    assert report.objectives.overlap_total == 0
+    # disjoint subsets share no edge: the report echoes the overlap count 0,
+    # the retired weight mu = 0 and J' = J
+    echoed = report.to_dict()["objectives"]
+    assert (echoed["overlap_total"], echoed["mu"], echoed["j_prime"]) == (
+        0, 0.0, report.objectives.j_value)
+    assert pairwise_overlap_total(report.tours) == 0
 
 
 def test_trace_monotone_and_complete():
@@ -351,6 +379,16 @@ def test_report_round_trip():
     # canonical form
     assert "wall_time" in data
     assert "wall_time" not in json.loads(report.canonical_json())
+    # the echoed objectives must be there, and nothing unknown beside them;
+    # their values are not read back, so a hand-edited mu is written as 0.0
+    for key in ("overlap_total", "mu", "j_prime", "j_value"):
+        less = {k: v for k, v in data["objectives"].items() if k != key}
+        with pytest.raises((KeyError, TypeError)):
+            SolveReport.from_dict({**data, "objectives": less})
+    with pytest.raises(TypeError, match="penalty"):
+        SolveReport.from_dict({**data, "objectives": {**data["objectives"], "penalty": 1.0}})
+    edited = {**data, "objectives": {**data["objectives"], "mu": 3.0}}
+    assert SolveReport.from_dict(edited).canonical_json() == report.canonical_json()
 
 
 def test_incumbent_update_rules():
@@ -412,6 +450,65 @@ def test_rand2000_m8_matches_benchmark_golden():
     assert {len(t.order) for t in report.tours} == {250}
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == golden["rand2000-s2000/m8/seed0"]
+
+
+_PIN_ACO = AcoParams(n_ants=9, max_iter=40)
+_R30 = (30, 5, 3)  # random_planar_instance(30, 5, clusters=3)
+
+# Solves off the default path, each pinned to the sha256 of its
+# canonical_json(): (instance, robots, config, digest).  The goldens above
+# cover only default solves; these reach the kmeans and depot partitions, a
+# great-circle instance, the clamped roulette (rho = 1), a stagnation stop,
+# one robot and one node per robot, the plain colony, other exponents and
+# weights, and a master seed past 2^32.
+_PINNED = {
+    "kmeans": ("bench51.tsp", 4, SolverConfig(aco=_PIN_ACO, partition_method="kmeans",
+                                              master_seed=2),
+               "e2bc3302b5faec34fc8b7eb6f2adc581a8d5cddaa182367dd25795752210a9c0"),
+    "depots": ("bench51.tsp", 2, SolverConfig(aco=_PIN_ACO, depots=((0.0, 0.0), (60.0, 60.0)),
+                                              master_seed=1),
+               "3990a801a2347c2ce8befca70170718b860d88f982851bb91758d9bc352bbcf3"),
+    "geo-depots": ("geo50.csv", 3, SolverConfig(
+        aco=_PIN_ACO, depots=((-74.0, -73.9), (-73.8, -73.7), (-73.95, -73.6))),
+        "8b6c8d5fab3b9046f5ea1e31feb218008a8cb1fe75a53ccda3827a8066e636eb"),
+    "rho-1": ("bench51.tsp", 4, SolverConfig(aco=dataclasses.replace(_PIN_ACO, rho=1.0)),
+              "4c6a8cbce39fb61aaa1229c7e5085451601c127f604fae1ad6d0f5ea21d146b7"),
+    "stagnation": ("bench51.tsp", 4, SolverConfig(
+        aco=dataclasses.replace(_PIN_ACO, max_iter=10**6), stagnation_window=5),
+        "1d10293d9932d8ff4ec7a631aa52616a7f159c9b6e5d490d16ad6444fdbd0498"),
+    "m1": ("bench51.tsp", 1, SolverConfig(aco=_PIN_ACO),
+           "3fcf76ec413e7dd5c046593d6e60f9e2fbf3cde48f145ca1792d52f09344cb2a"),
+    "m25": ("bench51.tsp", 25, SolverConfig(aco=_PIN_ACO),
+            "e3c529d84f3103c3991d6bc62d117b99c64bead2b1d423c8c719cf0ab520f81c"),
+    "m51": ("bench51.tsp", 51, SolverConfig(aco=_PIN_ACO),
+            "71af8f111973441714c758b55d54a0dee15741e1067901b18cec545b97a51b65"),
+    "tri3": ("tri3.tsp", 3, SolverConfig(aco=_PIN_ACO),
+             "9c69474f837d25f2de9cacd5119c887406a33fa230c1d1eff055d618e2f57c0b"),
+    "classic": ("geo50.csv", 4, SolverConfig.classic(aco=_PIN_ACO, master_seed=9),
+                "1e2184ed5087eba3d5785ae157865dfbe84c5304ebee21319834c9956f75e98f"),
+    "lambda-0": (_R30, 3, SolverConfig(aco=dataclasses.replace(_PIN_ACO, alpha=2.0, beta=3.5),
+                                       lambda_weight=0.0),
+                 "187faadd7d1906864d2e7f41232e8e504196ffff787363e203b7b0c148792d83"),
+    "seed-2^40+7": ("bench51.tsp", 4, SolverConfig(aco=_PIN_ACO, master_seed=2**40 + 7),
+                    "b2de8b8ba0bc18909da009aef7c9481ed3dcd4bbd98745ddc9f6282b65e09c10"),
+    "lambda-1-depots": (_R30, 2, SolverConfig(aco=_PIN_ACO, depots=((0.0, 100.0), (100.0, 0.0)),
+                                              lambda_weight=1.0),
+                        "5e121ae9e7d1da4e4b007399213ee96c12e3a4121b5539dfc954b9e657ce2150"),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED)
+def test_pinned_solve_matches_recorded_hash(case, data_dir):
+    # recorded before the closed-tour length rule moved into objective.py;
+    # a byte-identical refactor must leave every one of these unchanged
+    where, m, config, digest = _PINNED[case]
+    if isinstance(where, tuple):
+        n, seed, clusters = where
+        inst = random_planar_instance(n, seed, clusters=clusters)
+    else:
+        inst = load_instance(data_dir / where)
+    report = solve(inst, m, config)
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
 
 
 def test_one_colony_call_per_subset_per_iteration(bench51_path, monkeypatch):
