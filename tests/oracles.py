@@ -14,7 +14,9 @@ criterion 04 holds the solver's greedy one against. ``parse_results_csv``
 reads ``results.csv`` back, so that the emitter's round trip can be checked.
 ``make_edge`` builds hand-written edges in canonical u < v form.
 ``edge_overlap`` and ``pairwise_overlap_total`` count the edges tours share,
-which criterion 08 holds at 0 for every solve.
+which criterion 08 holds at 0 for every solve.  ``reference_solve`` is the
+whole solve rebuilt from the ``reference_*`` steps on one n x n trail in
+node ids.
 """
 
 from __future__ import annotations
@@ -28,11 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from sinepath.aco import AcoParams
-from sinepath.backbone import Backbone, Edge, _sorted_pair_order
+from sinepath.aco import TRAIL_FLOOR, AcoParams
+from sinepath.backbone import Backbone, Edge, _sorted_pair_order, christofides_seed
 from sinepath.bench import BenchResults, CellStats
-from sinepath.instances import EARTH_RADIUS_KM
-from sinepath.objective import Tour, tour_length
+from sinepath.instances import EARTH_RADIUS_KM, build_distance_matrix
+from sinepath.objective import Tour, evaluate_objectives, scalarized_objective, tour_length
+from sinepath.partition import partition_angle, partition_by_depots, partition_kmeans_like
+from sinepath.solver import (
+    IncumbentState,
+    SolveReport,
+    _colony_seeds,
+    _SeedState,
+    incumbent_update,
+)
 
 
 def make_edge(u: int, v: int, weight: float) -> Edge:
@@ -529,3 +539,100 @@ def parse_results_csv(text: str) -> BenchResults:
             float(mean), float(std), (), int(n)
         )
     return results
+
+
+def _depot_start(coords: np.ndarray, subset, depot) -> int:
+    """Position in ``subset`` of its member nearest ``depot``, the first of equals."""
+    x, y = depot
+    best, best_d2 = 0, math.inf
+    for i, v in enumerate(subset):
+        dx, dy = coords[v, 0] - x, coords[v, 1] - y
+        d2 = dx * dx + dy * dy
+        if d2 < best_d2:
+            best, best_d2 = i, d2
+    return best
+
+
+def reference_solve(inst, m: int, cfg) -> SolveReport:
+    """``solver.solve`` rebuilt from the references above: one n x n trail in
+    node ids, the global MST of ``reference_kruskal_mst``, each subset's ants
+    from ``reference_construct_colony`` on its block of the dense matrix, and
+    the seed and iteration deposits of ``reference_seed_deposit`` and
+    ``reference_update_pheromones`` on the whole trail.
+
+    Shared with ``solve`` and so not checked through it: the partitions
+    (``partition.py``'s public functions), ``christofides_seed``, the
+    draw-block seeding (``_colony_seeds`` and ``_SeedState``),
+    ``incumbent_update`` and the report types.  Each depot start is found
+    here, one member at a time.  The report's wall time is 0.
+    """
+    p = cfg.aco
+    if cfg.depots is not None:
+        if len(cfg.depots) != m:
+            raise ValueError("number of depots must equal the robot count")
+        part = partition_by_depots(inst, cfg.depots)
+        starts = [_depot_start(inst.coords, sub, depot)
+                  for sub, depot in zip(part.subsets, cfg.depots)]
+    else:
+        if cfg.partition_method == "angle":
+            part = partition_angle(inst, m)
+        else:
+            ss = np.random.SeedSequence((cfg.master_seed, 0, 0))
+            part = partition_kmeans_like(inst, m, int(ss.generate_state(1)[0]))
+        starts = [None] * m
+    subsets = [list(sub) for sub in part.subsets]
+
+    d = build_distance_matrix(inst)
+    backbone = frozenset((e.u, e.v) for e in reference_kruskal_mst(d, range(len(d))).edges)
+    blocks = [d[np.ix_(sub, sub)] for sub in subsets]
+    weights = []
+    for sub, block in zip(subsets, blocks):
+        psi = np.array([[cfg.omega if (min(u, v), max(u, v)) in backbone else 1.0
+                         for v in sub] for u in sub])
+        with np.errstate(divide="ignore"):
+            eta = 1.0 / block
+        np.fill_diagonal(eta, 0.0)
+        weights.append(eta ** p.beta * psi)
+
+    tau = 1.0 - np.eye(len(d))
+    state = IncumbentState()
+    if cfg.seed_with_christofides:
+        seeds = []
+        for sub, block in zip(subsets, blocks):
+            seed = christofides_seed(block)
+            seeds.append(Tour(tuple(sub[v] for v in seed.order), seed.length))
+        state.tours = tuple(seeds)
+        state.j_value = scalarized_objective([t.length for t in seeds], cfg.lambda_weight)
+        reference_seed_deposit(tau, seeds, p)
+
+    for t in range(p.max_iter):
+        bests = []
+        for sub, block, weight, start, seed_state in zip(
+            subsets, blocks, weights, starts, _colony_seeds(cfg.master_seed, t, 1, m)[0]
+        ):
+            rng = np.random.Generator(np.random.PCG64(_SeedState(seed_state)))
+            uniforms = rng.random((p.n_ants, len(sub)))
+            trail = tau[np.ix_(sub, sub)] ** p.alpha
+            np.maximum(trail, TRAIL_FLOOR, out=trail)
+            np.fill_diagonal(trail, 0.0)
+            orders, lengths = reference_construct_colony(weight, block, trail, uniforms, start)
+            best = int(np.argmin(lengths))
+            bests.append(Tour(tuple(sub[v] for v in orders[best]), float(lengths[best])))
+        incumbent_update(state, bests, cfg.lambda_weight, t)
+        # A tour never leaves its subset, so the global backbone deposits on
+        # it what the subset's restriction does.
+        reference_update_pheromones(tau, bests, [backbone] * m, p)
+        window = cfg.stagnation_window
+        if window is not None and t - max(state.last_improvement, 0) >= window:
+            break
+
+    return SolveReport(
+        instance=inst.name,
+        robots=m,
+        tours=state.tours,
+        objectives=evaluate_objectives(state.tours, cfg.lambda_weight),
+        convergence=tuple(state.trace),
+        iterations_run=len(state.trace),
+        seed=cfg.master_seed,
+        config=cfg.to_dict(),
+    )

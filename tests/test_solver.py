@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pairwise_overlap_total
+from oracles import pairwise_overlap_total, reference_solve
 from sinepath import solver
 from sinepath.aco import AcoParams, SubsetColony
 from sinepath.instances import (
@@ -509,6 +509,55 @@ def test_pinned_solve_matches_recorded_hash(case, data_dir):
         inst = load_instance(data_dir / where)
     report = solve(inst, m, config)
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+
+
+@st.composite
+def _solve_draws(draw):
+    n = draw(st.integers(3, 29))
+    m = draw(st.integers(1, min(5, n)))
+    inst = random_planar_instance(n, draw(st.integers(0, 10**6)),
+                                  clusters=draw(st.sampled_from([0, 3])))
+    aco = AcoParams(
+        alpha=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        beta=draw(st.sampled_from([1.0, 2.0, 3.5])),
+        rho=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        kappa=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        n_ants=draw(st.integers(1, 6)),
+        max_iter=draw(st.integers(1, 8)),
+    )
+    split = draw(st.sampled_from(["angle", "kmeans", "depots"]))
+    depots = None
+    if split == "depots":
+        depots = tuple(draw(st.tuples(st.floats(-20.0, 120.0), st.floats(-20.0, 120.0)))
+                       for _ in range(m))
+    config = SolverConfig(
+        aco=aco,
+        omega=draw(st.sampled_from([1.0, 2.0, 5.0])),
+        lambda_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        partition_method="angle" if split == "depots" else split,
+        seed_with_christofides=draw(st.booleans()),
+        master_seed=draw(st.integers(0, 2**40)),
+        stagnation_window=draw(st.none() | st.integers(1, 3)),
+        depots=depots,
+    )
+    return inst, m, config
+
+
+def _outcome(run, inst, m, config):
+    try:
+        return run(inst, m, config).canonical_json()
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solve_draws())
+def test_solve_matches_the_reference_solve(draw):
+    # the whole solve against oracles.reference_solve, which rebuilds it from
+    # the reference colony steps on one n x n trail in node ids: both report
+    # the same bytes, or both refuse
+    inst, m, config = draw
+    assert _outcome(solve, inst, m, config) == _outcome(reference_solve, inst, m, config)
 
 
 def test_one_colony_call_per_subset_per_iteration(bench51_path, monkeypatch):
