@@ -9,12 +9,7 @@ import pathlib
 import numpy as np
 
 from sinepath.instances import load_instance
-from sinepath.partition import (
-    depot_start_nodes,
-    partition_angle,
-    partition_by_depots,
-    partition_kmeans_like,
-)
+from sinepath.partition import partition_angle, partition_by_depots, partition_kmeans_like
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 inst = load_instance(DATA / "bench51.tsp")
@@ -37,7 +32,6 @@ for k, sub in enumerate(part.subsets):
 
 # Depots pin both the split and where each tour must start.
 depots = ((0.0, 0.0), (100.0, 100.0))
-dpart = partition_by_depots(inst, depots)
-starts = depot_start_nodes(inst, dpart, depots)
+dpart, starts = partition_by_depots(inst, depots)
 print(f"depots at corners: sizes {[len(s) for s in dpart.subsets]}, "
       f"start nodes {starts}")

@@ -5,7 +5,8 @@ other in size.  The angle sweep is the deterministic default: sort nodes by
 polar angle around the centroid and cut contiguous blocks.  The k-means-like
 method trades determinism-for-free for geometric compactness: farthest-point
 seeding, a bounded Lloyd refinement, then a rebalance pass.  Depot-based
-splitting assigns nodes to their nearest robot start location.
+splitting assigns nodes to their nearest robot start location and gives each
+robot the member nearest its depot as its tour start.
 
 Partitions operate on raw coordinates in both metrics; at desk scale the
 angular and centroid arithmetic on lat/lon degrees is an accepted
@@ -137,24 +138,13 @@ def _depot_distances(inst: Instance, depots: np.ndarray) -> np.ndarray:
         raise ValueError("depots too far from the points: squared distances overflow") from None
 
 
-def partition_by_depots(inst: Instance, depots) -> Partition:
-    """Nearest-depot assignment, rebalanced to within one node per robot."""
+def partition_by_depots(inst: Instance, depots) -> tuple[Partition, tuple[int, ...]]:
+    """Nearest-depot assignment, rebalanced to within one node per robot, and
+    per subset the member nearest its depot (the first of equals), which is
+    that robot's fixed tour start."""
     depots = _depot_array(depots)
     m = len(depots)
-    n = inst.dimension
-    _check_m(n, m)
-    assign = _rebalance(inst.coords, _depot_distances(inst, depots).argmin(axis=1), m)
-    return _as_partition(assign, m)
-
-
-def depot_start_nodes(inst: Instance, part: Partition, depots) -> tuple[int, ...]:
-    """Per subset, the member node nearest its depot; used as the fixed tour start."""
-    depots = _depot_array(depots)
-    if len(depots) != len(part.subsets):
-        raise ValueError("one depot per subset required")
+    _check_m(inst.dimension, m)
     d2 = _depot_distances(inst, depots)
-    starts = []
-    for k, sub in enumerate(part.subsets):
-        members = np.asarray(sub, dtype=np.int64)
-        starts.append(int(members[int(d2[members, k].argmin())]))
-    return tuple(starts)
+    part = _as_partition(_rebalance(inst.coords, d2.argmin(axis=1), m), m)
+    return part, tuple(sub[int(d2[list(sub), k].argmin())] for k, sub in enumerate(part.subsets))

@@ -44,13 +44,7 @@ from .backbone import christofides_seed, kruskal_mst, restrict_edges
 from .backbone import dfs_preorder_seed  # noqa: F401  perfbench's tracer wraps this name
 from .instances import Instance, build_distance_matrix, distance_block
 from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective
-from .partition import (
-    Partition,
-    depot_start_nodes,
-    partition_angle,
-    partition_by_depots,
-    partition_kmeans_like,
-)
+from .partition import Partition, partition_angle, partition_by_depots, partition_kmeans_like
 
 MODE_SINE = "sine"
 MODE_CLASSIC = "aco"
@@ -213,16 +207,19 @@ def _node_ids(order) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _make_partition(inst: Instance, m: int, cfg: SolverConfig) -> Partition:
+def _make_partition(
+    inst: Instance, m: int, cfg: SolverConfig
+) -> tuple[Partition, tuple[int, ...] | None]:
+    """The subsets, and with depots each subset's start node."""
     if cfg.depots is not None:
         if len(cfg.depots) != m:
             raise ValueError("number of depots must equal the robot count")
         return partition_by_depots(inst, cfg.depots)
     if cfg.partition_method == "angle":
-        return partition_angle(inst, m)
+        return partition_angle(inst, m), None
     # The trailing 0 keeps the recorded kmeans answers and their hashes.
     ss = np.random.SeedSequence((cfg.master_seed, _STREAM_PARTITION, 0))
-    return partition_kmeans_like(inst, m, int(ss.generate_state(1)[0]))
+    return partition_kmeans_like(inst, m, int(ss.generate_state(1)[0])), None
 
 
 def _uint32_words(x: int) -> list[int]:
@@ -342,18 +339,13 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
 
     # The only reader of distances across subsets: the matrix is freed on return.
     global_mst = kruskal_mst(build_distance_matrix(inst))
-    part = _make_partition(inst, m, cfg)
+    part, starts = _make_partition(inst, m, cfg)
     # From here on, local id i of a subset's colony, seed or tour is node sub[i].
     colonies = [
         SubsetColony(distance_block(inst, sub), restrict_edges(global_mst, sub), cfg.omega, p)
         for sub in part.subsets
     ]
-    starts = [None] * len(colonies)
-    if cfg.depots is not None:
-        starts = [
-            sub.index(start)
-            for sub, start in zip(part.subsets, depot_start_nodes(inst, part, cfg.depots))
-        ]
+    starts = [None] * m if starts is None else list(map(tuple.index, part.subsets, starts))
     state = IncumbentState()
 
     if cfg.seed_with_christofides:

@@ -570,7 +570,7 @@ def reference_solve(inst, m: int, cfg) -> SolveReport:
     if cfg.depots is not None:
         if len(cfg.depots) != m:
             raise ValueError("number of depots must equal the robot count")
-        part = partition_by_depots(inst, cfg.depots)
+        part, _ = partition_by_depots(inst, cfg.depots)
         starts = [_depot_start(inst.coords, sub, depot)
                   for sub, depot in zip(part.subsets, cfg.depots)]
     else:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from sinepath.instances import Instance, Metric, load_instance, random_planar_instance
-from sinepath.partition import (
-    depot_start_nodes,
-    partition_angle,
-    partition_by_depots,
-    partition_kmeans_like,
-)
+from sinepath.partition import partition_angle, partition_by_depots, partition_kmeans_like
 
 
 def _check_valid(part, n, m):
@@ -32,7 +27,9 @@ def test_partitions_valid_across_methods():
         _check_valid(partition_angle(inst, m), n, m)
         _check_valid(partition_kmeans_like(inst, m, seed=trial), n, m)
         depots = depot_rng.uniform(-20.0, 120.0, size=(m, 2))
-        _check_valid(partition_by_depots(inst, depots), n, m)
+        part, starts = partition_by_depots(inst, depots)
+        _check_valid(part, n, m)
+        assert all(start in sub for start, sub in zip(starts, part.subsets, strict=True))
 
 
 def test_angle_contiguous_on_circle():
@@ -78,12 +75,12 @@ def test_depot_partition_and_starts():
     b = rng.normal(40.0, 1.0, size=(8, 2))
     inst = Instance("depots", np.vstack([a, b]), Metric.EUCLIDEAN)
     depots = [(0.0, 0.0), (40.0, 40.0)]
-    part = partition_by_depots(inst, depots)
+    part, starts = partition_by_depots(inst, depots)
     assert {frozenset(s) for s in part.subsets} == {
         frozenset(range(8)),
         frozenset(range(8, 16)),
     }
-    starts = depot_start_nodes(inst, part, depots)
+    assert len(starts) == 2 and {type(v) for v in starts} == {int}
     for k, (sub, depot) in enumerate(zip(part.subsets, depots)):
         dist = ((inst.coords[list(sub)] - np.asarray(depot)) ** 2).sum(axis=1)
         assert starts[k] == sub[int(dist.argmin())]
@@ -94,9 +91,8 @@ def test_depot_validation():
     inst = random_planar_instance(10, seed=56)
     with pytest.raises(ValueError, match=r"\(m, 2\)"):
         partition_by_depots(inst, [0.0, 1.0, 2.0])
-    part = partition_angle(inst, 2)
-    with pytest.raises(ValueError, match="one depot per subset"):
-        depot_start_nodes(inst, part, [(0.0, 0.0)])
+    with pytest.raises(ValueError, match="robot count 11"):
+        partition_by_depots(inst, [(0.0, 0.0)] * 11)
 
 
 def test_extreme_robot_counts():
@@ -120,22 +116,11 @@ def test_partition_by_depots_refuses_non_finite_depots(bad):
         partition_by_depots(inst, [(bad, 0.0), (100.0, 100.0)])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_depot_start_nodes_refuses_non_finite_depots(bad):
-    # and depot_start_nodes an arbitrary start node
-    inst = random_planar_instance(10, seed=57)
-    part = partition_angle(inst, 2)
-    with pytest.raises(ValueError, match="finite coordinates"):
-        depot_start_nodes(inst, part, [(bad, 0.0), (100.0, 100.0)])
-
-
 @pytest.mark.parametrize("far", [1e200, 1e308])
 def test_far_depots_refused_alike(bench51_path, far):
-    # a finite but far depot used to overflow depot_start_nodes' squared
-    # offsets, warn and return the lowest-index member of each subset
+    # a finite but far depot used to overflow the squared offsets of the
+    # start-node pass, warn and return the lowest-index member of each
+    # subset; the split and the starts now come from one guarded pass
     inst = load_instance(bench51_path)
-    depots = [(far, 0.0), (100.0, 100.0)]
     with pytest.raises(ValueError, match="depots too far"):
-        partition_by_depots(inst, depots)
-    with pytest.raises(ValueError, match="depots too far"):
-        depot_start_nodes(inst, partition_angle(inst, 2), depots)
+        partition_by_depots(inst, [(far, 0.0), (100.0, 100.0)])

@@ -269,13 +269,24 @@ def test_depot_starts():
     depots = ((0.0, 0.0), (60.0, 60.0))
     cfg = _fast_config(depots=depots)
     report = solve(inst, 2, cfg)
-    from sinepath.partition import depot_start_nodes, partition_by_depots
+    from sinepath.partition import partition_by_depots
 
-    part = partition_by_depots(inst, depots)
-    starts = depot_start_nodes(inst, part, depots)
+    _, starts = partition_by_depots(inst, depots)
     assert tuple(t.order[0] for t in report.tours) == starts
     with pytest.raises(ValueError, match="depots"):
         solve(inst, 3, _fast_config(depots=depots))
+
+
+def test_depot_solve_measures_its_depots_once(monkeypatch):
+    # the split and the start nodes come from one pass over the n x m
+    # squared point-to-depot distances
+    from sinepath import partition
+
+    calls = []
+    measure = partition._depot_distances
+    monkeypatch.setattr(partition, "_depot_distances", lambda *a: calls.append(a) or measure(*a))
+    solve(random_planar_instance(20, 3), 2, _fast_config(depots=((0.0, 0.0), (100.0, 100.0))))
+    assert len(calls) == 1
 
 
 def test_solve_memory_peak():
