@@ -10,7 +10,9 @@ each colony also keeps the trail over its own subset.  The bias and the
 deposit bonus see the global MST restricted to each subset; the optional
 seed tour is a Christofides-style shortcut of the per-subset MST, computed
 on the colony's block, registered as the initial incumbent and given one
-bonus deposit on its colony's trail before the first iteration.
+bonus deposit on its colony's trail before the first iteration.  With
+depots, ``partition_by_depots`` also gives each robot its start node: every
+ant of its colony starts there, and its seed tour is read from there.
 
 ``solve`` is the only code that knows node ids.  Each colony, its backbone
 edges, its seed and its tours use the subset's local ids 0..k-1 (position i
@@ -43,7 +45,7 @@ from .aco import AcoParams, SubsetColony, finite_real, update_pheromones
 from .backbone import christofides_seed, kruskal_mst, restrict_edges
 from .backbone import dfs_preorder_seed  # noqa: F401  perfbench's tracer wraps this name
 from .instances import Instance, build_distance_matrix, distance_block
-from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective
+from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective, tour_length
 from .partition import Partition, partition_angle, partition_by_depots, partition_kmeans_like
 
 MODE_SINE = "sine"
@@ -114,6 +116,9 @@ class SolverConfig:
             raise ValueError(f"stagnation_window must be a positive integer, got {window!r}")
         if self.depots is not None:
             object.__setattr__(self, "depots", _depots(self.depots))
+            if self.partition_method == "kmeans":
+                raise ValueError("depots decide the partition: partition_method 'kmeans' "
+                                 "cannot be combined with depots")
 
     @property
     def mode(self) -> str:
@@ -220,6 +225,16 @@ def _make_partition(
     # The trailing 0 keeps the recorded kmeans answers and their hashes.
     ss = np.random.SeedSequence((cfg.master_seed, _STREAM_PARTITION, 0))
     return partition_kmeans_like(inst, m, int(ss.generate_state(1)[0])), None
+
+
+def _read_from(tour: Tour, start: int | None, d: np.ndarray) -> Tour:
+    """``tour`` rotated to begin at ``start`` and measured on ``d``, or
+    ``tour`` itself without a start."""
+    if start is None:
+        return tour
+    i = tour.order.index(start)
+    order = tour.order[i:] + tour.order[:i]
+    return Tour(order, tour_length(order, d))
 
 
 def _uint32_words(x: int) -> list[int]:
@@ -349,25 +364,29 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     state = IncumbentState()
 
     if cfg.seed_with_christofides:
-        seeds = [christofides_seed(colony.dist) for colony in colonies]
-        state.tours = tuple(seeds)
+        # Each seed tour is read from its robot's start, if it has one.
+        seed_tours = [
+            _read_from(christofides_seed(colony.dist), start, colony.dist)
+            for colony, start in zip(colonies, starts)
+        ]
+        state.tours = tuple(seed_tours)
         state.j_value = scalarized_objective(
-            [t.length for t in seeds], cfg.lambda_weight
+            [t.length for t in seed_tours], cfg.lambda_weight
         )
         # One flat bonus deposit before the first iteration: every seed edge
         # earns q/L * (1 + kappa).
-        for colony, seed in zip(colonies, seeds):
-            colony.deposit(seed, flat_bonus=True)
+        for colony, tour in zip(colonies, seed_tours):
+            colony.deposit(tour, flat_bonus=True)
 
     for t in range(p.max_iter):
         if t % _SEED_CHUNK == 0:
-            seeds = _colony_seeds(
+            block_states = _colony_seeds(
                 cfg.master_seed, t, min(_SEED_CHUNK, p.max_iter - t), len(colonies))
         bests = []
-        for k, (colony, seed) in enumerate(zip(colonies, seeds[t % _SEED_CHUNK])):
-            rng = np.random.Generator(np.random.PCG64(_SeedState(seed)))
+        for colony, start, block_state in zip(colonies, starts, block_states[t % _SEED_CHUNK]):
+            rng = np.random.Generator(np.random.PCG64(_SeedState(block_state)))
             uniforms = rng.random((p.n_ants, colony.n_local))
-            orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, starts[k])
+            orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, start)
             best = int(lengths.argmin())
             bests.append(Tour(tuple(orders[best].tolist()), float(lengths[best])))
         incumbent_update(state, bests, cfg.lambda_weight, t)

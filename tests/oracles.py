@@ -558,7 +558,8 @@ def reference_solve(inst, m: int, cfg) -> SolveReport:
     node ids, the global MST of ``reference_kruskal_mst``, each subset's ants
     from ``reference_construct_colony`` on its block of the dense matrix, and
     the seed and iteration deposits of ``reference_seed_deposit`` and
-    ``reference_update_pheromones`` on the whole trail.
+    ``reference_update_pheromones`` on the whole trail.  With depots each seed
+tour is read from its depot start and measured on the dense matrix.
 
     Shared with ``solve`` and so not checked through it: the partitions
     (``partition.py``'s public functions), ``christofides_seed``, the
@@ -598,9 +599,13 @@ def reference_solve(inst, m: int, cfg) -> SolveReport:
     state = IncumbentState()
     if cfg.seed_with_christofides:
         seeds = []
-        for sub, block in zip(subsets, blocks):
-            seed = christofides_seed(block)
-            seeds.append(Tour(tuple(sub[v] for v in seed.order), seed.length))
+        for sub, block, start in zip(subsets, blocks, starts):
+            order = christofides_seed(block).order
+            if start is not None:
+                i = order.index(start)
+                order = order[i:] + order[:i]
+            order = tuple(sub[v] for v in order)
+            seeds.append(Tour(order, tour_length(order, d)))
         state.tours = tuple(seeds)
         state.j_value = scalarized_objective([t.length for t in seeds], cfg.lambda_weight)
         reference_seed_deposit(tau, seeds, p)

@@ -277,6 +277,39 @@ def test_depot_starts():
         solve(inst, 3, _fast_config(depots=depots))
 
 
+def test_depot_seed_incumbent_starts_at_the_depots():
+    # the seed tours stay the incumbent here; they were reported from each
+    # subset's lowest node, (0, 4, 5, 1), instead of the depot starts
+    from sinepath.backbone import christofides_seed
+    from sinepath.instances import distance_block
+    from sinepath.partition import partition_by_depots
+
+    inst = random_planar_instance(300, 3)
+    depots = ((0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (100.0, 100.0))
+    report = solve(inst, 4, SolverConfig(aco=AcoParams(n_ants=10, max_iter=5), depots=depots))
+    part, starts = partition_by_depots(inst, depots)
+    assert starts == (190, 256, 10, 180)
+    assert tuple(t.order[0] for t in report.tours) == starts
+    for sub, start, tour in zip(part.subsets, starts, report.tours):
+        seed = christofides_seed(distance_block(inst, sub)).order
+        i = seed.index(sub.index(start))
+        assert tour.order == tuple(sub[v] for v in seed[i:] + seed[:i])
+    d = build_distance_matrix(inst)
+    assert [t.length for t in report.tours] == [tour_length(t.order, d) for t in report.tours]
+
+
+@pytest.mark.parametrize("method", ["angle", "kmeans"])
+def test_depots_refuse_a_kmeans_partition(bench51_path, method):
+    # depots decide the split, so a kmeans request was ignored and yet
+    # echoed in the report; it is refused by name
+    depots = ((0.0, 0.0), (60.0, 60.0))
+    if method == "kmeans":
+        with pytest.raises(ValueError, match="depots.*kmeans"):
+            SolverConfig(depots=depots, partition_method=method)
+    else:
+        assert SolverConfig(depots=depots, partition_method=method).depots == depots
+
+
 def test_depot_solve_measures_its_depots_once(monkeypatch):
     # the split and the start nodes come from one pass over the n x m
     # squared point-to-depot distances
@@ -476,9 +509,12 @@ _PINNED = {
     "kmeans": ("bench51.tsp", 4, SolverConfig(aco=_PIN_ACO, partition_method="kmeans",
                                               master_seed=2),
                "e2bc3302b5faec34fc8b7eb6f2adc581a8d5cddaa182367dd25795752210a9c0"),
+    # Re-recorded when seed tours began at the depot starts: its seeds stay
+    # the incumbent, now reported from nodes (23, 39) instead of (1, 0), with
+    # J unchanged; it was 3990a801a2347c2ce8befca70170718b860d88f982851bb91758d9bc352bbcf3.
     "depots": ("bench51.tsp", 2, SolverConfig(aco=_PIN_ACO, depots=((0.0, 0.0), (60.0, 60.0)),
                                               master_seed=1),
-               "3990a801a2347c2ce8befca70170718b860d88f982851bb91758d9bc352bbcf3"),
+               "531e51a1e579a857b924ff20282c71183e3ca3f57efbc33dd21873885837f4f8"),
     "geo-depots": ("geo50.csv", 3, SolverConfig(
         aco=_PIN_ACO, depots=((-74.0, -73.9), (-73.8, -73.7), (-73.95, -73.6))),
         "8b6c8d5fab3b9046f5ea1e31feb218008a8cb1fe75a53ccda3827a8066e636eb"),
