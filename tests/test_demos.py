@@ -1,10 +1,10 @@
 """The demo scripts import only names the package defines, and they run.
 
 Each ``from sinepath.<module> import <name>`` is resolved, so trimming an
-export cannot break a demo silently.  Demos 01-04 and 06 are also run on a
-copy of ``demos/`` and ``data/``: each must exit 0 and write exactly the files
-recorded in ``demos/out``, byte for byte.  Demo 05 starts a spawned worker
-pool; the bench golden test in ``test_cli.py`` covers its path.
+export cannot break a demo silently.  Every demo is also run on a copy of
+``demos/`` and ``data/``: each must exit 0 and write exactly the files
+recorded in ``demos/out``, byte for byte.  Demo 05 runs its plan on two
+spawned worker processes.
 """
 
 import ast
@@ -26,6 +26,10 @@ RUN_DEMOS = {
     "02_backbone_and_seed.py": [],
     "03_partitioning.py": [],
     "04_solve_and_render.py": ["bench51_report.json", "bench51_routes.svg"],
+    "05_benchmark_and_stats.py": [
+        "bench/friedman.csv", "bench/p26.tsp", "bench/p34.tsp",
+        "bench/results.csv", "bench/results.json", "bench/wilcoxon.csv",
+    ],
     "06_ablation.py": ["ablation.csv"],
 }
 

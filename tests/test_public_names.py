@@ -1,0 +1,74 @@
+"""Every public name of the package has a caller outside the tests.
+
+Each top-level public ``def``, ``class`` and assigned name in
+``src/sinepath/*.py`` must be referenced by another module of the package,
+by its own module outside its own definition, or by ``demos/`` or
+``perfbench/``.  A reference is a Name, an Attribute or an import alias;
+docstrings, comments and other strings do not count.  Code that ships only
+to serve the tests fails here.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _defined(tree: ast.Module):
+    """(name, statement) for each public name a top-level statement defines."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            nodes = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in targets if not name.startswith("_"))
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read below ``node``."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found.update(n.name.split("."))
+    return found
+
+
+def _uncalled(modules: dict[str, str], outside: list[str]) -> list[str]:
+    """``module: name`` for each public name of ``modules`` (file name ->
+    source) that no reference reaches."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    counts = {name: _references(tree) for name, tree in trees.items()}
+    external = sum((_references(ast.parse(source)) for source in outside), Counter())
+    missing = []
+    for module, tree in trees.items():
+        elsewhere = external + sum((c for m, c in counts.items() if m != module), Counter())
+        for name, stmt in _defined(tree):
+            if not elsewhere[name] and counts[module][name] <= _references(stmt)[name]:
+                missing.append(f"{module}: {name}")
+    return missing
+
+
+def test_check_finds_a_name_only_its_definition_reads():
+    modules = {
+        "a.py": "LIMIT = 3\nUNUSED = 4\n\ndef used(x):\n    return x + LIMIT\n\n"
+                "def recursive(n):\n    '''spare(1)'''\n    return recursive(n - 1)\n",
+        "b.py": "from .a import used\n\nclass Shown:\n    pass\n\ndef _private():\n    pass\n",
+    }
+    outside = ["import b\nb.Shown()\n"]
+    assert _uncalled(modules, outside) == ["a.py: UNUSED", "a.py: recursive"]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    package = ROOT / "src" / "sinepath"
+    modules = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    outside = [path.read_text() for where in ("demos", "perfbench")
+               for path in sorted((ROOT / where).rglob("*.py"))]
+    assert _uncalled(modules, outside) == []
