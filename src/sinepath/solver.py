@@ -227,16 +227,6 @@ def _make_partition(
     return partition_kmeans_like(inst, m, int(ss.generate_state(1)[0])), None
 
 
-def _read_from(tour: Tour, start: int | None, d: np.ndarray) -> Tour:
-    """``tour`` rotated to begin at ``start`` and measured on ``d``, or
-    ``tour`` itself without a start."""
-    if start is None:
-        return tour
-    i = tour.order.index(start)
-    order = tour.order[i:] + tour.order[:i]
-    return Tour(order, tour_length(order, d))
-
-
 def _uint32_words(x: int) -> list[int]:
     """The little-endian 32-bit words of ``x >= 0``, at least one."""
     words = [x & 0xFFFFFFFF]
@@ -364,11 +354,13 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     state = IncumbentState()
 
     if cfg.seed_with_christofides:
-        # Each seed tour is read from its robot's start, if it has one.
-        seed_tours = [
-            _read_from(christofides_seed(colony.dist), start, colony.dist)
-            for colony, start in zip(colonies, starts)
-        ]
+        seed_tours = []
+        for colony, start in zip(colonies, starts):
+            # Read from the robot's start, if it has one.
+            order = christofides_seed(colony.dist).order
+            i = 0 if start is None else order.index(start)
+            order = order[i:] + order[:i]
+            seed_tours.append(Tour(order, tour_length(order, colony.dist)))
         state.tours = tuple(seed_tours)
         state.j_value = scalarized_objective(
             [t.length for t in seed_tours], cfg.lambda_weight

@@ -298,16 +298,11 @@ def test_depot_seed_incumbent_starts_at_the_depots():
     assert [t.length for t in report.tours] == [tour_length(t.order, d) for t in report.tours]
 
 
-@pytest.mark.parametrize("method", ["angle", "kmeans"])
-def test_depots_refuse_a_kmeans_partition(bench51_path, method):
+def test_depots_refuse_a_kmeans_partition():
     # depots decide the split, so a kmeans request was ignored and yet
     # echoed in the report; it is refused by name
-    depots = ((0.0, 0.0), (60.0, 60.0))
-    if method == "kmeans":
-        with pytest.raises(ValueError, match="depots.*kmeans"):
-            SolverConfig(depots=depots, partition_method=method)
-    else:
-        assert SolverConfig(depots=depots, partition_method=method).depots == depots
+    with pytest.raises(ValueError, match="depots.*kmeans"):
+        SolverConfig(depots=((0.0, 0.0), (60.0, 60.0)), partition_method="kmeans")
 
 
 def test_depot_solve_measures_its_depots_once(monkeypatch):
