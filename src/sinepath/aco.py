@@ -18,48 +18,53 @@ algorithm is a parameter setting of this module, not a separate code path.
 Sampling inverts the cumulative score sum with one uniform draw u per step.
 The colony picks the first node whose prefix sum exceeds u * total, which is
 the count of prefix sums at or below it only while every score is
-non-negative; a negative trail is therefore refused.  In general the target
-is clamped strictly below the total, so the final positive-score candidate
-absorbs residual rounding mass and a visited node can never be re-selected,
-and a call in which some row total was zero or NaN is refused.
+non-negative; a negative trail is therefore refused.
 
-A call refuses a start that is not an integer in [0, n_local) and a draw
-outside [0, 1].  The clamp and the vanish check are skipped when one
-min/max pass over a call's scores and draws proves them no-ops: every
-successor score exceeds TRAIL_FLOOR, n_local times the largest stays below
-half the largest double and every draw lies below 1.  Each row total then sums at least one
-unvisited score, so it is finite, normal and above TRAIL_FLOOR and cannot
-vanish.  For such a total T and u <= 1 - 2^-53, the exact u * T lies at
+Two invariants keep every pick on an unvisited node.  Every successor score
+is at least 2 * TRAIL_FLOOR: each colony scales its visibility once by a
+power of two 2^k, k >= 0, that puts its least off-diagonal weight in [2, 4)
+unless it lies higher, so a trail factor floored at TRAIL_FLOOR, as
+``local_tau`` floors it, times any weight is at least 2 * TRAIL_FLOOR; the
+scale leaves every product, prefix sum and pick with the same bits, barring
+under- and overflow.  And every draw is capped at 1 - 2^-53, the largest
+double below 1.  A colony refuses a least weight of 0; a call refuses a
+successor score at or below TRAIL_FLOOR or NaN, n_local times the largest
+score reaching half the largest double, a start that is not an integer in
+[0, n_local) and a draw outside [0, 1].
+
+Each row total T then sums at least one unvisited score, so it is finite,
+normal and above TRAIL_FLOOR.  For u <= 1 - 2^-53 the exact u * T lies at
 least T * 2^-53 below T: more than half the spacing of the doubles just
 below T (a whole spacing when T is a power of two), so u * T rounds to a
-double below T and the clamp would change nothing.  The bound is strict
-because at T = TRAIL_FLOOR the spacing below is subnormal, as wide as the
-one above, the gap is exactly half of it, and (1 - 2^-53) * TRAIL_FLOOR
-rounds back to TRAIL_FLOOR.
+double below T; at u = 1 - 2^-53 it is the largest one, where clamping the
+target below T would put a draw of 1.  T, the last prefix sum, exceeds the
+target, so the first prefix sum that does follows a positive score, which
+only an unvisited node has.  The bound is strict because at
+T = TRAIL_FLOOR the spacing below is subnormal, as wide as the one above,
+the gap is exactly half of it, and (1 - 2^-53) * TRAIL_FLOOR rounds back to
+TRAIL_FLOOR.
 
-On that exact path a wide row is compacted as it empties: once the r nodes
-each ant has left number at most _COMPACT_RATIO of the row's current width,
-and while r is at least _COMPACT_MIN, the step loop first cuts the row to
-each ant's r unvisited columns in ascending order: it keeps their node ids
-and re-views its buffers at width r, so that later steps gather, mask, sum,
-compare and pick over those columns alone and map each pick back to its node
-id.  The picks keep their bits.  A visited column holds a zero, and x + 0 == x
-for every nonzero x, so each kept column's prefix sum and the row total are
-the same doubles as on the full row; a visited column repeats the prefix sum
-before it, so it is never the first to exceed the target.  Only the exact
-path compacts: there every row has exactly r unvisited nodes, while a
-clamped call whose total vanishes picks column 0, perhaps visited again,
-before the call is refused.  The two constants were set by timing 50-ant
-calls at widths 25 to 500 on a busy two-core x86_64 machine, compaction on
-against off in one process, where repeated measurements of one setting
-spread by up to 8 %.  At ratio 0.7 and minimum 32 a call took 5-15 % less
-time at width 125, 17-24 % less at 250 and 23-28 % less at 500; at width 64,
-compacted once, it moved by -2 % to +8 %, within that spread, and rows of up
-to 45 nodes, such as every bench51 subset, are never compacted.  Ratios from
-0.5 to 0.9 saved 16-19 % at width 250, and minima of 48 and 64 saved less
-there (19 % and 16 %, against 23 % in the same run).  A minimum of 16 or 24
-made calls at width 25 or 40 13-19 % slower, since a compacted step's extra
-gather and pick then cost more than the columns it skips.
+A wide row is compacted as it empties: once the r nodes each ant has left
+number at most _COMPACT_RATIO of the row's current width, and while r is at
+least _COMPACT_MIN, the step loop first cuts the row to each ant's r
+unvisited columns in ascending order: it keeps their node ids and re-views
+its buffers at width r, so that later steps gather, mask, sum, compare and
+pick over those columns alone and map each pick back to its node id.  The
+picks keep their bits.  A visited column holds a zero, and x + 0 == x for
+every nonzero x, so each kept column's prefix sum and the row total are the
+same doubles as on the full row; a visited column repeats the prefix sum
+before it, so it is never the first to exceed the target.  The two constants
+were set by timing 50-ant calls at widths 25 to 500 on a busy two-core
+x86_64 machine, compaction on against off in one process, where repeated
+measurements of one setting spread by up to 8 %.  At ratio 0.7 and minimum
+32 a call took 5-15 % less time at width 125, 17-24 % less at 250 and
+23-28 % less at 500; at width 64, compacted once, it moved by -2 % to +8 %,
+within that spread, and rows of up to 45 nodes, such as every bench51
+subset, are never compacted.  Ratios from 0.5 to 0.9 saved 16-19 % at width
+250, and minima of 48 and 64 saved less there (19 % and 16 %, against 23 %
+in the same run).  A minimum of 16 or 24 made calls at width 25 or 40
+13-19 % slower, since a compacted step's extra gather and pick then cost
+more than the columns it skips.
 """
 
 from __future__ import annotations
@@ -82,16 +87,16 @@ TRAIL_FLOOR = np.finfo(float).tiny
 # n_local * max score below half the largest double leaves that factor room.
 _TOTAL_LIMIT = np.finfo(float).max / 2
 
-# On the exact path a row is compacted once the nodes each ant has left
-# number at most _COMPACT_RATIO of its current width, and only while they
-# number at least _COMPACT_MIN (see the module docstring).
+# A row is compacted once the nodes each ant has left number at most
+# _COMPACT_RATIO of its current width, and only while they number at least
+# _COMPACT_MIN (see the module docstring).
 _COMPACT_RATIO = 0.7
 _COMPACT_MIN = 32
 
 
 def _compaction_steps(n: int) -> tuple[int, ...]:
-    """The steps of the exact path at which a row of width n is compacted;
-    at step s each ant has n - s nodes left."""
+    """The steps at which a row of width n is compacted; at step s each ant
+    has n - s nodes left."""
     steps, width = [], n
     for step in range(1, n - 1):
         left = n - step
@@ -174,8 +179,9 @@ class SubsetColony:
     ids.  The colony owns the subset's trail ``tau``, an (n_local, n_local)
     block that starts at 1 with a zero diagonal (the rule ignores a uniform
     trail scale, so starting at c would act as q_scale / c).
-    The static score factor (1/d)^beta * psi is precomputed; per iteration
-    only tau changes.  Each ant's uniform draws arrive as one row of
+    The static score factor ``weight``, (1/d)^beta * psi scaled by a power
+    of two (see the module docstring), is precomputed; per iteration only
+    tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
     so every ant consumes the same stream shape regardless of scheduling.
     The step buffers are kept from one call to the next (see
@@ -212,7 +218,12 @@ class SubsetColony:
             if omega != 1.0:
                 weight[bu, bv] *= omega
                 weight[bv, bu] *= omega
-        self.weight = weight
+            least = np.minimum.reduce(_off_diagonal(weight), axis=None, initial=np.inf)
+            if least == 0:
+                raise ValueError(
+                    "(1/d)^beta underflows to 0; rescale the coordinates or lower beta")
+            # least = f * 2^e with f in [0.5, 1), so least * 2^(2 - e) lies in [2, 4)
+            self.weight = np.ldexp(weight, max(0, 2 - math.frexp(least)[1]))
 
     def deposit(self, tour, *, flat_bonus: bool = False) -> None:
         """Add q/L * (1 + kappa * [edge on the backbone]) on the trail of
@@ -281,13 +292,10 @@ class SubsetColony:
         ``start_local`` is an integer in [0, n_local) when given.  Returns (orders,
         lengths) with orders in local indices, one row per ant.
 
-        The clamp and the vanish check run only when the scores and draws
-        do not prove them no-ops: when some successor score is at or below
-        ``TRAIL_FLOOR``, ``n_local`` times the largest reaches half the
-        largest double or a draw equals 1.  Otherwise every step's total is
-        finite, normal and above ``TRAIL_FLOOR``, so it cannot vanish and
-        the draw times it is already below it (see the module docstring).
-        Both ways pick the same nodes, bit for bit.
+        A trail factor is refused by name unless every successor score
+        ``tau_local * weight`` exceeds ``TRAIL_FLOOR``, as ``local_tau``'s
+        do, and ``n_local`` times the largest stays below half the largest
+        double (see the module docstring).
         """
         if uniforms.ndim != 2:
             raise ValueError(
@@ -315,27 +323,28 @@ class SubsetColony:
         # is the least score a successor can have.
         lo = minimum.reduce(_off_diagonal(score_tau), axis=None, initial=np.inf)
         hi = maximum.reduce(score_tau, axis=None)
-        has_nan = math.isnan(hi)
-        # NaN passes the sign check, as it always has, and is left to the
-        # vanish check.
-        if lo < 0 and not has_nan:
+        if lo < 0:  # NaN fails this and is refused below
             raise ValueError("negative trail: successor scores must be non-negative")
         # Visited columns are zeroed by multiplying with a 0/1 mask, which is
         # exact for finite scores but turns inf into NaN.
-        if hi == np.inf or (has_nan and np.isinf(score_tau).any()):
+        if hi == np.inf:
             raise ValueError(
                 "non-finite successor scores: (1/d)^beta or the trail overflows; "
                 "rescale the coordinates or lower beta"
             )
-        exact = lo > TRAIL_FLOOR and hi < _TOTAL_LIMIT / nl and u_hi < 1.0
+        if not lo > TRAIL_FLOOR or math.isnan(hi):
+            raise ValueError("successor scores must exceed TRAIL_FLOOR and not be NaN; "
+                             "floor the trail factor as local_tau does")
+        if not hi < _TOTAL_LIMIT / nl:
+            raise ValueError("successor scores too large: a row total could overflow; "
+                             "rescale the coordinates or lower beta")
 
-        (picks, avail, offsets, flat, draws, scores, cum, below, target, cap, low,
+        (picks, avail, offsets, flat, draws, scores, cum, below, target,
          packed) = self._workspace(na)
         avail.fill(1.0)
-        low.fill(np.inf)
         # Each out= goes by position, except to minimum, which deprecates a
         # third positional argument.
-        add, multiply, nextafter = np.add, np.multiply, np.nextafter
+        add, multiply = np.add, np.multiply
         accumulate, less_equal = np.add.accumulate, np.less_equal
         # The row state, which a compaction changes: each ant's first flat
         # cell, the buffers the row spans and the node id of each column.
@@ -349,15 +358,14 @@ class SubsetColony:
             cur[:] = start_local
         put(add(row_start, cur, flat), 0.0)
 
-        draws[...] = uniforms.T
+        minimum(uniforms.T, 1.0 - 2.0**-53, out=draws)  # the largest double below 1
         take = score_tau.take
-        # On the exact path the last step is not run: each ant has one
-        # unvisited node left, whose score alone is positive and whose
-        # prefix sum, the total, exceeds the target, so the roulette picks it.
-        stop = nl - 1 if exact else nl
-        cuts = iter(self._compact_at if exact else ())
+        # The last step is not run: each ant has one unvisited node left,
+        # whose score alone is positive and whose prefix sum, the total,
+        # exceeds the target, so the roulette would pick it.
+        cuts = iter(self._compact_at)
         cut = next(cuts, 0)
-        for step, draw, pick in zip(range(1, stop), draws[1:stop], picks[1:stop]):
+        for step, draw, pick in zip(range(1, nl - 1), draws[1:], picks[1:]):
             if step == cut:
                 # Every ant has exactly r nodes left, so its unvisited
                 # columns, ascending, fill one row of an (na, r) array.
@@ -379,16 +387,10 @@ class SubsetColony:
             multiply(scores, avail, scores)
             accumulate(scores, 1, None, cum)
             multiply(draw, total, target)
-            if not exact:
-                minimum(low, total, out=low)
-                nextafter(total, -np.inf, out=cap)
-                minimum(target, cap, out=target)
             # Scores are non-negative, so each row of cum never decreases and
             # `below` is a run of True followed only by False, with the last
             # column False (target < total): the first False, at the count
-            # of True, is the pick.  A zero or NaN total leaves a row all
-            # False and picks 0, a valid index; the check after the loop then
-            # refuses the whole call.
+            # of True, is the pick.
             less_equal(cum, target_col, below)
             # put and cols read flat indices: the ant's row start plus the pick's column
             if cols is None:
@@ -398,16 +400,11 @@ class SubsetColony:
                 add(argmin(1, flat), row_start, flat)
                 cur = cols.take(flat, None, pick, "clip")
                 put(flat, 0.0)
-        if exact and cols is None:
+        if cols is None:
             avail.argmax(axis=1, out=picks[-1])
-        elif exact:
+        else:
             add(avail.argmax(axis=1, out=flat), row_start, out=flat)
             cols.take(flat, out=picks[-1], mode="clip")
-        elif not (low > 0).all():  # NaN fails this too
-            cause = ""
-            if (_off_diagonal(self.weight) == 0).any():
-                cause = ": (1/d)^beta underflows to 0; rescale the coordinates or lower beta"
-            raise ValueError("all successor scores vanished during construction" + cause)
         orders = picks.T.copy()
         return orders, tour_lengths(orders, self.dist)
 
@@ -430,8 +427,6 @@ class SubsetColony:
                 np.empty((na, nl)),  # cum
                 np.empty((na, nl), dtype=bool),  # below
                 np.empty(na),  # target
-                np.empty(na),  # cap
-                np.empty(na),  # low
                 np.empty((na, nl)),  # packed: a compacted row's scores
             )
         return self._work[1]

@@ -36,6 +36,9 @@ def _block_sizes(n: int, m: int) -> list[int]:
 
 
 def _check_m(n: int, m: int):
+    """Refuse a robot count that is not an int in [1, n]; a bool is refused too."""
+    if type(m) is not int:
+        raise ValueError(f"robot count must be an integer, got {m!r}")
     if not 1 <= m <= n:
         raise ValueError(f"robot count {m} outside [1, {n}]")
 

@@ -46,7 +46,8 @@ from .backbone import christofides_seed, kruskal_mst, restrict_edges
 from .backbone import dfs_preorder_seed  # noqa: F401  perfbench's tracer wraps this name
 from .instances import Instance, build_distance_matrix, distance_block
 from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective, tour_length
-from .partition import Partition, partition_angle, partition_by_depots, partition_kmeans_like
+from .partition import (Partition, _check_m, partition_angle, partition_by_depots,
+                        partition_kmeans_like)
 
 MODE_SINE = "sine"
 MODE_CLASSIC = "aco"
@@ -334,10 +335,7 @@ _SEED_CHUNK = 256
 
 def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     """Optimise ``m`` closed tours over the instance; see the module docstring."""
-    if type(m) is not int:
-        raise ValueError(f"robot count must be an integer, got {m!r}")
-    if not 1 <= m <= inst.dimension:
-        raise ValueError(f"robot count {m} outside [1, {inst.dimension}]")
+    _check_m(inst.dimension, m)
 
     t_begin = time.perf_counter()
     p = cfg.aco

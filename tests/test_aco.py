@@ -34,6 +34,11 @@ from sinepath.backbone import kruskal_mst, restrict_edges
 from sinepath.instances import Instance, build_distance_matrix, random_planar_instance
 from sinepath.objective import Tour, tour_length
 
+# construct_colony's refusals of a trail factor, by the bound each names
+NON_FINITE = "non-finite successor scores"
+FLOOR_REFUSAL = "successor scores must exceed TRAIL_FLOOR and not be NaN"
+TOO_LARGE = "successor scores too large"
+
 TRI_D = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
 NO_BIAS = StructuralBias(1.0, frozenset())
 
@@ -432,7 +437,20 @@ def test_colony_zero_distance_rejected():
         SubsetColony(d, frozenset(), 1.0, AcoParams())
 
 
+def _scaled(weight):
+    """``weight`` times the power of two 2^k, k >= 0, that takes its least
+    off-diagonal entry to [2, 4) if it lies below 2."""
+    least = weight[~np.eye(len(weight), dtype=bool)].min()
+    k = 0
+    while least * 2.0**k < 2.0:
+        k += 1
+    assert least * 2.0**k < 4.0 or k == 0
+    return weight * 2.0**k
+
+
 def test_colony_weight_matrix():
+    # (1/d)^beta * psi, scaled by a power of two so that the least
+    # off-diagonal weight lies in [2, 4)
     d, mst, params, colony = _colony_setup(8, 906, omega=3.0)
     safe = d + np.eye(8)
     eta = 1.0 / safe
@@ -441,11 +459,19 @@ def test_colony_weight_matrix():
     for u, v in _keys(mst):
         expected[u, v] *= 3.0
         expected[v, u] *= 3.0
-    assert np.array_equal(colony.weight, expected)
-    # omega=1 leaves the matrix untouched, bit for bit
+    assert np.array_equal(colony.weight, _scaled(expected))
+    # omega=1 leaves the visibility unboosted, bit for bit
     _, _, _, neutral = _colony_setup(8, 906, omega=1.0)
     plain = eta**params.beta
-    assert np.array_equal(neutral.weight, plain)
+    assert np.array_equal(neutral.weight, _scaled(plain))
+    # a least weight of 4 or more is left as it is
+    inst = random_planar_instance(8, seed=906)
+    close = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
+    colony = SubsetColony(close, frozenset(), 1.0, params)
+    eta = 1.0 / (close + np.eye(8))
+    np.fill_diagonal(eta, 0.0)
+    assert np.array_equal(colony.weight, eta**params.beta)
+    assert colony.weight[~np.eye(8, dtype=bool)].min() >= 4.0
 
 
 def test_colony_matches_scalar_construction():
@@ -516,11 +542,11 @@ def test_only_wide_rows_are_compacted():
 @pytest.mark.parametrize("n", [13, 120])
 def test_colony_reused_buffers_match_fresh_colonies(n):
     # one colony keeps its step buffers between calls: a changed ant count,
-    # a clamped call and a refused call in between leave every call
-    # bit-identical to a fresh colony's, and the arrays a call returns are
-    # the caller's own; at n = 120 the exact calls compact their rows and cut
-    # the buffers to each width, and the clamped call, whose draws of exactly
-    # 1 keep it at full width, must see them whole again
+    # a call with draws of exactly 1 and a refused call in between leave
+    # every call bit-identical to a fresh colony's, and the arrays a call
+    # returns are the caller's own; at n = 120 every call compacts its rows
+    # and cuts the buffers to each width, and the next call must see them
+    # whole again
     d = build_distance_matrix(random_planar_instance(n, seed=930))
     backbone = _keys(kruskal_mst(d))
 
@@ -532,13 +558,13 @@ def test_colony_reused_buffers_match_fresh_colonies(n):
     assert bool(colony._compact_at) == (n == 120)
     tau = colony.local_tau() * rng.uniform(0.5, 1.5, size=(n, n))
     calls = []
-    sequence = ((50, None), (7, 4), (50, None), ("clamped", None), ("refused", None), (50, 0))
+    sequence = ((50, None), (7, 4), (50, None), ("ones", None), ("refused", None), (50, 0))
     for na, start in sequence:
         if na == "refused":
-            with pytest.raises(ValueError, match="vanished"):
+            with pytest.raises(ValueError, match=FLOOR_REFUSAL):
                 colony.construct_colony(np.zeros((n, n)), rng.random((50, n)))
             continue
-        if na == "clamped":
+        if na == "ones":
             uniforms = rng.random((50, n))
             uniforms[:, ::7] = 1.0
         else:
@@ -681,22 +707,27 @@ def test_local_tau_floors_the_trail_factor(alpha):
 
 
 def test_colony_vanished_scores_rejected():
+    # a trail factor that is zero or NaN, or NaN only on its diagonal, which
+    # the 0/1 mask would carry into every prefix sum of the row
     _, _, _, colony = _colony_setup(6, 917)
     uniforms = np.random.default_rng(918).random((4, 6))
-    for trail in (np.zeros((6, 6)), np.full((6, 6), np.nan)):
-        with pytest.raises(ValueError, match="vanished"):
+    nan_diagonal = np.ones((6, 6))
+    np.fill_diagonal(nan_diagonal, np.nan)
+    for trail in (np.zeros((6, 6)), np.full((6, 6), np.nan), nan_diagonal):
+        with pytest.raises(ValueError, match=FLOOR_REFUSAL):
             colony.construct_colony(trail, uniforms)
 
 
 def test_colony_later_vanish_rejected_like_reference():
     # node 4 has no outgoing trail, so a row total vanishes only once an ant
-    # stands on node 4 with nodes still to visit, never at the first step
+    # stands on node 4 with nodes still to visit, never at the first step;
+    # the reference finds that out during construction, the colony before it
     _, _, _, colony = _colony_setup(6, 921)
     trail = _uniform_trail(6)
     trail[4] = 0.0
     uniforms = np.random.default_rng(922).random((8, 6))
     assert (trail[0] * colony.weight[0]).sum() > 0
-    with pytest.raises(ValueError, match="vanished"):
+    with pytest.raises(ValueError, match=FLOOR_REFUSAL):
         colony.construct_colony(trail, uniforms, 0)
     with pytest.raises(ValueError, match="vanished"):
         reference_construct_colony(colony.weight, colony.dist, trail, uniforms, 0)
@@ -704,8 +735,8 @@ def test_colony_later_vanish_rejected_like_reference():
 
 def _cycle_trail(n, rng):
     """Trail left after every edge off one Hamiltonian cycle has underflowed
-    to exactly 0: an ant can always walk on along the cycle, so no total
-    vanishes, but most of each prefix-sum row is flat."""
+    to exactly 0; floored, most of each prefix-sum row climbs by scores near
+    TRAIL_FLOOR alone."""
     cycle = rng.permutation(n)
     trail = np.zeros((n, n))
     trail[cycle, np.roll(cycle, 1)] = rng.uniform(0.5, 1.5, size=n)
@@ -713,54 +744,56 @@ def _cycle_trail(n, rng):
     return trail
 
 
-@pytest.mark.parametrize("case", ["zero-entries", "overflowing-totals"])
+@pytest.mark.parametrize("case", ["zero-entries", "near-overflowing-totals"])
 def test_colony_bit_identical_to_reference_on_edge_trails(case):
+    # the two edges of what a call accepts: a trail whose zeros the floor
+    # lifts to TRAIL_FLOOR, and scores whose row totals stay just finite
     rng = np.random.default_rng(923)
     if case == "zero-entries":
         _, _, _, colony = _colony_setup(13, 924)
-        trail = _cycle_trail(13, rng)
+        colony.tau = _cycle_trail(13, rng)
+        trail = colony.local_tau()
+        assert (trail == TRAIL_FLOOR).sum() == 13 * 13 - 13 - 26
     else:
-        # distances near 1e-2 make every weight > 1, so scores near
-        # max/4 stay finite while the row sums overflow to inf
-        inst = random_planar_instance(13, seed=925)
-        d = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
-        colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
-        huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
-        trail = huge / (colony.weight + np.eye(13))
+        # scores of up to just under max / (2 * 13), so that no row total
+        # can overflow while 13 times the largest nears half the largest double
+        _, _, _, colony = _colony_setup(13, 925)
+        big = np.finfo(float).max / 2 / 13 * rng.uniform(0.5, 0.999, size=(13, 13))
+        trail = big / (colony.weight + np.eye(13))
         np.fill_diagonal(trail, 0.0)
+        assert (trail * colony.weight).max() * 13 > np.finfo(float).max / 4
     uniforms = rng.random((40, 13))
-    with np.errstate(over="ignore"):
-        scores = trail * colony.weight
-        assert np.isfinite(scores).all()
-        if case == "overflowing-totals":
-            assert np.isinf(scores.sum(axis=1)).all()
-        for start in (None, 5):
-            orders, lengths = colony.construct_colony(trail, uniforms, start)
-            ref_orders, ref_lengths = reference_construct_colony(
-                colony.weight, colony.dist, trail, uniforms, start
-            )
-            assert np.array_equal(orders, ref_orders)
-            assert np.array_equal(lengths, ref_lengths)
+    uniforms[rng.random(uniforms.shape) < 0.2] = 1.0
+    for start in (None, 5):
+        orders, lengths = colony.construct_colony(trail, uniforms, start)
+        ref_orders, ref_lengths = reference_construct_colony(
+            colony.weight, colony.dist, trail, uniforms, start
+        )
+        assert np.array_equal(orders, ref_orders)
+        assert np.array_equal(lengths, ref_lengths)
 
 
 def test_colony_floor_total_keeps_its_clamp():
-    # Unit distances, omega = 1 and a floored trail make every successor
-    # score exactly TRAIL_FLOOR, so each ant's last step has one successor
-    # and a row total of exactly TRAIL_FLOOR.  (1 - 2^-53) * tiny rounds to
-    # tiny, so only the clamp keeps that draw below the total; zero draws
-    # before it walk the ants in index order, leaving a last node other
-    # than column 0, which an unclamped pick would revisit.
+    # Unit distances, omega = 1 and a floored trail give the least scores a
+    # call accepts: the weight 1 is scaled to 2, so every successor scores
+    # exactly 2 * TRAIL_FLOOR.  Zero draws walk the ants in index order, and
+    # the last draws of 1 - 2^-53 and 1 meet the least row totals, 4 and
+    # 2 times TRAIL_FLOOR, where the capped draw must still land below the
+    # total, as the clamping reference's target does.  At a total of
+    # TRAIL_FLOOR itself, (1 - 2^-53) * tiny would round back to tiny.
     n = 5
     d = np.ones((n, n)) - np.eye(n)
     colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
     colony.tau = np.zeros((n, n))
     tau_local = colony.local_tau()
     off_diag = ~np.eye(n, dtype=bool)
-    assert np.array_equal((tau_local * colony.weight)[off_diag], np.full(n * n - n, TRAIL_FLOOR))
+    assert ((tau_local * colony.weight)[off_diag] == 2 * TRAIL_FLOOR).all()
     last = 1.0 - 2.0**-53
     assert last * TRAIL_FLOOR == TRAIL_FLOOR
+    assert last * (2 * TRAIL_FLOOR) < 2 * TRAIL_FLOOR
     uniforms = np.zeros((6, n))
-    uniforms[:, -1] = last
+    uniforms[:3, -2:] = last
+    uniforms[3:, -2:] = 1.0
     for start in (None, 2):
         orders, lengths = colony.construct_colony(tau_local, uniforms, start)
         ref_orders, ref_lengths = reference_construct_colony(
@@ -790,53 +823,63 @@ def _colony_outcome(construct, *args):
     alpha=st.floats(0.5, 2.0),
     beta=st.floats(0.5, 6.0),
     omega=st.sampled_from([1.0, 2.0, 6.0]),
+    scale=st.sampled_from([1.0, 1e3, 1e51]),
     start=st.one_of(st.none(), st.integers(0, 159)),
     top=st.sampled_from([None, 1.0 - 2.0**-53, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-# the proven branch: every score well inside the normal range
+# accepted: every score well inside the normal range, a floored trail under
+# draws of exactly 1, and floored subnormal trails
 @example(width=13, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
-         beta=2.0, omega=2.0, start=None, top=None, seed=1)
+         beta=2.0, omega=2.0, scale=1.0, start=None, top=None, seed=1)
 @example(width=40, n_ants=20, exponent=300.0, zeros=0.0, floored=False, alpha=1.0,
-         beta=1.0, omega=6.0, start=7, top=1.0 - 2.0**-53, seed=2)
-# the clamped branch: subnormal scores under the largest draw below 1, a
-# floored trail times weights below 1, a draw of exactly 1, exact zeros
-@example(width=13, n_ants=20, exponent=-320.0, zeros=0.0, floored=False, alpha=1.0,
-         beta=2.0, omega=1.0, start=None, top=1.0 - 2.0**-53, seed=3)
-@example(width=13, n_ants=20, exponent=-320.0, zeros=0.3, floored=True, alpha=1.0,
-         beta=2.0, omega=1.0, start=4, top=1.0 - 2.0**-53, seed=4)
+         beta=1.0, omega=6.0, scale=1.0, start=7, top=1.0 - 2.0**-53, seed=2)
 @example(width=13, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
-         beta=2.0, omega=2.0, start=None, top=1.0, seed=5)
+         beta=2.0, omega=2.0, scale=1.0, start=None, top=1.0, seed=5)
+@example(width=13, n_ants=20, exponent=-320.0, zeros=0.3, floored=True, alpha=1.0,
+         beta=2.0, omega=1.0, scale=1.0, start=4, top=1.0 - 2.0**-53, seed=4)
+# accepted with a large scale: beta = 3.5 on coordinates times 1e3, and a
+# least weight that is subnormal (beta = 6 on coordinates times 1e51)
+@example(width=40, n_ants=20, exponent=0.0, zeros=0.3, floored=True, alpha=1.0,
+         beta=3.5, omega=2.0, scale=1e3, start=None, top=1.0, seed=15)
+@example(width=40, n_ants=20, exponent=-300.0, zeros=0.0, floored=True, alpha=1.3,
+         beta=6.0, omega=6.0, scale=1e51, start=3, top=1.0, seed=16)
+# refused: subnormal scores, exact zeros and scores past the total bound
+@example(width=13, n_ants=20, exponent=-320.0, zeros=0.0, floored=False, alpha=1.0,
+         beta=2.0, omega=1.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=3)
 @example(width=13, n_ants=20, exponent=0.0, zeros=0.9, floored=False, alpha=1.0,
-         beta=2.0, omega=1.0, start=2, top=None, seed=6)
-# wide rows, which the proven branch compacts and the clamped branch does not:
-# proven at unit and 1e300 scales, then clamped under a draw of exactly 1, a
-# floored trail, subnormal scores and scores at 1e306, past the total bound
+         beta=2.0, omega=1.0, scale=1.0, start=2, top=None, seed=6)
+# wide rows, whose calls compact them: at unit and 1e300 scales, under a
+# draw of exactly 1, floored, subnormal and refused at 1e306
 @example(width=120, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.3,
-         beta=2.0, omega=2.0, start=None, top=1.0 - 2.0**-53, seed=7)
+         beta=2.0, omega=2.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=7)
 @example(width=120, n_ants=20, exponent=300.0, zeros=0.0, floored=False, alpha=1.0,
-         beta=1.0, omega=6.0, start=70, top=None, seed=8)
+         beta=1.0, omega=6.0, scale=1.0, start=70, top=None, seed=8)
 @example(width=120, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
-         beta=2.0, omega=2.0, start=None, top=1.0, seed=9)
+         beta=2.0, omega=2.0, scale=1.0, start=None, top=1.0, seed=9)
 @example(width=120, n_ants=20, exponent=-320.0, zeros=0.3, floored=True, alpha=1.0,
-         beta=2.0, omega=1.0, start=4, top=1.0 - 2.0**-53, seed=10)
+         beta=2.0, omega=1.0, scale=1.0, start=4, top=1.0 - 2.0**-53, seed=10)
 @example(width=120, n_ants=20, exponent=-318.0, zeros=0.0, floored=False, alpha=1.0,
-         beta=0.5, omega=1.0, start=None, top=1.0 - 2.0**-53, seed=11)
+         beta=0.5, omega=1.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=11)
 @example(width=120, n_ants=20, exponent=306.0, zeros=0.0, floored=False, alpha=1.0,
-         beta=1.0, omega=1.0, start=None, top=None, seed=12)
-# one and two ants on the proven branch, whose rows are compacted
+         beta=1.0, omega=1.0, scale=1.0, start=None, top=None, seed=12)
+# one and two ants, whose rows are compacted
 @example(width=120, n_ants=1, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
-         beta=2.0, omega=2.0, start=None, top=None, seed=13)
+         beta=2.0, omega=2.0, scale=1.0, start=None, top=None, seed=13)
 @example(width=120, n_ants=2, exponent=0.0, zeros=0.0, floored=True, alpha=1.3,
-         beta=2.0, omega=2.0, start=50, top=1.0 - 2.0**-53, seed=14)
+         beta=2.0, omega=2.0, scale=1.0, start=50, top=1.0 - 2.0**-53, seed=14)
 def test_colony_matches_reference_across_trail_scales(
-    width, n_ants, exponent, zeros, floored, alpha, beta, omega, start, top, seed
+    width, n_ants, exponent, zeros, floored, alpha, beta, omega, scale, start, top, seed
 ):
     # Trails from 1e-320 (subnormal) to 1e308, with exact zeros, read raw or
-    # floored through local_tau: the colony must pick what the reference
-    # picks, bit for bit, or refuse with the same message.
+    # floored through local_tau, on coordinates scaled up to 1e51.  A call is
+    # accepted exactly when every successor score exceeds TRAIL_FLOOR and
+    # n_local times the largest stays below half the largest double; then it
+    # picks what the clamping reference picks, bit for bit, draws of exactly
+    # 1 included.  Any other call is refused by name.
     rng = np.random.default_rng(seed)
-    d = build_distance_matrix(random_planar_instance(max(width, 2), seed=seed))
+    inst = random_planar_instance(max(width, 2), seed=seed)
+    d = build_distance_matrix(Instance(inst.name, inst.coords * scale, inst.metric))
     params = AcoParams(alpha=alpha, beta=beta)
     backbone = _keys(kruskal_mst(d[:width, :width]))
     colony = SubsetColony(d[:width, :width], backbone, omega, params)
@@ -849,15 +892,25 @@ def test_colony_matches_reference_across_trail_scales(
     start_local = None if start is None else start % width
     with np.errstate(over="ignore", under="ignore"):
         tau_local = colony.local_tau() if floored else colony.tau
-        if np.isinf(tau_local * colony.weight).any():
-            with pytest.raises(ValueError, match="non-finite successor scores"):
-                colony.construct_colony(tau_local, uniforms, start_local)
-            return
-        got = _colony_outcome(colony.construct_colony, tau_local, uniforms, start_local)
-        want = _colony_outcome(
-            reference_construct_colony, colony.weight, colony.dist, tau_local, uniforms, start_local
+        scores = tau_local * colony.weight
+    off_diag = scores[~np.eye(width, dtype=bool)]
+    if np.isinf(scores).any():
+        refusal = NON_FINITE
+    elif not (off_diag > TRAIL_FLOOR).all():
+        refusal = FLOOR_REFUSAL
+    elif not scores.max() < np.finfo(float).max / 2 / width:
+        refusal = TOO_LARGE
+    else:
+        orders, lengths = colony.construct_colony(tau_local, uniforms, start_local)
+        ref_orders, ref_lengths = reference_construct_colony(
+            colony.weight, colony.dist, tau_local, uniforms, start_local
         )
-    assert got == want
+        assert np.array_equal(orders, ref_orders)
+        assert np.array_equal(lengths, ref_lengths)
+        assert (np.sort(orders, axis=1) == np.arange(width)).all()
+        return
+    with pytest.raises(ValueError, match=refusal):
+        colony.construct_colony(tau_local, uniforms, start_local)
 
 
 def test_colony_negative_trail_rejected():
@@ -883,6 +936,25 @@ def test_colony_overflowing_scores_rejected():
     assert np.isinf(colony.weight).any()
     with pytest.raises(ValueError, match="non-finite successor scores"):
         colony.construct_colony(colony.local_tau(), np.full((3, 12), 0.5))
+
+
+def test_colony_refuses_scores_whose_row_totals_overflow():
+    # scores near max/4 are finite while their row sums overflow to inf; a
+    # draw of exactly 0 then made 0 * inf = NaN, no prefix sum exceeded the
+    # target, and every ant re-picked column 0 at step 3 and returned 12
+    # distinct nodes of 13 without an error (the clamping reference does too)
+    inst = random_planar_instance(13, seed=925)
+    d = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
+    colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
+    rng = np.random.default_rng(923)
+    huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
+    trail = huge / (colony.weight + np.eye(13))
+    np.fill_diagonal(trail, 0.0)
+    uniforms = rng.random((40, 13))
+    uniforms[:, 3] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            colony.construct_colony(trail, uniforms, 0)
 
 
 def test_colony_free_start_uses_first_draw():

@@ -274,10 +274,10 @@ def test_solve_refusal_is_the_only_stderr_line(bench51_path, tmp_path):
 
 
 def test_solve_underflowing_visibility_is_named(bench51_path, tmp_path, capsys):
-    # (1/d)^400 underflows to 0 for 2384 of bench51's 2550 node pairs, so
-    # every successor score of some ant vanishes; the refusal names why.
-    # It also overflows for the closest pairs, and numpy used to print a
-    # RuntimeWarning before the refusal: the refusal must be the only outcome
+    # (1/d)^400 underflows to 0 for 2384 of bench51's 2550 node pairs, which
+    # no power of two can lift; the colony refuses it by name when it is
+    # built.  It also overflows for the closest pairs, and numpy used to print
+    # a RuntimeWarning before the refusal: the refusal must be the only outcome
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -285,8 +285,7 @@ def test_solve_underflowing_visibility_is_named(bench51_path, tmp_path, capsys):
                      "--beta", "400", "--out", str(out)])
     assert code == EXIT_DOMAIN
     assert capsys.readouterr().err == (
-        "error: all successor scores vanished during construction: "
-        "(1/d)^beta underflows to 0; rescale the coordinates or lower beta\n"
+        "error: (1/d)^beta underflows to 0; rescale the coordinates or lower beta\n"
     )
     assert not out.exists()
 

@@ -1,5 +1,7 @@
 """Node partitioning: balance, disjoint cover, and depot assignment."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,19 @@ def test_extreme_robot_counts():
             partition_angle(inst, bad)
         with pytest.raises(ValueError, match="robot count"):
             partition_kmeans_like(inst, bad, seed=0)
+
+
+@pytest.mark.parametrize("m", [2.0, True, "2"], ids=repr)
+def test_partitions_refuse_a_robot_count_that_is_not_an_integer(m):
+    # 2.0 used to raise a bare TypeError from the block sizes or the centre
+    # loop, True to split the angle sweep into one subset, and "2" to raise
+    # a bare TypeError; solve refuses all three by name
+    inst = random_planar_instance(10, seed=57)
+    message = re.escape(f"robot count must be an integer, got {m!r}")
+    with pytest.raises(ValueError, match=message):
+        partition_angle(inst, m)
+    with pytest.raises(ValueError, match=message):
+        partition_kmeans_like(inst, m, seed=0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
