@@ -44,10 +44,10 @@ print(f"\nincumbent J improved {len(steps) - 1} times: "
       + (" ..." if len(steps) > 6 else ""))
 
 svg_path = OUT / "bench51_routes.svg"
-svg_path.write_text(format_svg_routes(report, inst))
+svg_path.write_text(format_svg_routes([t.order for t in report.tours], inst))
 print(f"\nwrote {svg_path}")
 
-# Reports serialize to JSON and read back losslessly.
+# Reports serialize to JSON; `sinepath plot` draws a saved report's tours again.
 json_path = OUT / "bench51_report.json"
 json_path.write_text(report.canonical_json())
 print(f"wrote {json_path}")

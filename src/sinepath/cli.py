@@ -34,7 +34,7 @@ from .bench import (  # noqa: E402
 )
 from .instances import Instance, ParseError, load_instance  # noqa: E402
 from .solver import (  # noqa: E402
-    MODE_CLASSIC, MODE_SINE, PARTITION_METHODS, SolveReport, SolverConfig, solve,
+    MODE_CLASSIC, MODE_SINE, PARTITION_METHODS, SolverConfig, solve,
 )
 
 EXIT_OK = 0
@@ -164,9 +164,9 @@ _ROUTE_COLORS = (
 )
 
 
-def format_svg_routes(report: SolveReport, inst: Instance) -> str:
+def format_svg_routes(orders, inst: Instance) -> str:
     """SVG 1.1 drawing, 640 units on its longer side: nodes as dots, one
-    closed polyline per robot.
+    closed polyline per robot, through the node ids of its order.
 
     The viewBox fits the coordinate bounding box with a 5% margin; the
     vertical axis is flipped so y grows upward.  Geographic instances draw
@@ -199,9 +199,9 @@ def format_svg_routes(report: SolveReport, inst: Instance) -> str:
         f'viewBox="0 0 {w_px:.2f} {h_px:.2f}">',
         f'<rect width="{w_px:.2f}" height="{h_px:.2f}" fill="white"/>',
     ]
-    for i, tour in enumerate(report.tours):
+    for i, order in enumerate(orders):
         color = _ROUTE_COLORS[i % len(_ROUTE_COLORS)]
-        pts = [f"{sx(xs[v]):.2f},{sy(ys[v]):.2f}" for v in tour.order]
+        pts = [f"{sx(xs[v]):.2f},{sy(ys[v]):.2f}" for v in order]
         pts.append(pts[0])  # close the loop
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" '
@@ -218,15 +218,19 @@ def format_svg_routes(report: SolveReport, inst: Instance) -> str:
 
 def _check_output_dirs(*paths) -> None:
     """Refuse, before any loading or solving, an output file path whose
-    directory is missing or that is a directory itself, so that a long run
-    does not end in a failed write."""
-    for path in paths:
-        if path is None:
-            continue
-        if Path(path).is_dir():
+    directory is missing, that is a directory itself or that names the file
+    of an earlier path, so that a long run does not end in a failed or lost
+    write."""
+    written = {}
+    for path in (p for p in paths if p is not None):
+        target = Path(path)
+        if target.is_dir():
             raise OSError(f"{path}: is a directory")
-        if not Path(path).parent.is_dir():
-            raise OSError(f"{path}: {Path(path).parent} is not a directory")
+        if not target.parent.is_dir():
+            raise OSError(f"{path}: {target.parent} is not a directory")
+        if target.resolve() in written:
+            raise OSError(f"{path}: the same file as {written[target.resolve()]}")
+        written[target.resolve()] = path
 
 
 def _check_out_dir(path) -> None:
@@ -247,7 +251,7 @@ def _cmd_solve(args) -> int:
     report = solve(inst, args.robots, cfg)
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     if args.svg:
-        Path(args.svg).write_text(format_svg_routes(report, inst))
+        Path(args.svg).write_text(format_svg_routes([t.order for t in report.tours], inst))
     o = report.objectives
     print(f"instance {inst.name}  robots {args.robots}  mode {args.mode}")
     print(f"total {o.total:.4f}  max {o.max_single:.4f}  J {o.j_value:.4f}")
@@ -300,36 +304,36 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _read_report(path: str, n: int) -> SolveReport:
-    """The solve report at ``path``; a ParseError naming the path and the
-    cause if it is not one, or if a tour is empty or visits a node id outside
-    ``[0, n)``."""
+def _read_tours(path: str, n: int) -> tuple[object, list[list[int]]]:
+    """The instance name and tour orders of the solve report at ``path``; a
+    ParseError naming the path and the cause if either is missing, a tour is
+    empty, or a node id is not a JSON integer or lies outside ``[0, n)``."""
     try:
-        report = SolveReport.from_dict(json.loads(Path(path).read_text()))
+        data = json.loads(Path(path).read_text())
+        name, orders = data["instance"], [t["order"] for t in data["tours"]]
+        for v in (v for order in orders for v in order):
+            if type(v) is not int:
+                raise ValueError(f"node id {v!r} is not an integer")
     except KeyError as exc:
         raise ParseError(f"{path}: not a solve report: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: not a solve report: {exc}") from exc
-    for k, tour in enumerate(report.tours):
-        if not tour.order:
+    for k, order in enumerate(orders):
+        if not order:
             raise ParseError(f"{path}: tour {k} is empty")
-        for v in tour.order:
+        for v in order:
             if not 0 <= v < n:
                 raise ParseError(f"{path}: tour {k} has node id {v} outside [0, {n})")
-    return report
+    return name, orders
 
 
 def _cmd_plot(args) -> int:
     _check_output_dirs(args.out)
     inst = load_instance(args.instance)
-    report = _read_report(args.report, inst.dimension)
-    if report.instance != inst.name:
-        print(
-            f"warning: report is for {report.instance!r}, "
-            f"instance file is {inst.name!r}",
-            file=sys.stderr,
-        )
-    Path(args.out).write_text(format_svg_routes(report, inst))
+    name, orders = _read_tours(args.report, inst.dimension)
+    if name != inst.name:
+        print(f"warning: report is for {name!r}, instance file is {inst.name!r}", file=sys.stderr)
+    Path(args.out).write_text(format_svg_routes(orders, inst))
     print(f"wrote {args.out}")
     return EXIT_OK
 

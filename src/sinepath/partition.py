@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aco import finite_real
 from .instances import Instance
 
 
@@ -94,9 +95,12 @@ def _as_partition(assign: np.ndarray, m: int) -> Partition:
 
 
 def partition_kmeans_like(inst: Instance, m: int, seed: int) -> Partition:
-    """Farthest-point seeding, Lloyd refinement (at most 100 sweeps), rebalance."""
+    """Farthest-point seeding, Lloyd refinement (at most 100 sweeps), rebalance.
+    A ``seed`` that is not a non-negative int is refused, a bool too."""
     n = inst.dimension
     _check_m(n, m)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     coords = inst.coords
     rng = np.random.default_rng(seed)
 
@@ -124,12 +128,20 @@ def partition_kmeans_like(inst: Instance, m: int, seed: int) -> Partition:
     return _as_partition(assign, m)
 
 
-def _depot_array(depots) -> np.ndarray:
-    """``depots`` as an (m, 2) array of finite coordinates, or a ValueError."""
-    depots = np.asarray(depots, dtype=np.float64)
-    if depots.ndim != 2 or depots.shape[1] != 2 or not np.isfinite(depots).all():
-        raise ValueError(f"depots must be (m, 2) finite coordinates, got {depots.tolist()}")
-    return depots
+def _depots(depots) -> tuple[tuple[float, float], ...]:
+    """``depots`` as (x, y) pairs of floats: the one depot rule, which
+    ``SolverConfig`` and ``partition_by_depots`` share.  Anything but a
+    tuple, list or 2-D array of tuple or list pairs of finite real numbers
+    (a bool is not one) is refused."""
+    pairs = depots.tolist() if isinstance(depots, np.ndarray) and depots.ndim == 2 else depots
+    if isinstance(pairs, (tuple, list)) and all(
+        isinstance(p, (tuple, list)) and len(p) == 2 for p in pairs
+    ):
+        try:
+            return tuple((finite_real("x", x), finite_real("y", y)) for x, y in pairs)
+        except ValueError:
+            pass
+    raise ValueError(f"depots must be (x, y) pairs of finite numbers, got {depots!r}")
 
 
 def _depot_distances(inst: Instance, depots: np.ndarray) -> np.ndarray:
@@ -145,9 +157,9 @@ def partition_by_depots(inst: Instance, depots) -> tuple[Partition, tuple[int, .
     """Nearest-depot assignment, rebalanced to within one node per robot, and
     per subset the member nearest its depot (the first of equals), which is
     that robot's fixed tour start."""
-    depots = _depot_array(depots)
+    depots = _depots(depots)
     m = len(depots)
     _check_m(inst.dimension, m)
-    d2 = _depot_distances(inst, depots)
+    d2 = _depot_distances(inst, np.array(depots))
     part = _as_partition(_rebalance(inst.coords, d2.argmin(axis=1), m), m)
     return part, tuple(sub[int(d2[list(sub), k].argmin())] for k, sub in enumerate(part.subsets))

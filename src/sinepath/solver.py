@@ -46,7 +46,7 @@ from .backbone import christofides_seed, kruskal_mst, restrict_edges
 from .backbone import dfs_preorder_seed  # noqa: F401  perfbench's tracer wraps this name
 from .instances import Instance, build_distance_matrix, distance_block
 from .objective import Objectives, Tour, evaluate_objectives, scalarized_objective, tour_length
-from .partition import (Partition, _check_m, partition_angle, partition_by_depots,
+from .partition import (Partition, _check_m, _depots, partition_angle, partition_by_depots,
                         partition_kmeans_like)
 
 MODE_SINE = "sine"
@@ -69,26 +69,6 @@ _RETIRED_ECHO = {
     "mu": 0.0,
     "seed_method": "christofides",
 }
-
-# Objectives that a partition built from one robot label per node fixes (no two
-# tours share an edge, so the retired penalty mu * overlap is 0 and J' = J),
-# echoed so that reports keep their bytes; the next re-record deletes this table.
-_OBJECTIVES_ECHO = {"overlap_total": lambda obj: 0, "mu": lambda obj: 0.0,
-                    "j_prime": lambda obj: obj.j_value}
-
-
-def _depots(depots) -> tuple[tuple[float, float], ...]:
-    """``depots`` as (x, y) pairs of floats; anything but a tuple or list of
-    tuple or list pairs of finite real numbers is refused."""
-    if isinstance(depots, (tuple, list)) and all(
-        isinstance(p, (tuple, list)) and len(p) == 2 for p in depots
-    ):
-        try:
-            return tuple((finite_real("x", x), finite_real("y", y)) for x, y in depots)
-        except ValueError:
-            pass
-    raise ValueError(f"depots must be (x, y) pairs of finite numbers, got {depots!r}")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -178,7 +158,10 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        data["objectives"].update((k, f(self.objectives)) for k, f in _OBJECTIVES_ECHO.items())
+        # Echoes of what a partition built from one robot label per node fixes
+        # (no two tours share an edge, so the retired mu * overlap is 0 and
+        # J' = J), kept so that reports keep their bytes until the next re-record.
+        data["objectives"].update(overlap_total=0, mu=0.0, j_prime=self.objectives.j_value)
         return data
 
     def canonical_json(self) -> str:
@@ -186,31 +169,6 @@ class SolveReport:
         data = self.to_dict()
         del data["wall_time"]
         return json.dumps(data, sort_keys=True)
-
-    @staticmethod
-    def from_dict(data: dict) -> "SolveReport":
-        """The report ``to_dict`` wrote; a node id that is not a JSON integer
-        (a float, a boolean, a string) is refused.  Echoed objectives must be
-        present; ``to_dict`` writes them anew."""
-        tours = tuple(
-            Tour(_node_ids(t["order"]), float(t["length"])) for t in data["tours"]
-        )
-        obj = dict(data["objectives"])
-        for key in _OBJECTIVES_ECHO:
-            del obj[key]
-        return SolveReport(**{
-            **data,
-            "tours": tours,
-            "objectives": Objectives(**{**obj, "per_robot": tuple(obj["per_robot"])}),
-            "convergence": tuple(data["convergence"]),
-        })
-
-
-def _node_ids(order) -> tuple[int, ...]:
-    for v in order:
-        if type(v) is not int:
-            raise ValueError(f"node id {v!r} is not an integer")
-    return tuple(order)
 
 
 def _make_partition(

@@ -369,7 +369,7 @@ def _svg_polylines(text):
 def test_svg_single_tour_closed(tri3_path):
     inst = load_instance(tri3_path)
     report = solve(inst, 1, SolverConfig(aco=TINY))
-    text = format_svg_routes(report, inst)
+    text = format_svg_routes([t.order for t in report.tours], inst)
     root, polylines, circles = _svg_polylines(text)
     assert len(polylines) == 1
     assert len(circles) == 3
@@ -381,7 +381,7 @@ def test_svg_single_tour_closed(tri3_path):
 def test_svg_multiple_tours_distinct_colors():
     inst = random_planar_instance(12, seed=882)
     report = solve(inst, 4, SolverConfig(aco=TINY))
-    text = format_svg_routes(report, inst)
+    text = format_svg_routes([t.order for t in report.tours], inst)
     _, polylines, circles = _svg_polylines(text)
     assert len(polylines) == 4
     colors = {p.attrib["stroke"] for p in polylines}
@@ -395,7 +395,7 @@ def test_svg_geo_axes():
     coords = np.array([[10.0, 20.0], [10.0, 30.0], [12.0, 25.0]])
     inst = Instance("g3", coords, Metric.GREAT_CIRCLE)
     report = solve(inst, 1, SolverConfig(aco=TINY))
-    text = format_svg_routes(report, inst)
+    text = format_svg_routes([t.order for t in report.tours], inst)
     _, _, circles = _svg_polylines(text)
     cx = [float(c.attrib["cx"]) for c in circles]
     assert cx[1] > cx[0]

@@ -106,6 +106,23 @@ def test_solve_output_in_a_missing_directory_fails_first(flag, tmp_path, bench51
         assert sorted(taken.iterdir()) == []
 
 
+@pytest.mark.parametrize("svg", ["r.json", "./r.json", "{tmp}/r.json"])
+def test_solve_refuses_one_file_for_report_and_svg(svg, tmp_path, bench51_path, capsys,
+                                                   monkeypatch):
+    # the SVG used to overwrite the report after "report written to r.json";
+    # the two paths are now compared resolved, before anything is loaded
+    def no_load(path):
+        raise AssertionError("loaded the instance")
+
+    monkeypatch.setattr("sinepath.cli.load_instance", no_load)
+    monkeypatch.chdir(tmp_path)
+    svg = svg.format(tmp=tmp_path)
+    argv = ["solve", str(bench51_path), "--robots", "2", "--out", "r.json", "--svg", svg]
+    assert main(argv + FAST) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {svg}: the same file as r.json\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _unwritable_outputs(tmp_path, taken):
     """(output file path, the cause named) for a path in a missing directory
     and for a path that is an existing directory, ``taken``."""
@@ -793,6 +810,36 @@ def test_plot_refuses_report_of_larger_instance(tmp_path, tri3_path, bench51_pat
     err = capsys.readouterr().err
     assert str(report) in err and "outside [0, 3)" in err
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("name", ["bench51.tsp", "geo50.csv"])
+def test_plot_draws_the_bytes_solve_drew(name, tmp_path, data_dir, capsys):
+    instance, report = data_dir / name, tmp_path / "r.json"
+    solved, plotted = tmp_path / "solved.svg", tmp_path / "plotted.svg"
+    argv = ["solve", str(instance), "--robots", "2", "--out", str(report), "--svg", str(solved)]
+    assert main(argv + FAST) == EXIT_OK
+    assert main(["plot", str(report), str(instance), "--out", str(plotted)]) == EXIT_OK
+    assert plotted.read_bytes() == solved.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_plot_reads_only_the_instance_name_and_the_orders(tmp_path, bench51_path, capsys):
+    # plot draws the tour orders alone, so a report without objectives,
+    # convergence, config or tour lengths draws as the full one does
+    report = _bench51_report(tmp_path, bench51_path)
+    data = json.loads(report.read_text())
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"instance": data["instance"],
+                                "tours": [{"order": t["order"]} for t in data["tours"]]}))
+    for path, svg in ((report, "full.svg"), (bare, "bare.svg")):
+        assert main(["plot", str(path), str(bench51_path), "--out", str(tmp_path / svg)]) == 0
+    assert (tmp_path / "bare.svg").read_bytes() == (tmp_path / "full.svg").read_bytes()
+    assert capsys.readouterr().err == ""
+    bare.write_text(json.dumps({"instance": data["instance"]}))
+    code = main(["plot", str(bare), str(bench51_path), "--out", str(tmp_path / "none.svg")])
+    assert code == EXIT_PARSE
+    assert f"error: {bare}: not a solve report: missing key 'tours'" in capsys.readouterr().err
+    assert not (tmp_path / "none.svg").exists()
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from sinepath.instances import Instance, Metric, load_instance, random_planar_instance
 from sinepath.partition import partition_angle, partition_by_depots, partition_kmeans_like
+from sinepath.solver import SolverConfig
 
 
 def _check_valid(part, n, m):
@@ -91,7 +92,7 @@ def test_depot_partition_and_starts():
 
 def test_depot_validation():
     inst = random_planar_instance(10, seed=56)
-    with pytest.raises(ValueError, match=r"\(m, 2\)"):
+    with pytest.raises(ValueError, match="depots must be"):
         partition_by_depots(inst, [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="robot count 11"):
         partition_by_depots(inst, [(0.0, 0.0)] * 11)
@@ -123,11 +124,35 @@ def test_partitions_refuse_a_robot_count_that_is_not_an_integer(m):
         partition_kmeans_like(inst, m, seed=0)
 
 
+@pytest.mark.parametrize(
+    "depots", [(("0", "0"), ("100", "100")), ((True, False), (60, 60))], ids=["string", "bool"]
+)
+def test_partition_by_depots_refuses_what_the_config_refuses(depots):
+    # strings and booleans used to be read as coordinates here while
+    # SolverConfig refused them; both now refuse them with one message
+    inst = random_planar_instance(10, seed=57)
+    with pytest.raises(ValueError, match="depots must be") as refused:
+        partition_by_depots(inst, depots)
+    with pytest.raises(ValueError) as config_refused:
+        SolverConfig(depots=depots)
+    assert str(refused.value) == str(config_refused.value)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", True, -1, None], ids=repr)
+def test_kmeans_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # 1.5 and "3" used to raise a bare TypeError, True to run as seed 1, -1
+    # to raise numpy's message without the name and None to draw fresh entropy
+    inst = random_planar_instance(10, seed=57)
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        partition_kmeans_like(inst, 2, seed=seed)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_partition_by_depots_refuses_non_finite_depots(bad):
     # a NaN or infinite depot used to return an arbitrary balanced split
     inst = random_planar_instance(10, seed=57)
-    with pytest.raises(ValueError, match="finite coordinates"):
+    with pytest.raises(ValueError, match="depots must be"):
         partition_by_depots(inst, [(bad, 0.0), (100.0, 100.0)])
 
 

@@ -1,11 +1,12 @@
 """Every public name of the package has a caller outside the tests.
 
 Each top-level public ``def``, ``class`` and assigned name in
-``src/sinepath/*.py`` must be referenced by another module of the package,
-by its own module outside its own definition, or by ``demos/`` or
-``perfbench/``.  A reference is a Name, an Attribute or an import alias;
-docstrings, comments and other strings do not count.  Code that ships only
-to serve the tests fails here.
+``src/sinepath/*.py``, and each public method or property of a top-level
+class, must be referenced by another module of the package, by its own
+module outside its own definition, or by ``demos/`` or ``perfbench/``.  A
+reference is a Name, an Attribute or an import alias; docstrings, comments
+and other strings do not count.  Code that ships only to serve the tests
+fails here.
 """
 
 import ast
@@ -16,8 +17,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _defined(tree: ast.Module):
-    """(name, statement) for each public name a top-level statement defines."""
+    """(name, statement) for each public name a top-level statement defines,
+    and (``Class.name``, definition) for each public method or property of a
+    top-level class."""
     for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{d.name}", d) for d in stmt.body
+                        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not d.name.startswith("_"))
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [stmt.name]
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -50,9 +57,10 @@ def _uncalled(modules: dict[str, str], outside: list[str]) -> list[str]:
     missing = []
     for module, tree in trees.items():
         elsewhere = external + sum((c for m, c in counts.items() if m != module), Counter())
-        for name, stmt in _defined(tree):
+        for label, stmt in _defined(tree):
+            name = label.rpartition(".")[2]  # a method is referenced as an attribute
             if not elsewhere[name] and counts[module][name] <= _references(stmt)[name]:
-                missing.append(f"{module}: {name}")
+                missing.append(f"{module}: {label}")
     return missing
 
 
@@ -64,6 +72,17 @@ def test_check_finds_a_name_only_its_definition_reads():
     }
     outside = ["import b\nb.Shown()\n"]
     assert _uncalled(modules, outside) == ["a.py: UNUSED", "a.py: recursive"]
+
+
+def test_check_finds_a_method_only_its_definition_reads():
+    modules = {
+        "a.py": "class Shape:\n    def area(self):\n        return self.side() ** 2\n\n"
+                "    def side(self):\n        return 1\n\n    @property\n"
+                "    def unread(self):\n        return self.unread\n\n"
+                "    def spare(self):\n        pass\n\n    def _private(self):\n        pass\n",
+    }
+    outside = ["from a import Shape\nShape().area()\n"]
+    assert _uncalled(modules, outside) == ["a.py: Shape.unread", "a.py: Shape.spare"]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
