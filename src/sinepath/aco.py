@@ -215,9 +215,8 @@ class SubsetColony:
         # An overflow to inf is refused by name in construct_colony.
         with np.errstate(over="ignore"):
             weight = eta ** params.beta
-            if omega != 1.0:
-                weight[bu, bv] *= omega
-                weight[bv, bu] *= omega
+            weight[bu, bv] *= omega
+            weight[bv, bu] *= omega
             least = np.minimum.reduce(_off_diagonal(weight), axis=None, initial=np.inf)
             if least == 0:
                 raise ValueError(

@@ -13,7 +13,8 @@ A seed tour comes from the classic Christofides-style construction: pair the
 odd-degree MST vertices with a perfect matching, walk an Euler tour of the
 combined multigraph, then shortcut repeated vertices to their first
 occurrence.  In metric instances the seed length is sandwiched between the
-MST cost and MST + matching cost.
+MST cost and MST + matching cost.  A one-node block takes the same path: no
+edge, no odd vertex, and a walk and seed of the node alone.
 
 Everything here is deterministic: edge candidates are ranked by
 (weight, u, v) with canonical u < v endpoints, and the Euler walk consumes
@@ -75,8 +76,6 @@ def kruskal_mst(d: np.ndarray) -> Backbone:
     k = len(d)
     if k == 0:
         raise ValueError("the distance matrix must be non-empty")
-    if k == 1:
-        return Backbone((0,), (), 0.0)
     # min and max carry a NaN or an inf through without an n^2 temporary.
     if not (np.isfinite(d.min()) and np.isfinite(d.max())):
         raise ValueError("non-finite weights in the MST block")
@@ -135,10 +134,7 @@ def odd_degree_vertices(backbone: Backbone) -> tuple[int, ...]:
     for e in backbone.edges:
         degree[e.u] += 1
         degree[e.v] += 1
-    odd = tuple(v for v in backbone.nodes if degree[v] % 2 == 1)
-    if len(odd) % 2 != 0:
-        raise RuntimeError("odd-degree vertex count must be even")
-    return odd
+    return tuple(v for v in backbone.nodes if degree[v] % 2 == 1)
 
 
 def greedy_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
@@ -147,8 +143,6 @@ def greedy_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
     verts = np.array(sorted(set(map(int, odd_vertices))), dtype=np.int64)
     if len(verts) % 2 != 0:
         raise ValueError("matching needs an even number of vertices")
-    if len(verts) == 0:
-        return ()
     iu, ju, w = _sorted_pair_order(d, verts)
     matched = [False] * len(verts)
     out: list[Edge] = []
@@ -162,14 +156,15 @@ def greedy_min_matching(d: np.ndarray, odd_vertices) -> tuple[Edge, ...]:
     return tuple(out)
 
 
-def euler_tour(backbone: Backbone, matching, start: int) -> list[int]:
-    """Closed Eulerian walk over the MST-plus-matching multigraph.
+def euler_tour(backbone: Backbone, matching) -> list[int]:
+    """Closed Eulerian walk over the MST-plus-matching multigraph, from the
+    backbone's first node; a one-node backbone walks ``[node]``.
 
     Hierholzer's algorithm over sorted adjacency lists; parallel edges are
     kept apart by edge id.
     """
     edges = list(backbone.edges) + list(matching)
-    adj: dict[int, list[tuple[int, int]]] = {}
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in backbone.nodes}
     for eid, e in enumerate(edges):
         adj.setdefault(e.u, []).append((e.v, eid))
         adj.setdefault(e.v, []).append((e.u, eid))
@@ -177,12 +172,10 @@ def euler_tour(backbone: Backbone, matching, start: int) -> list[int]:
         adj[v].sort()
         if len(adj[v]) % 2 != 0:
             raise RuntimeError(f"vertex {v} has odd multigraph degree")
-    if start not in adj:
-        raise RuntimeError(f"start vertex {start} is isolated")
 
     used = [False] * len(edges)
     pointer = {v: 0 for v in adj}
-    stack = [int(start)]
+    stack = [backbone.nodes[0]]
     walk_rev: list[int] = []
     while stack:
         v = stack[-1]
@@ -211,18 +204,14 @@ def shortcut(walk, d: np.ndarray) -> Tour:
         if v not in seen:
             seen.add(v)
             order.append(v)
-    if not order:
-        raise ValueError("empty walk")
     return Tour(tuple(order), tour_length(order, d))
 
 
 def christofides_seed(d: np.ndarray) -> Tour:
     """MST + greedy odd-vertex matching + Euler walk + shortcut over all nodes of ``d``."""
     mst = kruskal_mst(d)
-    if len(d) == 1:
-        return Tour((0,), 0.0)
     matching = greedy_min_matching(d, odd_degree_vertices(mst))
-    return shortcut(euler_tour(mst, matching, 0), d)
+    return shortcut(euler_tour(mst, matching), d)
 
 
 def dfs_preorder_seed(d: np.ndarray) -> Tour:

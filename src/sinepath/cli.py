@@ -2,9 +2,9 @@
 drawing that ``solve --svg`` and ``plot`` write.
 
 Exit codes: 0 success, 2 usage error, 3 instance or report parse/read failure
-or an output path that cannot be written (checked before anything is loaded
-or solved), 4 solver domain error (bad robot count, parameter out of range, a
-bench whose every cell failed).
+or an output path that cannot be written or names an input (checked before
+anything is loaded or solved), 4 solver domain error (bad robot count,
+parameter out of range, a bench whose every cell failed).
 """
 
 from __future__ import annotations
@@ -216,12 +216,12 @@ def format_svg_routes(orders, inst: Instance) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _check_output_dirs(*paths) -> None:
+def _check_output_dirs(inputs, *paths) -> None:
     """Refuse, before any loading or solving, an output file path whose
     directory is missing, that is a directory itself or that names the file
-    of an earlier path, so that a long run does not end in a failed or lost
-    write."""
-    written = {}
+    of an input or of an earlier path, so that a long run does not end in a
+    failed or lost write and no input is overwritten."""
+    written = {Path(path).resolve(): path for path in inputs}
     for path in (p for p in paths if p is not None):
         target = Path(path)
         if target.is_dir():
@@ -245,7 +245,7 @@ def _check_out_dir(path) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _check_output_dirs(args.out, args.svg)
+    _check_output_dirs([args.instance], args.out, args.svg)
     inst = load_instance(args.instance)
     cfg = _config(args, args.mode)
     report = solve(inst, args.robots, cfg)
@@ -286,7 +286,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _check_output_dirs(args.out)
+    _check_output_dirs([args.instance], args.out)
     inst = load_instance(args.instance)
     sweep = ablation_sweep(
         inst, args.robots, args.weights, repeats=args.repeats,
@@ -328,7 +328,7 @@ def _read_tours(path: str, n: int) -> tuple[object, list[list[int]]]:
 
 
 def _cmd_plot(args) -> int:
-    _check_output_dirs(args.out)
+    _check_output_dirs([args.report, args.instance], args.out)
     inst = load_instance(args.instance)
     name, orders = _read_tours(args.report, inst.dimension)
     if name != inst.name:

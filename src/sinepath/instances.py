@@ -94,11 +94,11 @@ def distance_block(inst: Instance, nodes) -> np.ndarray:
     Rows are computed ``_BLOCK_CELLS`` cells at a time, so the scratch stays
     a few row blocks whatever k is.  Each cell depends only on its two
     nodes' coordinates, so a subset's block holds the bits of the full
-    matrix's cells.  Symmetry and the zero diagonal hold exactly.  A
-    Euclidean coordinate difference negates exactly, so every cell is
-    computed in place; the great-circle upper triangle is computed once and
-    copied below the diagonal.  Coordinates so large that a distance
-    overflows are refused with a ``ValueError``.
+    matrix's cells.  Every cell is computed, and symmetry and the +0.0
+    diagonal hold exactly: a coordinate difference negates exactly, a
+    squared sine of it does not see the sign, and a product of cosines
+    commutes.  Coordinates so large that a distance overflows are refused
+    with a ``ValueError``.
     """
     idx = np.asarray(nodes)
     n = inst.dimension
@@ -129,16 +129,11 @@ def distance_block(inst: Instance, nodes) -> np.ndarray:
                 rows += dy
             np.sqrt(rows, out=rows)
         else:
-            # Columns lo..k-1, kept above the diagonal.
-            dphi = lat[lo:hi, None] - lat[None, lo:]
-            dlmb = lon[lo:hi, None] - lon[None, lo:]
-            s = np.sin(dphi / 2.0) ** 2 + cos_lat[lo:hi, None] * cos_lat[None, lo:] * np.sin(dlmb / 2.0) ** 2
-            rows[:, lo:] = np.triu(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))), k=1)
-            # Below the diagonal: earlier rows' cells copied, and the square
-            # block added to its transpose, which adds only +0.0 to a cell.
-            rows[:, :lo] = out[:lo, lo:hi].T
-            square = rows[:, lo:hi]
-            square += square.T
+            dphi = lat[lo:hi, None] - lat
+            dlmb = lon[lo:hi, None] - lon
+            s = np.sin(dphi / 2.0) ** 2 + cos_lat[lo:hi, None] * cos_lat * np.sin(dlmb / 2.0) ** 2
+            np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0, out=s), out=s), out=rows)
+            rows *= 2.0 * EARTH_RADIUS_KM
         # Distances are non-negative: the max is finite exactly when every cell is.
         if not np.isfinite(rows.max()):
             scale = float(np.abs(coords).max())
@@ -293,9 +288,12 @@ def random_planar_instance(
     n: int, seed: int, clusters: int = 0, name: str | None = None
 ) -> Instance:
     """Seeded synthetic planar instance in the 100 x 100 box, optionally
-    drawn around cluster centers."""
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
+    drawn around cluster centers.  An ``n`` that is not an int of at least 2,
+    and a ``seed`` or ``clusters`` that is not a non-negative int, are
+    refused by name, a bool too."""
+    for arg, count, least in (("n", n, 2), ("seed", seed, 0), ("clusters", clusters, 0)):
+        if type(count) is not int or count < least:
+            raise ValueError(f"{arg} must be an integer of at least {least}, got {count!r}")
     rng = np.random.default_rng(seed)
     if clusters > 0:
         centers = rng.uniform(0.0, 100.0, size=(clusters, 2))

@@ -90,6 +90,9 @@ class SolverConfig:
             raise ValueError("lambda must lie in [0, 1]")
         if self.partition_method not in PARTITION_METHODS:
             raise ValueError(f"unknown partition method {self.partition_method!r}")
+        if type(self.seed_with_christofides) is not bool:
+            raise ValueError(
+                f"seed_with_christofides must be a bool, got {self.seed_with_christofides!r}")
         seed, window = self.master_seed, self.stagnation_window
         if type(seed) is not int or seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, got {seed!r}")
@@ -317,14 +320,13 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             i = 0 if start is None else order.index(start)
             order = order[i:] + order[:i]
             seed_tours.append(Tour(order, tour_length(order, colony.dist)))
+            # One flat bonus deposit before the first iteration: every seed
+            # edge earns q/L * (1 + kappa).
+            colony.deposit(seed_tours[-1], flat_bonus=True)
         state.tours = tuple(seed_tours)
         state.j_value = scalarized_objective(
             [t.length for t in seed_tours], cfg.lambda_weight
         )
-        # One flat bonus deposit before the first iteration: every seed edge
-        # earns q/L * (1 + kappa).
-        for colony, tour in zip(colonies, seed_tours):
-            colony.deposit(tour, flat_bonus=True)
 
     for t in range(p.max_iter):
         if t % _SEED_CHUNK == 0:

@@ -70,11 +70,10 @@ def _normal_two_sided_p(ranks: np.ndarray, w_min: float) -> float:
     n = len(ranks)
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    # Tie correction: each group of t equal ranks removes (t^3 - t) / 48.
+    # Tie correction: each group of t equal ranks removes (t^3 - t) / 48, all
+    # groups together at most (n^3 - n) / 48, so var stays positive.
     _, tie_counts = np.unique(ranks, return_counts=True)
     var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
-    if var <= 0:
-        return 1.0
     z = (w_min - mean + 0.5) / math.sqrt(var)
     # 2 * Phi(z) for the lower tail, via the complementary error function.
     p = math.erfc(-z / math.sqrt(2.0))
@@ -97,8 +96,6 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         raise ValueError("paired samples contain NaN (a NaN value or inf - inf)")
     diff = diff[diff != 0.0]
     n = len(diff)
-    if n == 0:
-        return WilcoxonResult(0.0, 0.0, 0.0, 0, 1.0, "equal")
 
     ranks = _average_ranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())

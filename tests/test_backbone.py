@@ -233,7 +233,7 @@ def test_euler_tour_covers_edge_multiset():
         d = _random_matrix(n, 500 + trial)
         mst = kruskal_mst(d)
         matching = greedy_min_matching(d, odd_degree_vertices(mst))
-        walk = euler_tour(mst, matching, 0)
+        walk = euler_tour(mst, matching)
         assert walk[0] == 0 and walk[-1] == 0
         walked = collections.Counter(
             (min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])
@@ -248,25 +248,24 @@ def test_euler_tour_parallel_edges():
     # two nodes: MST edge doubled by the matching -> walk 0,1,0
     bb = Backbone((0, 1), (make_edge(0, 1, 2.0),), 2.0)
     matching = (make_edge(0, 1, 2.0),)
-    assert euler_tour(bb, matching, 0) == [0, 1, 0]
+    assert euler_tour(bb, matching) == [0, 1, 0]
 
 
 def test_euler_tour_edgeless_and_errors():
-    # an edgeless graph leaves the start isolated; christofides_seed never
-    # walks one, since it returns a single node's tour before the walk
-    with pytest.raises(RuntimeError, match="isolated"):
-        euler_tour(Backbone((3,), (), 0.0), (), 3)
+    # a one-node backbone walks its node alone, as christofides_seed's
+    # one-node block does
+    assert euler_tour(Backbone((0,), (), 0.0), ()) == [0]
     # odd degree
     chain = Backbone((0, 1), (make_edge(0, 1, 1.0),), 1.0)
     with pytest.raises(RuntimeError, match="odd"):
-        euler_tour(chain, (), 0)
+        euler_tour(chain, ())
     # even degrees but two components
     bb2 = Backbone(
         (0, 1, 2, 3), (make_edge(0, 1, 1.0), make_edge(2, 3, 1.0)), 2.0
     )
     doubled = (make_edge(0, 1, 1.0), make_edge(2, 3, 1.0))
     with pytest.raises(RuntimeError, match="disconnected"):
-        euler_tour(bb2, doubled, 0)
+        euler_tour(bb2, doubled)
 
 
 def test_shortcut_first_occurrence():
@@ -285,7 +284,7 @@ def test_shortcut_never_longer_than_walk():
         d = _random_matrix(n, 600 + trial)
         mst = kruskal_mst(d)
         matching = greedy_min_matching(d, odd_degree_vertices(mst))
-        walk = euler_tour(mst, matching, 0)
+        walk = euler_tour(mst, matching)
         walk_len = sum(d[a, b] for a, b in zip(walk, walk[1:]))
         seed = shortcut(walk, d)
         assert seed.length <= walk_len + 1e-9

@@ -123,6 +123,40 @@ def test_solve_refuses_one_file_for_report_and_svg(svg, tmp_path, bench51_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, output, input_",
+    [
+        (["solve", "tri3.tsp", "--out", "./tri3.tsp"], "./tri3.tsp", "tri3.tsp"),
+        (["solve", "tri3.tsp", "--out", "new.json", "--svg", "{tmp}/tri3.tsp"],
+         "{tmp}/tri3.tsp", "tri3.tsp"),
+        (["ablate", "tri3.tsp", "--robots", "1", "--out", "tri3.tsp"], "tri3.tsp", "tri3.tsp"),
+        (["plot", "r.json", "tri3.tsp", "--out", "r.json"], "r.json", "r.json"),
+        (["plot", "r.json", "tri3.tsp", "--out", "./tri3.tsp"], "./tri3.tsp", "tri3.tsp"),
+    ],
+    ids=["solve-out", "solve-svg", "ablate-out", "plot-report", "plot-instance"],
+)
+def test_output_that_names_an_input_is_refused_first(argv, output, input_, tmp_path, tri3_path,
+                                                     capsys, monkeypatch):
+    # "solve tri3.tsp --out tri3.tsp" exited 0 and replaced the instance with
+    # its report, and "plot r.json tri3.tsp --out r.json" replaced the report
+    # with the drawing; an output that resolves to an input is now refused
+    # before anything is read or written
+    def no_load(path):
+        raise AssertionError("loaded the instance")
+
+    monkeypatch.setattr("sinepath.cli.load_instance", no_load)
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(tri3_path, "tri3.tsp")
+    Path("r.json").write_text("kept\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == EXIT_PARSE
+    output = output.format(tmp=tmp_path)
+    assert capsys.readouterr().err == f"error: {output}: the same file as {input_}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "tri3.tsp"]
+    assert Path("tri3.tsp").read_bytes() == tri3_path.read_bytes()
+    assert Path("r.json").read_text() == "kept\n"
+
+
 def _unwritable_outputs(tmp_path, taken):
     """(output file path, the cause named) for a path in a missing directory
     and for a path that is an existing directory, ``taken``."""

@@ -257,15 +257,49 @@ def test_matrix_bit_identical_to_reference(n, scale):
 
 @pytest.mark.parametrize("n", [2, 3, 301, 1500])
 def test_great_circle_matrix_bit_identical_to_reference(n):
-    # the row-blocked kernel computes only the upper triangle and copies it
-    # down; the whole-matrix expression it replaced must read the same bits
+    # the row-blocked kernel computes every cell, both triangles; the
+    # whole-matrix expression it replaced mirrors its upper triangle, so the
+    # two read the same bits only if the haversine expression is exactly
+    # symmetric
     rng = np.random.default_rng(n + 1)
     coords = np.column_stack([rng.uniform(-90, 90, size=n), rng.uniform(-180, 180, size=n)])
     inst = Instance("g", coords, Metric.GREAT_CIRCLE)
     d = build_distance_matrix(inst)
     assert np.array_equal(d, reference_great_circle_matrix(inst.coords))
-    assert np.array_equal(d, d.T)
+    _assert_bit_symmetric_with_zero_diagonal(d)
     assert not np.signbit(d).any()
+
+
+def _assert_bit_symmetric_with_zero_diagonal(d):
+    bits = d.view(np.uint64)
+    assert np.array_equal(bits, bits.T)
+    assert not np.diag(bits).any()  # +0.0, not -0.0
+
+
+# (lat, lon) points where the haversine terms sit at their edges: the poles
+# at several longitudes, both sides of the antimeridian, antipodal pairs, and
+# points 1e-9 degrees apart.
+_EDGE_POINTS = [
+    (90.0, 0.0), (90.0, 137.0), (-90.0, 0.0), (-90.0, -180.0),
+    (0.0, 180.0), (0.0, -180.0), (10.0, 179.999999999), (10.0, -179.999999999),
+    (0.0, 0.0), (45.0, 30.0), (-45.0, -150.0), (12.5, -33.0), (-12.5, 147.0),
+    (45.0 + 1e-9, 30.0), (45.0, 30.0 + 1e-9), (-1e-9, 1e-9), (89.999999999, -45.0),
+]
+
+
+@pytest.mark.parametrize("block_cells", [1, 1 << 15], ids=["row-per-block", "one-block"])
+def test_great_circle_matrix_bit_symmetric_at_edge_points(block_cells, monkeypatch):
+    # the kernel computes both triangles, so this fails on a platform whose
+    # sin is not sign-symmetric, or whose cosine product does not commute
+    monkeypatch.setattr(instances, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(7)
+    coords = np.vstack([_EDGE_POINTS, np.column_stack(
+        [rng.uniform(-90, 90, size=40), rng.uniform(-180, 180, size=40)])])
+    d = build_distance_matrix(Instance("edges", coords, Metric.GREAT_CIRCLE))
+    assert np.array_equal(d, reference_great_circle_matrix(coords))
+    _assert_bit_symmetric_with_zero_diagonal(d)
+    assert not np.signbit(d).any()
+    assert d[0, 2] == d[8, 4] == math.pi * EARTH_RADIUS_KM  # pole to pole, antipodes
 
 
 def test_matrix_memory_peak():
@@ -444,3 +478,17 @@ def test_random_planar_instance_seeded():
     assert a.dimension == 30
     assert len(np.unique(a.coords, axis=0)) == 30
     assert np.all((a.coords >= 0) & (a.coords <= 100))
+
+
+@pytest.mark.parametrize(
+    "arg, bad",
+    [("n", 10.0), ("n", 1), ("n", True), ("seed", 1.5), ("seed", -1), ("seed", True),
+     ("clusters", 1.5), ("clusters", -1), ("clusters", True)],
+)
+def test_random_planar_instance_refuses_bad_counts_by_name(arg, bad):
+    # n=10.0 and seed=1.5 raised a bare TypeError, seed=-1 numpy's message,
+    # seed=True ran as 1 under the name "rand10-sTrue" and clusters=-1 drew
+    # uniform points
+    counts = {"n": 10, "seed": 1, "clusters": 0, arg: bad}
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer of at least"):
+        random_planar_instance(**counts)

@@ -87,6 +87,15 @@ def test_config_reals_must_be_real_numbers(name, bad):
         SolverConfig(**{name: bad})
 
 
+@pytest.mark.parametrize("bad", ["False", 1, 0, None, np.bool_(True)],
+                         ids=["text", "one", "zero", "none", "numpy-bool"])
+def test_config_seeding_switch_must_be_a_bool(bad):
+    # "False" used to seed, and 1 ran the solve of True under another report hash
+    message = f"seed_with_christofides must be a bool, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(seed_with_christofides=bad)
+
+
 def test_config_reals_are_stored_as_floats():
     # omega=2 echoed "omega": 2 where omega=2.0 echoes 2.0, and depots
     # ((0, 0),) echoed [[0, 0]], so one configuration had two report hashes

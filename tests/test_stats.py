@@ -1,5 +1,6 @@
 """Signed-rank test and mean-rank tables against independent oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -141,6 +142,30 @@ def test_wilcoxon_normal_approximation_branch():
     w_min = min(ranks[diff > 0].sum(), ranks[diff < 0].sum())
     approx = _normal_two_sided_p(ranks, w_min)
     assert approx == pytest.approx(exact.p_value, rel=0.2)
+
+
+@st.composite
+def _normal_path_differences(draw):
+    """26-80 non-zero differences whose magnitudes come from 1-80 distinct
+    values, so every tie pattern, all magnitudes equal included, comes up."""
+    n = draw(st.integers(26, 80))
+    values = draw(st.integers(1, 80))
+    magnitudes = draw(st.lists(st.integers(1, values), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    return np.array(signs) * np.array(magnitudes, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_normal_path_differences())
+@example(np.ones(26))
+@example(np.ones(80))
+@example(np.r_[np.ones(40), -np.ones(40)])
+def test_normal_path_p_is_a_probability(diff):
+    # the tie-corrected variance stays positive: the tie groups remove at
+    # most (n^3 - n) / 48 of n(n + 1)(2n + 1) / 24
+    res = wilcoxon_signed_rank(diff, np.zeros(len(diff)))
+    assert res.n_effective == len(diff) > 25
+    assert math.isfinite(res.p_value) and 0.0 < res.p_value <= 1.0
 
 
 def test_friedman_always_best():
