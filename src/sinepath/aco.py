@@ -18,18 +18,19 @@ algorithm is a parameter setting of this module, not a separate code path.
 Sampling inverts the cumulative score sum with one uniform draw u per step.
 The colony picks the first node whose prefix sum exceeds u * total, which is
 the count of prefix sums at or below it only while every score is
-non-negative; a negative trail is therefore refused.
+non-negative, as every score is: a trail starts at 1 off the diagonal,
+evaporates by 1 - rho in [0, 1) and takes deposits q/L * gain with L > 0.
 
 Two invariants keep every pick on an unvisited node.  Every successor score
-is at least 2 * TRAIL_FLOOR: each colony scales its visibility once by a
-power of two 2^k, k >= 0, that puts its least off-diagonal weight in [2, 4)
-unless it lies higher, so a trail factor floored at TRAIL_FLOOR, as
-``local_tau`` floors it, times any weight is at least 2 * TRAIL_FLOOR; the
+is at least 2 * TRAIL_FLOOR: each colony scales its visibility once by the
+power of two that puts its least off-diagonal weight in [2, 4), and scores
+its own trail through ``local_tau``, which floors it at TRAIL_FLOOR; the
 scale leaves every product, prefix sum and pick with the same bits, barring
-under- and overflow.  And every draw is capped at 1 - 2^-53, the largest
-double below 1.  A colony refuses a least weight of 0; a call refuses a
-successor score at or below TRAIL_FLOOR or NaN, n_local times the largest
-score reaching half the largest double, a start that is not an integer in
+overflow.  And every draw is capped at 1 - 2^-53, the largest double below
+1.  A colony refuses a least weight of 0; a call refuses a successor score
+that is not finite (an overflowed visibility or trail, or the NaN that
+rho = 1 makes of an infinite trail), n_local times the largest score
+reaching half the largest double, a start that is not an integer in
 [0, n_local) and a draw outside [0, 1].
 
 Each row total T then sums at least one unvisited score, so it is finite,
@@ -222,16 +223,15 @@ class SubsetColony:
                 raise ValueError(
                     "(1/d)^beta underflows to 0; rescale the coordinates or lower beta")
             # least = f * 2^e with f in [0.5, 1), so least * 2^(2 - e) lies in [2, 4)
-            self.weight = np.ldexp(weight, max(0, 2 - math.frexp(least)[1]))
+            self.weight = np.ldexp(weight, 2 - math.frexp(least)[1])
 
-    def deposit(self, tour, *, flat_bonus: bool = False) -> None:
-        """Add q/L * (1 + kappa * [edge on the backbone]) on the trail of
-        each edge of ``tour``, a tour in this colony's local ids; with
-        ``flat_bonus`` every edge earns q/L * (1 + kappa), as the seed tour's
-        do.  Single-node tours deposit nothing; an id that is not an integer
-        in [0, n_local) or that appears twice is refused, and so is a tour of
-        2 or more nodes whose length is not a positive finite number."""
-        self._deposit(self._ring(tour), tour.length, flat_bonus)
+    def deposit(self, tour) -> None:
+        """The seed tour's deposit: q/L * (1 + kappa) on the trail of each
+        edge of ``tour``, in this colony's local ids.  Single-node tours
+        deposit nothing; an id that is not an integer in [0, n_local) or that
+        appears twice is refused, and so is a tour of 2 or more nodes whose
+        length is not a positive finite number."""
+        self._deposit(self._ring(tour), tour.length, flat_bonus=True)
 
     def _ring(self, tour) -> np.ndarray:
         """The tour's ids closed on its start, so that its legs run
@@ -280,21 +280,16 @@ class SubsetColony:
         return sub
 
     def construct_colony(
-        self,
-        tau_local: np.ndarray,
-        uniforms: np.ndarray,
-        start_local: int | None = None,
+        self, start_local: int | None, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """All ants' tours for one iteration.
+        """All ants' tours for one iteration, scored on ``local_tau() * weight``.
 
-        ``uniforms`` is (n_ants, n_local) with every draw in [0, 1], and
-        ``start_local`` is an integer in [0, n_local) when given.  Returns (orders,
-        lengths) with orders in local indices, one row per ant.
-
-        A trail factor is refused by name unless every successor score
-        ``tau_local * weight`` exceeds ``TRAIL_FLOOR``, as ``local_tau``'s
-        do, and ``n_local`` times the largest stays below half the largest
-        double (see the module docstring).
+        ``start_local`` is an integer in [0, n_local), or None to start each
+        ant at its first draw, and ``uniforms`` is (n_ants, n_local) with
+        every draw in [0, 1].  Returns (orders, lengths) with orders in local
+        indices, one row per ant.  Scores that are not finite, or n_local
+        times whose largest reaches half the largest double, are refused by
+        name (see the module docstring).
         """
         if uniforms.ndim != 2:
             raise ValueError(
@@ -302,8 +297,6 @@ class SubsetColony:
         na, nl = uniforms.shape
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
-        if np.shape(tau_local) != (nl, nl):
-            raise ValueError(f"trail factor of shape {np.shape(tau_local)} is not ({nl}, {nl})")
         if start_local is not None:
             if isinstance(start_local, bool) or not isinstance(start_local, (int, np.integer)):
                 raise ValueError(f"start_local must be an integer, got {start_local!r}")
@@ -316,24 +309,15 @@ class SubsetColony:
         if not 0.0 <= u_lo <= u_hi <= 1.0:  # NaN fails this too
             raise ValueError(f"uniform draws must lie in [0, 1], got {u_lo} to {u_hi}")
         with np.errstate(over="ignore"):  # an overflow is refused below
-            score_tau = tau_local * self.weight
-        # weight has a zero diagonal, so the diagonal of score_tau holds only
-        # +-0 or NaN: the full max sees every NaN, and the off-diagonal min
-        # is the least score a successor can have.
-        lo = minimum.reduce(_off_diagonal(score_tau), axis=None, initial=np.inf)
-        hi = maximum.reduce(score_tau, axis=None)
-        if lo < 0:  # NaN fails this and is refused below
-            raise ValueError("negative trail: successor scores must be non-negative")
+            score_tau = self.local_tau() * self.weight
         # Visited columns are zeroed by multiplying with a 0/1 mask, which is
-        # exact for finite scores but turns inf into NaN.
-        if hi == np.inf:
+        # exact for finite scores but turns inf into NaN; the max sees both.
+        hi = maximum.reduce(score_tau, axis=None)
+        if not math.isfinite(hi):
             raise ValueError(
                 "non-finite successor scores: (1/d)^beta or the trail overflows; "
                 "rescale the coordinates or lower beta"
             )
-        if not lo > TRAIL_FLOOR or math.isnan(hi):
-            raise ValueError("successor scores must exceed TRAIL_FLOOR and not be NaN; "
-                             "floor the trail factor as local_tau does")
         if not hi < _TOTAL_LIMIT / nl:
             raise ValueError("successor scores too large: a row total could overflow; "
                              "rescale the coordinates or lower beta")

@@ -13,12 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .aco import finite_real
 from .instances import Instance, load_instance
 from .solver import SolverConfig, solve
 from .stats import DEFAULT_SIGNIFICANCE, RankTable, friedman_mean_ranks, wilcoxon_signed_rank
@@ -32,6 +34,8 @@ DEFAULT_ABLATION_WEIGHTS = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 def _check_counts(robot_counts, repeats, seed_base) -> None:
     """Refuse, by name, counts that would fail every cell or key cells wrongly."""
+    if not isinstance(robot_counts, (tuple, list)):
+        raise ValueError(f"robot counts must be a tuple or list, got {robot_counts!r}")
     if not robot_counts or any(type(m) is not int or m < 1 for m in robot_counts):
         raise ValueError(f"robot counts must be positive integers, got {list(robot_counts)}")
     if len(set(robot_counts)) != len(robot_counts):
@@ -51,9 +55,17 @@ class ExperimentPlan:
     seed_base: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.instances, (tuple, list)) or not all(
+                isinstance(path, (str, os.PathLike)) for path in self.instances):
+            raise ValueError(f"instances must be a tuple or list of paths, got {self.instances!r}")
         if not self.instances:
             raise ValueError("plan needs at least one instance")
         _check_counts(self.robot_counts, self.repeats, self.seed_base)
+        if not isinstance(self.algorithms, dict) or not all(
+                isinstance(name, str) and isinstance(config, SolverConfig)
+                for name, config in self.algorithms.items()):
+            raise ValueError("algorithms must be a dict from str names to SolverConfig presets, "
+                             f"got {self.algorithms!r}")
         if not self.algorithms:
             raise ValueError("plan needs at least one algorithm")
 
@@ -199,9 +211,10 @@ def ablation_sweep(
     """
     if base_config is None:
         base_config = SolverConfig.classic()
-    robot_counts = list(robot_counts)
     _check_counts(robot_counts, repeats, seed_base)
-    weights = [float(w) for w in weights]
+    if not isinstance(weights, (tuple, list)):
+        raise ValueError(f"structural weights must be a tuple or list, got {weights!r}")
+    weights = [finite_real("structural weight", w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("structural weights must be non-negative")
     if len(set(weights)) != len(weights):

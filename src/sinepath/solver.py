@@ -320,9 +320,9 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             i = 0 if start is None else order.index(start)
             order = order[i:] + order[:i]
             seed_tours.append(Tour(order, tour_length(order, colony.dist)))
-            # One flat bonus deposit before the first iteration: every seed
-            # edge earns q/L * (1 + kappa).
-            colony.deposit(seed_tours[-1], flat_bonus=True)
+            # One deposit before the first iteration: every seed edge earns
+            # q/L * (1 + kappa).
+            colony.deposit(seed_tours[-1])
         state.tours = tuple(seed_tours)
         state.j_value = scalarized_objective(
             [t.length for t in seed_tours], cfg.lambda_weight
@@ -336,7 +336,7 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
         for colony, start, block_state in zip(colonies, starts, block_states[t % _SEED_CHUNK]):
             rng = np.random.Generator(np.random.PCG64(_SeedState(block_state)))
             uniforms = rng.random((p.n_ants, colony.n_local))
-            orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, start)
+            orders, lengths = colony.construct_colony(start, uniforms)
             best = int(lengths.argmin())
             bests.append(Tour(tuple(orders[best].tolist()), float(lengths[best])))
         incumbent_update(state, bests, cfg.lambda_weight, t)

@@ -36,13 +36,7 @@ from sinepath.bench import BenchResults, CellStats
 from sinepath.instances import EARTH_RADIUS_KM, build_distance_matrix
 from sinepath.objective import Tour, evaluate_objectives, scalarized_objective, tour_length
 from sinepath.partition import partition_angle, partition_by_depots, partition_kmeans_like
-from sinepath.solver import (
-    IncumbentState,
-    SolveReport,
-    _colony_seeds,
-    _SeedState,
-    incumbent_update,
-)
+from sinepath.solver import IncumbentState, SolveReport, incumbent_update
 
 
 def make_edge(u: int, v: int, weight: float) -> Edge:
@@ -562,10 +556,11 @@ def reference_solve(inst, m: int, cfg) -> SolveReport:
 tour is read from its depot start and measured on the dense matrix.
 
     Shared with ``solve`` and so not checked through it: the partitions
-    (``partition.py``'s public functions), ``christofides_seed``, the
-    draw-block seeding (``_colony_seeds`` and ``_SeedState``),
-    ``incumbent_update`` and the report types.  Each depot start is found
-    here, one member at a time.  The report's wall time is 0.
+    (``partition.py``'s public functions), ``christofides_seed``,
+    ``incumbent_update`` and the report types.  Each draw block (t, k) comes
+    from a ``SeedSequence`` seeded with (master_seed, 1, t, k), as the
+    determinism contract documents, and each depot start is found here, one
+    member at a time.  The report's wall time is 0.
     """
     p = cfg.aco
     if cfg.depots is not None:
@@ -612,10 +607,9 @@ tour is read from its depot start and measured on the dense matrix.
 
     for t in range(p.max_iter):
         bests = []
-        for sub, block, weight, start, seed_state in zip(
-            subsets, blocks, weights, starts, _colony_seeds(cfg.master_seed, t, 1, m)[0]
-        ):
-            rng = np.random.Generator(np.random.PCG64(_SeedState(seed_state)))
+        for k, (sub, block, weight, start) in enumerate(zip(subsets, blocks, weights, starts)):
+            seq = np.random.SeedSequence((cfg.master_seed, 1, t, k))
+            rng = np.random.Generator(np.random.PCG64(seq))
             uniforms = rng.random((p.n_ants, len(sub)))
             trail = tau[np.ix_(sub, sub)] ** p.alpha
             np.maximum(trail, TRAIL_FLOOR, out=trail)

@@ -31,12 +31,18 @@ from sinepath.aco import (
     update_pheromones,
 )
 from sinepath.backbone import kruskal_mst, restrict_edges
-from sinepath.instances import Instance, build_distance_matrix, random_planar_instance
+from sinepath.instances import (
+    Instance,
+    build_distance_matrix,
+    distance_block,
+    load_instance,
+    random_planar_instance,
+)
 from sinepath.objective import Tour, tour_length
+from sinepath.partition import partition_angle
 
-# construct_colony's refusals of a trail factor, by the bound each names
+# construct_colony's refusals of its scores, by the bound each names
 NON_FINITE = "non-finite successor scores"
-FLOOR_REFUSAL = "successor scores must exceed TRAIL_FLOOR and not be NaN"
 TOO_LARGE = "successor scores too large"
 
 TRI_D = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
@@ -322,10 +328,11 @@ def test_update_pheromones_disjoint_tours_single_deposit_each():
 
 
 def test_update_pheromones_bit_identical_to_edge_loop():
-    # overlapping tours (edge (0, 1) twice, deposited on one colony), a 2-node
-    # tour, a 1-node tour and backbone bonuses on a random trail: each
-    # colony's block must hold the same floats, added in the same order, as
-    # one deposit_amount per edge on the global matrix
+    # overlapping tours (edge (0, 1) twice, deposited on one colony, the
+    # second time as a seed), a 2-node tour, a 1-node tour and backbone
+    # bonuses on a random trail: each colony's block must hold the same
+    # floats, added in the same order, as one deposit_amount per edge on the
+    # global matrix and then the seed's flat deposit
     rng = np.random.default_rng(914)
     tau = _uniform_trail(12) * rng.uniform(0.2, 2.0, size=(12, 12))
     subsets = [(0, 1, 2, 3, 7, 8), (5, 6), (9,), (4, 10, 11)]
@@ -341,9 +348,8 @@ def test_update_pheromones_bit_identical_to_edge_loop():
         colonies = _colonies_on(tau, subsets, backbones, params)
         update_pheromones(colonies, list(map(_to_local, subsets, tours)))
         colonies[0].deposit(_to_local(subsets[0], overlap))
-        ref = reference_update_pheromones(
-            tau.copy(), tours + [overlap], backbones + [backbones[0]], params
-        )
+        ref = reference_update_pheromones(tau.copy(), tours, backbones, params)
+        reference_seed_deposit(ref, [overlap], params)
         for sub, colony in zip(subsets, colonies):
             assert np.array_equal(colony.tau, ref[np.ix_(sub, sub)])
         # the 2-node tour deposits exactly once in each direction
@@ -355,8 +361,8 @@ def test_update_pheromones_bit_identical_to_edge_loop():
 
 @pytest.mark.parametrize("kappa", [0.0, 1.5])
 def test_seed_deposit_bit_identical_to_scalar_loop(kappa):
-    # the solver's seed bonus deposits each seed with a flat bonus: the
-    # q/L * (1 + kappa) of the former scalar loop, bit for bit
+    # a colony deposits each seed with a flat bonus: the q/L * (1 + kappa)
+    # of the former scalar loop, bit for bit
     rng = np.random.default_rng(915)
     tau = _uniform_trail(10) * rng.uniform(0.2, 2.0, size=(10, 10))
     seeds = [Tour((0, 3, 1, 2), 7.3), Tour((4, 5), 2.9), Tour((6,), 0.0), Tour((9, 7, 8), 5.7)]
@@ -364,7 +370,7 @@ def test_seed_deposit_bit_identical_to_scalar_loop(kappa):
     subsets = [sorted(s.order) for s in seeds]
     colonies = _colonies_on(tau, subsets, [frozenset()] * len(seeds), params)
     for sub, colony, seed in zip(subsets, colonies, seeds):
-        colony.deposit(_to_local(sub, seed), flat_bonus=True)
+        colony.deposit(_to_local(sub, seed))
     ref = reference_seed_deposit(tau.copy(), seeds, params)
     for sub, colony in zip(subsets, colonies):
         assert np.array_equal(colony.tau, ref[np.ix_(sub, sub)])
@@ -406,7 +412,7 @@ def test_pheromone_bounds_over_long_run():
     off_diag = ~np.eye(10, dtype=bool)
     for t in range(1000):
         uniforms = rng.random((params.n_ants, 10))
-        orders, lengths = colony.construct_colony(colony.local_tau(), uniforms)
+        orders, lengths = colony.construct_colony(None, uniforms)
         best = int(lengths.argmin())
         tour = Tour(tuple(orders[best].tolist()), float(lengths[best]))
         min_length = min(min_length, tour.length)
@@ -438,13 +444,14 @@ def test_colony_zero_distance_rejected():
 
 
 def _scaled(weight):
-    """``weight`` times the power of two 2^k, k >= 0, that takes its least
-    off-diagonal entry to [2, 4) if it lies below 2."""
+    """``weight`` times the power of two 2^k that takes its least
+    off-diagonal entry to [2, 4)."""
     least = weight[~np.eye(len(weight), dtype=bool)].min()
     k = 0
     while least * 2.0**k < 2.0:
         k += 1
-    assert least * 2.0**k < 4.0 or k == 0
+    while least * 2.0**k >= 4.0:
+        k -= 1
     return weight * 2.0**k
 
 
@@ -464,14 +471,82 @@ def test_colony_weight_matrix():
     _, _, _, neutral = _colony_setup(8, 906, omega=1.0)
     plain = eta**params.beta
     assert np.array_equal(neutral.weight, _scaled(plain))
-    # a least weight of 4 or more is left as it is
+    # a least weight of 4 or more is scaled down to [2, 4) as well
     inst = random_planar_instance(8, seed=906)
     close = build_distance_matrix(Instance(inst.name, inst.coords * 1e-3, inst.metric))
     colony = SubsetColony(close, frozenset(), 1.0, params)
     eta = 1.0 / (close + np.eye(8))
     np.fill_diagonal(eta, 0.0)
-    assert np.array_equal(colony.weight, eta**params.beta)
-    assert colony.weight[~np.eye(8, dtype=bool)].min() >= 4.0
+    assert (eta**params.beta)[~np.eye(8, dtype=bool)].min() >= 4.0
+    assert np.array_equal(colony.weight, _scaled(eta**params.beta))
+    assert 2.0 <= colony.weight[~np.eye(8, dtype=bool)].min() < 4.0
+
+
+def test_colony_weight_is_free_of_the_coordinate_scale(bench51_path):
+    # scaling the coordinates by 2^j scales every (1/d)^2 by 2^(-2j) exactly,
+    # and the colony's power of two undoes it whichever way it points: the
+    # weight of a 13-node bench51 subset keeps its bits for every j, where a
+    # colony that only scaled up kept a least weight above 4 as it was
+    inst = load_instance(bench51_path)
+    sub = next(s for s in partition_angle(inst, 4).subsets if len(s) == 13)
+    backbone = restrict_edges(kruskal_mst(build_distance_matrix(inst)), sub)
+    params = AcoParams(beta=2.0)
+
+    def weight(j):
+        scaled = Instance(inst.name, inst.coords * 2.0**j, inst.metric)
+        return SubsetColony(distance_block(scaled, sub), backbone, 2.0, params).weight
+
+    base = weight(0)
+    assert 2.0 <= base[~np.eye(13, dtype=bool)].min() < 4.0
+    for j in range(-60, 61):
+        assert np.array_equal(weight(j), base), j
+
+
+def _api_trail_ops(n):
+    """Random trail updates through the API: an evaporating update or a seed
+    deposit of a tour over some of the n nodes, with a positive length."""
+    tour = st.tuples(st.permutations(range(n)), st.integers(1, n),
+                     st.floats(1e-3, 1e3))
+    return st.lists(st.tuples(st.sampled_from(["update", "deposit"]), tour),
+                    min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.integers(2, 30).flatmap(lambda n: st.tuples(st.just(n), _api_trail_ops(n))),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    rho=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    q_scale=st.floats(1e-3, 1e3),
+    kappa=st.sampled_from([0.0, 1.5]),
+    omega=st.sampled_from([1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_colony_accepts_every_trail_the_api_builds(case, alpha, rho, q_scale, kappa, omega, seed):
+    # a trail starts at 1 - I, evaporates by 1 - rho in [0, 1) and takes only
+    # deposits of q/L * gain with L positive and finite, so it never goes
+    # negative and local_tau floors it: below the overflow limit every call
+    # is accepted and picks what the reference picks on local_tau(), bit for
+    # bit, after each update
+    n, ops = case
+    rng = np.random.default_rng(seed)
+    d = build_distance_matrix(random_planar_instance(n, seed=seed))
+    params = AcoParams(alpha=alpha, rho=rho, q_scale=q_scale, kappa=kappa)
+    colony = SubsetColony(d, _keys(kruskal_mst(d)), omega, params)
+    for op, (order, size, length) in ops:
+        tour = Tour(order[:size], length if size > 1 else 0.0)
+        if op == "update":
+            update_pheromones([colony], [tour])
+        else:
+            colony.deposit(tour)
+        assert (colony.tau >= 0).all()
+        uniforms = rng.random((int(rng.integers(1, 8)), n))
+        start = None if rng.random() < 0.5 else int(rng.integers(n))
+        orders, lengths = colony.construct_colony(start, uniforms)
+        ref_orders, ref_lengths = reference_construct_colony(
+            colony.weight, colony.dist, colony.local_tau(), uniforms, start
+        )
+        assert np.array_equal(orders, ref_orders)
+        assert np.array_equal(lengths, ref_lengths)
 
 
 def test_colony_matches_scalar_construction():
@@ -487,7 +562,7 @@ def test_colony_matches_scalar_construction():
 
     uniforms = rng.random((6, n))
     start = 4
-    orders, lengths = colony.construct_colony(colony.local_tau(), uniforms, start_local=start)
+    orders, lengths = colony.construct_colony(start, uniforms)
     for ant in range(6):
         scripted = ScriptedRng(uniforms[ant, 1:].tolist())
         ref = construct_tour(range(n), start, tau, d, bias, params, scripted)
@@ -516,7 +591,7 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     assert np.array_equal(tau_local, colony.tau ** alpha)
     uniforms = rng.random((17, width))
     start_local = None if start is None else width // 2
-    orders, lengths = colony.construct_colony(tau_local, uniforms, start_local)
+    orders, lengths = colony.construct_colony(start_local, uniforms)
     ref_orders, ref_lengths = reference_construct_colony(
         colony.weight, colony.dist, tau_local, uniforms, start_local
     )
@@ -543,34 +618,36 @@ def test_only_wide_rows_are_compacted():
 def test_colony_reused_buffers_match_fresh_colonies(n):
     # one colony keeps its step buffers between calls: a changed ant count,
     # a call with draws of exactly 1 and a refused call in between leave
-    # every call bit-identical to a fresh colony's, and the arrays a call
-    # returns are the caller's own; at n = 120 every call compacts its rows
-    # and cuts the buffers to each width, and the next call must see them
-    # whole again
+    # every call bit-identical to a fresh colony's on the same trail, and the
+    # arrays a call returns are the caller's own; at n = 120 every call
+    # compacts its rows and cuts the buffers to each width, and the next call
+    # must see them whole again
     d = build_distance_matrix(random_planar_instance(n, seed=930))
     backbone = _keys(kruskal_mst(d))
+    rng = np.random.default_rng(931)
+    tau = _uniform_trail(n) * rng.uniform(0.5, 1.5, size=(n, n))
 
     def fresh():
-        return SubsetColony(d, backbone, 2.0, AcoParams())
+        colony = SubsetColony(d, backbone, 2.0, AcoParams())
+        colony.tau = tau.copy()
+        return colony
 
-    rng = np.random.default_rng(931)
     colony = fresh()
     assert bool(colony._compact_at) == (n == 120)
-    tau = colony.local_tau() * rng.uniform(0.5, 1.5, size=(n, n))
     calls = []
     sequence = ((50, None), (7, 4), (50, None), ("ones", None), ("refused", None), (50, 0))
     for na, start in sequence:
         if na == "refused":
-            with pytest.raises(ValueError, match=FLOOR_REFUSAL):
-                colony.construct_colony(np.zeros((n, n)), rng.random((50, n)))
+            with pytest.raises(ValueError, match="uniform draws must lie in"):
+                colony.construct_colony(None, rng.random((50, n)) + 1.0)
             continue
         if na == "ones":
             uniforms = rng.random((50, n))
             uniforms[:, ::7] = 1.0
         else:
             uniforms = rng.random((na, n))
-        orders, lengths = colony.construct_colony(tau, uniforms, start)
-        ref_orders, ref_lengths = fresh().construct_colony(tau, uniforms, start)
+        orders, lengths = colony.construct_colony(start, uniforms)
+        ref_orders, ref_lengths = fresh().construct_colony(start, uniforms)
         assert np.array_equal(orders, ref_orders)
         assert np.array_equal(lengths, ref_lengths)
         calls.append((orders, lengths, ref_orders, ref_lengths, uniforms, start))
@@ -582,7 +659,7 @@ def test_colony_reused_buffers_match_fresh_colonies(n):
     orders, lengths, ref_orders, ref_lengths, uniforms, start = calls[-1]
     orders[:] = 0
     lengths[:] = -1.0
-    again, again_lengths = colony.construct_colony(tau, uniforms, start)
+    again, again_lengths = colony.construct_colony(start, uniforms)
     assert np.array_equal(again, ref_orders)
     assert np.array_equal(again_lengths, ref_lengths)
 
@@ -699,7 +776,7 @@ def test_local_tau_floors_the_trail_factor(alpha):
     assert np.array_equal(sub[off_diag], np.full(30, TRAIL_FLOOR))
     assert np.array_equal(np.diag(sub), np.zeros(6))
     uniforms = np.random.default_rng(918).random((4, 6))
-    orders, _ = colony.construct_colony(sub, uniforms)
+    orders, _ = colony.construct_colony(None, uniforms)
     assert all(sorted(row) == list(range(6)) for row in orders.tolist())
     # a trail above the floor comes back as tau^alpha, bit for bit
     colony.tau = _uniform_trail(6) * np.random.default_rng(919).uniform(1e-40, 2.0, (6, 6))
@@ -707,30 +784,22 @@ def test_local_tau_floors_the_trail_factor(alpha):
 
 
 def test_colony_vanished_scores_rejected():
-    # a trail factor that is zero or NaN, or NaN only on its diagonal, which
-    # the 0/1 mask would carry into every prefix sum of the row
-    _, _, _, colony = _colony_setup(6, 917)
+    # the one way a trail built through the API goes bad: a deposit of
+    # q/L past the largest double makes a trail cell inf, and at rho = 1 the
+    # next evaporation makes that inf NaN.  Either is refused by name, since
+    # the 0/1 mask would carry it into every prefix sum of the row
+    d = build_distance_matrix(random_planar_instance(6, seed=917))
+    colony = SubsetColony(d, frozenset(), 1.0, AcoParams(rho=1.0, q_scale=1e308))
     uniforms = np.random.default_rng(918).random((4, 6))
-    nan_diagonal = np.ones((6, 6))
-    np.fill_diagonal(nan_diagonal, np.nan)
-    for trail in (np.zeros((6, 6)), np.full((6, 6), np.nan), nan_diagonal):
-        with pytest.raises(ValueError, match=FLOOR_REFUSAL):
-            colony.construct_colony(trail, uniforms)
-
-
-def test_colony_later_vanish_rejected_like_reference():
-    # node 4 has no outgoing trail, so a row total vanishes only once an ant
-    # stands on node 4 with nodes still to visit, never at the first step;
-    # the reference finds that out during construction, the colony before it
-    _, _, _, colony = _colony_setup(6, 921)
-    trail = _uniform_trail(6)
-    trail[4] = 0.0
-    uniforms = np.random.default_rng(922).random((8, 6))
-    assert (trail[0] * colony.weight[0]).sum() > 0
-    with pytest.raises(ValueError, match=FLOOR_REFUSAL):
-        colony.construct_colony(trail, uniforms, 0)
-    with pytest.raises(ValueError, match="vanished"):
-        reference_construct_colony(colony.weight, colony.dist, trail, uniforms, 0)
+    colony.deposit(Tour((0, 1, 2, 3, 4, 5), 0.5))
+    assert np.isinf(colony.tau).any()
+    with pytest.raises(ValueError, match=NON_FINITE):
+        colony.construct_colony(None, uniforms)
+    with np.errstate(invalid="ignore"):
+        update_pheromones([colony], [Tour((0, 2, 1, 3, 5, 4), 1e300)])
+    assert np.isnan(colony.tau).any() and not np.isinf(colony.tau).any()
+    with pytest.raises(ValueError, match=NON_FINITE):
+        colony.construct_colony(2, uniforms)
 
 
 def _cycle_trail(n, rng):
@@ -759,13 +828,14 @@ def test_colony_bit_identical_to_reference_on_edge_trails(case):
         # can overflow while 13 times the largest nears half the largest double
         _, _, _, colony = _colony_setup(13, 925)
         big = np.finfo(float).max / 2 / 13 * rng.uniform(0.5, 0.999, size=(13, 13))
-        trail = big / (colony.weight + np.eye(13))
-        np.fill_diagonal(trail, 0.0)
+        colony.tau = big / (colony.weight + np.eye(13))
+        np.fill_diagonal(colony.tau, 0.0)
+        trail = colony.local_tau()
         assert (trail * colony.weight).max() * 13 > np.finfo(float).max / 4
     uniforms = rng.random((40, 13))
     uniforms[rng.random(uniforms.shape) < 0.2] = 1.0
     for start in (None, 5):
-        orders, lengths = colony.construct_colony(trail, uniforms, start)
+        orders, lengths = colony.construct_colony(start, uniforms)
         ref_orders, ref_lengths = reference_construct_colony(
             colony.weight, colony.dist, trail, uniforms, start
         )
@@ -795,7 +865,7 @@ def test_colony_floor_total_keeps_its_clamp():
     uniforms[:3, -2:] = last
     uniforms[3:, -2:] = 1.0
     for start in (None, 2):
-        orders, lengths = colony.construct_colony(tau_local, uniforms, start)
+        orders, lengths = colony.construct_colony(start, uniforms)
         ref_orders, ref_lengths = reference_construct_colony(
             colony.weight, colony.dist, tau_local, uniforms, start
         )
@@ -819,70 +889,78 @@ def _colony_outcome(construct, *args):
     n_ants=st.integers(1, 20),
     exponent=st.floats(-320.0, 308.0),
     zeros=st.sampled_from([0.0, 0.3, 0.9]),
-    floored=st.booleans(),
     alpha=st.floats(0.5, 2.0),
     beta=st.floats(0.5, 6.0),
     omega=st.sampled_from([1.0, 2.0, 6.0]),
-    scale=st.sampled_from([1.0, 1e3, 1e51]),
+    scale=st.sampled_from([1e-30, 1.0, 1e3, 1e51]),
     start=st.one_of(st.none(), st.integers(0, 159)),
     top=st.sampled_from([None, 1.0 - 2.0**-53, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-# accepted: every score well inside the normal range, a floored trail under
-# draws of exactly 1, and floored subnormal trails
-@example(width=13, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+# every score well inside the normal range, under draws of exactly 1, and
+# subnormal trails
+@example(width=13, n_ants=20, exponent=0.0, zeros=0.0, alpha=1.0,
          beta=2.0, omega=2.0, scale=1.0, start=None, top=None, seed=1)
-@example(width=40, n_ants=20, exponent=300.0, zeros=0.0, floored=False, alpha=1.0,
+@example(width=40, n_ants=20, exponent=300.0, zeros=0.0, alpha=1.0,
          beta=1.0, omega=6.0, scale=1.0, start=7, top=1.0 - 2.0**-53, seed=2)
-@example(width=13, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+@example(width=13, n_ants=20, exponent=0.0, zeros=0.0, alpha=1.0,
          beta=2.0, omega=2.0, scale=1.0, start=None, top=1.0, seed=5)
-@example(width=13, n_ants=20, exponent=-320.0, zeros=0.3, floored=True, alpha=1.0,
+@example(width=13, n_ants=20, exponent=-320.0, zeros=0.3, alpha=1.0,
          beta=2.0, omega=1.0, scale=1.0, start=4, top=1.0 - 2.0**-53, seed=4)
-# accepted with a large scale: beta = 3.5 on coordinates times 1e3, and a
-# least weight that is subnormal (beta = 6 on coordinates times 1e51)
-@example(width=40, n_ants=20, exponent=0.0, zeros=0.3, floored=True, alpha=1.0,
+# large scales: beta = 3.5 on coordinates times 1e3, a least weight that is
+# subnormal (beta = 6 on coordinates times 1e51), and one near 1e170 that
+# the colony scales down (beta = 6 on coordinates times 1e-30)
+@example(width=40, n_ants=20, exponent=0.0, zeros=0.3, alpha=1.0,
          beta=3.5, omega=2.0, scale=1e3, start=None, top=1.0, seed=15)
-@example(width=40, n_ants=20, exponent=-300.0, zeros=0.0, floored=True, alpha=1.3,
+@example(width=40, n_ants=20, exponent=-300.0, zeros=0.0, alpha=1.3,
          beta=6.0, omega=6.0, scale=1e51, start=3, top=1.0, seed=16)
-# refused: subnormal scores, exact zeros and scores past the total bound
-@example(width=13, n_ants=20, exponent=-320.0, zeros=0.0, floored=False, alpha=1.0,
+@example(width=13, n_ants=20, exponent=0.0, zeros=0.0, alpha=1.0,
+         beta=6.0, omega=1.0, scale=1e-30, start=None, top=None, seed=17)
+# trails that the floor lifts: subnormal, and mostly exact zeros
+@example(width=13, n_ants=20, exponent=-320.0, zeros=0.0, alpha=1.0,
          beta=2.0, omega=1.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=3)
-@example(width=13, n_ants=20, exponent=0.0, zeros=0.9, floored=False, alpha=1.0,
+@example(width=13, n_ants=20, exponent=0.0, zeros=0.9, alpha=1.0,
          beta=2.0, omega=1.0, scale=1.0, start=2, top=None, seed=6)
+# refused: a trail factor that overflows, and scores past the row-total bound
+@example(width=13, n_ants=20, exponent=300.0, zeros=0.0, alpha=2.0,
+         beta=2.0, omega=1.0, scale=1.0, start=None, top=None, seed=18)
+@example(width=13, n_ants=20, exponent=305.0, zeros=0.0, alpha=1.0,
+         beta=1.0, omega=1.0, scale=1.0, start=None, top=None, seed=19)
 # wide rows, whose calls compact them: at unit and 1e300 scales, under a
-# draw of exactly 1, floored, subnormal and refused at 1e306
-@example(width=120, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.3,
+# draw of exactly 1, subnormal and refused at 1e306
+@example(width=120, n_ants=20, exponent=0.0, zeros=0.0, alpha=1.3,
          beta=2.0, omega=2.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=7)
-@example(width=120, n_ants=20, exponent=300.0, zeros=0.0, floored=False, alpha=1.0,
+@example(width=120, n_ants=20, exponent=300.0, zeros=0.0, alpha=1.0,
          beta=1.0, omega=6.0, scale=1.0, start=70, top=None, seed=8)
-@example(width=120, n_ants=20, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+@example(width=120, n_ants=20, exponent=0.0, zeros=0.0, alpha=1.0,
          beta=2.0, omega=2.0, scale=1.0, start=None, top=1.0, seed=9)
-@example(width=120, n_ants=20, exponent=-320.0, zeros=0.3, floored=True, alpha=1.0,
+@example(width=120, n_ants=20, exponent=-320.0, zeros=0.3, alpha=1.0,
          beta=2.0, omega=1.0, scale=1.0, start=4, top=1.0 - 2.0**-53, seed=10)
-@example(width=120, n_ants=20, exponent=-318.0, zeros=0.0, floored=False, alpha=1.0,
+@example(width=120, n_ants=20, exponent=-318.0, zeros=0.0, alpha=1.0,
          beta=0.5, omega=1.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=11)
-@example(width=120, n_ants=20, exponent=306.0, zeros=0.0, floored=False, alpha=1.0,
+@example(width=120, n_ants=20, exponent=306.0, zeros=0.0, alpha=1.0,
          beta=1.0, omega=1.0, scale=1.0, start=None, top=None, seed=12)
 # one and two ants, whose rows are compacted
-@example(width=120, n_ants=1, exponent=0.0, zeros=0.0, floored=True, alpha=1.0,
+@example(width=120, n_ants=1, exponent=0.0, zeros=0.0, alpha=1.0,
          beta=2.0, omega=2.0, scale=1.0, start=None, top=None, seed=13)
-@example(width=120, n_ants=2, exponent=0.0, zeros=0.0, floored=True, alpha=1.3,
+@example(width=120, n_ants=2, exponent=0.0, zeros=0.0, alpha=1.3,
          beta=2.0, omega=2.0, scale=1.0, start=50, top=1.0 - 2.0**-53, seed=14)
 def test_colony_matches_reference_across_trail_scales(
-    width, n_ants, exponent, zeros, floored, alpha, beta, omega, scale, start, top, seed
+    width, n_ants, exponent, zeros, alpha, beta, omega, scale, start, top, seed
 ):
-    # Trails from 1e-320 (subnormal) to 1e308, with exact zeros, read raw or
-    # floored through local_tau, on coordinates scaled up to 1e51.  A call is
-    # accepted exactly when every successor score exceeds TRAIL_FLOOR and
-    # n_local times the largest stays below half the largest double; then it
-    # picks what the clamping reference picks, bit for bit, draws of exactly
-    # 1 included.  Any other call is refused by name.
+    # Trails from 1e-320 (subnormal) to 1e308, with exact zeros, on
+    # coordinates scaled from 1e-30 up to 1e51.  A call is accepted exactly
+    # when every successor score of the floored trail is finite and n_local
+    # times the largest stays below half the largest double; then it picks
+    # what the clamping reference picks on local_tau(), bit for bit, draws of
+    # exactly 1 included.  Any other call is refused by name.
     rng = np.random.default_rng(seed)
     inst = random_planar_instance(max(width, 2), seed=seed)
     d = build_distance_matrix(Instance(inst.name, inst.coords * scale, inst.metric))
     params = AcoParams(alpha=alpha, beta=beta)
     backbone = _keys(kruskal_mst(d[:width, :width]))
-    colony = SubsetColony(d[:width, :width], backbone, omega, params)
+    with np.errstate(over="ignore"):
+        colony = SubsetColony(d[:width, :width], backbone, omega, params)
     trail = 10.0**exponent * rng.uniform(0.5, 1.5, size=d.shape)
     trail[rng.random(d.shape) < zeros] = 0.0
     colony.tau = trail[:width, :width]
@@ -891,17 +969,15 @@ def test_colony_matches_reference_across_trail_scales(
         uniforms[rng.random(uniforms.shape) < 0.3] = top
     start_local = None if start is None else start % width
     with np.errstate(over="ignore", under="ignore"):
-        tau_local = colony.local_tau() if floored else colony.tau
+        tau_local = colony.local_tau()
         scores = tau_local * colony.weight
-    off_diag = scores[~np.eye(width, dtype=bool)]
+    assert (scores[~np.eye(width, dtype=bool)] >= 2 * TRAIL_FLOOR).all()
     if np.isinf(scores).any():
         refusal = NON_FINITE
-    elif not (off_diag > TRAIL_FLOOR).all():
-        refusal = FLOOR_REFUSAL
     elif not scores.max() < np.finfo(float).max / 2 / width:
         refusal = TOO_LARGE
     else:
-        orders, lengths = colony.construct_colony(tau_local, uniforms, start_local)
+        orders, lengths = colony.construct_colony(start_local, uniforms)
         ref_orders, ref_lengths = reference_construct_colony(
             colony.weight, colony.dist, tau_local, uniforms, start_local
         )
@@ -910,19 +986,7 @@ def test_colony_matches_reference_across_trail_scales(
         assert (np.sort(orders, axis=1) == np.arange(width)).all()
         return
     with pytest.raises(ValueError, match=refusal):
-        colony.construct_colony(tau_local, uniforms, start_local)
-
-
-def test_colony_negative_trail_rejected():
-    # a few negative entries used to pass unnoticed and yield tours that
-    # revisit nodes, since the prefix sum then falls along a row
-    _, _, _, colony = _colony_setup(13, 919)
-    rng = np.random.default_rng(920)
-    for _ in range(20):
-        trail = rng.uniform(0.5, 1.5, size=(13, 13))
-        trail.flat[rng.choice(169, size=3, replace=False)] = -0.05
-        with pytest.raises(ValueError, match="negative trail"):
-            colony.construct_colony(trail, rng.random((4, 13)))
+        colony.construct_colony(start_local, uniforms)
 
 
 def test_colony_overflowing_scores_rejected():
@@ -935,7 +999,7 @@ def test_colony_overflowing_scores_rejected():
         colony = SubsetColony(d, frozenset(), 1.0, AcoParams(beta=200.0))
     assert np.isinf(colony.weight).any()
     with pytest.raises(ValueError, match="non-finite successor scores"):
-        colony.construct_colony(colony.local_tau(), np.full((3, 12), 0.5))
+        colony.construct_colony(None, np.full((3, 12), 0.5))
 
 
 def test_colony_refuses_scores_whose_row_totals_overflow():
@@ -948,20 +1012,20 @@ def test_colony_refuses_scores_whose_row_totals_overflow():
     colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
     rng = np.random.default_rng(923)
     huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
-    trail = huge / (colony.weight + np.eye(13))
-    np.fill_diagonal(trail, 0.0)
+    colony.tau = huge / (colony.weight + np.eye(13))
+    np.fill_diagonal(colony.tau, 0.0)
     uniforms = rng.random((40, 13))
     uniforms[:, 3] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=TOO_LARGE):
-            colony.construct_colony(trail, uniforms, 0)
+            colony.construct_colony(0, uniforms)
 
 
 def test_colony_free_start_uses_first_draw():
     n = 7
     _, _, params, colony = _colony_setup(n, 909)
     uniforms = np.random.default_rng(910).random((5, n))
-    orders, _ = colony.construct_colony(colony.local_tau(), uniforms)
+    orders, _ = colony.construct_colony(None, uniforms)
     expected_starts = np.minimum((uniforms[:, 0] * n).astype(int), n - 1)
     assert np.array_equal(orders[:, 0], expected_starts)
     for row in orders:
@@ -973,10 +1037,9 @@ def test_colony_start_out_of_range_rejected(start):
     # 13 used to raise a bare IndexError, and -1 read row 0 but marked
     # another ant's column, so every tour revisited nodes
     _, _, _, colony = _colony_setup(13, 923)
-    tau = colony.local_tau()
     uniforms = np.random.default_rng(924).random((4, 13))
     with pytest.raises(ValueError, match=rf"start_local {start} outside \[0, 13\)"):
-        colony.construct_colony(tau, uniforms, start)
+        colony.construct_colony(start, uniforms)
 
 
 @pytest.mark.parametrize("start", [2.5, np.float64(3.9), True, np.bool_(False), "3"], ids=repr)
@@ -984,12 +1047,11 @@ def test_colony_start_must_be_an_integer(start):
     # 2.5 used to start every ant at node 2, np.float64(3.9) at 3 and True
     # at 1; "3" raised a bare TypeError
     _, _, _, colony = _colony_setup(13, 923)
-    tau = colony.local_tau()
     uniforms = np.random.default_rng(924).random((4, 13))
     message = re.escape(f"start_local must be an integer, got {start!r}")
     with pytest.raises(ValueError, match=message):
-        colony.construct_colony(tau, uniforms, start)
-    orders, _ = colony.construct_colony(tau, uniforms, np.int64(3))
+        colony.construct_colony(start, uniforms)
+    orders, _ = colony.construct_colony(np.int64(3), uniforms)
     assert (orders[:, 0] == 3).all()
 
 
@@ -999,11 +1061,10 @@ def test_colony_draw_outside_unit_interval_rejected(draw, cell):
     # a first draw of -0.5 used to be refused as "all successor scores
     # vanished"; a later one, or one above 1, picked some node silently
     _, _, _, colony = _colony_setup(13, 925)
-    tau = colony.local_tau()
     uniforms = np.random.default_rng(926).random((4, 13))
     uniforms[cell] = draw
     with pytest.raises(ValueError, match=r"uniform draws must lie in \[0, 1\]"):
-        colony.construct_colony(tau, uniforms)
+        colony.construct_colony(None, uniforms)
 
 
 def test_colony_draws_of_zero_and_one_accepted():
@@ -1013,7 +1074,7 @@ def test_colony_draws_of_zero_and_one_accepted():
     uniforms = np.random.default_rng(928).random((4, 13))
     uniforms[0] = 0.0
     uniforms[1] = 1.0
-    got = _colony_outcome(colony.construct_colony, tau, uniforms)
+    got = _colony_outcome(colony.construct_colony, None, uniforms)
     want = _colony_outcome(reference_construct_colony, colony.weight, colony.dist, tau, uniforms)
     assert got == want
 
@@ -1021,7 +1082,7 @@ def test_colony_draws_of_zero_and_one_accepted():
 def test_colony_uniform_shape_checked():
     _, _, _, colony = _colony_setup(6, 911)
     with pytest.raises(ValueError, match="width"):
-        colony.construct_colony(colony.local_tau(), np.zeros((3, 5)))
+        colony.construct_colony(None, np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("shape", [(6,), (2, 6, 1), (), (1, 2, 6)], ids=str)
@@ -1031,21 +1092,7 @@ def test_colony_refuses_a_draw_block_that_is_not_2d(shape):
     _, _, _, colony = _colony_setup(6, 911)
     message = re.escape(f"uniform block of shape {shape} is not (n_ants, 6)")
     with pytest.raises(ValueError, match=message):
-        colony.construct_colony(colony.local_tau(), np.full(shape, 0.5))
-
-
-@pytest.mark.parametrize("shape", [(13,), (1, 13), (13, 1), (), (12, 12), (13, 13, 1)], ids=str)
-def test_colony_refuses_a_trail_factor_of_another_shape(shape):
-    # tau_local * weight used to broadcast, so a 1-D tau[0], a row, a
-    # column or a scalar each stood silently for a whole (13, 13) trail
-    _, _, _, colony = _colony_setup(13, 912)
-    uniforms = np.random.default_rng(913).random((4, 13))
-    message = re.escape(f"trail factor of shape {shape} is not (13, 13)")
-    with pytest.raises(ValueError, match=message):
-        colony.construct_colony(np.ones(shape), uniforms)
-    if shape == (13,):
-        with pytest.raises(ValueError, match=message):
-            colony.construct_colony(colony.local_tau()[0], uniforms)
+        colony.construct_colony(None, np.full(shape, 0.5))
 
 
 def test_colony_mean_near_optimum_with_strong_guidance():
@@ -1056,6 +1103,6 @@ def test_colony_mean_near_optimum_with_strong_guidance():
     d, mst, _, colony = _colony_setup(n, 25, omega=6.0, params=params)
     best_len, _ = exhaustive_tsp(d, list(range(n)))
     uniforms = np.random.default_rng(913).random((400, n))
-    _, lengths = colony.construct_colony(colony.local_tau(), uniforms)
+    _, lengths = colony.construct_colony(None, uniforms)
     assert lengths.mean() <= 1.10 * best_len
     assert lengths.min() >= best_len - 1e-9

@@ -90,6 +90,56 @@ def test_plan_refuses_duplicate_robot_counts():
         ExperimentPlan(("x.tsp",), (2, 4, 2), _tiny_algorithms())
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # a path string was iterated and failed in run_plan as "d: ..."
+        ("instances", "data/bench51.tsp", "instances must be a tuple or list of paths"),
+        ("instances", ("x.tsp", 3), "instances must be a tuple or list of paths, got ('x.tsp', 3)"),
+        ("instances", {"x.tsp"}, "instances must be a tuple or list of paths"),
+        # a bare int raised TypeError
+        ("robot_counts", 2, "robot counts must be a tuple or list, got 2"),
+        ("robot_counts", range(2, 4), "robot counts must be a tuple or list"),
+        # a list raised AttributeError inside run_plan, not here
+        ("algorithms", ["sine"], "algorithms must be a dict from str names to SolverConfig"),
+        ("algorithms", {"sine": AcoParams()}, "algorithms must be a dict from str names to"),
+        ("algorithms", {1: SolverConfig()}, "algorithms must be a dict from str names to"),
+    ],
+    ids=["str-instances", "int-path", "set-instances", "int-counts", "range-counts",
+         "list-algorithms", "params-preset", "int-name"],
+)
+def test_plan_refuses_malformed_containers(field, value, message):
+    fields = {"instances": ("x.tsp",), "robot_counts": (2,), "algorithms": _tiny_algorithms()}
+    fields[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentPlan(**fields)
+
+
+def test_plan_takes_lists_and_path_objects(tmp_path):
+    path = tmp_path / "p.tsp"
+    plan = ExperimentPlan([path, str(path)], [2, 3], _tiny_algorithms())
+    assert plan.instances == [path, str(path)]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"robot_counts": 2}, "robot counts must be a tuple or list, got 2"),
+        ({"weights": 2.0}, "structural weights must be a tuple or list, got 2.0"),
+        # each ran silently as the weight 1.0
+        ({"weights": ["1"]}, "structural weight must be a real number, got '1'"),
+        ({"weights": [True]}, "structural weight must be a real number, got True"),
+        ({"weights": [float("nan")]}, "structural weight must be finite"),
+    ],
+    ids=["int-counts", "float-weights", "str-weight", "bool-weight", "nan-weight"],
+)
+def test_ablation_refuses_malformed_arguments(inst_file, monkeypatch, kwargs, message):
+    inst = load_instance(inst_file)
+    monkeypatch.setattr(bench, "solve", None)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ablation_sweep(inst, **{"robot_counts": [2], "repeats": 2, **kwargs})
+
+
 def test_cell_stats_matches_numpy():
     rng = np.random.default_rng(95)
     for _ in range(20):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import re
 import time
 import tracemalloc
@@ -160,13 +161,19 @@ def test_far_depots_refused_by_name():
 def test_overflowing_scores_refused_without_warnings(bench51_path):
     # numpy printed "RuntimeWarning: overflow" (an error in this suite) before
     # the refusal: from the trail times the weight, and from the omega boost
+    bench51 = load_instance(bench51_path)
     huge_q = SolverConfig(aco=AcoParams(q_scale=1e308, n_ants=5, max_iter=30))
     with pytest.raises(ValueError, match="non-finite successor scores"):
-        solve(load_instance(bench51_path), 2, huge_q)
+        solve(bench51, 2, huge_q)
+    with pytest.raises(ValueError, match="non-finite successor scores"):
+        solve(bench51, 2, _fast_config(omega=1e308))
+    # a finite visibility whose unscaled scores pass the row-total limit used
+    # to be refused; the colony scales it down, and the instance solves
     base = random_planar_instance(12, seed=83)
     fine = Instance("fine12", base.coords * 1e-5, base.metric)
-    with pytest.raises(ValueError, match="non-finite successor scores"):
-        solve(fine, 2, _fast_config(omega=1e300))
+    report = solve(fine, 2, _fast_config(omega=1e300))
+    assert sorted(v for t in report.tours for v in t.order) == list(range(12))
+    assert 0 < report.objectives.j_value < math.inf
 
 
 def test_mode_is_derived_from_the_prior():
@@ -754,6 +761,12 @@ def test_traced_counts_match_benchmark_cross_check(bench51_path, monkeypatch):
         restore()
     expected = workloads.computed_counts(inst.dimension, 4, AcoParams().n_ants, iters)
     assert {key: tr.counts[key] for key in expected} == expected
+    # every construct call reads its trail through one traced local_tau call,
+    # so the per-layer local_tau time stays the colonies' whole trail cost
+    construct = {sid for sid, _, _, name, _, _ in tr.spans if name == "aco.construct"}
+    parents = [parent for _, parent, _, name, _, _ in tr.spans if name == "aco.local_tau"]
+    assert len(construct) == 4 * iters
+    assert sorted(parents) == sorted(construct)
 
 
 def test_config_to_dict():
