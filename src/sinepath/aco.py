@@ -4,8 +4,8 @@ Successor choice is the product rule
 
     p(i -> j)  ~  tau_ij^alpha * (1/d_ij)^beta * psi_ij
 
-where psi_ij = omega >= 1 on backbone (MST) edges and 1 elsewhere; omega = 1
-switches the bias off.  A subset never changes during a solve, so each
+where psi_ij = omega >= 1 on backbone (MST) edges, each counted once however
+it is listed, and 1 elsewhere; omega = 1 switches the bias off.  A subset never changes during a solve, so each
 subset's colony owns the trail over its own nodes, and no ant reads a trail
 outside its subset.  After each iteration every colony's trail evaporates by
 (1 - rho) and the colony's best tour deposits
@@ -27,10 +27,11 @@ power of two that puts its least off-diagonal weight in [2, 4), and scores
 its own trail through ``local_tau``, which floors it at TRAIL_FLOOR; the
 scale leaves every product, prefix sum and pick with the same bits, barring
 overflow.  And every draw is capped at 1 - 2^-53, the largest double below
-1.  A colony refuses a least weight of 0; a call refuses a successor score
+1.  A colony refuses a least weight of 0 and a backbone edge that is not a
+pair of integer ids in [0, n_local); a call refuses a successor score
 that is not finite (an overflowed visibility or trail, or the NaN that
 rho = 1 makes of an infinite trail), n_local times the largest score
-reaching half the largest double, a start that is not an integer in
+reaching half the largest double, a start other than an integer in
 [0, n_local) and a draw outside [0, 1].
 
 Each row total T then sums at least one unvisited score, so it is finite,
@@ -109,12 +110,16 @@ def _compaction_steps(n: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """View of a square C-ordered array's off-diagonal entries: the flat
-    array past its first cell, cut into rows of n + 1 that each end on a
-    diagonal cell."""
-    n = a.shape[0]
-    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+def _local_ids(ids, n: int, what: str) -> None:
+    """Refuse by name, as a ``what``, an id in the sequence ``ids`` that is a
+    bool or another non-integer, or that lies outside [0, n)."""
+    for kind in set(map(type, ids)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            bad = next(v for v in ids if type(v) is kind)
+            raise ValueError(f"{what} {bad!r} is not an integer")
+    if ids and not (0 <= min(ids) and max(ids) < n):
+        bad = next(v for v in ids if not 0 <= v < n)
+        raise ValueError(f"{what} {bad} outside [0, {n})")
 
 
 def finite_real(name: str, value) -> float:
@@ -177,9 +182,10 @@ class SubsetColony:
     Works in the subset's local ids 0..n_local-1.  ``dist`` is the subset's
     (n_local, n_local) distance block (see ``instances.distance_block``),
     which the colony keeps, and ``backbone_edges`` are (u, v) pairs of local
-    ids.  The colony owns the subset's trail ``tau``, an (n_local, n_local)
-    block that starts at 1 with a zero diagonal (the rule ignores a uniform
-    trail scale, so starting at c would act as q_scale / c).
+    ids in either orientation.  The colony owns the subset's trail ``tau``,
+    an (n_local, n_local) block that starts at 1 with a zero diagonal (the
+    rule ignores a uniform trail scale, so starting at c would act as
+    q_scale / c).
     The static score factor ``weight``, (1/d)^beta * psi scaled by a power
     of two (see the module docstring), is precomputed; per iteration only
     tau changes.  Each ant's uniform draws arrive as one row of
@@ -196,29 +202,29 @@ class SubsetColony:
         self.n_local = n = len(self.dist)
         self.params = params
         self.tau = 1.0 - np.eye(n)
-        edges = np.array(sorted(backbone_edges), dtype=np.int64).reshape(-1, 2)
-        if ((edges < 0) | (edges >= n)).any():
-            raise ValueError(f"backbone edge with an end outside [0, {n})")
-        bu, bv = edges.T
+        ends = []
+        for edge in backbone_edges:
+            if np.shape(edge) != (2,):
+                raise ValueError(f"backbone edge {edge!r} is not a pair")
+            ends += edge
+        _local_ids(ends, n, "backbone edge end")
+        # An edge is undirected and counts once, however often it is listed.
+        backbone = np.zeros((n, n), dtype=bool)
+        backbone[ends[0::2], ends[1::2]] = backbone[ends[1::2], ends[0::2]] = True
         # Per flat trail cell, the deposit factor 1 + kappa * [edge on the backbone].
-        gain = np.ones((n, n))
-        gain[bu, bv] = gain[bv, bu] = 1.0 + params.kappa
-        self._gain = gain.reshape(-1)
+        self._gain = np.where(backbone, 1.0 + params.kappa, 1.0).reshape(-1)
         self._work = None
         self._compact_at = _compaction_steps(n)
 
         off_diag = ~np.eye(n, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
             raise ValueError("zero distance inside subset: degenerate geometry")
-        safe = self.dist + np.eye(n)
-        eta = 1.0 / safe
-        np.fill_diagonal(eta, 0.0)
+        eta = np.divide(1.0, self.dist, out=np.zeros((n, n)), where=off_diag)
         # An overflow to inf is refused by name in construct_colony.
         with np.errstate(over="ignore"):
             weight = eta ** params.beta
-            weight[bu, bv] *= omega
-            weight[bv, bu] *= omega
-            least = np.minimum.reduce(_off_diagonal(weight), axis=None, initial=np.inf)
+            weight[backbone] *= omega
+            least = np.min(weight, where=off_diag, initial=np.inf)
             if least == 0:
                 raise ValueError(
                     "(1/d)^beta underflows to 0; rescale the coordinates or lower beta")
@@ -228,7 +234,7 @@ class SubsetColony:
     def deposit(self, tour) -> None:
         """The seed tour's deposit: q/L * (1 + kappa) on the trail of each
         edge of ``tour``, in this colony's local ids.  Single-node tours
-        deposit nothing; an id that is not an integer in [0, n_local) or that
+        deposit nothing; an id other than an integer in [0, n_local) or that
         appears twice is refused, and so is a tour of 2 or more nodes whose
         length is not a positive finite number."""
         self._deposit(self._ring(tour), tour.length, flat_bonus=True)
@@ -239,15 +245,9 @@ class SubsetColony:
         refuses, so that ``update_pheromones`` checks each before any trail
         changes."""
         order = tuple(tour.order)
-        for kind in set(map(type, order)):
-            if kind is bool or not issubclass(kind, (int, np.integer)):
-                bad = next(v for v in order if type(v) is kind)
-                raise ValueError(f"tour node {bad!r} is not an integer")
+        _local_ids(order, self.n_local, "tour node")
         if len(order) > 1 and not 0.0 < tour.length < math.inf:  # NaN fails this too
             raise ValueError(f"tour length {tour.length!r} is not a positive finite number")
-        if order and not (0 <= min(order) and max(order) < self.n_local):
-            foreign = next(v for v in order if not 0 <= v < self.n_local)
-            raise ValueError(f"tour node {foreign} outside [0, {self.n_local})")
         if len(set(order)) < len(order):
             repeated = next(v for i, v in enumerate(order) if v in order[:i])
             raise ValueError(f"tour node {repeated} is visited more than once")
@@ -274,8 +274,7 @@ class SubsetColony:
         """The trail factor tau^alpha, floored at ``TRAIL_FLOOR`` off the
         diagonal so that no successor score underflows to zero."""
         alpha = self.params.alpha
-        sub = self.tau ** alpha if alpha != 1.0 else self.tau.copy()
-        np.maximum(sub, TRAIL_FLOOR, out=sub)
+        sub = np.maximum(self.tau ** alpha if alpha != 1.0 else self.tau, TRAIL_FLOOR)
         sub.reshape(-1)[:: self.n_local + 1] = 0.0
         return sub
 
@@ -298,10 +297,7 @@ class SubsetColony:
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
         if start_local is not None:
-            if isinstance(start_local, bool) or not isinstance(start_local, (int, np.integer)):
-                raise ValueError(f"start_local must be an integer, got {start_local!r}")
-            if not 0 <= start_local < nl:
-                raise ValueError(f"start_local {start_local} outside [0, {nl})")
+            _local_ids((start_local,), nl, "start_local")
         # The ufunc reductions themselves: ndarray.min/max add a Python wrapper per call.
         minimum, maximum = np.minimum, np.maximum
         u_lo = minimum.reduce(uniforms, axis=None, initial=0.0)

@@ -284,6 +284,8 @@ def wilcoxon_verdict_rows(results: BenchResults) -> list[dict]:
     The best-mean algorithm anchors the comparison and gets verdict "best".
     Cells without enough raw runs for the signed-rank test (fewer than 5, or
     parsed back from csv where runs are not carried) get verdict "untested".
+    The least exact two-sided p at n non-zero differences is 2 / 2^n, 0.0625
+    at 5 and 0.03125 at 6, so "better" or "worse" needs 6 runs or more.
     """
     rows: list[dict] = []
     for inst in results.instances():

@@ -552,8 +552,10 @@ def reference_solve(inst, m: int, cfg) -> SolveReport:
     node ids, the global MST of ``reference_kruskal_mst``, each subset's ants
     from ``reference_construct_colony`` on its block of the dense matrix, and
     the seed and iteration deposits of ``reference_seed_deposit`` and
-    ``reference_update_pheromones`` on the whole trail.  With depots each seed
-tour is read from its depot start and measured on the dense matrix.
+    ``reference_update_pheromones`` on the whole trail.  Each subset's
+    visibility is scaled by a power of two as the colony scales its own.
+    With depots each seed tour is read from its depot start and measured on
+    the dense matrix.
 
     Shared with ``solve`` and so not checked through it: the partitions
     (``partition.py``'s public functions), ``christofides_seed``,
@@ -588,7 +590,12 @@ tour is read from its depot start and measured on the dense matrix.
         with np.errstate(divide="ignore"):
             eta = 1.0 / block
         np.fill_diagonal(eta, 0.0)
-        weights.append(eta ** p.beta * psi)
+        weight = eta ** p.beta * psi
+        # scaled as the colony scales it, by the power of two that puts the
+        # least off-diagonal weight in [2, 4); a power of two keeps each pick
+        least = min((weight[i, j] for i in range(len(sub)) for j in range(len(sub)) if i != j),
+                    default=math.inf)
+        weights.append(np.ldexp(weight, 2 - math.frexp(least)[1]))
 
     tau = 1.0 - np.eye(len(d))
     state = IncumbentState()

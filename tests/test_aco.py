@@ -667,9 +667,52 @@ def test_colony_reused_buffers_match_fresh_colonies(n):
 def test_colony_refuses_backbone_edge_outside_subset():
     # backbone edges are local ids of the block, so each end lies in [0, 3)
     d = build_distance_matrix(random_planar_instance(6, seed=932))
-    for edge in ((2, 3), (-1, 2), (0, 7)):
-        with pytest.raises(ValueError, match=re.escape("backbone edge with an end outside [0, 3)")):
+    for edge, end in (((2, 3), 3), ((-1, 2), -1), ((0, 7), 7), ((2**70, 1), 2**70)):
+        with pytest.raises(ValueError, match=re.escape(f"backbone edge end {end} outside [0, 3)")):
             SubsetColony(d[:3, :3], frozenset({(0, 1), edge}), 2.0, AcoParams())
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((0.7, 1), "backbone edge end 0.7 is not an integer"),
+        ((True, 2), "backbone edge end True is not an integer"),
+        (("0", 1), "backbone edge end '0' is not an integer"),
+        ((0, 1, 2), "backbone edge (0, 1, 2) is not a pair"),
+    ],
+    ids=["float-end", "bool-end", "string-end", "triple"],
+)
+def test_colony_refuses_a_backbone_edge_that_is_not_a_pair_of_ids(edge, message):
+    # (0.7, 1), (True, 2) and ("0", 1) used to be read as ids in [0, 3)
+    # without a word, and a triple raised numpy's reshape error
+    d = build_distance_matrix(random_planar_instance(6, seed=932))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SubsetColony(d[:3, :3], [edge], 2.0, AcoParams())
+
+
+@st.composite
+def _listed_backbones(draw):
+    """A block size and its backbone edges listed in any order, each in
+    either orientation and any number of times."""
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_listed_backbones(), st.integers(0, 10**6), st.sampled_from([1.0, 2.0, 1e3]),
+       st.sampled_from([0.0, 1.0, 2.5]))
+@example((3, [(0, 1), (1, 0)]), 0, 2.0, 1.0)
+def test_colony_reads_each_backbone_edge_once_in_either_orientation(listed, seed, omega, kappa):
+    # a backbone edge is undirected: [(0, 1), (1, 0)] used to bias edge 0-1
+    # by omega^2, once per listing
+    n, pairs = listed
+    d = build_distance_matrix(random_planar_instance(n, seed=seed))
+    params = AcoParams(kappa=kappa)
+    colony = SubsetColony(d, pairs, omega, params)
+    canonical = SubsetColony(d, frozenset((min(e), max(e)) for e in pairs), omega, params)
+    assert colony.weight.tobytes() == canonical.weight.tobytes()
+    assert colony._gain.tobytes() == canonical._gain.tobytes()
 
 
 def test_colony_refuses_a_distance_block_of_another_shape():
@@ -1048,7 +1091,7 @@ def test_colony_start_must_be_an_integer(start):
     # at 1; "3" raised a bare TypeError
     _, _, _, colony = _colony_setup(13, 923)
     uniforms = np.random.default_rng(924).random((4, 13))
-    message = re.escape(f"start_local must be an integer, got {start!r}")
+    message = re.escape(f"start_local {start!r} is not an integer")
     with pytest.raises(ValueError, match=message):
         colony.construct_colony(start, uniforms)
     orders, _ = colony.construct_colony(np.int64(3), uniforms)

@@ -3,10 +3,12 @@
 Each top-level public ``def``, ``class`` and assigned name in
 ``src/sinepath/*.py``, and each public method or property of a top-level
 class, must be referenced by another module of the package, by its own
-module outside its own definition, or by ``demos/`` or ``perfbench/``.  A
-reference is a Name, an Attribute or an import alias; docstrings, comments
-and other strings do not count.  Code that ships only to serve the tests
-fails here.
+module outside its own definition, or by ``demos/`` or ``perfbench/``.  Each
+top-level private ``def``, ``class`` and assigned name (a leading underscore,
+dunders aside) must be read by the package itself outside its own
+definition.  A reference is a Name, an Attribute or an import alias;
+docstrings, comments and other strings do not count.  Code that ships only
+to serve the tests, and a helper its last caller left behind, fail here.
 """
 
 import ast
@@ -16,12 +18,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _defined(tree: ast.Module):
+def _defined(tree: ast.Module, private: bool = False):
     """(name, statement) for each public name a top-level statement defines,
     and (``Class.name``, definition) for each public method or property of a
-    top-level class."""
+    top-level class; with ``private``, (name, statement) for each private
+    name a top-level statement defines, dunders aside."""
     for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef):
+        if isinstance(stmt, ast.ClassDef) and not private:
             yield from ((f"{stmt.name}.{d.name}", d) for d in stmt.body
                         if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not d.name.startswith("_"))
@@ -32,7 +35,8 @@ def _defined(tree: ast.Module):
             targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from ((name, stmt) for name in targets if not name.startswith("_"))
+        yield from ((name, stmt) for name in targets
+                    if name.startswith("_") == private and not name.startswith("__"))
 
 
 def _references(node: ast.AST) -> Counter:
@@ -48,16 +52,16 @@ def _references(node: ast.AST) -> Counter:
     return found
 
 
-def _uncalled(modules: dict[str, str], outside: list[str]) -> list[str]:
-    """``module: name`` for each public name of ``modules`` (file name ->
-    source) that no reference reaches."""
+def _uncalled(modules: dict[str, str], outside: list[str], private: bool = False) -> list[str]:
+    """``module: name`` for each public (or, with ``private``, private) name
+    of ``modules`` (file name -> source) that no reference reaches."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     counts = {name: _references(tree) for name, tree in trees.items()}
     external = sum((_references(ast.parse(source)) for source in outside), Counter())
     missing = []
     for module, tree in trees.items():
         elsewhere = external + sum((c for m, c in counts.items() if m != module), Counter())
-        for label, stmt in _defined(tree):
+        for label, stmt in _defined(tree, private):
             name = label.rpartition(".")[2]  # a method is referenced as an attribute
             if not elsewhere[name] and counts[module][name] <= _references(stmt)[name]:
                 missing.append(f"{module}: {label}")
@@ -85,9 +89,28 @@ def test_check_finds_a_method_only_its_definition_reads():
     assert _uncalled(modules, outside) == ["a.py: Shape.unread", "a.py: Shape.spare"]
 
 
+def test_check_finds_a_private_name_the_package_never_reads():
+    modules = {
+        "a.py": "_LIMIT = 3\n_UNUSED = 4\n\ndef _used(x):\n    return x + _LIMIT\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                "class _Helper:\n    def _spare(self):\n        pass\n\n"
+                "def __getattr__(name):\n    pass\n",
+        "b.py": "from .a import _used\n\ndef run():\n    return _used(1)\n",
+    }
+    assert _uncalled(modules, [], private=True) == [
+        "a.py: _UNUSED", "a.py: _recursive", "a.py: _Helper"]
+
+
+def _package() -> dict[str, str]:
+    return {path.name: path.read_text()
+            for path in sorted((ROOT / "src" / "sinepath").glob("*.py"))}
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    package = ROOT / "src" / "sinepath"
-    modules = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     outside = [path.read_text() for where in ("demos", "perfbench")
                for path in sorted((ROOT / where).rglob("*.py"))]
-    assert _uncalled(modules, outside) == []
+    assert _uncalled(_package(), outside) == []
+
+
+def test_every_private_name_is_read_by_the_package():
+    assert _uncalled(_package(), [], private=True) == []

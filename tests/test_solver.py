@@ -169,9 +169,7 @@ def test_overflowing_scores_refused_without_warnings(bench51_path):
         solve(bench51, 2, _fast_config(omega=1e308))
     # a finite visibility whose unscaled scores pass the row-total limit used
     # to be refused; the colony scales it down, and the instance solves
-    base = random_planar_instance(12, seed=83)
-    fine = Instance("fine12", base.coords * 1e-5, base.metric)
-    report = solve(fine, 2, _fast_config(omega=1e300))
+    report = solve(_fine12(), 2, _fast_config(omega=1e300))
     assert sorted(v for t in report.tours for v in t.order) == list(range(12))
     assert 0 < report.objectives.j_value < math.inf
 
@@ -571,12 +569,22 @@ def test_pinned_solve_matches_recorded_hash(case, data_dir):
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
 
 
+def _fine12():
+    """12 random points shrunk by 1e-5, whose visibility at omega = 1e300
+    the colony scales down."""
+    base = random_planar_instance(12, seed=83)
+    return Instance("fine12", base.coords * 1e-5, base.metric)
+
+
 @st.composite
 def _solve_draws(draw):
     n = draw(st.integers(3, 29))
     m = draw(st.integers(1, min(5, n)))
     inst = random_planar_instance(n, draw(st.integers(0, 10**6)),
                                   clusters=draw(st.sampled_from([0, 3])))
+    # a power of two scales every distance exactly
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    inst = Instance(inst.name, inst.coords * scale, inst.metric)
     aco = AcoParams(
         alpha=draw(st.sampled_from([0.5, 1.0, 2.0])),
         beta=draw(st.sampled_from([1.0, 2.0, 3.5])),
@@ -588,7 +596,8 @@ def _solve_draws(draw):
     split = draw(st.sampled_from(["angle", "kmeans", "depots"]))
     depots = None
     if split == "depots":
-        depots = tuple(draw(st.tuples(st.floats(-20.0, 120.0), st.floats(-20.0, 120.0)))
+        depots = tuple(tuple(scale * c for c in draw(st.tuples(st.floats(-20.0, 120.0),
+                                                               st.floats(-20.0, 120.0))))
                        for _ in range(m))
     config = SolverConfig(
         aco=aco,
@@ -612,6 +621,8 @@ def _outcome(run, inst, m, config):
 
 @settings(max_examples=200, deadline=None)
 @given(_solve_draws())
+# the oracle's unscaled visibility used to overflow here, where solve solves
+@example((_fine12(), 2, _fast_config(omega=1e300)))
 def test_solve_matches_the_reference_solve(draw):
     # the whole solve against oracles.reference_solve, which rebuilds it from
     # the reference colony steps on one n x n trail in node ids: both report

@@ -122,6 +122,17 @@ def test_wilcoxon_strict_dominance_20_pairs():
     assert flipped.p_value == res.p_value
 
 
+@pytest.mark.parametrize("n, least_p, verdict", [(5, 0.0625, "equal"), (6, 0.03125, "better")])
+def test_wilcoxon_needs_six_non_zero_pairs_for_a_verdict(n, least_p, verdict):
+    # a lower on every pair gives the smallest exact two-sided p, 2 / 2^n:
+    # above the 0.05 level at 5 pairs, so 5 repeats can only read "equal"
+    b = np.arange(10.0, 10.0 + n)
+    res = wilcoxon_signed_rank(b - np.arange(1.0, n + 1.0), b)
+    assert res.w_plus == 0.0
+    assert res.p_value == least_p
+    assert res.verdict == verdict
+
+
 def test_wilcoxon_normal_approximation_branch():
     rng = np.random.default_rng(93)
     b = rng.uniform(50.0, 100.0, size=30)
