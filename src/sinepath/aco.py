@@ -48,10 +48,10 @@ TRAIL_FLOOR.
 
 A wide row is compacted as it empties: once the r nodes each ant has left
 number at most _COMPACT_RATIO of the row's current width, and while r is at
-least _COMPACT_MIN, the step loop first cuts the row to each ant's r
-unvisited columns in ascending order: it keeps their node ids and re-views
-its buffers at width r, so that later steps gather, mask, sum, compare and
-pick over those columns alone and map each pick back to its node id.  The
+least _COMPACT_MIN, the step loop first narrows the row to each ant's r
+unvisited columns in ascending order: it keeps their node ids and binds new
+arrays of width r, so that later steps gather, mask, sum, compare and pick
+over those columns alone and map each pick back to its node id.  The
 picks keep their bits.  A visited column holds a zero, and x + 0 == x for
 every nonzero x, so each kept column's prefix sum and the row total are the
 same doubles as on the full row; a visited column repeats the prefix sum
@@ -94,20 +94,6 @@ _TOTAL_LIMIT = np.finfo(float).max / 2
 # _COMPACT_MIN (see the module docstring).
 _COMPACT_RATIO = 0.7
 _COMPACT_MIN = 32
-
-
-def _compaction_steps(n: int) -> tuple[int, ...]:
-    """The steps at which a row of width n is compacted; at step s each ant
-    has n - s nodes left."""
-    steps, width = [], n
-    for step in range(1, n - 1):
-        left = n - step
-        if left < _COMPACT_MIN:
-            break
-        if left <= _COMPACT_RATIO * width:
-            steps.append(step)
-            width = left
-    return tuple(steps)
 
 
 def _local_ids(ids, n: int, what: str) -> None:
@@ -181,8 +167,9 @@ class SubsetColony:
 
     Works in the subset's local ids 0..n_local-1.  ``dist`` is the subset's
     (n_local, n_local) distance block (see ``instances.distance_block``),
-    which the colony keeps, and ``backbone_edges`` are (u, v) pairs of local
-    ids in either orientation.  The colony owns the subset's trail ``tau``,
+    which the colony keeps, and ``backbone_edges`` is any sequence of (u, v)
+    pairs of local ids in either orientation, an (E, 2) integer array
+    included.  The colony owns the subset's trail ``tau``,
     an (n_local, n_local) block that starts at 1 with a zero diagonal (the
     rule ignores a uniform trail scale, so starting at c would act as
     q_scale / c).
@@ -191,8 +178,9 @@ class SubsetColony:
     tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
     so every ant consumes the same stream shape regardless of scheduling.
-    The step buffers are kept from one call to the next (see
-    ``_workspace``); a call returns arrays of its own.
+    The full-width step buffers are kept from one call to the next (see
+    ``_workspace``); a compaction binds arrays of its own width, and a call
+    returns arrays of its own.
     """
 
     def __init__(self, dist: np.ndarray, backbone_edges, omega: float, params: AcoParams):
@@ -204,9 +192,11 @@ class SubsetColony:
         self.tau = 1.0 - np.eye(n)
         ends = []
         for edge in backbone_edges:
-            if np.shape(edge) != (2,):
-                raise ValueError(f"backbone edge {edge!r} is not a pair")
-            ends += edge
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"backbone edge {edge!r} is not a pair") from None
+            ends += u, v
         _local_ids(ends, n, "backbone edge end")
         # An edge is undirected and counts once, however often it is listed.
         backbone = np.zeros((n, n), dtype=bool)
@@ -214,7 +204,6 @@ class SubsetColony:
         # Per flat trail cell, the deposit factor 1 + kappa * [edge on the backbone].
         self._gain = np.where(backbone, 1.0 + params.kappa, 1.0).reshape(-1)
         self._work = None
-        self._compact_at = _compaction_steps(n)
 
         off_diag = ~np.eye(n, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
@@ -318,16 +307,15 @@ class SubsetColony:
             raise ValueError("successor scores too large: a row total could overflow; "
                              "rescale the coordinates or lower beta")
 
-        (picks, avail, offsets, flat, draws, scores, cum, below, target,
-         packed) = self._workspace(na)
+        picks, avail, offsets, flat, draws, scores, cum, below, target = self._workspace(na)
         avail.fill(1.0)
         # Each out= goes by position, except to minimum, which deprecates a
         # third positional argument.
         add, multiply = np.add, np.multiply
         accumulate, less_equal = np.add.accumulate, np.less_equal
-        # The row state, which a compaction changes: each ant's first flat
-        # cell, the buffers the row spans and the node id of each column.
-        row_start, rows, target_col, cols = offsets, scores, target[:, None], None
+        # The row state, which a compaction changes: its width, each ant's
+        # first flat cell, the arrays the row spans and each column's node id.
+        width, row_start, rows, target_col, cols = nl, offsets, scores, target[:, None], None
         total, put, argmin = cum[:, -1], avail.put, below.argmin
 
         cur = picks[0]
@@ -342,22 +330,16 @@ class SubsetColony:
         # The last step is not run: each ant has one unvisited node left,
         # whose score alone is positive and whose prefix sum, the total,
         # exceeds the target, so the roulette would pick it.
-        cuts = iter(self._compact_at)
-        cut = next(cuts, 0)
         for step, draw, pick in zip(range(1, nl - 1), draws[1:], picks[1:]):
-            if step == cut:
+            r = nl - step  # the nodes each ant has left
+            if _COMPACT_MIN <= r <= _COMPACT_RATIO * width:
                 # Every ant has exactly r nodes left, so its unvisited
                 # columns, ascending, fill one row of an (na, r) array.
-                r = nl - step
                 cols = (avail.nonzero()[1] if cols is None else cols[avail != 0]).reshape(na, r)
                 index = offsets[:, None] + cols  # into the full rows taken below
-                row_start = np.arange(na) * r
-                avail, scores, cum, below = (
-                    buf.reshape(-1)[: na * r].reshape(na, r) for buf in (avail, packed, cum, below)
-                )
-                avail.fill(1.0)
+                width, row_start, avail = r, np.arange(na) * r, np.ones((na, r))
+                scores, cum, below = np.empty((na, r)), np.empty((na, r)), np.empty((na, r), bool)
                 total, put, argmin = cum[:, -1], avail.put, below.argmin
-                cut = next(cuts, 0)
             # Indices are in range; mode="clip" only spares take() from
             # buffering its output.
             take(cur, 0, rows, "clip")
@@ -391,9 +373,9 @@ class SubsetColony:
         """The step buffers for ``na`` ants, allocated on the first call and
         again only when the ant count changes.  picks[step] holds every
         ant's node at that step; it is copied to one C-ordered row per ant
-        at the end.  A compaction re-views the first cells of avail, cum and
-        below at the row's new width, and the kept columns of the full rows
-        taken into scores are gathered into packed."""
+        at the end.  A compaction leaves them whole: later steps still take
+        full rows into scores, then gather the kept columns into new arrays
+        of the row's new width, beside new avail, cum and below arrays."""
         if self._work is None or self._work[0] != na:
             nl = self.n_local
             self._work = na, (
@@ -406,6 +388,5 @@ class SubsetColony:
                 np.empty((na, nl)),  # cum
                 np.empty((na, nl), dtype=bool),  # below
                 np.empty(na),  # target
-                np.empty((na, nl)),  # packed: a compacted row's scores
             )
         return self._work[1]

@@ -27,7 +27,6 @@ from sinepath.aco import (
     TRAIL_FLOOR,
     AcoParams,
     SubsetColony,
-    _compaction_steps,
     update_pheromones,
 )
 from sinepath.backbone import kruskal_mst, restrict_edges
@@ -599,19 +598,39 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     assert np.array_equal(lengths, ref_lengths)
 
 
-def test_only_wide_rows_are_compacted():
+def _compacted_widths(monkeypatch, n):
+    """The widths, in order, that one construct_colony call at width n
+    compacts its rows to: each compaction binds its avail array through
+    np.ones, which the call uses nowhere else."""
+    d = build_distance_matrix(random_planar_instance(n, seed=936))
+    colony = SubsetColony(d, frozenset(), 2.0, AcoParams())
+    widths, ones = [], np.ones
+
+    def spy(shape, *args, **kwargs):
+        widths.append(shape[1])
+        return ones(shape, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "ones", spy)
+        colony.construct_colony(None, np.random.default_rng(n).random((5, n)))
+    return widths
+
+
+def test_only_wide_rows_are_compacted(monkeypatch):
     # no bench51 subset (12-26 nodes) is ever compacted; a row is compacted
     # when the nodes left number at most 0.7 of its current width, while
     # they still number at least 32
-    assert all(_compaction_steps(n) == () for n in range(1, 46))
-    assert _compaction_steps(46) == (14,)
-    steps = _compaction_steps(250)
-    assert [250 - s for s in steps] == [175, 122, 85, 59, 41]
-    for n in (46, 64, 120, 250, 500):
-        widths = [n] + [n - s for s in _compaction_steps(n)]
+    assert all(_compacted_widths(monkeypatch, n) == [] for n in range(2, 46))
+    assert _compacted_widths(monkeypatch, 46) == [32]
+    assert _compacted_widths(monkeypatch, 250) == [175, 122, 85, 59, 41]
+    for n in (64, 120, 500):
+        widths = [n] + _compacted_widths(monkeypatch, n)
+        assert len(widths) > 1
         assert all(32 <= r <= 0.7 * w for w, r in zip(widths, widths[1:]))
-        # the row would have been compacted at no earlier step
+        # the row would have been compacted at no earlier step, nor again
+        # after its last compaction
         assert all(r + 1 > 0.7 * w for w, r in zip(widths, widths[1:]))
+        assert int(0.7 * widths[-1]) < 32
 
 
 @pytest.mark.parametrize("n", [13, 120])
@@ -620,8 +639,8 @@ def test_colony_reused_buffers_match_fresh_colonies(n):
     # a call with draws of exactly 1 and a refused call in between leave
     # every call bit-identical to a fresh colony's on the same trail, and the
     # arrays a call returns are the caller's own; at n = 120 every call
-    # compacts its rows and cuts the buffers to each width, and the next call
-    # must see them whole again
+    # compacts its rows into arrays of their own width, beside the kept
+    # full-width buffers
     d = build_distance_matrix(random_planar_instance(n, seed=930))
     backbone = _keys(kruskal_mst(d))
     rng = np.random.default_rng(931)
@@ -633,7 +652,6 @@ def test_colony_reused_buffers_match_fresh_colonies(n):
         return colony
 
     colony = fresh()
-    assert bool(colony._compact_at) == (n == 120)
     calls = []
     sequence = ((50, None), (7, 4), (50, None), ("ones", None), ("refused", None), (50, 0))
     for na, start in sequence:
@@ -679,15 +697,29 @@ def test_colony_refuses_backbone_edge_outside_subset():
         ((True, 2), "backbone edge end True is not an integer"),
         (("0", 1), "backbone edge end '0' is not an integer"),
         ((0, 1, 2), "backbone edge (0, 1, 2) is not a pair"),
+        ((0, (1, 2)), "backbone edge end (1, 2) is not an integer"),
     ],
-    ids=["float-end", "bool-end", "string-end", "triple"],
+    ids=["float-end", "bool-end", "string-end", "triple", "ragged"],
 )
 def test_colony_refuses_a_backbone_edge_that_is_not_a_pair_of_ids(edge, message):
     # (0.7, 1), (True, 2) and ("0", 1) used to be read as ids in [0, 3)
-    # without a word, and a triple raised numpy's reshape error
+    # without a word, a triple raised numpy's reshape error, and (0, (1, 2))
+    # numpy's "inhomogeneous shape" error
     d = build_distance_matrix(random_planar_instance(6, seed=932))
     with pytest.raises(ValueError, match=re.escape(message)):
         SubsetColony(d[:3, :3], [edge], 2.0, AcoParams())
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_colony_reads_backbone_edges_given_as_numpy_rows(dtype):
+    # an (E, 2) integer array used to raise numpy's broadcast error: adding
+    # an ndarray row to a list dispatched to ndarray addition
+    d = build_distance_matrix(random_planar_instance(12, seed=937))
+    pairs = sorted(_keys(kruskal_mst(d)))
+    colony = SubsetColony(d, np.array(pairs, dtype=dtype), 2.0, AcoParams())
+    listed = SubsetColony(d, pairs, 2.0, AcoParams())
+    assert colony.weight.tobytes() == listed.weight.tobytes()
+    assert colony._gain.tobytes() == listed._gain.tobytes()
 
 
 @st.composite

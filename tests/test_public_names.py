@@ -7,8 +7,11 @@ module outside its own definition, or by ``demos/`` or ``perfbench/``.  Each
 top-level private ``def``, ``class`` and assigned name (a leading underscore,
 dunders aside) must be read by the package itself outside its own
 definition.  A reference is a Name, an Attribute or an import alias;
-docstrings, comments and other strings do not count.  Code that ships only
-to serve the tests, and a helper its last caller left behind, fail here.
+docstrings, comments and other strings do not count.  Each private instance
+attribute a method sets (``self._name = ...``) must be read as an attribute
+somewhere in the package outside an assignment.  Code that ships only to
+serve the tests, and a helper or a cached value its last reader left
+behind, fail here.
 """
 
 import ast
@@ -68,6 +71,21 @@ def _uncalled(modules: dict[str, str], outside: list[str], private: bool = False
     return missing
 
 
+def _unread_attributes(modules: dict[str, str]) -> list[str]:
+    """``module: self._name`` for each private instance attribute that
+    ``modules`` (file name -> source) set and never read as an attribute."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    missing = [f"{module}: self.{n.attr}" for module, tree in trees.items()
+               for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+               and isinstance(n.value, ast.Name) and n.value.id == "self"
+               and n.attr.startswith("_") and not n.attr.startswith("__")
+               and n.attr not in read]
+    return list(dict.fromkeys(missing))  # each once, in order
+
+
 def test_check_finds_a_name_only_its_definition_reads():
     modules = {
         "a.py": "LIMIT = 3\nUNUSED = 4\n\ndef used(x):\n    return x + LIMIT\n\n"
@@ -101,6 +119,18 @@ def test_check_finds_a_private_name_the_package_never_reads():
         "a.py: _UNUSED", "a.py: _recursive", "a.py: _Helper"]
 
 
+def test_check_finds_a_private_attribute_the_package_never_reads():
+    modules = {
+        "a.py": "class Box:\n    def __init__(self):\n        self._kept = 1\n"
+                "        self._spare = 2\n        self._shared = 3\n        self._counted = 0\n"
+                "        self._counted += 1\n        self.shown = 4\n        self.__hidden = 5\n\n"
+                "    def reset(self):\n        self._spare = None\n\n"
+                "    def size(self):\n        return self._kept\n",
+        "b.py": "def peek(box):\n    return box._shared\n",
+    }
+    assert _unread_attributes(modules) == ["a.py: self._spare", "a.py: self._counted"]
+
+
 def _package() -> dict[str, str]:
     return {path.name: path.read_text()
             for path in sorted((ROOT / "src" / "sinepath").glob("*.py"))}
@@ -114,3 +144,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_private_name_is_read_by_the_package():
     assert _uncalled(_package(), [], private=True) == []
+
+
+def test_every_private_attribute_is_read_by_the_package():
+    assert _unread_attributes(_package()) == []
