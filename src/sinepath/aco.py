@@ -67,6 +67,23 @@ subset, are never compacted.  Ratios from 0.5 to 0.9 saved 16-19 % at width
 in the same run).  A minimum of 16 or 24 made calls at width 25 or 40
 13-19 % slower, since a compacted step's extra gather and pick then cost
 more than the columns it skips.
+
+The step loop runs compiled where it can (``roulette.c``, built, cached and
+loaded by ``native.py``) and in numpy otherwise, with the same tours bit for
+bit.  The numpy loop is the reference.  For each ant the C loop sums the
+scores of the ant's unvisited columns in ascending column order, sets the
+target to the capped draw times that total, and picks the first column whose
+running sum exceeds the target.  Those are the doubles of the numpy loop's
+masked or compacted prefix sums: each is one rounded addition in the same
+order, since a visited column adds an exact 0, and the C code is built
+without fast-math and with -ffp-contract=off, so that no addition is
+reordered and no product is fused into one.  The C scan ends at the last
+unvisited column, so it never picks a visited one.  The prologue (refusals,
+scores, start columns, capped draws) and the tour lengths stay in numpy.
+The first colony call loads the C loop and enables it only once it gives
+the numpy loop's tours on a fixed case; where no compiler is found, a build
+or a load fails, or the check fails, the numpy loop runs, and
+``step_loop()`` says which loop runs and why.
 """
 
 from __future__ import annotations
@@ -178,9 +195,9 @@ class SubsetColony:
     tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
     so every ant consumes the same stream shape regardless of scheduling.
-    The full-width step buffers are kept from one call to the next (see
-    ``_workspace``); a compaction binds arrays of its own width, and a call
-    returns arrays of its own.
+    The numpy step loop keeps its full-width step buffers from one call to
+    the next (see ``_workspace``), and a compaction binds arrays of its own
+    width; a call returns arrays of its own.
     """
 
     def __init__(self, dist: np.ndarray, backbone_edges, omega: float, params: AcoParams):
@@ -307,10 +324,30 @@ class SubsetColony:
             raise ValueError("successor scores too large: a row total could overflow; "
                              "rescale the coordinates or lower beta")
 
-        picks, avail, offsets, flat, draws, scores, cum, below, target = self._workspace(na)
+        if start_local is None:
+            start = minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
+        else:
+            start = np.full(na, start_local, dtype=np.int64)
+        # Capped at the largest double below 1, in float64: in float32 the
+        # cap would round to 1.
+        draws = minimum(uniforms.T, 1.0 - 2.0**-53, out=np.empty((nl, na)), dtype=np.float64)
+        kernel = _step_kernel()
+        if kernel is None:
+            orders = self._numpy_steps(score_tau, start, draws, self._workspace(na))
+        else:
+            orders = _c_steps(kernel, score_tau, start, draws)
+        return orders, tour_lengths(orders, self.dist)
+
+    @staticmethod
+    def _numpy_steps(score_tau, start, draws, buffers) -> np.ndarray:
+        """The step loop in numpy, the reference of the compiled one: each
+        ant's tour from its ``start`` node, picked on the rows of
+        ``score_tau`` by the capped (n_local, n_ants) ``draws``, in the
+        step ``buffers`` for that shape (see ``_workspace``)."""
+        nl, na = draws.shape
+        picks, avail, offsets, flat, scores, cum, below, target = buffers
         avail.fill(1.0)
-        # Each out= goes by position, except to minimum, which deprecates a
-        # third positional argument.
+        # Each out= goes by position.
         add, multiply = np.add, np.multiply
         accumulate, less_equal = np.add.accumulate, np.less_equal
         # The row state, which a compaction changes: its width, each ant's
@@ -319,13 +356,9 @@ class SubsetColony:
         total, put, argmin = cum[:, -1], avail.put, below.argmin
 
         cur = picks[0]
-        if start_local is None:
-            minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1, out=cur)
-        else:
-            cur[:] = start_local
+        cur[:] = start
         put(add(row_start, cur, flat), 0.0)
 
-        minimum(uniforms.T, 1.0 - 2.0**-53, out=draws)  # the largest double below 1
         take = score_tau.take
         # The last step is not run: each ant has one unvisited node left,
         # whose score alone is positive and whose prefix sum, the total,
@@ -366,8 +399,7 @@ class SubsetColony:
         else:
             add(avail.argmax(axis=1, out=flat), row_start, out=flat)
             cols.take(flat, out=picks[-1], mode="clip")
-        orders = picks.T.copy()
-        return orders, tour_lengths(orders, self.dist)
+        return picks.T.copy()
 
     def _workspace(self, na: int) -> tuple:
         """The step buffers for ``na`` ants, allocated on the first call and
@@ -377,16 +409,74 @@ class SubsetColony:
         full rows into scores, then gather the kept columns into new arrays
         of the row's new width, beside new avail, cum and below arrays."""
         if self._work is None or self._work[0] != na:
-            nl = self.n_local
-            self._work = na, (
-                np.empty((nl, na), dtype=np.int64),  # picks
-                np.empty((na, nl)),  # avail
-                np.arange(na) * nl,  # offsets
-                np.empty(na, dtype=np.int64),  # flat
-                np.empty((nl, na)),  # draws
-                np.empty((na, nl)),  # scores
-                np.empty((na, nl)),  # cum
-                np.empty((na, nl), dtype=bool),  # below
-                np.empty(na),  # target
-            )
+            self._work = na, _step_buffers(na, self.n_local)
         return self._work[1]
+
+
+def _step_buffers(na: int, nl: int) -> tuple:
+    """New step buffers of the numpy loop for ``na`` ants on ``nl`` nodes."""
+    return (
+        np.empty((nl, na), dtype=np.int64),  # picks
+        np.empty((na, nl)),  # avail
+        np.arange(na) * nl,  # offsets
+        np.empty(na, dtype=np.int64),  # flat
+        np.empty((na, nl)),  # scores
+        np.empty((na, nl)),  # cum
+        np.empty((na, nl), dtype=bool),  # below
+        np.empty(na),  # target
+    )
+
+
+# The compiled step loop (see native.py): None until a colony call first
+# asks for it, then the checked ctypes function, or the reason the numpy
+# loop runs instead.
+_kernel = None
+
+
+def step_loop() -> str:
+    """Which step loop colony calls run: ``"c"``, or ``"numpy (<why>)"``
+    when the compiled loop is unavailable.  Loads it on first use."""
+    return "c" if _step_kernel() is not None else f"numpy ({_kernel})"
+
+
+def _step_kernel():
+    """The compiled step loop, or None when the numpy loop runs.  The first
+    call builds or loads it and enables it only if it picks what the numpy
+    loop picks on a fixed case."""
+    global _kernel
+    if _kernel is None:
+        from . import native
+
+        try:
+            kernel = native.load()
+        except (native.Unavailable, OSError) as exc:
+            _kernel = str(exc)
+        else:
+            _kernel = (kernel if _agrees(kernel)
+                       else "it differs from the numpy loop on its self-check")
+    return None if isinstance(_kernel, str) else _kernel
+
+
+def _c_steps(kernel, score_tau, start, draws) -> np.ndarray:
+    """``SubsetColony._numpy_steps`` run by the compiled ``kernel``, on the
+    C-ordered ``start`` and ``draws`` that ``construct_colony`` makes."""
+    nl, na = draws.shape
+    orders = np.empty((na, nl), dtype=np.int64)
+    left = np.empty(nl, dtype=np.int64)
+    kernel(na, nl, np.ascontiguousarray(score_tau).ctypes.data, draws.ctypes.data,
+           start.ctypes.data, orders.ctypes.data, left.ctypes.data)
+    return orders
+
+
+def _agrees(kernel) -> bool:
+    """Whether ``kernel`` gives the numpy loop's tours on a fixed case: 47
+    nodes, so that the numpy loop compacts its rows once, scores over 60
+    orders of magnitude, and ants whose draws are all 0 or all capped."""
+    rng = np.random.default_rng(47)
+    score_tau = 10.0 ** rng.uniform(-30.0, 30.0, (47, 47))
+    np.fill_diagonal(score_tau, 0.0)
+    draws = np.minimum(rng.random((47, 6)), 1.0 - 2.0**-53)
+    draws[:, 0], draws[:, 1] = 0.0, 1.0 - 2.0**-53
+    start = np.arange(0, 47, 8, dtype=np.int64)
+    numpy_orders = SubsetColony._numpy_steps(score_tau, start, draws, _step_buffers(6, 47))
+    return np.array_equal(_c_steps(kernel, score_tau, start, draws), numpy_orders)

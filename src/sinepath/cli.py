@@ -23,7 +23,7 @@ from pathlib import Path
 # loads numpy; a value the user set wins, and bench workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .aco import AcoParams  # noqa: E402
+from .aco import AcoParams, step_loop  # noqa: E402
 from .bench import (  # noqa: E402
     DEFAULT_ABLATION_WEIGHTS,
     ExperimentPlan,
@@ -105,9 +105,12 @@ def _list(cast, what: str, choices=None):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -256,6 +259,7 @@ def _cmd_solve(args) -> int:
     print(f"instance {inst.name}  robots {args.robots}  mode {args.mode}")
     print(f"total {o.total:.4f}  max {o.max_single:.4f}  J {o.j_value:.4f}")
     print(f"iterations {report.iterations_run}  wall {report.wall_time:.2f}s")
+    print(f"step loop {step_loop()}")
     print(f"report written to {args.out}")
     return EXIT_OK
 

@@ -1,0 +1,90 @@
+"""Build, cache and load the colony's compiled roulette step loop.
+
+``roulette.c`` ships with the package.  ``load`` compiles it once with the
+system's ``cc`` and ``FLAGS``: no fast-math, no ``-march`` and no fused
+multiply-add, so every sum and product stays one rounded IEEE double
+operation, as in numpy.  The shared object is cached under a hash of the
+source and the flags in ``$XDG_CACHE_HOME/sinepath`` (else
+``~/.cache/sinepath``, else the temp dir).  It is written under a temporary
+name and renamed into place, so processes that build at once leave one
+whole object, and each loads it with ``ctypes``.  Any failure raises
+``Unavailable`` naming its cause.  ``aco.py`` checks a loaded loop against
+its numpy loop before it uses it, and runs the numpy loop where ``load``
+fails.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+class Unavailable(Exception):
+    """The compiled step loop cannot be built or loaded; the message says why."""
+
+
+def cache_dir() -> Path:
+    """Where compiled objects are cached."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if os.path.isabs(base):
+        return Path(base) / "sinepath"
+    home = os.path.expanduser("~")
+    if os.path.isabs(home):
+        return Path(home) / ".cache" / "sinepath"
+    return Path(tempfile.gettempdir()) / "sinepath"
+
+
+def object_path(source: bytes) -> Path:
+    """Where the object compiled from ``source`` with ``FLAGS`` is cached."""
+    key = hashlib.sha256(b"\0".join([source, *(f.encode() for f in FLAGS)])).hexdigest()
+    return cache_dir() / f"roulette-{key[:16]}.so"
+
+
+def load():
+    """The compiled ``sinepath_roulette`` as a ctypes function, built into
+    the cache first if it is not there."""
+    source = resources.files(__package__).joinpath("roulette.c").read_bytes()
+    path = object_path(source)
+    if not path.is_file():
+        _build(source, path)
+    try:
+        kernel = ctypes.CDLL(str(path)).sinepath_roulette
+    except (OSError, AttributeError) as exc:
+        raise Unavailable(f"cannot load {path}: {exc}") from None
+    kernel.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 5
+    kernel.restype = None
+    return kernel
+
+
+def _build(source: bytes, path: Path) -> None:
+    # Only a cold cache needs these, so a warm one does not import them.
+    import shutil
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise Unavailable("no C compiler (cc) on PATH")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.stem}-", dir=path.parent)
+        os.close(fd)
+    except OSError as exc:
+        raise Unavailable(f"cannot write to {path.parent}: {exc.strerror}") from None
+    try:
+        proc = subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", tmp], input=source,
+                              capture_output=True, timeout=120)
+        if proc.returncode != 0:
+            first = proc.stderr.decode(errors="replace").strip().splitlines()[:1]
+            raise Unavailable(": ".join([f"{cc} exited {proc.returncode}", *first]))
+        os.replace(tmp, path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise Unavailable(f"cannot build {path}: {exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

@@ -1,6 +1,9 @@
+import os
 import pathlib
 
 import pytest
+
+from sinepath import aco
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -14,6 +17,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line("acceptance criteria:")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line("  " + line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """A cache of compiled step loops for this session, inherited by every
+    process a test starts, so that no test writes to the user's cache."""
+    saved = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache"))
+    yield
+    if saved is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = saved
+
+
+@pytest.fixture
+def numpy_loop(monkeypatch):
+    """Colony calls run the numpy step loop, as where no C compiler is found."""
+    monkeypatch.setattr(aco, "_kernel", "disabled by the test")
 
 
 @pytest.fixture(scope="session")

@@ -598,6 +598,22 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     assert np.array_equal(lengths, ref_lengths)
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("width", [8, 60])
+def test_draws_of_one_give_whole_tours_in_any_float_dtype(dtype, width, numpy_loop):
+    # the cap 1 - 2^-53 is applied in float64: applied in float32 it rounded
+    # to 1, so a draw of 1 set the target to the row total, which no prefix
+    # sum exceeds, and the ant took column 0 again
+    d = build_distance_matrix(random_planar_instance(width, seed=940))
+    colony = SubsetColony(d, frozenset(), 2.0, AcoParams())
+    uniforms = np.random.default_rng(941).random((6, width)).astype(dtype)
+    uniforms[:, 1::2] = 1.0
+    orders, _ = colony.construct_colony(None, uniforms)
+    assert np.array_equal(np.sort(orders, axis=1), np.broadcast_to(np.arange(width), orders.shape))
+    as_float64, _ = colony.construct_colony(None, uniforms.astype(np.float64))
+    assert np.array_equal(orders, as_float64)
+
+
 def _compacted_widths(monkeypatch, n):
     """The widths, in order, that one construct_colony call at width n
     compacts its rows to: each compaction binds its avail array through
@@ -616,7 +632,7 @@ def _compacted_widths(monkeypatch, n):
     return widths
 
 
-def test_only_wide_rows_are_compacted(monkeypatch):
+def test_only_wide_rows_are_compacted(monkeypatch, numpy_loop):
     # no bench51 subset (12-26 nodes) is ever compacted; a row is compacted
     # when the nodes left number at most 0.7 of its current width, while
     # they still number at least 32
@@ -634,7 +650,7 @@ def test_only_wide_rows_are_compacted(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [13, 120])
-def test_colony_reused_buffers_match_fresh_colonies(n):
+def test_colony_reused_buffers_match_fresh_colonies(n, numpy_loop):
     # one colony keeps its step buffers between calls: a changed ant count,
     # a call with draws of exactly 1 and a refused call in between leave
     # every call bit-identical to a fresh colony's on the same trail, and the

@@ -20,6 +20,7 @@ import pytest
 
 import sinepath
 from oracles import parse_results_csv
+from sinepath import aco
 from sinepath.aco import AcoParams
 from sinepath.bench import format_results_csv
 from sinepath.cli import (
@@ -53,6 +54,25 @@ def test_solve_writes_report(tmp_path, tri3_path, capsys):
     printed = capsys.readouterr().out
     assert "total 12.0000" in printed
     assert "J " in printed
+
+
+def test_solve_prints_the_step_loop_outside_the_report(tmp_path, bench51_path, capsys,
+                                                      monkeypatch):
+    # which step loop ran is a diagnostic: printed, never in the report, and
+    # the report is the same with either loop
+    argv = ["solve", str(bench51_path), "--robots", "4", "--out", str(tmp_path / "r.json")] + FAST
+    assert main(argv) == EXIT_OK
+    loop = [line for line in capsys.readouterr().out.splitlines() if line.startswith("step loop ")]
+    assert loop == [f"step loop {aco.step_loop()}"]
+    assert loop[0] == "step loop c" or loop[0].startswith("step loop numpy (")
+    first = json.loads((tmp_path / "r.json").read_text())
+    monkeypatch.setattr(aco, "_kernel", "disabled by the test")
+    assert main(argv) == EXIT_OK
+    assert "step loop numpy (disabled by the test)\n" in capsys.readouterr().out
+    again = json.loads((tmp_path / "r.json").read_text())
+    assert "loop" not in json.dumps(first)
+    first.pop("wall_time"), again.pop("wall_time")
+    assert again == first
 
 
 def test_solve_svg_output(tmp_path, tri3_path):
@@ -412,6 +432,26 @@ def test_import_sinepath_loads_no_numpy():
     assert same
     with pytest.raises(AttributeError, match="has no attribute 'SubsetColony'"):
         sinepath.SubsetColony
+
+
+def test_cli_import_builds_and_loads_no_step_loop(tmp_path):
+    # the compiled step loop is built or loaded by the first colony call, not
+    # by an import: a cc that would record its run stays unrun.  numpy 2
+    # imports ctypes itself, so the module that loads the step loop is what
+    # must stay unloaded
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    fake = bin_dir / "cc"
+    fake.write_text(f"#!/bin/sh\n: > {tmp_path / 'ran'}\nexit 1\n")
+    fake.chmod(0o755)
+    env = {**_child_env(), "PATH": str(bin_dir), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    code = (
+        "import json, sys\n"
+        "import sinepath.cli\n"
+        "print(json.dumps([m for m in sys.modules if m == 'sinepath.native']))\n"
+    )
+    assert _fresh_python(code, env) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bin"]
 
 
 def test_cli_import_starts_numpy_with_one_blas_thread():
@@ -910,7 +950,10 @@ def test_workers_flag_not_an_int_is_usage_error(tri3_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(_workers_argv("bench", tri3_path, tmp_path) + ["--workers", "abc"])
     assert exc.value.code == EXIT_USAGE
-    assert "argument --workers" in capsys.readouterr().err
+    # the message names what the flag takes, not a private function
+    err = capsys.readouterr().err
+    assert "argument --workers: must be a positive integer, got 'abc'" in err
+    assert "_positive_int" not in err
     assert list(tmp_path.iterdir()) == []
 
 
