@@ -27,11 +27,11 @@ power of two that puts its least off-diagonal weight in [2, 4), and scores
 its own trail through ``local_tau``, which floors it at TRAIL_FLOOR; the
 scale leaves every product, prefix sum and pick with the same bits, barring
 overflow.  And every draw is capped at 1 - 2^-53, the largest double below
-1.  A colony refuses a least weight of 0 and a backbone edge that is not a
-pair of integer ids in [0, n_local); a call refuses a successor score
-that is not finite (an overflowed visibility or trail, or the NaN that
-rho = 1 makes of an infinite trail), n_local times the largest score
-reaching half the largest double, a start other than an integer in
+1.  A colony refuses an empty subset, a least weight of 0 and a backbone
+edge that is not a pair of integer ids in [0, n_local); a call refuses a
+successor score that is not finite (an overflowed visibility or trail, or
+the NaN that rho = 1 makes of an infinite trail), n_local times the largest
+score reaching half the largest double, a start other than an integer in
 [0, n_local) and a draw outside [0, 1].
 
 Each row total T then sums at least one unvisited score, so it is finite,
@@ -78,9 +78,19 @@ masked or compacted prefix sums: each is one rounded addition in the same
 order, since a visited column adds an exact 0, and the C code is built
 without fast-math and with -ffp-contract=off, so that no addition is
 reordered and no product is fused into one.  The C scan ends at the last
-unvisited column, so it never picks a visited one.  The prologue (refusals,
-scores, start columns, capped draws) and the tour lengths stay in numpy.
-The first colony call loads the C loop and enables it only once it gives
+unvisited column, so it never picks a visited one.  On rows at least
+GROUP_MIN wide (a constant of ``roulette.c``) the C loop runs four ants at
+a time, so that four chains of additions overlap: they share the step, and
+so the count r of nodes each has left.  One pass adds each ant's scores at
+its own unvisited columns, in ascending order, to its own running sum and
+stores each sum; a branch-free lower-bound search then finds, for each
+ant, the first of its first r - 1 sums that exceeds its target, or else
+its last column.  Each sum is the one-ant scan's, the same additions in the
+same order, and since every score is at least 2 * TRAIL_FLOOR > 0 the sums
+never decrease, so the lower bound is the first crossing the scan finds.
+Narrower rows and the n_ants mod 4 ants left over run one at a time.  The
+prologue (refusals, scores, start columns, capped draws) and the tour
+lengths stay in numpy.  The first colony call loads the C loop and enables it only once it gives
 the numpy loop's tours on a fixed case; where no compiler is found, a build
 or a load fails, or the check fails, the numpy loop runs, and
 ``step_loop()`` says which loop runs and why.
@@ -205,6 +215,8 @@ class SubsetColony:
         if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
             raise ValueError(f"distance block of shape {np.shape(dist)} is not square")
         self.n_local = n = len(self.dist)
+        if n == 0:
+            raise ValueError("distance block of shape (0, 0) is an empty subset")
         self.params = params
         self.tau = 1.0 - np.eye(n)
         ends = []
@@ -462,15 +474,17 @@ def _c_steps(kernel, score_tau, start, draws) -> np.ndarray:
     C-ordered ``start`` and ``draws`` that ``construct_colony`` makes."""
     nl, na = draws.shape
     orders = np.empty((na, nl), dtype=np.int64)
-    left = np.empty(nl, dtype=np.int64)
+    # Four ants' unvisited lists and running sums, when four run at once.
+    scratch = np.empty(8 * nl, dtype=np.int64)
     kernel(na, nl, np.ascontiguousarray(score_tau).ctypes.data, draws.ctypes.data,
-           start.ctypes.data, orders.ctypes.data, left.ctypes.data)
+           start.ctypes.data, orders.ctypes.data, scratch.ctypes.data)
     return orders
 
 
 def _agrees(kernel) -> bool:
     """Whether ``kernel`` gives the numpy loop's tours on a fixed case: 47
-    nodes, so that the numpy loop compacts its rows once, scores over 60
+    nodes, so that the numpy loop compacts its rows once, 6 ants, so that
+    the C loop runs four at a time and two one at a time, scores over 60
     orders of magnitude, and ants whose draws are all 0 or all capped."""
     rng = np.random.default_rng(47)
     score_tau = 10.0 ** rng.uniform(-30.0, 30.0, (47, 47))

@@ -7,7 +7,10 @@ operation, as in numpy.  The shared object is cached under a hash of the
 source and the flags in ``$XDG_CACHE_HOME/sinepath`` (else
 ``~/.cache/sinepath``, else the temp dir).  It is written under a temporary
 name and renamed into place, so processes that build at once leave one
-whole object, and each loads it with ``ctypes``.  Any failure raises
+whole object, and each loads it with ``ctypes``.  Each new ``roulette.c``
+or set of flags compiles a new object beside the old ones, and nothing
+removes the old ones; the cache directory can be deleted at any time, and
+the next colony call builds it again.  Any failure raises
 ``Unavailable`` naming its cause.  ``aco.py`` checks a loaded loop against
 its numpy loop before it uses it, and runs the numpy loop where ``load``
 fails.

@@ -771,6 +771,13 @@ def test_colony_refuses_a_distance_block_of_another_shape():
             SubsetColony(dist, frozenset(), 2.0, AcoParams())
 
 
+def test_colony_refuses_an_empty_subset():
+    # a colony has no tour to build on no nodes; its first call used to fail
+    # inside numpy's reduction over the empty score block
+    with pytest.raises(ValueError, match=re.escape("distance block of shape (0, 0) is an empty subset")):
+        SubsetColony(np.zeros((0, 0)), [], 1.0, AcoParams())
+
+
 @pytest.mark.parametrize("order", [(0, 1, 3), (-1, 0, 2), (2, 1, 7), (1, 0, -3), (3,)])
 def test_deposit_refuses_a_node_outside_the_subset(order):
     # a tour holds local ids 0..2 of a 3-node colony; any other id would put

@@ -11,6 +11,7 @@ are skipped where no C compiler is found.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,9 @@ from sinepath.solver import SolverConfig, solve
 from test_solver import GOLDEN, _PINNED
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCE = resources.files("sinepath").joinpath("roulette.c").read_bytes()
+# Rows at least this wide run four ants at a time.
+GROUP_MIN = int(re.search(rb"#define GROUP_MIN (\d+)", SOURCE)[1])
 
 # A loop with the kernel's name and signature that gives whole tours, but
 # not the roulette's.
@@ -71,15 +75,76 @@ def _colony(width: int, seed: int, rho: float = 0.1) -> SubsetColony:
     return SubsetColony(d, [(i, i + 1) for i in range(width - 1)], 2.0, AcoParams(rho=rho))
 
 
+def _aim_at_plateaus(colony, start_local, uniforms) -> int:
+    """Remake the float64 ``uniforms`` in place, step by step along each
+    ant's tour, so that wherever the ant's row repeats a running sum below
+    its total, the target lands exactly on that sum; returns how many
+    targets do."""
+    score = colony.local_tau() * colony.weight
+    nl = uniforms.shape[1]
+    hits = 0
+    for u in uniforms:
+        cur = start_local if start_local is not None else min(int(u[0] * nl), nl - 1)
+        left = [j for j in range(nl) if j != cur]
+        for step in range(1, nl - 1):
+            cum = np.add.accumulate(score[cur, left])
+            total = cum[-1]
+            repeated = cum[:-1][(cum[:-1] == cum[1:]) & (cum[:-1] < total)]
+            if len(repeated):
+                aim = repeated[len(repeated) // 2]
+                draw = aim / total
+                for _ in range(4):  # the nearest draws whose product is the sum
+                    if draw * total == aim:
+                        u[step] = draw
+                        hits += 1
+                        break
+                    draw = np.nextafter(draw, np.inf if draw * total < aim else -np.inf)
+            target = min(u[step], 1.0 - 2.0**-53) * total
+            cur = left.pop(min(int(np.searchsorted(cum, target, "right")), len(left) - 1))
+    return hits
+
+
+def _check_compiled_loop(width, ants, seed, start, ends, dtype, trail) -> int:
+    """Assert that the compiled and numpy loops give bit-identical orders and
+    lengths on one colony call; returns the count of targets on plateaus."""
+    rng = np.random.default_rng(seed)
+    colony = _colony(width, seed, rho=1.0 if trail == "floored" else 0.1)
+    if trail == "scaled":
+        colony.tau = 10.0 ** rng.uniform(-20.0, 20.0, (width, width))
+    elif trail == "floored" and width > 1:
+        order = tuple(int(v) for v in rng.permutation(width))
+        update_pheromones([colony], [Tour(order, float(rng.uniform(1.0, 100.0)))])
+    elif trail == "plateau":
+        # a run of columns whose scores add nothing to a running sum of
+        # the others' size, so that each repeats the sum before it
+        colony.tau[:, width // 3 : 2 * width // 3] = 1e-30
+    uniforms = rng.random((ants, width))
+    if ends in ("zeros", "both"):
+        uniforms[rng.random(uniforms.shape) < 0.25] = 0.0
+    if ends in ("ones", "both"):
+        uniforms[rng.random(uniforms.shape) < 0.25] = 1.0
+    start_local = None if start is None else int(start * width)
+    hits = 0
+    if trail == "plateau" and dtype == np.float64:
+        hits = _aim_at_plateaus(colony, start_local, uniforms)
+    uniforms = uniforms.astype(dtype)
+    expected = _numpy_loop(lambda: colony.construct_colony(start_local, uniforms))
+    orders, lengths = colony.construct_colony(start_local, uniforms)
+    assert np.array_equal(orders, expected[0])
+    assert np.array_equal(lengths, expected[1])
+    assert np.array_equal(np.sort(orders, axis=1), np.broadcast_to(np.arange(width), orders.shape))
+    return hits
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     width=st.one_of(st.sampled_from([1, 2, 3, 45, 46, 250]), st.integers(1, 120)),
-    ants=st.integers(1, 8),
+    ants=st.integers(1, 13),
     seed=st.integers(0, 999),
     start=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
     ends=st.sampled_from(["none", "zeros", "ones", "both"]),
     dtype=st.sampled_from([np.float64, np.float32]),
-    trail=st.sampled_from(["fresh", "scaled", "floored"]),
+    trail=st.sampled_from(["fresh", "scaled", "floored", "plateau"]),
 )
 @example(width=1, ants=3, seed=0, start=None, ends="both", dtype=np.float64, trail="fresh")
 @example(width=2, ants=3, seed=1, start=0.6, ends="ones", dtype=np.float32, trail="floored")
@@ -88,30 +153,43 @@ def _colony(width: int, seed: int, rho: float = 0.1) -> SubsetColony:
 @example(width=46, ants=5, seed=4, start=None, ends="ones", dtype=np.float64, trail="scaled")
 @example(width=250, ants=6, seed=5, start=None, ends="both", dtype=np.float32, trail="floored")
 @example(width=250, ants=6, seed=6, start=0.99, ends="none", dtype=np.float64, trail="fresh")
+@example(width=GROUP_MIN - 1, ants=9, seed=7, start=None, ends="both", dtype=np.float64,
+         trail="floored")
+@example(width=GROUP_MIN, ants=7, seed=8, start=0.3, ends="ones", dtype=np.float32,
+         trail="scaled")
+@example(width=GROUP_MIN + 1, ants=13, seed=9, start=None, ends="zeros", dtype=np.float64,
+         trail="fresh")
 def test_compiled_loop_matches_the_numpy_loop(kernel, width, ants, seed, start, ends, dtype,
                                               trail):
     # every order and length bit-identical, with rows compacted (width > 45)
-    # or not, a given or a drawn start, draws of exactly 0 and 1, float32
-    # blocks, and trails floored everywhere but one tour's edges (rho = 1)
-    rng = np.random.default_rng(seed)
-    colony = _colony(width, seed, rho=1.0 if trail == "floored" else 0.1)
-    if trail == "scaled":
-        colony.tau = 10.0 ** rng.uniform(-20.0, 20.0, (width, width))
-    elif trail == "floored" and width > 1:
-        order = tuple(int(v) for v in rng.permutation(width))
-        update_pheromones([colony], [Tour(order, float(rng.uniform(1.0, 100.0)))])
-    uniforms = rng.random((ants, width))
-    if ends in ("zeros", "both"):
-        uniforms[rng.random(uniforms.shape) < 0.25] = 0.0
-    if ends in ("ones", "both"):
-        uniforms[rng.random(uniforms.shape) < 0.25] = 1.0
-    uniforms = uniforms.astype(dtype)
-    start_local = None if start is None else int(start * width)
-    expected = _numpy_loop(lambda: colony.construct_colony(start_local, uniforms))
-    orders, lengths = colony.construct_colony(start_local, uniforms)
-    assert np.array_equal(orders, expected[0])
-    assert np.array_equal(lengths, expected[1])
-    assert np.array_equal(np.sort(orders, axis=1), np.broadcast_to(np.arange(width), orders.shape))
+    # or not, ants four at a time (width >= GROUP_MIN) or one at a time, a
+    # given or a drawn start, draws of exactly 0 and 1, float32 blocks,
+    # trails floored everywhere but one tour's edges (rho = 1), and targets
+    # on running sums that a run of scores repeats
+    _check_compiled_loop(width, ants, seed, start, ends, dtype, trail)
+
+
+@pytest.mark.parametrize("ants", range(1, 14))
+@pytest.mark.parametrize("width", [GROUP_MIN - 1, GROUP_MIN, GROUP_MIN + 1, 120])
+def test_compiled_loop_matches_on_plateaus_for_every_ant_count(kernel, width, ants):
+    # each count of ants left over beside full groups of four, on both sides
+    # of GROUP_MIN, with targets on repeated running sums
+    hits = _check_compiled_loop(width, ants, 100 * width + ants, None, "none", np.float64,
+                                "plateau")
+    assert hits >= ants
+
+
+def test_the_self_check_runs_both_paths(kernel):
+    # _agrees's fixed case runs full groups of four ants and leftover ants
+    calls = []
+
+    def spy(*args):
+        calls.append(args[:2])
+        return kernel(*args)
+
+    assert aco._agrees(spy)
+    [(ants, width)] = calls
+    assert width >= GROUP_MIN and ants >= 4 and ants % 4 != 0
 
 
 def _golden_case(case, data_dir):
@@ -136,6 +214,15 @@ def test_solve_is_byte_identical_with_the_numpy_loop(case, kernel, data_dir):
         assert hashlib.sha256(compiled.encode()).hexdigest() == golden[key]
 
 
+def test_the_c_source_compiles_without_warnings():
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    proc = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+                          input=SOURCE, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+
 def test_the_c_source_ships_with_the_package():
     source = resources.files("sinepath").joinpath("roulette.c")
     assert source.is_file()
@@ -152,7 +239,7 @@ def fresh_loader(monkeypatch, tmp_path):
     returns the path of the cached object."""
     monkeypatch.setattr(aco, "_kernel", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    return native.object_path(resources.files("sinepath").joinpath("roulette.c").read_bytes())
+    return native.object_path(SOURCE)
 
 
 def _fake_cc(tmp_path, monkeypatch, script: str) -> None:
