@@ -88,11 +88,24 @@ ant, the first of its first r - 1 sums that exceeds its target, or else
 its last column.  Each sum is the one-ant scan's, the same additions in the
 same order, and since every score is at least 2 * TRAIL_FLOOR > 0 the sums
 never decrease, so the lower bound is the first crossing the scan finds.
-Narrower rows and the n_ants mod 4 ants left over run one at a time.  The
-prologue (refusals, scores, start columns, capped draws) and the tour
-lengths stay in numpy.  The first colony call loads the C loop and enables it only once it gives
-the numpy loop's tours on a fixed case; where no compiler is found, a build
-or a load fails, or the check fails, the numpy loop runs, and
+Narrower rows and the n_ants mod 4 ants left over run one at a time.
+
+A colony call keeps its refusals, with their whole-block reductions, and
+its scores (``local_tau() * weight``) in numpy, and makes one compiled call
+for the rest: the start columns and the draws capped in float64, the
+steps, and each ant's closed-tour length, whose legs it adds in
+``tour_lengths``'s order (numpy's pairwise sum of all legs but the closing
+one, then the closing leg).  A block in another dtype is handed over in
+float64, which holds each of its draws exactly, with each drawn start taken in the
+block's own dtype, as the numpy loop takes it.  ``update_pheromones``
+likewise checks every tour in Python, then makes one compiled call per
+colony that evaporates and deposits with the numpy update's products and
+sums; a trail that is not a writable C-contiguous float64 block takes the
+numpy update.  The first colony call loads the compiled calls and enables
+them only once they give the numpy paths' tours, lengths and trail on a
+fixed case, whose draws put two ants' targets exactly on a repeated running
+sum; where no compiler is found, a build or a load fails, or the check
+fails, the numpy paths run, and
 ``step_loop()`` says which loop runs and why.
 """
 
@@ -100,6 +113,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from ctypes import addressof, c_char
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -184,9 +198,38 @@ def update_pheromones(colonies, tours) -> None:
     tour on it with the colony's own backbone.  Every tour is checked before
     any trail changes, so a refused call leaves every trail as it was."""
     rings = [colony._ring(tour) for colony, tour in zip(colonies, tours, strict=True)]
+    lib = _step_kernel()
     for colony, tour, ring in zip(colonies, tours, rings):
-        colony.tau *= 1.0 - colony.params.rho
-        colony._deposit(ring, tour.length)
+        p = colony.params
+        # A one-node tour deposits nothing, and its length may be 0.
+        scale = p.q_scale / tour.length if len(ring) > 2 else 0.0
+        args = colony.n_local, colony.tau, 1.0 - p.rho, ring, scale, colony._gain
+        if lib is None or not _c_update(lib, *args):
+            _numpy_update(*args)
+
+
+def _numpy_update(n, tau, keep, ring, scale, gain) -> None:
+    """One colony's update in numpy, the reference of the compiled one: the
+    (n, n) trail ``tau`` evaporates to ``keep`` times itself, then takes
+    scale * gain on the cells of the closed ``ring``'s legs, where ``gain``
+    is the colony's flat deposit factor."""
+    tau *= keep
+    _deposit(tau, ring, scale * gain[ring[:-1] * n + ring[1:]])
+
+
+def _deposit(tau, ring, amount) -> None:
+    """Add ``amount``, one number or one per leg, on the trail cell of each
+    leg ring[i] -> ring[i + 1] of the closed ``ring`` and, when it has 3 or
+    more nodes, on each leg's reverse; a one-node tour adds nothing.
+    ``_ring`` refuses a repeated node, so a tour's forward cells are
+    distinct, and so are its backward ones; only a 2-node tour's backward
+    cells repeat its forward ones.  The cells are indexed by row and column,
+    so a trail that is a view of a larger array takes the deposit too."""
+    here, succ = ring[:-1], ring[1:]
+    if len(here) > 1:
+        tau[here, succ] += amount
+        if len(here) > 2:
+            tau[succ, here] += amount
 
 
 class SubsetColony:
@@ -255,7 +298,10 @@ class SubsetColony:
         deposit nothing; an id other than an integer in [0, n_local) or that
         appears twice is refused, and so is a tour of 2 or more nodes whose
         length is not a positive finite number."""
-        self._deposit(self._ring(tour), tour.length, flat_bonus=True)
+        ring = self._ring(tour)
+        if len(ring) > 2:
+            p = self.params
+            _deposit(self.tau, ring, p.q_scale / tour.length * (1.0 + p.kappa))
 
     def _ring(self, tour) -> np.ndarray:
         """The tour's ids closed on its start, so that its legs run
@@ -270,23 +316,6 @@ class SubsetColony:
             repeated = next(v for i, v in enumerate(order) if v in order[:i])
             raise ValueError(f"tour node {repeated} is visited more than once")
         return np.array(order + order[:1], dtype=np.int64)
-
-    def _deposit(self, ring: np.ndarray, length: float, flat_bonus: bool = False) -> None:
-        here, succ = ring[:-1], ring[1:]
-        if len(here) < 2:
-            return
-        fwd = here * self.n_local + succ
-        p = self.params
-        scale = p.q_scale / length
-        amount = scale * (1.0 + p.kappa) if flat_bonus else scale * self._gain[fwd]
-        # ``_ring`` refuses a repeated node, so a tour's forward cells are
-        # distinct, and so are its backward ones; only a 2-node tour's
-        # backward cells repeat its forward ones.
-        tau = self.tau.reshape(-1)
-        tau.put(fwd, tau.take(fwd) + amount)
-        if len(here) > 2:
-            bwd = succ * self.n_local + here
-            tau.put(bwd, tau.take(bwd) + amount)
 
     def local_tau(self) -> np.ndarray:
         """The trail factor tau^alpha, floored at ``TRAIL_FLOOR`` off the
@@ -336,19 +365,11 @@ class SubsetColony:
             raise ValueError("successor scores too large: a row total could overflow; "
                              "rescale the coordinates or lower beta")
 
-        if start_local is None:
-            start = minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
-        else:
-            start = np.full(na, start_local, dtype=np.int64)
-        # Capped at the largest double below 1, in float64: in float32 the
-        # cap would round to 1.
-        draws = minimum(uniforms.T, 1.0 - 2.0**-53, out=np.empty((nl, na)), dtype=np.float64)
-        kernel = _step_kernel()
-        if kernel is None:
-            orders = self._numpy_steps(score_tau, start, draws, self._workspace(na))
-        else:
-            orders = _c_steps(kernel, score_tau, start, draws)
-        return orders, tour_lengths(orders, self.dist)
+        lib = _step_kernel()
+        if lib is None:
+            return _numpy_colony(score_tau, start_local, uniforms, self.dist,
+                                 self._workspace(na))
+        return _c_colony(lib, score_tau, start_local, uniforms, self.dist)
 
     @staticmethod
     def _numpy_steps(score_tau, start, draws, buffers) -> np.ndarray:
@@ -439,58 +460,145 @@ def _step_buffers(na: int, nl: int) -> tuple:
     )
 
 
-# The compiled step loop (see native.py): None until a colony call first
-# asks for it, then the checked ctypes function, or the reason the numpy
-# loop runs instead.
+# The compiled calls (see native.py): None until a colony call first asks
+# for them, then the checked ctypes library, or the reason the numpy paths
+# run instead.
 _kernel = None
 
 
 def step_loop() -> str:
     """Which step loop colony calls run: ``"c"``, or ``"numpy (<why>)"``
-    when the compiled loop is unavailable.  Loads it on first use."""
+    when the compiled calls are unavailable.  Loads them on first use."""
     return "c" if _step_kernel() is not None else f"numpy ({_kernel})"
 
 
 def _step_kernel():
-    """The compiled step loop, or None when the numpy loop runs.  The first
-    call builds or loads it and enables it only if it picks what the numpy
-    loop picks on a fixed case."""
+    """The compiled calls' library, or None when the numpy paths run.  The
+    first call builds or loads it and enables it only if it gives what the
+    numpy paths give on a fixed case."""
     global _kernel
     if _kernel is None:
         from . import native
 
         try:
-            kernel = native.load()
+            lib = native.load()
         except (native.Unavailable, OSError) as exc:
             _kernel = str(exc)
         else:
-            _kernel = (kernel if _agrees(kernel)
-                       else "it differs from the numpy loop on its self-check")
+            _kernel = lib if _agrees(lib) else "it differs from the numpy loop on its self-check"
     return None if isinstance(_kernel, str) else _kernel
 
 
-def _c_steps(kernel, score_tau, start, draws) -> np.ndarray:
-    """``SubsetColony._numpy_steps`` run by the compiled ``kernel``, on the
-    C-ordered ``start`` and ``draws`` that ``construct_colony`` makes."""
-    nl, na = draws.shape
+def _drawn_starts(uniforms) -> np.ndarray:
+    """Each ant's start drawn from the first column of ``uniforms``, in the
+    block's own dtype."""
+    nl = uniforms.shape[1]
+    return np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
+
+
+def _numpy_colony(score_tau, start_local, uniforms, dist, buffers) -> tuple:
+    """A colony call's orders and lengths after its refusals, in numpy: the
+    reference of ``_c_colony``.  ``buffers`` are the step buffers for the
+    block's shape (see ``SubsetColony._workspace``)."""
+    na, nl = uniforms.shape
+    if start_local is None:
+        start = _drawn_starts(uniforms)
+    else:
+        start = np.full(na, start_local, dtype=np.int64)
+    # Capped at the largest double below 1, in float64: in float32 the cap
+    # would round to 1.
+    draws = np.minimum(uniforms.T, 1.0 - 2.0**-53, out=np.empty((nl, na)), dtype=np.float64)
+    orders = SubsetColony._numpy_steps(score_tau, start, draws, buffers)
+    return orders, tour_lengths(orders, dist)
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of the C-contiguous ``array``'s data.  A writable array's
+    buffer gives it in about a third of the time ``array.ctypes`` takes."""
+    try:
+        return addressof(c_char.from_buffer(array))
+    except (TypeError, ValueError):  # read-only, or empty
+        return array.ctypes.data
+
+
+def _c_colony(lib, score_tau, start_local, uniforms, dist) -> tuple:
+    """``_numpy_colony`` as one call of the compiled ``lib``."""
+    na, nl = uniforms.shape
+    if uniforms.dtype != np.float64:
+        draws = uniforms.astype(np.float64)
+        if start_local is None:
+            # The C call draws each start in float64, so the start the
+            # block's own dtype gives is handed over as the first draw that
+            # lands mid-way into its column.
+            draws[:, 0] = (_drawn_starts(uniforms) + 0.5) / nl
+        uniforms = draws
+    # Bound to names, so that a C-ordered copy outlives the call that reads
+    # its address.
+    score_tau, uniforms = np.ascontiguousarray(score_tau), np.ascontiguousarray(uniforms)
+    dist = np.ascontiguousarray(dist, dtype=np.float64)
     orders = np.empty((na, nl), dtype=np.int64)
-    # Four ants' unvisited lists and running sums, when four run at once.
-    scratch = np.empty(8 * nl, dtype=np.int64)
-    kernel(na, nl, np.ascontiguousarray(score_tau).ctypes.data, draws.ctypes.data,
-           start.ctypes.data, orders.ctypes.data, scratch.ctypes.data)
-    return orders
+    lengths = np.empty(na)
+    failed = lib.sinepath_colony(
+        na, nl, _address(score_tau), _address(uniforms),
+        -1 if start_local is None else int(start_local), _address(dist), _address(orders),
+        _address(lengths))
+    if failed:
+        raise MemoryError(f"no memory for the scratch of a call of {na} ants on {nl} nodes")
+    return orders, lengths
 
 
-def _agrees(kernel) -> bool:
-    """Whether ``kernel`` gives the numpy loop's tours on a fixed case: 47
-    nodes, so that the numpy loop compacts its rows once, 6 ants, so that
-    the C loop runs four at a time and two one at a time, scores over 60
-    orders of magnitude, and ants whose draws are all 0 or all capped."""
+def _c_update(lib, n, tau, keep, ring, scale, gain) -> bool:
+    """``_numpy_update`` as one call of the compiled ``lib``, or False,
+    with nothing changed, where ``tau`` is not a writable C-contiguous
+    (n, n) float64 block, which the numpy update then takes."""
+    if tau.dtype != np.float64 or tau.shape != (n, n):
+        return False
+    try:
+        address = addressof(c_char.from_buffer(tau))
+    except (TypeError, ValueError):  # read-only, or not C-contiguous
+        return False
+    lib.sinepath_update(n, address, keep, _address(ring), len(ring) - 1, _address(gain), scale)
+    return True
+
+
+def _fixed_case() -> tuple:
+    """The self-check's case: scores, distances and draws of a colony call
+    of 6 ants on 47 nodes, and a trail, a ring, a scale and a gain for an
+    update.  Scores and distances span 60 and 10 orders of magnitude, ant 0
+    draws 0 and ant 1 draws 1 at every step.  Row 0 scores sixteen columns
+    1, then fourteen 1e-300, too small to change a running sum of 16, then
+    sixteen 1, so its total is 32 and its running sum repeats 16 fourteen
+    times.  Ants 2 and 4 start at node 0, whether starts are drawn or node
+    0 is given, and draw 0.5 at step 1, so their first targets land exactly
+    on that repeated sum."""
     rng = np.random.default_rng(47)
-    score_tau = 10.0 ** rng.uniform(-30.0, 30.0, (47, 47))
-    np.fill_diagonal(score_tau, 0.0)
-    draws = np.minimum(rng.random((47, 6)), 1.0 - 2.0**-53)
-    draws[:, 0], draws[:, 1] = 0.0, 1.0 - 2.0**-53
-    start = np.arange(0, 47, 8, dtype=np.int64)
-    numpy_orders = SubsetColony._numpy_steps(score_tau, start, draws, _step_buffers(6, 47))
-    return np.array_equal(_c_steps(kernel, score_tau, start, draws), numpy_orders)
+    score = 10.0 ** rng.uniform(-30.0, 30.0, (47, 47))
+    score[0] = 1.0
+    score[0, 17:31] = 1e-300
+    np.fill_diagonal(score, 0.0)
+    dist = 10.0 ** rng.uniform(-5.0, 5.0, (47, 47))
+    np.fill_diagonal(dist, 0.0)
+    uniforms = rng.random((6, 47))
+    uniforms[0], uniforms[1] = 0.0, 1.0
+    uniforms[[2, 4], :2] = 0.0, 0.5
+    trail = 10.0 ** rng.uniform(-30.0, 30.0, (47, 47))
+    np.fill_diagonal(trail, 0.0)
+    order = rng.permutation(47)
+    gain = np.where(rng.random(47 * 47) < 0.1, 2.5, 1.0)
+    return score, dist, uniforms, (trail, np.append(order, order[0]), 0.37, gain)
+
+
+def _agrees(lib) -> bool:
+    """Whether ``lib`` gives the numpy paths' answers on ``_fixed_case``: 47
+    nodes, so that the numpy loop compacts its rows once, and 6 ants, so
+    that the C loop runs four at a time and two one at a time, with starts
+    drawn and given; and one update of the trail."""
+    score, dist, uniforms, (trail, ring, scale, gain) = _fixed_case()
+    for start in (None, 0):
+        want = _numpy_colony(score, start, uniforms, dist, _step_buffers(6, 47))
+        got = _c_colony(lib, score, start, uniforms, dist)
+        if not all(map(np.array_equal, got, want)):
+            return False
+    want, got = trail.copy(), trail.copy()
+    _numpy_update(47, want, 0.7, ring, scale, gain)
+    return _c_update(lib, 47, got, 0.7, ring, scale, gain) and np.array_equal(got, want)

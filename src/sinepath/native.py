@@ -1,19 +1,22 @@
-"""Build, cache and load the colony's compiled roulette step loop.
+"""Build, cache and load the colony's compiled calls.
 
-``roulette.c`` ships with the package.  ``load`` compiles it once with the
-system's ``cc`` and ``FLAGS``: no fast-math, no ``-march`` and no fused
-multiply-add, so every sum and product stays one rounded IEEE double
-operation, as in numpy.  The shared object is cached under a hash of the
-source and the flags in ``$XDG_CACHE_HOME/sinepath`` (else
-``~/.cache/sinepath``, else the temp dir).  It is written under a temporary
-name and renamed into place, so processes that build at once leave one
-whole object, and each loads it with ``ctypes``.  Each new ``roulette.c``
-or set of flags compiles a new object beside the old ones, and nothing
-removes the old ones; the cache directory can be deleted at any time, and
-the next colony call builds it again.  Any failure raises
-``Unavailable`` naming its cause.  ``aco.py`` checks a loaded loop against
-its numpy loop before it uses it, and runs the numpy loop where ``load``
-fails.
+``roulette.c`` ships with the package.  It exports two functions: one
+colony call after its refusals and scores (the start columns, the capped
+draws, the roulette steps and the tour lengths) and one colony's
+evaporate-and-deposit; ``_SIGNATURES`` gives each one's ctypes signature.
+``load`` compiles the source once with the system's ``cc`` and ``FLAGS``:
+no fast-math, no ``-march`` and no fused multiply-add, so every sum and
+product stays one rounded IEEE double operation, as in numpy.  The shared
+object is cached under a hash of the source and the flags in
+``$XDG_CACHE_HOME/sinepath`` (else ``~/.cache/sinepath``, else the temp
+dir).  It is written under a temporary name and renamed into place, so
+processes that build at once leave one whole object, and each loads it with
+``ctypes``.  Each new ``roulette.c`` or set of flags compiles a new object
+beside the old ones, and nothing removes the old ones; the cache directory
+can be deleted at any time, and the next colony call builds it again.  Any
+failure raises ``Unavailable`` naming its cause.  ``aco.py`` checks the
+loaded functions against its numpy paths before it uses them, and runs the
+numpy paths where ``load`` fails.
 """
 
 from __future__ import annotations
@@ -27,9 +30,16 @@ from pathlib import Path
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+# Each function that roulette.c exports: its argument and return types.
+_SIGNATURES = {
+    "sinepath_colony": ((_I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR), ctypes.c_int),
+    "sinepath_update": ((_I64, _PTR, ctypes.c_double, _PTR, _I64, _PTR, ctypes.c_double), None),
+}
+
 
 class Unavailable(Exception):
-    """The compiled step loop cannot be built or loaded; the message says why."""
+    """The compiled calls cannot be built or loaded; the message says why."""
 
 
 def cache_dir() -> Path:
@@ -49,20 +59,21 @@ def object_path(source: bytes) -> Path:
     return cache_dir() / f"roulette-{key[:16]}.so"
 
 
-def load():
-    """The compiled ``sinepath_roulette`` as a ctypes function, built into
-    the cache first if it is not there."""
+def load() -> ctypes.CDLL:
+    """The compiled ``roulette.c``, each function in ``_SIGNATURES`` bound to
+    its signature, built into the cache first if it is not there."""
     source = resources.files(__package__).joinpath("roulette.c").read_bytes()
     path = object_path(source)
     if not path.is_file():
         _build(source, path)
     try:
-        kernel = ctypes.CDLL(str(path)).sinepath_roulette
+        lib = ctypes.CDLL(str(path))
+        for name, (argtypes, restype) in _SIGNATURES.items():
+            function = getattr(lib, name)
+            function.argtypes, function.restype = argtypes, restype
     except (OSError, AttributeError) as exc:
         raise Unavailable(f"cannot load {path}: {exc}") from None
-    kernel.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 5
-    kernel.restype = None
-    return kernel
+    return lib
 
 
 def _build(source: bytes, path: Path) -> None:

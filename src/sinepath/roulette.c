@@ -1,12 +1,15 @@
-/* The colony's roulette step loop (see aco.py), compiled by native.py.
+/* The colony's compiled calls (see aco.py), built by native.py.
  *
- * score is the (width, width) successor score matrix, draws the (width,
- * n_ants) capped draws, start each ant's first node and orders the (n_ants,
- * width) tours it writes; scratch holds 8 * width words.  Each ant keeps its
- * unvisited columns in ascending order, and at each step sums their scores
- * in that order, sets target = draw * total and picks the first column whose
- * running sum exceeds the target.  These are the doubles of the numpy loop's
- * masked prefix sums, where a visited column adds an exact 0.  The scan never
+ * sinepath_colony is one whole colony call after its refusals and scores:
+ * the start columns, the capped draws, the roulette steps and each ant's
+ * closed-tour length.  score is the (width, width) successor score matrix,
+ * uniforms the (n_ants, width) float64 draw block, dist the (width, width)
+ * distance block, and orders and lengths the (n_ants, width) tours and
+ * n_ants lengths it writes.  Each ant keeps its unvisited columns in
+ * ascending order, and at each step sums their scores in that order, sets
+ * target = draw * total and picks the first column whose running sum
+ * exceeds the target.  These are the doubles of the numpy loop's masked
+ * prefix sums, where a visited column adds an exact 0.  The scan never
  * passes the last unvisited column, so a pick is always unvisited.
  *
  * On rows at least GROUP_MIN wide the ants run four at a time, so that four
@@ -20,10 +23,18 @@
  * one-ant scan stops at.  Narrower rows, where one ant's scan exits early
  * and predictably, and the n_ants mod 4 ants left over run one at a time.
  *
+ * A length adds the tour's legs as objective.tour_lengths does: numpy's
+ * pairwise sum of all legs but the closing one, then the closing leg.
+ *
+ * sinepath_update is update_pheromones for one colony whose tour has been
+ * checked: it evaporates the trail and deposits the tour, with the numpy
+ * path's products and sums.
+ *
  * Build without fast-math and with -ffp-contract=off, so that every sum and
  * product is one rounded IEEE double operation, as in numpy.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Rows at least this wide run four ants at a time.  Replays of the calls of
@@ -137,14 +148,108 @@ static void four_ants(int64_t a, int64_t n_ants, int64_t width, const double *sc
     o3[width - 1] = l3[0];
 }
 
-void sinepath_roulette(int64_t n_ants, int64_t width, const double *score,
-                       const double *draws, const int64_t *start,
-                       int64_t *orders, int64_t *scratch)
+/* numpy's sum of the n doubles at x, as np.add.reduce adds a contiguous
+ * float64 row: one running sum below 8 terms; up to 128, eight running sums
+ * over the multiples of 8, combined pairwise, then the rest one by one;
+ * above 128, the sums of two halves split at n / 2 rounded down to a
+ * multiple of 8. */
+static double pairwise_sum(const double *x, int64_t n)
 {
+    if (n < 8) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            sum += x[i];
+        return sum;
+    }
+    if (n <= 128) {
+        double r[8];
+        memcpy(r, x, sizeof r);
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += x[i + j];
+        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            sum += x[i];
+        return sum;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(x, half) + pairwise_sum(x + half, n - half);
+}
+
+/* The closed-tour length of each ant's tour, with legs as scratch for
+ * width doubles. */
+static void tour_lengths(int64_t n_ants, int64_t width, const double *dist,
+                         const int64_t *orders, double *lengths, double *legs)
+{
+    for (int64_t a = 0; a < n_ants; a++) {
+        const int64_t *order = orders + a * width;
+        for (int64_t i = 0; i + 1 < width; i++)
+            legs[i] = dist[order[i] * width + order[i + 1]];
+        lengths[a] = pairwise_sum(legs, width - 1) + dist[order[width - 1] * width + order[0]];
+    }
+}
+
+/* Every ant starts at start_local, or, where it is -1, at its first draw
+ * times width, truncated and kept below width.  Returns 0, or -1 if the
+ * call's scratch cannot be allocated. */
+int sinepath_colony(int64_t n_ants, int64_t width, const double *score,
+                    const double *uniforms, int64_t start_local, const double *dist,
+                    int64_t *orders, double *lengths)
+{
+    /* The (width, n_ants) capped draws, each ant's start, and four ants'
+     * unvisited lists and running sums. */
+    double *draws = malloc((size_t)((width + 1) * n_ants + 8 * width) * sizeof *draws);
+    if (draws == NULL)
+        return -1;
+    int64_t *start = (int64_t *)(draws + width * n_ants), *scratch = start + n_ants;
+    /* The largest double below 1, so that a target stays below its total. */
+    const double cap = 1.0 - 0x1p-53;
+    for (int64_t a = 0; a < n_ants; a++) {
+        const double *u = uniforms + a * width;
+        if (start_local < 0) {
+            int64_t first = (int64_t)(u[0] * (double)width);
+            start[a] = first < width - 1 ? first : width - 1;
+        } else {
+            start[a] = start_local;
+        }
+        for (int64_t step = 1; step < width; step++)
+            draws[step * n_ants + a] = u[step] < cap ? u[step] : cap;
+    }
     int64_t a = 0;
     if (width >= GROUP_MIN)
         for (; a + 4 <= n_ants; a += 4)
             four_ants(a, n_ants, width, score, draws, start, orders, scratch);
     for (; a < n_ants; a++)
         one_ant(a, n_ants, width, score, draws, start, orders, scratch);
+    tour_lengths(n_ants, width, dist, orders, lengths, (double *)scratch);
+    free(draws);
+    return 0;
+}
+
+/* Evaporates the (width, width) trail tau by keep = 1 - rho, then adds
+ * scale * gain on the trail of each leg ring[i] -> ring[i + 1] of a tour of
+ * n_nodes distinct nodes closed on its start, and of each leg's reverse
+ * when n_nodes > 2.  A one-node tour deposits nothing. */
+void sinepath_update(int64_t width, double *tau, double keep, const int64_t *ring,
+                     int64_t n_nodes, const double *gain, double scale)
+{
+    /* Eight cells a round, a count the compiler runs as whole vector
+     * products at -O2. */
+    int64_t cells = width * width, i = 0;
+    for (; i + 8 <= cells; i += 8)
+        for (int j = 0; j < 8; j++)
+            tau[i + j] *= keep;
+    for (; i < cells; i++)
+        tau[i] *= keep;
+    if (n_nodes < 2)
+        return;
+    for (i = 0; i < n_nodes; i++) {
+        int64_t fwd = ring[i] * width + ring[i + 1], bwd = ring[i + 1] * width + ring[i];
+        double amount = scale * gain[fwd];
+        tau[fwd] += amount;
+        if (n_nodes > 2)
+            tau[bwd] += amount;
+    }
 }

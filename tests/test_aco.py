@@ -23,6 +23,7 @@ from oracles import (
     roulette_index,
     transition_probabilities,
 )
+from sinepath import aco
 from sinepath.aco import (
     TRAIL_FLOOR,
     AcoParams,
@@ -861,6 +862,27 @@ def test_update_pheromones_refusal_leaves_every_trail_unchanged():
         update_pheromones([first, second], tours)
     assert np.array_equal(first.tau, before[0])
     assert np.array_equal(second.tau, before[1])
+
+
+@pytest.mark.parametrize("loop", ["compiled", "numpy"])
+def test_a_trail_that_is_a_view_takes_its_deposits(loop, monkeypatch):
+    # a trail bound to a block of a larger array used to evaporate but gain
+    # nothing: the deposit wrote into a flattened copy of the block
+    if loop == "numpy":
+        monkeypatch.setattr(aco, "_kernel", "disabled by the test")
+    params = AcoParams(rho=0.5, q_scale=2.0, kappa=1.0)
+    colony = SubsetColony(TRI_D, frozenset({(0, 1)}), 1.0, params)
+    whole = np.ones((5, 5))
+    colony.tau = whole[:3, :3]
+    update_pheromones([colony], [Tour((0, 1, 2), 4.0)])
+    assert np.shares_memory(colony.tau, whole)
+    # evaporated to 0.5, then 2 / 4 * (1 + kappa) on the backbone edge and 2 / 4 off it
+    expected = np.array([[0.5, 1.5, 1.0], [1.5, 0.5, 1.0], [1.0, 1.0, 0.5]])
+    assert np.array_equal(whole[:3, :3], expected)
+    assert (whole[3:] == 1.0).all() and (whole[:, 3:] == 1.0).all()
+    # the seed's flat 2 / 8 * (1 + kappa) on every edge
+    colony.deposit(Tour((2, 0, 1), 8.0))
+    assert np.array_equal(whole[:3, :3], expected + 0.5 * (1.0 - np.eye(3)))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

@@ -1,11 +1,11 @@
-"""The compiled roulette step loop and its loader.
+"""The compiled colony call, the compiled trail update and their loader.
 
-The compiled loop must give the numpy loop's tours bit for bit, and the
-loader must fall back to the numpy loop, silently and with the same answers,
-whenever it cannot build, load or trust the compiled one.  Tier-1 caches
-compiled objects in a session temp dir (see ``conftest.py``); the loader
-tests here use a temp dir of their own.  Tests that need the compiled loop
-are skipped where no C compiler is found.
+The compiled calls must give the numpy paths' tours, lengths and trails bit
+for bit, and the loader must fall back to the numpy paths, silently and with
+the same answers, whenever it cannot build, load or trust the compiled ones.
+Tier-1 caches compiled objects in a session temp dir (see ``conftest.py``);
+the loader tests here use a temp dir of their own.  Tests that need the
+compiled calls are skipped where no C compiler is found.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ import time
 import warnings
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from sinepath import aco, native
 from sinepath.aco import AcoParams, SubsetColony, update_pheromones
 from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
-from sinepath.objective import Tour
+from sinepath.objective import Tour, tour_lengths
 from sinepath.solver import SolverConfig, solve
 from test_solver import GOLDEN, _PINNED
 
@@ -37,19 +38,36 @@ SOURCE = resources.files("sinepath").joinpath("roulette.c").read_bytes()
 # Rows at least this wide run four ants at a time.
 GROUP_MIN = int(re.search(rb"#define GROUP_MIN (\d+)", SOURCE)[1])
 
-# A loop with the kernel's name and signature that gives whole tours, but
-# not the roulette's.
+# Functions with the exported names and signatures that give whole tours,
+# but not the roulette's, and leave the trail as it was.
 WRONG_SOURCE = b"""
 #include <stdint.h>
-void sinepath_roulette(int64_t n_ants, int64_t width, const double *score,
-                       const double *draws, const int64_t *start,
-                       int64_t *orders, int64_t *left)
+int sinepath_colony(int64_t n_ants, int64_t width, const double *score,
+                    const double *uniforms, int64_t start_local, const double *dist,
+                    int64_t *orders, double *lengths)
 {
-    for (int64_t a = 0; a < n_ants; a++)
+    for (int64_t a = 0; a < n_ants; a++) {
+        lengths[a] = 1.0;
         for (int64_t j = 0; j < width; j++)
-            orders[a * width + j] = (start[a] + j) % width;
+            orders[a * width + j] = j;
+    }
+    return 0;
+}
+void sinepath_update(int64_t width, double *tau, double keep, const int64_t *ring,
+                     int64_t n_nodes, const double *gain, double scale)
+{
 }
 """
+
+
+def _exported(source: bytes) -> dict:
+    """Each function that the C ``source`` exports (defines at top level
+    and not ``static``), by name: its count of parameters."""
+    found = {}
+    for match in re.finditer(rb"^(?!static)\w[\w \t*]*?\b(\w+)\(([^)]*)\)\s*\{", source, re.M):
+        params = match[2].strip()
+        found[match[1].decode()] = 0 if params in (b"", b"void") else params.count(b",") + 1
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +161,7 @@ def _check_compiled_loop(width, ants, seed, start, ends, dtype, trail) -> int:
     seed=st.integers(0, 999),
     start=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
     ends=st.sampled_from(["none", "zeros", "ones", "both"]),
-    dtype=st.sampled_from([np.float64, np.float32]),
+    dtype=st.sampled_from([np.float64, np.float32, np.float16]),
     trail=st.sampled_from(["fresh", "scaled", "floored", "plateau"]),
 )
 @example(width=1, ants=3, seed=0, start=None, ends="both", dtype=np.float64, trail="fresh")
@@ -179,17 +197,205 @@ def test_compiled_loop_matches_on_plateaus_for_every_ant_count(kernel, width, an
     assert hits >= ants
 
 
+@pytest.mark.parametrize("layout", ["fortran", "read-only", "strided", "no ants"])
+def test_compiled_loop_reads_a_draw_block_of_any_layout(kernel, layout):
+    # the compiled call reads a float64 block's data in place where it can,
+    # and from a C-ordered copy where it cannot
+    colony = _colony(30, 11)
+    uniforms = np.random.default_rng(12).random((9, 60))
+    block = {
+        "fortran": np.asfortranarray(uniforms[:, :30]),
+        "read-only": uniforms[:, :30].copy(),
+        "strided": uniforms[:, ::2],
+        "no ants": uniforms[:0, :30],
+    }[layout]
+    block.flags.writeable = layout != "read-only"
+    for start in (None, 7):
+        orders, lengths = colony.construct_colony(start, block)
+        expected = _numpy_loop(lambda: colony.construct_colony(start, block))
+        assert np.array_equal(orders, expected[0]) and np.array_equal(lengths, expected[1])
+        assert orders.shape == (len(block), 30) and lengths.shape == (len(block),)
+
+
 def test_the_self_check_runs_both_paths(kernel):
-    # _agrees's fixed case runs full groups of four ants and leftover ants
+    # _agrees's fixed case runs full groups of four ants and leftover ants,
+    # with starts drawn and given, and one update
     calls = []
 
-    def spy(*args):
-        calls.append(args[:2])
-        return kernel(*args)
+    def spy(name):
+        def call(*args):
+            calls.append((name, args[:2] if name == "colony" else args[0]))
+            return getattr(kernel, f"sinepath_{name}")(*args)
+        return call
 
-    assert aco._agrees(spy)
-    [(ants, width)] = calls
-    assert width >= GROUP_MIN and ants >= 4 and ants % 4 != 0
+    lib = SimpleNamespace(sinepath_colony=spy("colony"), sinepath_update=spy("update"))
+    assert aco._agrees(lib)
+    assert [name for name, _ in calls] == ["colony", "colony", "update"]
+    (_, (ants, width)), _, (_, update_width) = calls
+    assert width >= GROUP_MIN and ants >= 4 and ants % 4 != 0 and update_width == width
+
+
+def test_the_self_check_aims_targets_at_a_repeated_running_sum():
+    # a search that stops at the first running sum at or above its target,
+    # in place of the first above it, differs only where a target lands
+    # exactly on a sum; two of the fixed case's ants, one in a group of four
+    # and one left over, aim their first target at a sum that repeats, with
+    # their start drawn or given
+    score, _, uniforms, _ = aco._fixed_case()
+    ants = len(uniforms)
+    assert list(aco._drawn_starts(uniforms)[[2, 4]]) == [0, 0]
+    cum = np.add.accumulate(score[0, 1:])
+    total = cum[-1]
+    hits = []
+    for ant in range(ants):
+        target = min(uniforms[ant, 1], 1.0 - 2.0**-53) * total
+        repeated = (cum[:-1] == target) & (cum[1:] == target) & (target < total)
+        if repeated.any():
+            hits.append(ant)
+    grouped = ants - ants % 4  # the ants that run four at a time
+    assert hits == [2, 4] and 2 < grouped <= 4
+
+
+@pytest.mark.parametrize(
+    "width", sorted({w for k in [*range(1, 10), *range(127, 131), 249, *range(255, 259)]
+                     for w in (k, k + 1)}) + [1025])
+def test_compiled_lengths_equal_tour_lengths(kernel, width):
+    # numpy's pairwise sum of all legs but the closing one: one running sum
+    # below 8 terms, eight up to 128, halves split at a multiple of 8 above;
+    # each count of legs is run both as a tour's legs and as that sum's
+    # terms, on distances over 16 orders of magnitude
+    rng = np.random.default_rng(width)
+    dist = 10.0 ** rng.uniform(-8.0, 8.0, (width, width))
+    np.fill_diagonal(dist, 0.0)
+    score = 10.0 ** rng.uniform(-3.0, 3.0, (width, width))
+    np.fill_diagonal(score, 0.0)
+    uniforms = rng.random((5, width))
+    for start in (None, width // 2):
+        orders, lengths = aco._c_colony(kernel, score, start, uniforms, dist)
+        assert np.array_equal(lengths, tour_lengths(orders, dist))
+
+
+def _trail_colonies(nodes, rho, kappa, seed):
+    """Two colonies with the same random trail over 30 orders of magnitude
+    either side of 1, and a tour of ``nodes`` distinct nodes for them."""
+    width = max(nodes, 5)
+    rng = np.random.default_rng(seed)
+    d = build_distance_matrix(random_planar_instance(width, seed))
+    edges = [(i, i + 1) for i in range(0, width - 1, 2)]
+    colonies = [SubsetColony(d, edges, 2.0, AcoParams(rho=rho, kappa=kappa)) for _ in range(2)]
+    trail = 10.0 ** rng.uniform(-30.0, 30.0, (width, width))
+    np.fill_diagonal(trail, 0.0)
+    for colony in colonies:
+        colony.tau = trail.copy()
+    order = tuple(int(v) for v in rng.permutation(width)[:nodes])
+    return colonies, Tour(order, float(rng.uniform(0.5, 50.0)))
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 13, 60])
+@pytest.mark.parametrize("rho, kappa", [(0.1, 0.0), (0.3, 1.5), (1.0, 2.0)])
+def test_compiled_update_matches_the_numpy_update(kernel, nodes, rho, kappa):
+    # evaporation and deposit bit for bit on tours of 1, 2 and 3 or more
+    # nodes, backbone bonuses on and off, and rho = 1, three updates running
+    (compiled, reference), tour = _trail_colonies(nodes, rho, kappa, 100 * nodes + int(10 * rho))
+    initial = compiled.tau.copy()
+    for _ in range(3):
+        update_pheromones([compiled], [tour])
+        _numpy_loop(lambda: update_pheromones([reference], [tour]))
+        assert np.array_equal(compiled.tau, reference.tau)
+    assert not np.array_equal(compiled.tau, initial)
+
+
+def _refusal_colony() -> tuple:
+    return _colony(13, 923), np.random.default_rng(924).random((4, 13))
+
+
+def _refused_draw(value, dtype):
+    colony, uniforms = _refusal_colony()
+    uniforms[2, 7] = value
+    return lambda: colony.construct_colony(None, uniforms.astype(dtype))
+
+
+def _refused_trail(cell_value):
+    colony, uniforms = _refusal_colony()
+    if cell_value is None:  # scores whose row totals could overflow
+        colony.tau = np.finfo(float).max / 4 / (colony.weight + np.eye(13))
+    else:
+        colony.tau[3, 5] = cell_value
+    return lambda: colony.construct_colony(2, uniforms)
+
+
+def _refused_call(start=None, shape=None):
+    colony, uniforms = _refusal_colony()
+    block = uniforms if shape is None else np.full(shape, 0.5)
+    return lambda: colony.construct_colony(start, block)
+
+
+COLONY_REFUSALS = {
+    **{f"draw {value} in {dtype.__name__}": (_refused_draw, value, dtype)
+       for value in (np.nan, np.inf, -np.inf, -0.5, 1.5)
+       for dtype in (np.float64, np.float32, np.float16)},
+    "draw block of one dimension": (_refused_call, None, (13,)),
+    "draw block of another width": (_refused_call, None, (4, 12)),
+    "start outside the subset": (_refused_call, 13),
+    "start that is not an integer": (_refused_call, 2.5),
+    "infinite trail": (_refused_trail, np.inf),
+    "NaN trail": (_refused_trail, np.nan),
+    "scores too large": (_refused_trail, None),
+}
+
+
+def _refusal(call, loop: str) -> str:
+    """The message of the ValueError that ``call()`` raises on ``loop``."""
+    with pytest.raises(ValueError) as info:
+        call() if loop == "compiled" else _numpy_loop(call)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", sorted(COLONY_REFUSALS))
+def test_colony_refusals_are_the_same_on_both_loops(kernel, case):
+    make, *args = COLONY_REFUSALS[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        messages = {loop: _refusal(make(*args), loop) for loop in ("compiled", "numpy")}
+    assert messages["compiled"] == messages["numpy"]
+
+
+UPDATE_REFUSALS = {
+    "one tour short": [Tour((0, 2, 1, 3), 9.0)],
+    "one tour over": [Tour((0, 2, 1, 3), 9.0), Tour((0, 1, 2), 4.0), Tour((0,), 0.0)],
+    "node outside the subset": [Tour((0, 2, 1, 3), 9.0), Tour((0, 3, 1), 4.0)],
+    "node that is not an integer": [Tour((0, 2, 1, 3), 9.0), Tour((0, 1.0, 2), 4.0)],
+    "repeated node": [Tour((0, 2, 1, 3), 9.0), Tour((0, 1, 0), 4.0)],
+    "NaN length": [Tour((0, 2, 1, 3), 9.0), Tour((0, 1, 2), np.nan)],
+    "zero length": [Tour((0, 2, 1, 3), 9.0), Tour((2, 1), 0.0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UPDATE_REFUSALS))
+def test_update_refusals_are_the_same_and_change_no_trail_on_both_loops(kernel, case):
+    # the first colony's tour is valid; the refusal comes from the second's
+    messages = {}
+    for loop in ("compiled", "numpy"):
+        d = build_distance_matrix(random_planar_instance(7, seed=935))
+        colonies = [SubsetColony(d[:4, :4], [(0, 1)], 2.0, AcoParams()),
+                    SubsetColony(d[4:, 4:], [], 2.0, AcoParams())]
+        before = [colony.tau.copy() for colony in colonies]
+        messages[loop] = _refusal(lambda: update_pheromones(colonies, UPDATE_REFUSALS[case]), loop)
+        assert all(np.array_equal(c.tau, b) for c, b in zip(colonies, before)), loop
+    assert messages["compiled"] == messages["numpy"]
+
+
+def test_every_exported_function_is_bound_with_its_parameter_count():
+    # a prototype in roulette.c that the loader's signatures do not match
+    # would pass its arguments wrongly rather than fail
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    exported = _exported(SOURCE)
+    assert set(exported) == {"sinepath_colony", "sinepath_update"}
+    lib = native.load()
+    for name, count in exported.items():
+        argtypes = getattr(lib, name).argtypes
+        assert argtypes is not None, f"{name} is not bound"
+        assert len(argtypes) == count, name
 
 
 def _golden_case(case, data_dir):
@@ -226,7 +432,7 @@ def test_the_c_source_compiles_without_warnings():
 def test_the_c_source_ships_with_the_package():
     source = resources.files("sinepath").joinpath("roulette.c")
     assert source.is_file()
-    assert b"void sinepath_roulette(" in source.read_bytes()
+    assert set(_exported(source.read_bytes())) == {"sinepath_colony", "sinepath_update"}
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
