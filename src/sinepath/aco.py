@@ -46,38 +46,16 @@ T = TRAIL_FLOOR the spacing below is subnormal, as wide as the one above,
 the gap is exactly half of it, and (1 - 2^-53) * TRAIL_FLOOR rounds back to
 TRAIL_FLOOR.
 
-A wide row is compacted as it empties: once the r nodes each ant has left
-number at most _COMPACT_RATIO of the row's current width, and while r is at
-least _COMPACT_MIN, the step loop first narrows the row to each ant's r
-unvisited columns in ascending order: it keeps their node ids and binds new
-arrays of width r, so that later steps gather, mask, sum, compare and pick
-over those columns alone and map each pick back to its node id.  The
-picks keep their bits.  A visited column holds a zero, and x + 0 == x for
-every nonzero x, so each kept column's prefix sum and the row total are the
-same doubles as on the full row; a visited column repeats the prefix sum
-before it, so it is never the first to exceed the target.  The two constants
-were set by timing 50-ant calls at widths 25 to 500 on a busy two-core
-x86_64 machine, compaction on against off in one process, where repeated
-measurements of one setting spread by up to 8 %.  At ratio 0.7 and minimum
-32 a call took 5-15 % less time at width 125, 17-24 % less at 250 and
-23-28 % less at 500; at width 64, compacted once, it moved by -2 % to +8 %,
-within that spread, and rows of up to 45 nodes, such as every bench51
-subset, are never compacted.  Ratios from 0.5 to 0.9 saved 16-19 % at width
-250, and minima of 48 and 64 saved less there (19 % and 16 %, against 23 %
-in the same run).  A minimum of 16 or 24 made calls at width 25 or 40
-13-19 % slower, since a compacted step's extra gather and pick then cost
-more than the columns it skips.
-
 The step loop runs compiled where it can (``roulette.c``, built, cached and
 loaded by ``native.py``) and in numpy otherwise, with the same tours bit for
 bit.  The numpy loop is the reference.  For each ant the C loop sums the
 scores of the ant's unvisited columns in ascending column order, sets the
 target to the capped draw times that total, and picks the first column whose
 running sum exceeds the target.  Those are the doubles of the numpy loop's
-masked or compacted prefix sums: each is one rounded addition in the same
-order, since a visited column adds an exact 0, and the C code is built
-without fast-math and with -ffp-contract=off, so that no addition is
-reordered and no product is fused into one.  The C scan ends at the last
+masked prefix sums: each is one rounded addition in the same order, since
+a visited column adds an exact 0, and the C code is built without
+fast-math and with -ffp-contract=off, so that no addition is reordered and
+no product is fused into one.  The C scan ends at the last
 unvisited column, so it never picks a visited one.  On rows at least
 GROUP_MIN wide (a constant of ``roulette.c``) the C loop runs four ants at
 a time, so that four chains of additions overlap: they share the step, and
@@ -129,12 +107,6 @@ TRAIL_FLOOR = np.finfo(float).tiny
 # factor (1 + 2^-53)^n_local by rounding in the running sum; keeping
 # n_local * max score below half the largest double leaves that factor room.
 _TOTAL_LIMIT = np.finfo(float).max / 2
-
-# A row is compacted once the nodes each ant has left number at most
-# _COMPACT_RATIO of its current width, and only while they number at least
-# _COMPACT_MIN (see the module docstring).
-_COMPACT_RATIO = 0.7
-_COMPACT_MIN = 32
 
 
 def _local_ids(ids, n: int, what: str) -> None:
@@ -248,9 +220,7 @@ class SubsetColony:
     tau changes.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
     so every ant consumes the same stream shape regardless of scheduling.
-    The numpy step loop keeps its full-width step buffers from one call to
-    the next (see ``_workspace``), and a compaction binds arrays of its own
-    width; a call returns arrays of its own.
+    A call returns arrays of its own.
     """
 
     def __init__(self, dist: np.ndarray, backbone_edges, omega: float, params: AcoParams):
@@ -275,7 +245,6 @@ class SubsetColony:
         backbone[ends[0::2], ends[1::2]] = backbone[ends[1::2], ends[0::2]] = True
         # Per flat trail cell, the deposit factor 1 + kappa * [edge on the backbone].
         self._gain = np.where(backbone, 1.0 + params.kappa, 1.0).reshape(-1)
-        self._work = None
 
         off_diag = ~np.eye(n, dtype=bool)
         if np.any(self.dist[off_diag] <= 0):
@@ -340,7 +309,7 @@ class SubsetColony:
         if uniforms.ndim != 2:
             raise ValueError(
                 f"uniform block of shape {uniforms.shape} is not (n_ants, {self.n_local})")
-        na, nl = uniforms.shape
+        nl = uniforms.shape[1]
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
         if start_local is not None:
@@ -367,97 +336,8 @@ class SubsetColony:
 
         lib = _step_kernel()
         if lib is None:
-            return _numpy_colony(score_tau, start_local, uniforms, self.dist,
-                                 self._workspace(na))
+            return _numpy_colony(score_tau, start_local, uniforms, self.dist)
         return _c_colony(lib, score_tau, start_local, uniforms, self.dist)
-
-    @staticmethod
-    def _numpy_steps(score_tau, start, draws, buffers) -> np.ndarray:
-        """The step loop in numpy, the reference of the compiled one: each
-        ant's tour from its ``start`` node, picked on the rows of
-        ``score_tau`` by the capped (n_local, n_ants) ``draws``, in the
-        step ``buffers`` for that shape (see ``_workspace``)."""
-        nl, na = draws.shape
-        picks, avail, offsets, flat, scores, cum, below, target = buffers
-        avail.fill(1.0)
-        # Each out= goes by position.
-        add, multiply = np.add, np.multiply
-        accumulate, less_equal = np.add.accumulate, np.less_equal
-        # The row state, which a compaction changes: its width, each ant's
-        # first flat cell, the arrays the row spans and each column's node id.
-        width, row_start, rows, target_col, cols = nl, offsets, scores, target[:, None], None
-        total, put, argmin = cum[:, -1], avail.put, below.argmin
-
-        cur = picks[0]
-        cur[:] = start
-        put(add(row_start, cur, flat), 0.0)
-
-        take = score_tau.take
-        # The last step is not run: each ant has one unvisited node left,
-        # whose score alone is positive and whose prefix sum, the total,
-        # exceeds the target, so the roulette would pick it.
-        for step, draw, pick in zip(range(1, nl - 1), draws[1:], picks[1:]):
-            r = nl - step  # the nodes each ant has left
-            if _COMPACT_MIN <= r <= _COMPACT_RATIO * width:
-                # Every ant has exactly r nodes left, so its unvisited
-                # columns, ascending, fill one row of an (na, r) array.
-                cols = (avail.nonzero()[1] if cols is None else cols[avail != 0]).reshape(na, r)
-                index = offsets[:, None] + cols  # into the full rows taken below
-                width, row_start, avail = r, np.arange(na) * r, np.ones((na, r))
-                scores, cum, below = np.empty((na, r)), np.empty((na, r)), np.empty((na, r), bool)
-                total, put, argmin = cum[:, -1], avail.put, below.argmin
-            # Indices are in range; mode="clip" only spares take() from
-            # buffering its output.
-            take(cur, 0, rows, "clip")
-            if cols is not None:
-                rows.take(index, None, scores, "clip")
-            multiply(scores, avail, scores)
-            accumulate(scores, 1, None, cum)
-            multiply(draw, total, target)
-            # Scores are non-negative, so each row of cum never decreases and
-            # `below` is a run of True followed only by False, with the last
-            # column False (target < total): the first False, at the count
-            # of True, is the pick.
-            less_equal(cum, target_col, below)
-            # put and cols read flat indices: the ant's row start plus the pick's column
-            if cols is None:
-                cur = argmin(1, pick)
-                put(add(row_start, cur, flat), 0.0)
-            else:
-                add(argmin(1, flat), row_start, flat)
-                cur = cols.take(flat, None, pick, "clip")
-                put(flat, 0.0)
-        if cols is None:
-            avail.argmax(axis=1, out=picks[-1])
-        else:
-            add(avail.argmax(axis=1, out=flat), row_start, out=flat)
-            cols.take(flat, out=picks[-1], mode="clip")
-        return picks.T.copy()
-
-    def _workspace(self, na: int) -> tuple:
-        """The step buffers for ``na`` ants, allocated on the first call and
-        again only when the ant count changes.  picks[step] holds every
-        ant's node at that step; it is copied to one C-ordered row per ant
-        at the end.  A compaction leaves them whole: later steps still take
-        full rows into scores, then gather the kept columns into new arrays
-        of the row's new width, beside new avail, cum and below arrays."""
-        if self._work is None or self._work[0] != na:
-            self._work = na, _step_buffers(na, self.n_local)
-        return self._work[1]
-
-
-def _step_buffers(na: int, nl: int) -> tuple:
-    """New step buffers of the numpy loop for ``na`` ants on ``nl`` nodes."""
-    return (
-        np.empty((nl, na), dtype=np.int64),  # picks
-        np.empty((na, nl)),  # avail
-        np.arange(na) * nl,  # offsets
-        np.empty(na, dtype=np.int64),  # flat
-        np.empty((na, nl)),  # scores
-        np.empty((na, nl)),  # cum
-        np.empty((na, nl), dtype=bool),  # below
-        np.empty(na),  # target
-    )
 
 
 # The compiled calls (see native.py): None until a colony call first asks
@@ -496,19 +376,28 @@ def _drawn_starts(uniforms) -> np.ndarray:
     return np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
 
 
-def _numpy_colony(score_tau, start_local, uniforms, dist, buffers) -> tuple:
+def _numpy_colony(score_tau, start_local, uniforms, dist) -> tuple:
     """A colony call's orders and lengths after its refusals, in numpy: the
-    reference of ``_c_colony``.  ``buffers`` are the step buffers for the
-    block's shape (see ``SubsetColony._workspace``)."""
+    reference of ``_c_colony``."""
     na, nl = uniforms.shape
     if start_local is None:
-        start = _drawn_starts(uniforms)
+        cur = _drawn_starts(uniforms)
     else:
-        start = np.full(na, start_local, dtype=np.int64)
+        cur = np.full(na, start_local, dtype=np.int64)
     # Capped at the largest double below 1, in float64: in float32 the cap
     # would round to 1.
-    draws = np.minimum(uniforms.T, 1.0 - 2.0**-53, out=np.empty((nl, na)), dtype=np.float64)
-    orders = SubsetColony._numpy_steps(score_tau, start, draws, buffers)
+    draws = np.minimum(uniforms, 1.0 - 2.0**-53, dtype=np.float64)
+    orders = np.empty((na, nl), dtype=np.int64)
+    orders[:, 0] = cur
+    avail = np.ones((na, nl))
+    ants = np.arange(na)
+    for step in range(1, nl):
+        avail[ants, cur] = 0.0
+        # Scores are non-negative, so each row of cum never decreases, and
+        # the target lies below its total: the first prefix sum that exceeds
+        # it, at the count of those at or below it, follows a positive score.
+        cum = np.cumsum(score_tau[cur] * avail, axis=1)
+        cur = orders[:, step] = np.argmin(cum <= draws[:, step, None] * cum[:, -1:], axis=1)
     return orders, tour_lengths(orders, dist)
 
 
@@ -590,12 +479,12 @@ def _fixed_case() -> tuple:
 
 def _agrees(lib) -> bool:
     """Whether ``lib`` gives the numpy paths' answers on ``_fixed_case``: 47
-    nodes, so that the numpy loop compacts its rows once, and 6 ants, so
-    that the C loop runs four at a time and two one at a time, with starts
-    drawn and given; and one update of the trail."""
+    nodes, at least GROUP_MIN, and 6 ants, so that the C loop runs one group
+    of four ants and two ants alone, with starts drawn and given; and one
+    update of the trail."""
     score, dist, uniforms, (trail, ring, scale, gain) = _fixed_case()
     for start in (None, 0):
-        want = _numpy_colony(score, start, uniforms, dist, _step_buffers(6, 47))
+        want = _numpy_colony(score, start, uniforms, dist)
         got = _c_colony(lib, score, start, uniforms, dist)
         if not all(map(np.array_equal, got, want)):
             return False

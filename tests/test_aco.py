@@ -570,8 +570,8 @@ def test_colony_matches_scalar_construction():
         assert lengths[ant] == pytest.approx(ref.length, rel=1e-12)
 
 
-# 45 is the widest row that is never compacted and 46 the narrowest that is
-# (see test_only_wide_rows_are_compacted)
+# rows on both sides of GROUP_MIN (24), the width from which the C loop runs
+# four ants at a time, up to rand2000-m8's 250
 @pytest.mark.parametrize("width", [1, 2, 3, 13, 45, 46, 64, 250])
 @pytest.mark.parametrize("alpha", [1.0, 1.3])
 @pytest.mark.parametrize("omega", [1.0, 2.0])
@@ -615,49 +615,15 @@ def test_draws_of_one_give_whole_tours_in_any_float_dtype(dtype, width, numpy_lo
     assert np.array_equal(orders, as_float64)
 
 
-def _compacted_widths(monkeypatch, n):
-    """The widths, in order, that one construct_colony call at width n
-    compacts its rows to: each compaction binds its avail array through
-    np.ones, which the call uses nowhere else."""
-    d = build_distance_matrix(random_planar_instance(n, seed=936))
-    colony = SubsetColony(d, frozenset(), 2.0, AcoParams())
-    widths, ones = [], np.ones
-
-    def spy(shape, *args, **kwargs):
-        widths.append(shape[1])
-        return ones(shape, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "ones", spy)
-        colony.construct_colony(None, np.random.default_rng(n).random((5, n)))
-    return widths
-
-
-def test_only_wide_rows_are_compacted(monkeypatch, numpy_loop):
-    # no bench51 subset (12-26 nodes) is ever compacted; a row is compacted
-    # when the nodes left number at most 0.7 of its current width, while
-    # they still number at least 32
-    assert all(_compacted_widths(monkeypatch, n) == [] for n in range(2, 46))
-    assert _compacted_widths(monkeypatch, 46) == [32]
-    assert _compacted_widths(monkeypatch, 250) == [175, 122, 85, 59, 41]
-    for n in (64, 120, 500):
-        widths = [n] + _compacted_widths(monkeypatch, n)
-        assert len(widths) > 1
-        assert all(32 <= r <= 0.7 * w for w, r in zip(widths, widths[1:]))
-        # the row would have been compacted at no earlier step, nor again
-        # after its last compaction
-        assert all(r + 1 > 0.7 * w for w, r in zip(widths, widths[1:]))
-        assert int(0.7 * widths[-1]) < 32
-
-
 @pytest.mark.parametrize("n", [13, 120])
-def test_colony_reused_buffers_match_fresh_colonies(n, numpy_loop):
-    # one colony keeps its step buffers between calls: a changed ant count,
-    # a call with draws of exactly 1 and a refused call in between leave
-    # every call bit-identical to a fresh colony's on the same trail, and the
-    # arrays a call returns are the caller's own; at n = 120 every call
-    # compacts its rows into arrays of their own width, beside the kept
-    # full-width buffers
+@pytest.mark.parametrize("loop", ["compiled", "numpy"])
+def test_colony_calls_match_fresh_colonies(loop, n, request):
+    # on one colony, a changed ant count, a call with draws of exactly 1 and
+    # a refused call in between leave every call bit-identical to a fresh
+    # colony's on the same trail, and the arrays a call returns are the
+    # caller's own
+    if loop == "numpy":
+        request.getfixturevalue("numpy_loop")
     d = build_distance_matrix(random_planar_instance(n, seed=930))
     backbone = _keys(kruskal_mst(d))
     rng = np.random.default_rng(931)
@@ -1046,8 +1012,8 @@ def _colony_outcome(construct, *args):
          beta=2.0, omega=1.0, scale=1.0, start=None, top=None, seed=18)
 @example(width=13, n_ants=20, exponent=305.0, zeros=0.0, alpha=1.0,
          beta=1.0, omega=1.0, scale=1.0, start=None, top=None, seed=19)
-# wide rows, whose calls compact them: at unit and 1e300 scales, under a
-# draw of exactly 1, subnormal and refused at 1e306
+# wide rows, whose ants the C loop runs four at a time: at unit and 1e300
+# scales, under a draw of exactly 1, subnormal and refused at 1e306
 @example(width=120, n_ants=20, exponent=0.0, zeros=0.0, alpha=1.3,
          beta=2.0, omega=2.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=7)
 @example(width=120, n_ants=20, exponent=300.0, zeros=0.0, alpha=1.0,
@@ -1060,7 +1026,7 @@ def _colony_outcome(construct, *args):
          beta=0.5, omega=1.0, scale=1.0, start=None, top=1.0 - 2.0**-53, seed=11)
 @example(width=120, n_ants=20, exponent=306.0, zeros=0.0, alpha=1.0,
          beta=1.0, omega=1.0, scale=1.0, start=None, top=None, seed=12)
-# one and two ants, whose rows are compacted
+# one and two ants on a wide row, too few for a group of four
 @example(width=120, n_ants=1, exponent=0.0, zeros=0.0, alpha=1.0,
          beta=2.0, omega=2.0, scale=1.0, start=None, top=None, seed=13)
 @example(width=120, n_ants=2, exponent=0.0, zeros=0.0, alpha=1.3,

@@ -31,7 +31,7 @@ from sinepath.aco import AcoParams, SubsetColony, update_pheromones
 from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
 from sinepath.objective import Tour, tour_lengths
 from sinepath.solver import SolverConfig, solve
-from test_solver import GOLDEN, _PINNED
+from test_solver import GOLDEN, _PINNED, _pinned_case
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = resources.files("sinepath").joinpath("roulette.c").read_bytes()
@@ -179,9 +179,9 @@ def _check_compiled_loop(width, ants, seed, start, ends, dtype, trail) -> int:
          trail="fresh")
 def test_compiled_loop_matches_the_numpy_loop(kernel, width, ants, seed, start, ends, dtype,
                                               trail):
-    # every order and length bit-identical, with rows compacted (width > 45)
-    # or not, ants four at a time (width >= GROUP_MIN) or one at a time, a
-    # given or a drawn start, draws of exactly 0 and 1, float32 blocks,
+    # every order and length bit-identical, on rows of 1 to 250 nodes, with
+    # ants four at a time (width >= GROUP_MIN) or one at a time, a given or
+    # a drawn start, draws of exactly 0 and 1, float32 blocks,
     # trails floored everywhere but one tour's edges (rho = 1), and targets
     # on running sums that a run of scores repeats
     _check_compiled_loop(width, ants, seed, start, ends, dtype, trail)
@@ -399,32 +399,36 @@ def test_every_exported_function_is_bound_with_its_parameter_count():
 
 
 def _golden_case(case, data_dir):
+    """The instance, robots, config and recorded digest of a golden or pinned solve."""
     if case == "bench51-m4":
-        return load_instance(data_dir / "bench51.tsp"), 4, SolverConfig(master_seed=0)
-    if case == "rand2000-m8":
+        inst, m, config = load_instance(data_dir / "bench51.tsp"), 4, SolverConfig(master_seed=0)
+        key = "bench51/m4/seed0"
+    elif case == "rand2000-m8":
         config = SolverConfig(aco=AcoParams(max_iter=20), master_seed=0)
-        return random_planar_instance(2000, 2000), 8, config
-    where, m, config, _ = _PINNED[case]
-    return load_instance(data_dir / where), m, config
+        inst, m, key = random_planar_instance(2000, 2000), 8, "rand2000-s2000/m8/seed0"
+    else:
+        return _pinned_case(case, data_dir)
+    return inst, m, config, json.loads(GOLDEN.read_text())[case][key]
 
 
-@pytest.mark.parametrize("case", ["bench51-m4", "rand2000-m8", "depots"])
+@pytest.mark.parametrize("case", ["bench51-m4", "rand2000-m8", *_PINNED])
 def test_solve_is_byte_identical_with_the_numpy_loop(case, kernel, data_dir):
-    # the benchmark's golden inputs (seed 0 of each) and the depot pin
-    inst, m, config = _golden_case(case, data_dir)
+    # the benchmark's golden inputs (seed 0 of each) and every pinned solve,
+    # on both loops against the recorded digest
+    inst, m, config, digest = _golden_case(case, data_dir)
     compiled = solve(inst, m, config).canonical_json()
     assert _numpy_loop(lambda: solve(inst, m, config).canonical_json()) == compiled
-    if case != "depots":
-        golden = json.loads(GOLDEN.read_text())[case]
-        key = "bench51/m4/seed0" if case == "bench51-m4" else "rand2000-s2000/m8/seed0"
-        assert hashlib.sha256(compiled.encode()).hexdigest() == golden[key]
+    assert hashlib.sha256(compiled.encode()).hexdigest() == digest
 
 
 def test_the_c_source_compiles_without_warnings():
+    # as strict C99, so that a GNU extension fails here rather than sending
+    # the users of another compiler to the numpy paths
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) on PATH")
-    proc = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+    proc = subprocess.run([cc, "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", "-x", "c", "-"],
                           input=SOURCE, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 

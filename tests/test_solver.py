@@ -498,7 +498,7 @@ def test_bench51_m4_matches_benchmark_golden(bench51_path, master_seed):
 def test_rand2000_m8_matches_benchmark_golden():
     # the benchmark's wide workload, read only: its colonies run on 250-wide
     # rows, which the bench51 subsets never reach, so this is the check of
-    # the compacted colony steps against a recorded answer
+    # wide colony steps against a recorded answer
     golden = json.loads(GOLDEN.read_text())["rand2000-m8"]
     config = SolverConfig(aco=AcoParams(max_iter=20), master_seed=0)
     report = solve(random_planar_instance(2000, 2000), 8, config)
@@ -555,16 +555,22 @@ _PINNED = {
 }
 
 
-@pytest.mark.parametrize("case", _PINNED)
-def test_pinned_solve_matches_recorded_hash(case, data_dir):
-    # recorded before the closed-tour length rule moved into objective.py;
-    # a byte-identical refactor must leave every one of these unchanged
+def _pinned_case(case, data_dir):
+    """The instance, robots, config and digest of the pinned solve ``case``."""
     where, m, config, digest = _PINNED[case]
     if isinstance(where, tuple):
         n, seed, clusters = where
         inst = random_planar_instance(n, seed, clusters=clusters)
     else:
         inst = load_instance(data_dir / where)
+    return inst, m, config, digest
+
+
+@pytest.mark.parametrize("case", _PINNED)
+def test_pinned_solve_matches_recorded_hash(case, data_dir):
+    # recorded before the closed-tour length rule moved into objective.py;
+    # a byte-identical refactor must leave every one of these unchanged
+    inst, m, config, digest = _pinned_case(case, data_dir)
     report = solve(inst, m, config)
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
 
