@@ -32,7 +32,8 @@ edge that is not a pair of integer ids in [0, n_local); a call refuses a
 successor score that is not finite (an overflowed visibility or trail, or
 the NaN that rho = 1 makes of an infinite trail), n_local times the largest
 score reaching half the largest double, a start other than an integer in
-[0, n_local) and a draw outside [0, 1].
+[0, n_local), a draw block that is not a 2-D float64 ndarray and a draw
+outside [0, 1].
 
 Each row total T then sums at least one unvisited score, so it is finite,
 normal and above TRAIL_FLOOR.  For u <= 1 - 2^-53 the exact u * T lies at
@@ -46,44 +47,24 @@ T = TRAIL_FLOOR the spacing below is subnormal, as wide as the one above,
 the gap is exactly half of it, and (1 - 2^-53) * TRAIL_FLOOR rounds back to
 TRAIL_FLOOR.
 
-The step loop runs compiled where it can (``roulette.c``, built, cached and
-loaded by ``native.py``) and in numpy otherwise, with the same tours bit for
-bit.  The numpy loop is the reference.  For each ant the C loop sums the
-scores of the ant's unvisited columns in ascending column order, sets the
-target to the capped draw times that total, and picks the first column whose
-running sum exceeds the target.  Those are the doubles of the numpy loop's
-masked prefix sums: each is one rounded addition in the same order, since
-a visited column adds an exact 0, and the C code is built without
-fast-math and with -ffp-contract=off, so that no addition is reordered and
-no product is fused into one.  The C scan ends at the last
-unvisited column, so it never picks a visited one.  On rows at least
-GROUP_MIN wide (a constant of ``roulette.c``) the C loop runs four ants at
-a time, so that four chains of additions overlap: they share the step, and
-so the count r of nodes each has left.  One pass adds each ant's scores at
-its own unvisited columns, in ascending order, to its own running sum and
-stores each sum; a branch-free lower-bound search then finds, for each
-ant, the first of its first r - 1 sums that exceeds its target, or else
-its last column.  Each sum is the one-ant scan's, the same additions in the
-same order, and since every score is at least 2 * TRAIL_FLOOR > 0 the sums
-never decrease, so the lower bound is the first crossing the scan finds.
-Narrower rows and the n_ants mod 4 ants left over run one at a time.
+The step loop runs compiled where it can (``roulette.c``, whose header
+describes it, built, cached and loaded by ``native.py``) and in numpy
+otherwise.  The numpy loop is the reference: the compiled call gives its
+orders and lengths bit for bit.
 
 A colony call keeps its refusals, with their whole-block reductions, and
 its scores (``local_tau() * weight``) in numpy, and makes one compiled call
-for the rest: the start columns and the draws capped in float64, the
-steps, and each ant's closed-tour length, whose legs it adds in
-``tour_lengths``'s order (numpy's pairwise sum of all legs but the closing
-one, then the closing leg).  A block in another dtype is handed over in
-float64, which holds each of its draws exactly, with each drawn start taken in the
-block's own dtype, as the numpy loop takes it.  ``update_pheromones``
-likewise checks every tour in Python, then makes one compiled call per
-colony that evaporates and deposits with the numpy update's products and
-sums; a trail that is not a writable C-contiguous float64 block takes the
-numpy update.  The first colony call loads the compiled calls and enables
-them only once they give the numpy paths' tours, lengths and trail on a
-fixed case, whose draws put two ants' targets exactly on a repeated running
-sum; where no compiler is found, a build or a load fails, or the check
-fails, the numpy paths run, and
+for the rest: the start columns, the capped draws, the steps, and each
+ant's closed-tour length, whose legs it adds in ``tour_lengths``'s order
+(numpy's pairwise sum of all legs but the closing one, then the closing
+leg).  ``update_pheromones`` likewise checks every tour in Python, then
+makes one compiled call per colony that evaporates and deposits with the
+numpy update's products and sums; a trail that is not a writable
+C-contiguous float64 block takes the numpy update.  The first colony call
+loads the compiled calls and enables them only once they give the numpy
+paths' tours, lengths and trail on a fixed case, whose draws put two ants'
+targets exactly on a repeated running sum; where no compiler is found, a
+build or a load fails, or the check fails, the numpy paths run, and
 ``step_loop()`` says which loop runs and why.
 """
 
@@ -300,12 +281,16 @@ class SubsetColony:
         """All ants' tours for one iteration, scored on ``local_tau() * weight``.
 
         ``start_local`` is an integer in [0, n_local), or None to start each
-        ant at its first draw, and ``uniforms`` is (n_ants, n_local) with
-        every draw in [0, 1].  Returns (orders, lengths) with orders in local
-        indices, one row per ant.  Scores that are not finite, or n_local
-        times whose largest reaches half the largest double, are refused by
-        name (see the module docstring).
+        ant at its first draw, and ``uniforms`` is an (n_ants, n_local)
+        float64 ndarray with every draw in [0, 1].  Returns (orders,
+        lengths) with orders in local indices, one row per ant.  Scores that
+        are not finite, or n_local times whose largest reaches half the
+        largest double, are refused by name (see the module docstring).
         """
+        if not isinstance(uniforms, np.ndarray) or uniforms.dtype != np.float64:
+            kind = (f"dtype {uniforms.dtype}" if isinstance(uniforms, np.ndarray)
+                    else f"type {type(uniforms).__name__}")
+            raise ValueError(f"uniform block of {kind} is not a float64 ndarray")
         if uniforms.ndim != 2:
             raise ValueError(
                 f"uniform block of shape {uniforms.shape} is not (n_ants, {self.n_local})")
@@ -369,24 +354,15 @@ def _step_kernel():
     return None if isinstance(_kernel, str) else _kernel
 
 
-def _drawn_starts(uniforms) -> np.ndarray:
-    """Each ant's start drawn from the first column of ``uniforms``, in the
-    block's own dtype."""
-    nl = uniforms.shape[1]
-    return np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
-
-
 def _numpy_colony(score_tau, start_local, uniforms, dist) -> tuple:
     """A colony call's orders and lengths after its refusals, in numpy: the
     reference of ``_c_colony``."""
     na, nl = uniforms.shape
     if start_local is None:
-        cur = _drawn_starts(uniforms)
+        cur = np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
     else:
         cur = np.full(na, start_local, dtype=np.int64)
-    # Capped at the largest double below 1, in float64: in float32 the cap
-    # would round to 1.
-    draws = np.minimum(uniforms, 1.0 - 2.0**-53, dtype=np.float64)
+    draws = np.minimum(uniforms, 1.0 - 2.0**-53)
     orders = np.empty((na, nl), dtype=np.int64)
     orders[:, 0] = cur
     avail = np.ones((na, nl))
@@ -411,20 +387,12 @@ def _address(array: np.ndarray) -> int:
 
 
 def _c_colony(lib, score_tau, start_local, uniforms, dist) -> tuple:
-    """``_numpy_colony`` as one call of the compiled ``lib``."""
+    """``_numpy_colony`` as one call of the compiled ``lib``, on the
+    C-contiguous float64 blocks ``score_tau`` and ``dist``."""
     na, nl = uniforms.shape
-    if uniforms.dtype != np.float64:
-        draws = uniforms.astype(np.float64)
-        if start_local is None:
-            # The C call draws each start in float64, so the start the
-            # block's own dtype gives is handed over as the first draw that
-            # lands mid-way into its column.
-            draws[:, 0] = (_drawn_starts(uniforms) + 0.5) / nl
-        uniforms = draws
-    # Bound to names, so that a C-ordered copy outlives the call that reads
+    # Bound to a name, so that a C-ordered copy outlives the call that reads
     # its address.
-    score_tau, uniforms = np.ascontiguousarray(score_tau), np.ascontiguousarray(uniforms)
-    dist = np.ascontiguousarray(dist, dtype=np.float64)
+    uniforms = np.ascontiguousarray(uniforms)
     orders = np.empty((na, nl), dtype=np.int64)
     lengths = np.empty(na)
     failed = lib.sinepath_colony(

@@ -8,15 +8,16 @@ evaporate-and-deposit; ``_SIGNATURES`` gives each one's ctypes signature.
 no fast-math, no ``-march`` and no fused multiply-add, so every sum and
 product stays one rounded IEEE double operation, as in numpy.  The shared
 object is cached under a hash of the source and the flags in
-``$XDG_CACHE_HOME/sinepath`` (else ``~/.cache/sinepath``, else the temp
-dir).  It is written under a temporary name and renamed into place, so
-processes that build at once leave one whole object, and each loads it with
-``ctypes``.  Each new ``roulette.c`` or set of flags compiles a new object
-beside the old ones, and nothing removes the old ones; the cache directory
-can be deleted at any time, and the next colony call builds it again.  Any
-failure raises ``Unavailable`` naming its cause.  ``aco.py`` checks the
-loaded functions against its numpy paths before it uses them, and runs the
-numpy paths where ``load`` fails.
+``$XDG_CACHE_HOME/sinepath``, else ``~/.cache/sinepath``, and never in the
+shared temp dir, where another user could plant an object.  It is written
+under a temporary name and renamed into place, so processes that build at
+once leave one whole object, and each loads it with ``ctypes``.  Each new
+``roulette.c`` or set of flags compiles a new object beside the old ones,
+and nothing removes the old ones; the cache directory can be deleted at
+any time, and the next colony call builds it again.  Any failure raises
+``Unavailable`` naming its cause.  ``aco.py`` checks the loaded functions
+against its numpy paths before it uses them, and runs the numpy paths
+where ``load`` fails.
 """
 
 from __future__ import annotations
@@ -43,14 +44,16 @@ class Unavailable(Exception):
 
 
 def cache_dir() -> Path:
-    """Where compiled objects are cached."""
+    """Where compiled objects are cached; each cache home counts only as an
+    absolute path, and ``Unavailable`` is raised where neither is one."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if os.path.isabs(base):
         return Path(base) / "sinepath"
     home = os.path.expanduser("~")
-    if os.path.isabs(home):
-        return Path(home) / ".cache" / "sinepath"
-    return Path(tempfile.gettempdir()) / "sinepath"
+    if not os.path.isabs(home):
+        raise Unavailable("no cache directory: neither XDG_CACHE_HOME nor the home "
+                          f"directory ({home!r}) is an absolute path")
+    return Path(home) / ".cache" / "sinepath"
 
 
 def object_path(source: bytes) -> Path:

@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from importlib import resources
@@ -122,7 +123,7 @@ def _aim_at_plateaus(colony, start_local, uniforms) -> int:
     return hits
 
 
-def _check_compiled_loop(width, ants, seed, start, ends, dtype, trail) -> int:
+def _check_compiled_loop(width, ants, seed, start, ends, trail) -> int:
     """Assert that the compiled and numpy loops give bit-identical orders and
     lengths on one colony call; returns the count of targets on plateaus."""
     rng = np.random.default_rng(seed)
@@ -143,9 +144,8 @@ def _check_compiled_loop(width, ants, seed, start, ends, dtype, trail) -> int:
         uniforms[rng.random(uniforms.shape) < 0.25] = 1.0
     start_local = None if start is None else int(start * width)
     hits = 0
-    if trail == "plateau" and dtype == np.float64:
+    if trail == "plateau":
         hits = _aim_at_plateaus(colony, start_local, uniforms)
-    uniforms = uniforms.astype(dtype)
     expected = _numpy_loop(lambda: colony.construct_colony(start_local, uniforms))
     orders, lengths = colony.construct_colony(start_local, uniforms)
     assert np.array_equal(orders, expected[0])
@@ -161,30 +161,25 @@ def _check_compiled_loop(width, ants, seed, start, ends, dtype, trail) -> int:
     seed=st.integers(0, 999),
     start=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
     ends=st.sampled_from(["none", "zeros", "ones", "both"]),
-    dtype=st.sampled_from([np.float64, np.float32, np.float16]),
     trail=st.sampled_from(["fresh", "scaled", "floored", "plateau"]),
 )
-@example(width=1, ants=3, seed=0, start=None, ends="both", dtype=np.float64, trail="fresh")
-@example(width=2, ants=3, seed=1, start=0.6, ends="ones", dtype=np.float32, trail="floored")
-@example(width=3, ants=4, seed=2, start=None, ends="zeros", dtype=np.float64, trail="scaled")
-@example(width=45, ants=5, seed=3, start=0.5, ends="both", dtype=np.float32, trail="floored")
-@example(width=46, ants=5, seed=4, start=None, ends="ones", dtype=np.float64, trail="scaled")
-@example(width=250, ants=6, seed=5, start=None, ends="both", dtype=np.float32, trail="floored")
-@example(width=250, ants=6, seed=6, start=0.99, ends="none", dtype=np.float64, trail="fresh")
-@example(width=GROUP_MIN - 1, ants=9, seed=7, start=None, ends="both", dtype=np.float64,
-         trail="floored")
-@example(width=GROUP_MIN, ants=7, seed=8, start=0.3, ends="ones", dtype=np.float32,
-         trail="scaled")
-@example(width=GROUP_MIN + 1, ants=13, seed=9, start=None, ends="zeros", dtype=np.float64,
-         trail="fresh")
-def test_compiled_loop_matches_the_numpy_loop(kernel, width, ants, seed, start, ends, dtype,
-                                              trail):
+@example(width=1, ants=3, seed=0, start=None, ends="both", trail="fresh")
+@example(width=2, ants=3, seed=1, start=0.6, ends="ones", trail="floored")
+@example(width=3, ants=4, seed=2, start=None, ends="zeros", trail="scaled")
+@example(width=45, ants=5, seed=3, start=0.5, ends="both", trail="floored")
+@example(width=46, ants=5, seed=4, start=None, ends="ones", trail="scaled")
+@example(width=250, ants=6, seed=5, start=None, ends="both", trail="floored")
+@example(width=250, ants=6, seed=6, start=0.99, ends="none", trail="fresh")
+@example(width=GROUP_MIN - 1, ants=9, seed=7, start=None, ends="both", trail="floored")
+@example(width=GROUP_MIN, ants=7, seed=8, start=0.3, ends="ones", trail="scaled")
+@example(width=GROUP_MIN + 1, ants=13, seed=9, start=None, ends="zeros", trail="fresh")
+def test_compiled_loop_matches_the_numpy_loop(kernel, width, ants, seed, start, ends, trail):
     # every order and length bit-identical, on rows of 1 to 250 nodes, with
     # ants four at a time (width >= GROUP_MIN) or one at a time, a given or
-    # a drawn start, draws of exactly 0 and 1, float32 blocks,
-    # trails floored everywhere but one tour's edges (rho = 1), and targets
-    # on running sums that a run of scores repeats
-    _check_compiled_loop(width, ants, seed, start, ends, dtype, trail)
+    # a drawn start, draws of exactly 0 and 1, trails floored everywhere
+    # but one tour's edges (rho = 1), and targets on running sums that a
+    # run of scores repeats
+    _check_compiled_loop(width, ants, seed, start, ends, trail)
 
 
 @pytest.mark.parametrize("ants", range(1, 14))
@@ -192,8 +187,7 @@ def test_compiled_loop_matches_the_numpy_loop(kernel, width, ants, seed, start, 
 def test_compiled_loop_matches_on_plateaus_for_every_ant_count(kernel, width, ants):
     # each count of ants left over beside full groups of four, on both sides
     # of GROUP_MIN, with targets on repeated running sums
-    hits = _check_compiled_loop(width, ants, 100 * width + ants, None, "none", np.float64,
-                                "plateau")
+    hits = _check_compiled_loop(width, ants, 100 * width + ants, None, "none", "plateau")
     assert hits >= ants
 
 
@@ -215,6 +209,21 @@ def test_compiled_loop_reads_a_draw_block_of_any_layout(kernel, layout):
         expected = _numpy_loop(lambda: colony.construct_colony(start, block))
         assert np.array_equal(orders, expected[0]) and np.array_equal(lengths, expected[1])
         assert orders.shape == (len(block), 30) and lengths.shape == (len(block),)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+def test_compiled_loop_reads_a_trail_of_any_layout(kernel, layout):
+    # the compiled call reads the scores in place, which are C-ordered
+    # whatever the layout of the trail they are made from
+    colony = _colony(30, 13)
+    trail = 10.0 ** np.random.default_rng(14).uniform(-5.0, 5.0, (60, 60))
+    colony.tau = {"fortran": np.asfortranarray(trail[:30, :30]), "transposed": trail[:30, :30].T,
+                  "strided": trail[::2, ::2]}[layout]
+    uniforms = np.random.default_rng(15).random((9, 30))
+    for start in (None, 7):
+        orders, lengths = colony.construct_colony(start, uniforms)
+        expected = _numpy_loop(lambda: colony.construct_colony(start, uniforms))
+        assert np.array_equal(orders, expected[0]) and np.array_equal(lengths, expected[1])
 
 
 def test_the_self_check_runs_both_paths(kernel):
@@ -242,8 +251,8 @@ def test_the_self_check_aims_targets_at_a_repeated_running_sum():
     # and one left over, aim their first target at a sum that repeats, with
     # their start drawn or given
     score, _, uniforms, _ = aco._fixed_case()
-    ants = len(uniforms)
-    assert list(aco._drawn_starts(uniforms)[[2, 4]]) == [0, 0]
+    ants, width = uniforms.shape
+    assert [min(int(u * width), width - 1) for u in uniforms[[2, 4], 0]] == [0, 0]
     cum = np.add.accumulate(score[0, 1:])
     total = cum[-1]
     hits = []
@@ -315,6 +324,12 @@ def _refused_draw(value, dtype):
     return lambda: colony.construct_colony(None, uniforms.astype(dtype))
 
 
+def _refused_block(kind):
+    colony, uniforms = _refusal_colony()
+    block = uniforms.tolist() if kind is list else uniforms.astype(kind)
+    return lambda: colony.construct_colony(None, block)
+
+
 def _refused_trail(cell_value):
     colony, uniforms = _refusal_colony()
     if cell_value is None:  # scores whose row totals could overflow
@@ -334,6 +349,8 @@ COLONY_REFUSALS = {
     **{f"draw {value} in {dtype.__name__}": (_refused_draw, value, dtype)
        for value in (np.nan, np.inf, -np.inf, -0.5, 1.5)
        for dtype in (np.float64, np.float32, np.float16)},
+    **{f"draw block of {kind.__name__}": (_refused_block, kind)
+       for kind in (list, np.float32, np.float16, np.complex128, object, np.bool_, np.int64)},
     "draw block of one dimension": (_refused_call, None, (13,)),
     "draw block of another width": (_refused_call, None, (4, 12)),
     "start outside the subset": (_refused_call, 13),
@@ -421,14 +438,16 @@ def test_solve_is_byte_identical_with_the_numpy_loop(case, kernel, data_dir):
     assert hashlib.sha256(compiled.encode()).hexdigest() == digest
 
 
-def test_the_c_source_compiles_without_warnings():
+def test_the_c_source_compiles_without_warnings(tmp_path):
     # as strict C99, so that a GNU extension fails here rather than sending
-    # the users of another compiler to the numpy paths
+    # the users of another compiler to the numpy paths, and built with the
+    # loader's flags, so that a warning that only optimisation raises (such
+    # as -Wmaybe-uninitialized) fails here too
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) on PATH")
-    proc = subprocess.run([cc, "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror",
-                           "-fsyntax-only", "-x", "c", "-"],
+    proc = subprocess.run([cc, *native.FLAGS, "-std=c99", "-pedantic", "-Wall", "-Wextra",
+                           "-Werror", "-x", "c", "-", "-o", str(tmp_path / "roulette.so")],
                           input=SOURCE, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
@@ -508,6 +527,41 @@ def test_object_that_fails_the_self_check_is_not_used(fresh_loader, tmp_path):
     subprocess.run(["cc", *native.FLAGS, "-x", "c", "-", "-o", str(fresh_loader)],
                    input=WRONG_SOURCE, check=True, timeout=120)
     _numpy_answers("it differs from the numpy loop on its self-check")
+
+
+CACHE_HOMES = {
+    # (HOME, XDG_CACHE_HOME, the cache under tmp_path, or None where there is none)
+    "relative home": ("rel", None, None),
+    "relative home and cache home": ("rel", "rel-cache", None),
+    "relative cache home": ("home", "rel-cache", "home/.cache/sinepath"),
+    "relative home, absolute cache home": ("rel", "cache", "cache/sinepath"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_HOMES))
+def test_only_an_absolute_cache_home_holds_the_cache(fresh_loader, tmp_path, monkeypatch, case):
+    # a cache in the temp dir is predictable and shared, so another local
+    # user could plant the object that the first colony call loads and
+    # runs; where neither cache home is an absolute path, the numpy loop
+    # runs and nothing is written under the temp dir
+    home, cache_home, cache = CACHE_HOMES[case]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setenv("HOME", home if home.startswith("rel") else str(tmp_path / home))
+    if cache_home is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", cache_home if cache_home.startswith("rel")
+                           else str(tmp_path / cache_home))
+    if cache is None:
+        _numpy_answers("no cache directory: neither XDG_CACHE_HOME nor the home directory")
+    else:
+        assert native.object_path(SOURCE).parent == tmp_path / cache
+        if shutil.which("cc") is not None:
+            assert aco.step_loop() == "c"
+            assert native.object_path(SOURCE).is_file()
+    assert list((tmp_path / "tmp").iterdir()) == []
 
 
 def test_concurrent_builds_leave_one_object(tmp_path):
