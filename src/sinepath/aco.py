@@ -32,8 +32,9 @@ edge that is not a pair of integer ids in [0, n_local); a call refuses a
 successor score that is not finite (an overflowed visibility or trail, or
 the NaN that rho = 1 makes of an infinite trail), n_local times the largest
 score reaching half the largest double, a start other than an integer in
-[0, n_local), a draw block that is not a 2-D float64 ndarray and a draw
-outside [0, 1].
+[0, n_local), a draw block that is not a 2-D float64 ndarray, is not
+aligned and C-contiguous, is read-only or has no rows, and a draw outside
+[0, 1].
 
 Each row total T then sums at least one unvisited score, so it is finite,
 normal and above TRAIL_FLOOR.  For u <= 1 - 2^-53 the exact u * T lies at
@@ -59,13 +60,13 @@ ant's closed-tour length, whose legs it adds in ``tour_lengths``'s order
 (numpy's pairwise sum of all legs but the closing one, then the closing
 leg).  ``update_pheromones`` likewise checks every tour in Python, then
 makes one compiled call per colony that evaporates and deposits with the
-numpy update's products and sums; a trail that is not a writable
-C-contiguous float64 block takes the numpy update.  The first colony call
-loads the compiled calls and enables them only once they give the numpy
-paths' tours, lengths and trail on a fixed case, whose draws put two ants'
-targets exactly on a repeated running sum; where no compiler is found, a
-build or a load fails, or the check fails, the numpy paths run, and
-``step_loop()`` says which loop runs and why.
+numpy update's products and sums.  Every array either call reads is
+writable and C-contiguous: a colony makes its trail and distance block so
+once, and the trail is written only in place.  The first colony call loads the compiled calls and enables them only once
+they give the numpy paths' tours, lengths and trail on a fixed case, whose
+draws put two ants' targets exactly on a repeated running sum; where no
+compiler is found, a build or a load fails, or the check fails, the numpy
+paths run, and ``step_loop()`` says which loop runs and why.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ import math
 import numbers
 from ctypes import addressof, c_char
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -152,13 +154,12 @@ def update_pheromones(colonies, tours) -> None:
     any trail changes, so a refused call leaves every trail as it was."""
     rings = [colony._ring(tour) for colony, tour in zip(colonies, tours, strict=True)]
     lib = _step_kernel()
+    update = _numpy_update if lib is None else partial(_c_update, lib)
     for colony, tour, ring in zip(colonies, tours, rings):
         p = colony.params
         # A one-node tour deposits nothing, and its length may be 0.
         scale = p.q_scale / tour.length if len(ring) > 2 else 0.0
-        args = colony.n_local, colony.tau, 1.0 - p.rho, ring, scale, colony._gain
-        if lib is None or not _c_update(lib, *args):
-            _numpy_update(*args)
+        update(colony.n_local, colony.tau, 1.0 - p.rho, ring, scale, colony._gain)
 
 
 def _numpy_update(n, tau, keep, ring, scale, gain) -> None:
@@ -176,8 +177,7 @@ def _deposit(tau, ring, amount) -> None:
     more nodes, on each leg's reverse; a one-node tour adds nothing.
     ``_ring`` refuses a repeated node, so a tour's forward cells are
     distinct, and so are its backward ones; only a 2-node tour's backward
-    cells repeat its forward ones.  The cells are indexed by row and column,
-    so a trail that is a view of a larger array takes the deposit too."""
+    cells repeat its forward ones."""
     here, succ = ring[:-1], ring[1:]
     if len(here) > 1:
         tau[here, succ] += amount
@@ -190,9 +190,11 @@ class SubsetColony:
 
     Works in the subset's local ids 0..n_local-1.  ``dist`` is the subset's
     (n_local, n_local) distance block (see ``instances.distance_block``),
-    which the colony keeps, and ``backbone_edges`` is any sequence of (u, v)
-    pairs of local ids in either orientation, an (E, 2) integer array
-    included.  The colony owns the subset's trail ``tau``,
+    kept as the read-only attribute ``dist`` (a copy where it is not a
+    writable C-contiguous float64 array), and ``backbone_edges`` is any
+    sequence of (u, v) pairs of local ids in either orientation, an (E, 2)
+    integer array included.  The colony owns the subset's trail, the
+    read-only attribute ``tau``, written only in place (``tau[...] = x``):
     an (n_local, n_local) block that starts at 1 with a zero diagonal (the
     rule ignores a uniform trail scale, so starting at c would act as
     q_scale / c).
@@ -205,14 +207,14 @@ class SubsetColony:
     """
 
     def __init__(self, dist: np.ndarray, backbone_edges, omega: float, params: AcoParams):
-        self.dist = np.ascontiguousarray(dist, dtype=np.float64)
-        if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
+        self._dist = d = np.require(dist, np.float64, "CWE")
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance block of shape {np.shape(dist)} is not square")
-        self.n_local = n = len(self.dist)
+        self.n_local = n = len(d)
         if n == 0:
             raise ValueError("distance block of shape (0, 0) is an empty subset")
         self.params = params
-        self.tau = 1.0 - np.eye(n)
+        self._tau = 1.0 - np.eye(n)
         ends = []
         for edge in backbone_edges:
             try:
@@ -228,9 +230,9 @@ class SubsetColony:
         self._gain = np.where(backbone, 1.0 + params.kappa, 1.0).reshape(-1)
 
         off_diag = ~np.eye(n, dtype=bool)
-        if np.any(self.dist[off_diag] <= 0):
+        if np.any(d[off_diag] <= 0):
             raise ValueError("zero distance inside subset: degenerate geometry")
-        eta = np.divide(1.0, self.dist, out=np.zeros((n, n)), where=off_diag)
+        eta = np.divide(1.0, d, out=np.zeros((n, n)), where=off_diag)
         # An overflow to inf is refused by name in construct_colony.
         with np.errstate(over="ignore"):
             weight = eta ** params.beta
@@ -241,6 +243,14 @@ class SubsetColony:
                     "(1/d)^beta underflows to 0; rescale the coordinates or lower beta")
             # least = f * 2^e with f in [0.5, 1), so least * 2^(2 - e) lies in [2, 4)
             self.weight = np.ldexp(weight, 2 - math.frexp(least)[1])
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self._tau
+
+    @property
+    def dist(self) -> np.ndarray:
+        return self._dist
 
     def deposit(self, tour) -> None:
         """The seed tour's deposit: q/L * (1 + kappa) on the trail of each
@@ -281,11 +291,11 @@ class SubsetColony:
         """All ants' tours for one iteration, scored on ``local_tau() * weight``.
 
         ``start_local`` is an integer in [0, n_local), or None to start each
-        ant at its first draw, and ``uniforms`` is an (n_ants, n_local)
-        float64 ndarray with every draw in [0, 1].  Returns (orders,
-        lengths) with orders in local indices, one row per ant.  Scores that
-        are not finite, or n_local times whose largest reaches half the
-        largest double, are refused by name (see the module docstring).
+        ant at its first draw, and ``uniforms`` a writable, aligned,
+        C-contiguous (n_ants, n_local) float64 ndarray, n_ants >= 1, of draws
+        in [0, 1].  Returns (orders, lengths), orders in local ids, one row
+        per ant.  Scores that are not finite, or n_local times whose largest
+        reaches half the largest double, are refused by name.
         """
         if not isinstance(uniforms, np.ndarray) or uniforms.dtype != np.float64:
             kind = (f"dtype {uniforms.dtype}" if isinstance(uniforms, np.ndarray)
@@ -297,6 +307,10 @@ class SubsetColony:
         nl = uniforms.shape[1]
         if nl != self.n_local:
             raise ValueError("uniform block width must equal the subset size")
+        if not (uniforms.flags.carray and len(uniforms)):  # aligned, writable and C-ordered
+            fault = ("has no rows" if not len(uniforms) else "is read-only"
+                     if not uniforms.flags.writeable else "is not C-contiguous and aligned")
+            raise ValueError(f"uniform block of shape {uniforms.shape} {fault}")
         if start_local is not None:
             _local_ids((start_local,), nl, "start_local")
         # The ufunc reductions themselves: ndarray.min/max add a Python wrapper per call.
@@ -378,21 +392,13 @@ def _numpy_colony(score_tau, start_local, uniforms, dist) -> tuple:
 
 
 def _address(array: np.ndarray) -> int:
-    """The address of the C-contiguous ``array``'s data.  A writable array's
-    buffer gives it in about a third of the time ``array.ctypes`` takes."""
-    try:
-        return addressof(c_char.from_buffer(array))
-    except (TypeError, ValueError):  # read-only, or empty
-        return array.ctypes.data
+    """The address of the data of ``array``: writable, C-contiguous, not empty."""
+    return addressof(c_char.from_buffer(array))
 
 
 def _c_colony(lib, score_tau, start_local, uniforms, dist) -> tuple:
-    """``_numpy_colony`` as one call of the compiled ``lib``, on the
-    C-contiguous float64 blocks ``score_tau`` and ``dist``."""
+    """``_numpy_colony`` as one call of the compiled ``lib``."""
     na, nl = uniforms.shape
-    # Bound to a name, so that a C-ordered copy outlives the call that reads
-    # its address.
-    uniforms = np.ascontiguousarray(uniforms)
     orders = np.empty((na, nl), dtype=np.int64)
     lengths = np.empty(na)
     failed = lib.sinepath_colony(
@@ -404,18 +410,10 @@ def _c_colony(lib, score_tau, start_local, uniforms, dist) -> tuple:
     return orders, lengths
 
 
-def _c_update(lib, n, tau, keep, ring, scale, gain) -> bool:
-    """``_numpy_update`` as one call of the compiled ``lib``, or False,
-    with nothing changed, where ``tau`` is not a writable C-contiguous
-    (n, n) float64 block, which the numpy update then takes."""
-    if tau.dtype != np.float64 or tau.shape != (n, n):
-        return False
-    try:
-        address = addressof(c_char.from_buffer(tau))
-    except (TypeError, ValueError):  # read-only, or not C-contiguous
-        return False
-    lib.sinepath_update(n, address, keep, _address(ring), len(ring) - 1, _address(gain), scale)
-    return True
+def _c_update(lib, n, tau, keep, ring, scale, gain) -> None:
+    """``_numpy_update`` as one call of the compiled ``lib``."""
+    lib.sinepath_update(n, _address(tau), keep, _address(ring), len(ring) - 1, _address(gain),
+                        scale)
 
 
 def _fixed_case() -> tuple:
@@ -458,4 +456,5 @@ def _agrees(lib) -> bool:
             return False
     want, got = trail.copy(), trail.copy()
     _numpy_update(47, want, 0.7, ring, scale, gain)
-    return _c_update(lib, 47, got, 0.7, ring, scale, gain) and np.array_equal(got, want)
+    _c_update(lib, 47, got, 0.7, ring, scale, gain)
+    return np.array_equal(got, want)

@@ -293,7 +293,7 @@ def _colonies_on(tau, subsets, backbones, params):
     for sub, bk in zip(subsets, backbones):
         local_bk = {(sub.index(u), sub.index(v)) for u, v in bk}
         colony = SubsetColony(d[np.ix_(sub, sub)], local_bk, 1.0, params)
-        colony.tau = tau[np.ix_(sub, sub)]
+        colony.tau[...] = tau[np.ix_(sub, sub)]
         colonies.append(colony)
     return colonies
 
@@ -558,7 +558,7 @@ def test_colony_matches_scalar_construction():
     tau *= rng.uniform(0.5, 1.5, size=(n, n))
     tau = (tau + tau.T) / 2
     np.fill_diagonal(tau, 0.0)
-    colony.tau = tau
+    colony.tau[...] = tau
 
     uniforms = rng.random((6, n))
     start = 4
@@ -586,7 +586,7 @@ def test_colony_bit_identical_to_reference(width, alpha, omega, start):
     # omega**1.2: a backbone boost that is no round number
     colony = SubsetColony(block, _keys(kruskal_mst(block)), omega**1.2, params)
     tau = _uniform_trail(n) * rng.uniform(0.05, 3.0, size=(n, n))
-    colony.tau = tau[np.ix_(nodes, nodes)]
+    colony.tau[...] = tau[np.ix_(nodes, nodes)]
     tau_local = colony.local_tau()
     assert np.array_equal(tau_local, colony.tau ** alpha)
     uniforms = rng.random((17, width))
@@ -628,7 +628,7 @@ def test_colony_calls_match_fresh_colonies(loop, n, request):
 
     def fresh():
         colony = SubsetColony(d, backbone, 2.0, AcoParams())
-        colony.tau = tau.copy()
+        colony.tau[...] = tau
         return colony
 
     colony = fresh()
@@ -827,25 +827,30 @@ def test_update_pheromones_refusal_leaves_every_trail_unchanged():
     assert np.array_equal(second.tau, before[1])
 
 
-@pytest.mark.parametrize("loop", ["compiled", "numpy"])
-def test_a_trail_that_is_a_view_takes_its_deposits(loop, monkeypatch):
-    # a trail bound to a block of a larger array used to evaporate but gain
-    # nothing: the deposit wrote into a flattened copy of the block
-    if loop == "numpy":
-        monkeypatch.setattr(aco, "_kernel", "disabled by the test")
-    params = AcoParams(rho=0.5, q_scale=2.0, kappa=1.0)
-    colony = SubsetColony(TRI_D, frozenset({(0, 1)}), 1.0, params)
-    whole = np.ones((5, 5))
-    colony.tau = whole[:3, :3]
-    update_pheromones([colony], [Tour((0, 1, 2), 4.0)])
-    assert np.shares_memory(colony.tau, whole)
-    # evaporated to 0.5, then 2 / 4 * (1 + kappa) on the backbone edge and 2 / 4 off it
-    expected = np.array([[0.5, 1.5, 1.0], [1.5, 0.5, 1.0], [1.0, 1.0, 0.5]])
-    assert np.array_equal(whole[:3, :3], expected)
-    assert (whole[3:] == 1.0).all() and (whole[:, 3:] == 1.0).all()
-    # the seed's flat 2 / 8 * (1 + kappa) on every edge
-    colony.deposit(Tour((2, 0, 1), 8.0))
-    assert np.array_equal(whole[:3, :3], expected + 0.5 * (1.0 - np.eye(3)))
+@pytest.mark.parametrize("name", ["tau", "dist"])
+def test_a_colony_keeps_its_own_trail_and_distances(name):
+    # a strided view bound as the distance block reached the compiled call,
+    # which read it from the base buffer: the same orders, with a first
+    # ant's length of 695.07 where numpy's was 527.52; a view bound as the
+    # trail kept its layout too.  Neither can be rebound now
+    big = build_distance_matrix(random_planar_instance(24, seed=936))
+    colony = SubsetColony(big[::2, ::2], frozenset(), 1.0, AcoParams())
+    owned = getattr(colony, name)
+    with pytest.raises(AttributeError):
+        setattr(colony, name, big[::2, ::2])
+    assert getattr(colony, name) is owned and owned.flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+def test_local_tau_zeroes_the_diagonal_of_a_trail_written_from_any_layout(layout):
+    # a trail rebound to a Fortran-ordered array kept the floor on its
+    # diagonal, as the zeroing wrote into a flattened copy
+    _, _, _, colony = _colony_setup(5, 937)
+    source = np.random.default_rng(938).uniform(0.5, 2.0, (10, 10))
+    colony.tau[...] = {"fortran": np.asfortranarray(source[:5, :5]), "transposed": source[:5, :5].T,
+                       "strided": source[::2, ::2]}[layout]
+    assert colony.tau.flags.c_contiguous
+    assert np.array_equal(np.diag(colony.local_tau()), np.zeros(5))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -854,7 +859,7 @@ def test_local_tau_floors_the_trail_factor(alpha):
     _, _, _, colony = _colony_setup(6, 917, params=params)
     off_diag = ~np.eye(6, dtype=bool)
     # an underflowed trail reads as the floor, for every alpha
-    colony.tau = np.zeros((6, 6))
+    colony.tau[...] = np.zeros((6, 6))
     sub = colony.local_tau()
     assert np.array_equal(sub[off_diag], np.full(30, TRAIL_FLOOR))
     assert np.array_equal(np.diag(sub), np.zeros(6))
@@ -862,7 +867,7 @@ def test_local_tau_floors_the_trail_factor(alpha):
     orders, _ = colony.construct_colony(None, uniforms)
     assert all(sorted(row) == list(range(6)) for row in orders.tolist())
     # a trail above the floor comes back as tau^alpha, bit for bit
-    colony.tau = _uniform_trail(6) * np.random.default_rng(919).uniform(1e-40, 2.0, (6, 6))
+    colony.tau[...] = _uniform_trail(6) * np.random.default_rng(919).uniform(1e-40, 2.0, (6, 6))
     assert np.array_equal(colony.local_tau(), colony.tau ** alpha)
 
 
@@ -903,7 +908,7 @@ def test_colony_bit_identical_to_reference_on_edge_trails(case):
     rng = np.random.default_rng(923)
     if case == "zero-entries":
         _, _, _, colony = _colony_setup(13, 924)
-        colony.tau = _cycle_trail(13, rng)
+        colony.tau[...] = _cycle_trail(13, rng)
         trail = colony.local_tau()
         assert (trail == TRAIL_FLOOR).sum() == 13 * 13 - 13 - 26
     else:
@@ -911,7 +916,7 @@ def test_colony_bit_identical_to_reference_on_edge_trails(case):
         # can overflow while 13 times the largest nears half the largest double
         _, _, _, colony = _colony_setup(13, 925)
         big = np.finfo(float).max / 2 / 13 * rng.uniform(0.5, 0.999, size=(13, 13))
-        colony.tau = big / (colony.weight + np.eye(13))
+        colony.tau[...] = big / (colony.weight + np.eye(13))
         np.fill_diagonal(colony.tau, 0.0)
         trail = colony.local_tau()
         assert (trail * colony.weight).max() * 13 > np.finfo(float).max / 4
@@ -937,7 +942,7 @@ def test_colony_floor_total_keeps_its_clamp():
     n = 5
     d = np.ones((n, n)) - np.eye(n)
     colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
-    colony.tau = np.zeros((n, n))
+    colony.tau[...] = np.zeros((n, n))
     tau_local = colony.local_tau()
     off_diag = ~np.eye(n, dtype=bool)
     assert ((tau_local * colony.weight)[off_diag] == 2 * TRAIL_FLOOR).all()
@@ -1046,7 +1051,7 @@ def test_colony_matches_reference_across_trail_scales(
         colony = SubsetColony(d[:width, :width], backbone, omega, params)
     trail = 10.0**exponent * rng.uniform(0.5, 1.5, size=d.shape)
     trail[rng.random(d.shape) < zeros] = 0.0
-    colony.tau = trail[:width, :width]
+    colony.tau[...] = trail[:width, :width]
     uniforms = rng.random((n_ants, width))
     if top is not None:
         uniforms[rng.random(uniforms.shape) < 0.3] = top
@@ -1095,7 +1100,7 @@ def test_colony_refuses_scores_whose_row_totals_overflow():
     colony = SubsetColony(d, frozenset(), 1.0, AcoParams())
     rng = np.random.default_rng(923)
     huge = np.finfo(float).max / 4 * rng.uniform(0.5, 1.0, size=(13, 13))
-    colony.tau = huge / (colony.weight + np.eye(13))
+    colony.tau[...] = huge / (colony.weight + np.eye(13))
     np.fill_diagonal(colony.tau, 0.0)
     uniforms = rng.random((40, 13))
     uniforms[:, 3] = 0.0

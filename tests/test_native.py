@@ -129,7 +129,7 @@ def _check_compiled_loop(width, ants, seed, start, ends, trail) -> int:
     rng = np.random.default_rng(seed)
     colony = _colony(width, seed, rho=1.0 if trail == "floored" else 0.1)
     if trail == "scaled":
-        colony.tau = 10.0 ** rng.uniform(-20.0, 20.0, (width, width))
+        colony.tau[...] = 10.0 ** rng.uniform(-20.0, 20.0, (width, width))
     elif trail == "floored" and width > 1:
         order = tuple(int(v) for v in rng.permutation(width))
         update_pheromones([colony], [Tour(order, float(rng.uniform(1.0, 100.0)))])
@@ -191,10 +191,17 @@ def test_compiled_loop_matches_on_plateaus_for_every_ant_count(kernel, width, an
     assert hits >= ants
 
 
-@pytest.mark.parametrize("layout", ["fortran", "read-only", "strided", "no ants"])
-def test_compiled_loop_reads_a_draw_block_of_any_layout(kernel, layout):
-    # the compiled call reads a float64 block's data in place where it can,
-    # and from a C-ordered copy where it cannot
+def _misaligned(rows, width):
+    """A float64 block one byte off the alignment of its dtype."""
+    raw = np.zeros(rows * width * 8 + 1, dtype=np.uint8)[1:]
+    return raw.view(np.float64).reshape(rows, width)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "read-only", "strided", "no ants", "unaligned"])
+def test_both_loops_refuse_a_draw_block_of_another_layout(kernel, layout):
+    # a compiled call reads the draw block in place, so both loops refuse,
+    # by name and alike, a block that is not a writable, aligned,
+    # C-contiguous block of at least one row
     colony = _colony(30, 11)
     uniforms = np.random.default_rng(12).random((9, 60))
     block = {
@@ -202,23 +209,25 @@ def test_compiled_loop_reads_a_draw_block_of_any_layout(kernel, layout):
         "read-only": uniforms[:, :30].copy(),
         "strided": uniforms[:, ::2],
         "no ants": uniforms[:0, :30],
+        "unaligned": _misaligned(9, 30),
     }[layout]
     block.flags.writeable = layout != "read-only"
+    fault = {"read-only": "is read-only", "no ants": "has no rows"}.get(
+        layout, "is not C-contiguous and aligned")
     for start in (None, 7):
-        orders, lengths = colony.construct_colony(start, block)
-        expected = _numpy_loop(lambda: colony.construct_colony(start, block))
-        assert np.array_equal(orders, expected[0]) and np.array_equal(lengths, expected[1])
-        assert orders.shape == (len(block), 30) and lengths.shape == (len(block),)
+        messages = {loop: _refusal(lambda: colony.construct_colony(start, block), loop)
+                    for loop in ("compiled", "numpy")}
+        assert messages == dict.fromkeys(messages, f"uniform block of shape {block.shape} {fault}")
 
 
 @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
 def test_compiled_loop_reads_a_trail_of_any_layout(kernel, layout):
-    # the compiled call reads the scores in place, which are C-ordered
-    # whatever the layout of the trail they are made from
+    # a trail written in place from a source of any layout stays the
+    # colony's own C-ordered block, and so do the scores made from it
     colony = _colony(30, 13)
     trail = 10.0 ** np.random.default_rng(14).uniform(-5.0, 5.0, (60, 60))
-    colony.tau = {"fortran": np.asfortranarray(trail[:30, :30]), "transposed": trail[:30, :30].T,
-                  "strided": trail[::2, ::2]}[layout]
+    colony.tau[...] = {"fortran": np.asfortranarray(trail[:30, :30]),
+                       "transposed": trail[:30, :30].T, "strided": trail[::2, ::2]}[layout]
     uniforms = np.random.default_rng(15).random((9, 30))
     for start in (None, 7):
         orders, lengths = colony.construct_colony(start, uniforms)
@@ -295,7 +304,7 @@ def _trail_colonies(nodes, rho, kappa, seed):
     trail = 10.0 ** rng.uniform(-30.0, 30.0, (width, width))
     np.fill_diagonal(trail, 0.0)
     for colony in colonies:
-        colony.tau = trail.copy()
+        colony.tau[...] = trail
     order = tuple(int(v) for v in rng.permutation(width)[:nodes])
     return colonies, Tour(order, float(rng.uniform(0.5, 50.0)))
 
@@ -333,7 +342,7 @@ def _refused_block(kind):
 def _refused_trail(cell_value):
     colony, uniforms = _refusal_colony()
     if cell_value is None:  # scores whose row totals could overflow
-        colony.tau = np.finfo(float).max / 4 / (colony.weight + np.eye(13))
+        colony.tau[...] = np.finfo(float).max / 4 / (colony.weight + np.eye(13))
     else:
         colony.tau[3, 5] = cell_value
     return lambda: colony.construct_colony(2, uniforms)
@@ -450,6 +459,79 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
                            "-Werror", "-x", "c", "-", "-o", str(tmp_path / "roulette.so")],
                           input=SOURCE, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+
+# Binds a sanitized roulette.c object and drives both exported calls
+# against the numpy paths on colony-owned arrays: widths on both sides of
+# GROUP_MIN and one wide row, 1 to 13 ants, given and drawn starts, draws
+# of exactly 0 and 1, and one update per case.
+SANITIZED_DRIVER = """
+import sys
+from ctypes import CDLL
+
+import numpy as np
+
+from sinepath import aco, native
+from sinepath.aco import AcoParams, SubsetColony, update_pheromones
+from sinepath.instances import build_distance_matrix, random_planar_instance
+from sinepath.objective import Tour
+
+lib = CDLL(sys.argv[1])
+for name, (argtypes, restype) in native._SIGNATURES.items():
+    getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, restype
+assert aco._agrees(lib)
+calls = 0
+for width in (23, 24, 25, 120):
+    d = build_distance_matrix(random_planar_instance(width, width))
+    for ants in range(1, 14):
+        rng = np.random.default_rng(100 * width + ants)
+        pair = [SubsetColony(d, [(i, i + 1) for i in range(width - 1)], 2.0, AcoParams(rho=0.3))
+                for _ in range(2)]
+        trail = 10.0 ** rng.uniform(-20.0, 20.0, (width, width))
+        for colony in pair:
+            colony.tau[...] = trail
+        uniforms = rng.random((ants, width))
+        uniforms[rng.random(uniforms.shape) < 0.2] = 0.0
+        uniforms[rng.random(uniforms.shape) < 0.2] = 1.0
+        outcomes = []
+        for loop, colony in zip((lib, "numpy"), pair):
+            aco._kernel = loop
+            answers = [colony.construct_colony(start, uniforms) for start in (None, ants)]
+            orders, lengths = answers[0]
+            update_pheromones([colony], [Tour(tuple(map(int, orders[0])), float(lengths[0]))])
+            outcomes.append([array for answer in answers for array in answer] + [colony.tau])
+        assert all(map(np.array_equal, *outcomes))
+        calls += 3
+print(calls)
+"""
+
+
+def test_the_compiled_calls_run_clean_under_sanitizers(tmp_path):
+    # AddressSanitizer and UBSan catch a read or write past an array, or a
+    # misaligned or overflowing operation, which a differential check that
+    # compares only values can miss; the runtimes are preloaded, as the
+    # Python binary is not built with them
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    runtimes = [subprocess.run([cc, f"-print-file-name={name}"], capture_output=True,
+                               text=True, timeout=60).stdout.strip()
+                for name in ("libasan.so", "libubsan.so")]
+    missing = [path for path in runtimes if not os.path.isabs(path) or not os.path.exists(path)]
+    if missing:
+        pytest.skip(f"no sanitizer runtime: {', '.join(missing)}")
+    flags = [f for f in native.FLAGS if f != "-O2"]
+    sanitized = tmp_path / "roulette-sanitized.so"
+    build = subprocess.run(
+        [cc, *flags, "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-x", "c", "-", "-o", str(sanitized)], input=SOURCE, capture_output=True, timeout=120)
+    assert build.returncode == 0, build.stderr.decode(errors="replace")
+    env = {**os.environ, "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_DRIVER, str(sanitized)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-4000:]
+    assert proc.stdout.strip() == str(4 * 13 * 3)
 
 
 def test_the_c_source_ships_with_the_package():
