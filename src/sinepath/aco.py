@@ -28,13 +28,13 @@ its own trail through ``local_tau``, which floors it at TRAIL_FLOOR; the
 scale leaves every product, prefix sum and pick with the same bits, barring
 overflow.  And every draw is capped at 1 - 2^-53, the largest double below
 1.  A colony refuses an empty subset, a least weight of 0 and a backbone
-edge that is not a pair of integer ids in [0, n_local); a call refuses a
-successor score that is not finite (an overflowed visibility or trail, or
-the NaN that rho = 1 makes of an infinite trail), n_local times the largest
-score reaching half the largest double, a start other than an integer in
-[0, n_local), a draw block that is not a 2-D float64 ndarray, is not
-aligned and C-contiguous, is read-only or has no rows, and a draw outside
-[0, 1].
+edge that is not a pair of integer ids in [0, n_local); a call refuses,
+in this order, a draw block that is not a 2-D float64 ndarray, is not
+aligned and C-contiguous, is read-only or has no rows, a start other than
+an integer in [0, n_local), a draw outside [0, 1], a successor score that
+is not finite (an overflowed visibility or trail, or the NaN that rho = 1
+makes of an infinite trail), and n_local times the largest score reaching
+half the largest double.
 
 Each row total T then sums at least one unvisited score, so it is finite,
 normal and above TRAIL_FLOOR.  For u <= 1 - 2^-53 the exact u * T lies at
@@ -53,20 +53,26 @@ describes it, built, cached and loaded by ``native.py``) and in numpy
 otherwise.  The numpy loop is the reference: the compiled call gives its
 orders and lengths bit for bit.
 
-A colony call keeps its refusals, with their whole-block reductions, and
-its scores (``local_tau() * weight``) in numpy, and makes one compiled call
-for the rest: the start columns, the capped draws, the steps, and each
-ant's closed-tour length, whose legs it adds in ``tour_lengths``'s order
-(numpy's pairwise sum of all legs but the closing one, then the closing
-leg).  ``update_pheromones`` likewise checks every tour in Python, then
-makes one compiled call per colony that evaporates and deposits with the
-numpy update's products and sums.  Every array either call reads is
-writable and C-contiguous: a colony makes its trail and distance block so
-once, and the trail is written only in place.  The first colony call loads the compiled calls and enables them only once
-they give the numpy paths' tours, lengths and trail on a fixed case, whose
-draws put two ants' targets exactly on a repeated running sum; where no
-compiler is found, a build or a load fails, or the check fails, the numpy
-paths run, and ``step_loop()`` says which loop runs and why.
+A colony call checks its draw block's layout and its start in Python and
+makes one compiled call for the rest: the refusals of its draws and
+scores, returned as a code that Python raises with the numpy loop's
+message, the scores (``local_tau() * weight``, formed in place in the
+fresh array that ``local_tau()`` returns), the start columns, the capped
+draws, the steps, and each ant's closed-tour length, whose legs it adds
+in ``tour_lengths``'s order (numpy's pairwise sum of all legs but the
+closing one, then the closing leg).  ``update_pheromones`` likewise checks
+every tour in Python, then makes one compiled call per colony that
+evaporates and deposits with the numpy update's products and sums.  A
+third compiled call fills one iteration's draw blocks for ``solve``: numpy's
+PCG64 stream, bit for bit.  Every array these calls read is writable and
+C-contiguous: a colony makes its trail, weight, deposit factors and
+distance block so once, reads their addresses once, and no caller can
+rebind them.  The first colony call or solve loads the compiled calls and
+enables them only once they give the numpy paths' tours, lengths, trail
+and draws on a fixed case, whose draws put two ants' targets exactly on a
+repeated running sum; where no compiler is found, a build or a load fails,
+or the check fails, the numpy paths run, and ``step_loop()`` says which
+loop runs and why.
 """
 
 from __future__ import annotations
@@ -75,7 +81,6 @@ import math
 import numbers
 from ctypes import addressof, c_char
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -154,12 +159,15 @@ def update_pheromones(colonies, tours) -> None:
     any trail changes, so a refused call leaves every trail as it was."""
     rings = [colony._ring(tour) for colony, tour in zip(colonies, tours, strict=True)]
     lib = _step_kernel()
-    update = _numpy_update if lib is None else partial(_c_update, lib)
     for colony, tour, ring in zip(colonies, tours, rings):
         p = colony.params
         # A one-node tour deposits nothing, and its length may be 0.
         scale = p.q_scale / tour.length if len(ring) > 2 else 0.0
-        update(colony.n_local, colony.tau, 1.0 - p.rho, ring, scale, colony._gain)
+        if lib is None:
+            _numpy_update(colony.n_local, colony.tau, 1.0 - p.rho, ring, scale, colony._gain)
+        else:
+            _c_update(lib, colony.n_local, colony._tau_at, 1.0 - p.rho, ring, scale,
+                      colony._gain_at)
 
 
 def _numpy_update(n, tau, keep, ring, scale, gain) -> None:
@@ -190,24 +198,25 @@ class SubsetColony:
 
     Works in the subset's local ids 0..n_local-1.  ``dist`` is the subset's
     (n_local, n_local) distance block (see ``instances.distance_block``),
-    kept as the read-only attribute ``dist`` (a copy where it is not a
-    writable C-contiguous float64 array), and ``backbone_edges`` is any
-    sequence of (u, v) pairs of local ids in either orientation, an (E, 2)
-    integer array included.  The colony owns the subset's trail, the
-    read-only attribute ``tau``, written only in place (``tau[...] = x``):
-    an (n_local, n_local) block that starts at 1 with a zero diagonal (the
-    rule ignores a uniform trail scale, so starting at c would act as
-    q_scale / c).
-    The static score factor ``weight``, (1/d)^beta * psi scaled by a power
-    of two (see the module docstring), is precomputed; per iteration only
-    tau changes.  Each ant's uniform draws arrive as one row of
+    kept as a copy of its own, the read-only attribute ``dist``, and
+    ``backbone_edges`` is any sequence of (u, v) pairs of local ids in
+    either orientation, an (E, 2) integer array included.  The colony owns
+    the subset's trail, the read-only attribute ``tau``, written only in
+    place (``tau[...] = x``): an (n_local, n_local) block that starts at 1
+    with a zero diagonal (the rule ignores a uniform trail scale, so
+    starting at c would act as q_scale / c).
+    The static score factor, the read-only attribute ``weight``,
+    (1/d)^beta * psi scaled by a power of two (see the module docstring),
+    is precomputed; per iteration only tau changes.  No attribute can be
+    rebound, so each array keeps the address that ``__init__`` reads once
+    for the compiled calls.  Each ant's uniform draws arrive as one row of
     ``uniforms``: draw 0 picks the start, the rest drive successor roulette,
     so every ant consumes the same stream shape regardless of scheduling.
     A call returns arrays of its own.
     """
 
     def __init__(self, dist: np.ndarray, backbone_edges, omega: float, params: AcoParams):
-        self._dist = d = np.require(dist, np.float64, "CWE")
+        self._dist = d = np.array(dist, dtype=np.float64, order="C")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance block of shape {np.shape(dist)} is not square")
         self.n_local = n = len(d)
@@ -242,7 +251,9 @@ class SubsetColony:
                 raise ValueError(
                     "(1/d)^beta underflows to 0; rescale the coordinates or lower beta")
             # least = f * 2^e with f in [0.5, 1), so least * 2^(2 - e) lies in [2, 4)
-            self.weight = np.ldexp(weight, 2 - math.frexp(least)[1])
+            self._weight = np.ldexp(weight, 2 - math.frexp(least)[1])
+        self._dist_at, self._weight_at, self._tau_at, self._gain_at = map(
+            _address, (d, self._weight, self._tau, self._gain))
 
     @property
     def tau(self) -> np.ndarray:
@@ -251,6 +262,10 @@ class SubsetColony:
     @property
     def dist(self) -> np.ndarray:
         return self._dist
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self._weight
 
     def deposit(self, tour) -> None:
         """The seed tour's deposit: q/L * (1 + kappa) on the trail of each
@@ -294,8 +309,10 @@ class SubsetColony:
         ant at its first draw, and ``uniforms`` a writable, aligned,
         C-contiguous (n_ants, n_local) float64 ndarray, n_ants >= 1, of draws
         in [0, 1].  Returns (orders, lengths), orders in local ids, one row
-        per ant.  Scores that are not finite, or n_local times whose largest
-        reaches half the largest double, are refused by name.
+        per ant.  After the checks of the block's layout and of the start,
+        both loops refuse by name, in this order, a draw outside [0, 1],
+        scores that are not finite, and n_local times the largest score
+        reaching half the largest double.
         """
         if not isinstance(uniforms, np.ndarray) or uniforms.dtype != np.float64:
             kind = (f"dtype {uniforms.dtype}" if isinstance(uniforms, np.ndarray)
@@ -313,30 +330,12 @@ class SubsetColony:
             raise ValueError(f"uniform block of shape {uniforms.shape} {fault}")
         if start_local is not None:
             _local_ids((start_local,), nl, "start_local")
-        # The ufunc reductions themselves: ndarray.min/max add a Python wrapper per call.
-        minimum, maximum = np.minimum, np.maximum
-        u_lo = minimum.reduce(uniforms, axis=None, initial=0.0)
-        u_hi = maximum.reduce(uniforms, axis=None, initial=0.0)
-        if not 0.0 <= u_lo <= u_hi <= 1.0:  # NaN fails this too
-            raise ValueError(f"uniform draws must lie in [0, 1], got {u_lo} to {u_hi}")
         with np.errstate(over="ignore"):  # an overflow is refused below
-            score_tau = self.local_tau() * self.weight
-        # Visited columns are zeroed by multiplying with a 0/1 mask, which is
-        # exact for finite scores but turns inf into NaN; the max sees both.
-        hi = maximum.reduce(score_tau, axis=None)
-        if not math.isfinite(hi):
-            raise ValueError(
-                "non-finite successor scores: (1/d)^beta or the trail overflows; "
-                "rescale the coordinates or lower beta"
-            )
-        if not hi < _TOTAL_LIMIT / nl:
-            raise ValueError("successor scores too large: a row total could overflow; "
-                             "rescale the coordinates or lower beta")
-
+            score = self.local_tau()
         lib = _step_kernel()
         if lib is None:
-            return _numpy_colony(score_tau, start_local, uniforms, self.dist)
-        return _c_colony(lib, score_tau, start_local, uniforms, self.dist)
+            return _numpy_colony(score, start_local, uniforms, self.weight, self.dist)
+        return _c_colony(lib, score, start_local, uniforms, self._weight_at, self._dist_at)
 
 
 # The compiled calls (see native.py): None until a colony call first asks
@@ -368,9 +367,39 @@ def _step_kernel():
     return None if isinstance(_kernel, str) else _kernel
 
 
-def _numpy_colony(score_tau, start_local, uniforms, dist) -> tuple:
-    """A colony call's orders and lengths after its refusals, in numpy: the
-    reference of ``_c_colony``."""
+# The refusals a colony call makes after the checks of its layout and its
+# start, in order, by the code that the compiled call returns.
+_DRAW_OUTSIDE, _SCORE_NOT_FINITE, _SCORES_TOO_LARGE = 1, 2, 3
+
+
+def _refuse(code: int, uniforms: np.ndarray):
+    """Raise the ValueError of a colony call's refusal ``code``; only the
+    message of a draw outside [0, 1] reads the draws."""
+    if code == _DRAW_OUTSIDE:
+        lo, hi = uniforms.min(initial=0.0), uniforms.max(initial=0.0)
+        raise ValueError(f"uniform draws must lie in [0, 1], got {lo} to {hi}")
+    if code == _SCORE_NOT_FINITE:
+        raise ValueError("non-finite successor scores: (1/d)^beta or the trail overflows; "
+                         "rescale the coordinates or lower beta")
+    raise ValueError("successor scores too large: a row total could overflow; "
+                     "rescale the coordinates or lower beta")
+
+
+def _numpy_colony(score, start_local, uniforms, weight, dist) -> tuple:
+    """A colony call's refusals, orders and lengths after the checks of its
+    layout and its start, in numpy: the reference of ``_c_colony``.  The
+    scores are formed in place in ``score``, the call's trail factor."""
+    if not 0.0 <= uniforms.min(initial=0.0) <= uniforms.max(initial=0.0) <= 1.0:  # NaN too
+        _refuse(_DRAW_OUTSIDE, uniforms)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        score *= weight
+    # Visited columns are zeroed by multiplying with a 0/1 mask, which is
+    # exact for finite scores but turns inf into NaN; the max sees both.
+    hi = score.max()
+    if not math.isfinite(hi):
+        _refuse(_SCORE_NOT_FINITE, uniforms)
+    if not hi < _TOTAL_LIMIT / len(score):
+        _refuse(_SCORES_TOO_LARGE, uniforms)
     na, nl = uniforms.shape
     if start_local is None:
         cur = np.minimum((uniforms[:, 0] * nl).astype(np.int64), nl - 1)
@@ -386,7 +415,7 @@ def _numpy_colony(score_tau, start_local, uniforms, dist) -> tuple:
         # Scores are non-negative, so each row of cum never decreases, and
         # the target lies below its total: the first prefix sum that exceeds
         # it, at the count of those at or below it, follows a positive score.
-        cum = np.cumsum(score_tau[cur] * avail, axis=1)
+        cum = np.cumsum(score[cur] * avail, axis=1)
         cur = orders[:, step] = np.argmin(cum <= draws[:, step, None] * cum[:, -1:], axis=1)
     return orders, tour_lengths(orders, dist)
 
@@ -396,24 +425,27 @@ def _address(array: np.ndarray) -> int:
     return addressof(c_char.from_buffer(array))
 
 
-def _c_colony(lib, score_tau, start_local, uniforms, dist) -> tuple:
-    """``_numpy_colony`` as one call of the compiled ``lib``."""
+def _c_colony(lib, score, start_local, uniforms, weight_at, dist_at) -> tuple:
+    """``_numpy_colony`` as one call of the compiled ``lib``, given the
+    addresses of the colony's weight and distance block."""
     na, nl = uniforms.shape
     orders = np.empty((na, nl), dtype=np.int64)
     lengths = np.empty(na)
-    failed = lib.sinepath_colony(
-        na, nl, _address(score_tau), _address(uniforms),
-        -1 if start_local is None else int(start_local), _address(dist), _address(orders),
+    code = lib.sinepath_colony(
+        na, nl, _address(score), weight_at, _address(uniforms),
+        -1 if start_local is None else int(start_local), dist_at, _address(orders),
         _address(lengths))
-    if failed:
+    if code < 0:
         raise MemoryError(f"no memory for the scratch of a call of {na} ants on {nl} nodes")
+    if code:
+        _refuse(code, uniforms)
     return orders, lengths
 
 
-def _c_update(lib, n, tau, keep, ring, scale, gain) -> None:
-    """``_numpy_update`` as one call of the compiled ``lib``."""
-    lib.sinepath_update(n, _address(tau), keep, _address(ring), len(ring) - 1, _address(gain),
-                        scale)
+def _c_update(lib, n, tau_at, keep, ring, scale, gain_at) -> None:
+    """``_numpy_update`` as one call of the compiled ``lib``, given the
+    addresses of the trail and the deposit factors."""
+    lib.sinepath_update(n, tau_at, keep, _address(ring), len(ring) - 1, gain_at, scale)
 
 
 def _fixed_case() -> tuple:
@@ -446,15 +478,27 @@ def _fixed_case() -> tuple:
 def _agrees(lib) -> bool:
     """Whether ``lib`` gives the numpy paths' answers on ``_fixed_case``: 47
     nodes, at least GROUP_MIN, and 6 ants, so that the C loop runs one group
-    of four ants and two ants alone, with starts drawn and given; and one
-    update of the trail."""
+    of four ants and two ants alone, with starts drawn and given; one
+    update of the trail; and one iteration's draw blocks of 47, 1 and 13
+    columns against numpy's generators."""
     score, dist, uniforms, (trail, ring, scale, gain) = _fixed_case()
+    # Powers of two, so that the trail factor times the weight gives the
+    # case's scores back exactly.
+    weight = np.ldexp(1.0, np.arange(47 * 47).reshape(47, 47) % 7 - 3)
     for start in (None, 0):
-        want = _numpy_colony(score, start, uniforms, dist)
-        got = _c_colony(lib, score, start, uniforms, dist)
+        want = _numpy_colony(score / weight, start, uniforms, weight, dist)
+        got = _c_colony(lib, score / weight, start, uniforms, _address(weight), _address(dist))
         if not all(map(np.array_equal, got, want)):
             return False
     want, got = trail.copy(), trail.copy()
     _numpy_update(47, want, 0.7, ring, scale, gain)
-    _c_update(lib, 47, got, 0.7, ring, scale, gain)
-    return np.array_equal(got, want)
+    _c_update(lib, 47, _address(got), 0.7, ring, scale, _address(gain))
+    if not np.array_equal(got, want):
+        return False
+    seeds = [np.random.SeedSequence((47, k)) for k in range(3)]
+    widths = np.array([47, 1, 13], dtype=np.int64)
+    states = np.array([seed.generate_state(4, np.uint64) for seed in seeds])
+    draws = np.empty(6 * widths.sum())
+    lib.sinepath_draws(len(widths), _address(states), 6, _address(widths), _address(draws))
+    want = [np.random.default_rng(seed).random(6 * w) for seed, w in zip(seeds, widths)]
+    return np.array_equal(draws, np.concatenate(want))

@@ -1,9 +1,11 @@
 """Build, cache and load the colony's compiled calls.
 
-``roulette.c`` ships with the package.  It exports two functions: one
-colony call after its refusals and scores (the start columns, the capped
-draws, the roulette steps and the tour lengths) and one colony's
-evaporate-and-deposit; ``_SIGNATURES`` gives each one's ctypes signature.
+``roulette.c`` ships with the package.  It exports three functions: one
+colony call after its layout checks (the refusals of its draws and scores,
+the scores, the start columns, the capped draws, the roulette steps and the
+tour lengths), one colony's evaporate-and-deposit, and one iteration's draw
+blocks from their PCG64 seed words; ``_SIGNATURES`` gives each one's ctypes
+signature.
 ``load`` compiles the source once with the system's ``cc`` and ``FLAGS``:
 no fast-math, no ``-march`` and no fused multiply-add, so every sum and
 product stays one rounded IEEE double operation, as in numpy.  The shared
@@ -34,8 +36,9 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 # Each function that roulette.c exports: its argument and return types.
 _SIGNATURES = {
-    "sinepath_colony": ((_I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR), ctypes.c_int),
+    "sinepath_colony": ((_I64, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR), ctypes.c_int),
     "sinepath_update": ((_I64, _PTR, ctypes.c_double, _PTR, _I64, _PTR, ctypes.c_double), None),
+    "sinepath_draws": ((_I64, _PTR, _I64, _PTR, _PTR), None),
 }
 
 

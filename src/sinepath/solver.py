@@ -26,7 +26,9 @@ Each block's generator starts from the state a SeedSequence of that tuple
 would give it, so it draws exactly what seeding from the tuple does; those
 states are hashed in one pass of uint32 array operations per
 ``_SEED_CHUNK`` iterations (``_colony_seeds``) instead of by one
-SeedSequence per block.
+SeedSequence per block.  On the compiled loop one call of ``roulette.c``
+per iteration runs numpy's PCG64 from those states and fills every block,
+bit for bit; on the numpy loop each block is numpy's own ``Generator``.
 The incumbent only improves strictly, which makes the convergence trace
 monotone non-increasing.
 
@@ -41,7 +43,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .aco import AcoParams, SubsetColony, finite_real, update_pheromones
+from .aco import (AcoParams, SubsetColony, _address, _step_kernel, finite_real,
+                  update_pheromones)
 from .backbone import christofides_seed, kruskal_mst, restrict_edges
 from .backbone import dfs_preorder_seed  # noqa: F401  perfbench's tracer wraps this name
 from .instances import Instance, build_distance_matrix, distance_block
@@ -294,6 +297,34 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
 _SEED_CHUNK = 256
 
 
+def _draw_blocks(master_seed: int, n_iter: int, n_ants: int, widths: list[int]):
+    """Yield, for each of ``n_iter`` iterations t, one (n_ants, widths[k])
+    draw block per subset k: the draws of
+    ``default_rng(SeedSequence((master_seed, _STREAM_COLONY, t, k)))``.
+    On the compiled loop one call per iteration fills every block, and the
+    blocks are views of one buffer that the next iteration overwrites; on
+    the numpy loop each block is a ``Generator`` of its own."""
+    lib = _step_kernel()
+    if lib is not None:
+        buffer = np.empty(n_ants * sum(widths))
+        ends = np.cumsum([0, *widths]) * n_ants
+        blocks = [buffer[a:b].reshape(n_ants, -1) for a, b in zip(ends, ends[1:])]
+        c_widths = np.array(widths, dtype=np.int64)
+        # The arrays stay referenced here for as long as the addresses are used.
+        widths_at, buffer_at = _address(c_widths), _address(buffer)
+    for t in range(n_iter):
+        if t % _SEED_CHUNK == 0:
+            states = _colony_seeds(master_seed, t, min(_SEED_CHUNK, n_iter - t), len(widths))
+            states_at = _address(states)
+        if lib is None:
+            yield [np.random.Generator(np.random.PCG64(_SeedState(state))).random((n_ants, w))
+                   for state, w in zip(states[t % _SEED_CHUNK], widths)]
+        else:
+            row_at = states_at + (t % _SEED_CHUNK) * states.strides[0]
+            lib.sinepath_draws(len(widths), row_at, n_ants, widths_at, buffer_at)
+            yield blocks
+
+
 def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
     """Optimise ``m`` closed tours over the instance; see the module docstring."""
     _check_m(inst.dimension, m)
@@ -328,14 +359,10 @@ def solve(inst: Instance, m: int, cfg: SolverConfig) -> SolveReport:
             [t.length for t in seed_tours], cfg.lambda_weight
         )
 
-    for t in range(p.max_iter):
-        if t % _SEED_CHUNK == 0:
-            block_states = _colony_seeds(
-                cfg.master_seed, t, min(_SEED_CHUNK, p.max_iter - t), len(colonies))
+    draws = _draw_blocks(cfg.master_seed, p.max_iter, p.n_ants, [c.n_local for c in colonies])
+    for t, blocks in enumerate(draws):
         bests = []
-        for colony, start, block_state in zip(colonies, starts, block_states[t % _SEED_CHUNK]):
-            rng = np.random.Generator(np.random.PCG64(_SeedState(block_state)))
-            uniforms = rng.random((p.n_ants, colony.n_local))
+        for colony, start, uniforms in zip(colonies, starts, blocks):
             orders, lengths = colony.construct_colony(start, uniforms)
             best = int(lengths.argmin())
             bests.append(Tour(tuple(orders[best].tolist()), float(lengths[best])))

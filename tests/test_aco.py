@@ -827,18 +827,36 @@ def test_update_pheromones_refusal_leaves_every_trail_unchanged():
     assert np.array_equal(second.tau, before[1])
 
 
-@pytest.mark.parametrize("name", ["tau", "dist"])
+@pytest.mark.parametrize("name", ["tau", "dist", "weight"])
 def test_a_colony_keeps_its_own_trail_and_distances(name):
     # a strided view bound as the distance block reached the compiled call,
     # which read it from the base buffer: the same orders, with a first
     # ant's length of 695.07 where numpy's was 527.52; a view bound as the
-    # trail kept its layout too.  Neither can be rebound now
+    # trail kept its layout too.  The compiled calls read each array at the
+    # address the colony took when it was built, so none can be rebound
     big = build_distance_matrix(random_planar_instance(24, seed=936))
     colony = SubsetColony(big[::2, ::2], frozenset(), 1.0, AcoParams())
     owned = getattr(colony, name)
     with pytest.raises(AttributeError):
         setattr(colony, name, big[::2, ::2])
     assert getattr(colony, name) is owned and owned.flags.c_contiguous
+
+
+@pytest.mark.parametrize("loop", ["compiled", "numpy"])
+def test_a_colony_copies_its_distance_block(loop, request):
+    # a colony kept a writable C-contiguous float64 block as given, so a
+    # caller doubling its own array in place doubled every length of the
+    # next call, with the same orders
+    if loop == "numpy":
+        request.getfixturevalue("numpy_loop")
+    d = build_distance_matrix(random_planar_instance(8, seed=939))
+    colony = SubsetColony(d, frozenset(), 2.0, AcoParams())
+    uniforms = np.random.default_rng(940).random((5, 8))
+    orders, lengths = colony.construct_colony(None, uniforms)
+    d *= 2.0
+    again, again_lengths = colony.construct_colony(None, uniforms)
+    assert np.array_equal(again, orders)
+    assert np.array_equal(again_lengths, lengths)
 
 
 @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinepath import aco, native
+from sinepath import aco, native, solver
 from sinepath.aco import AcoParams, SubsetColony, update_pheromones
 from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
 from sinepath.objective import Tour, tour_lengths
@@ -40,10 +40,10 @@ SOURCE = resources.files("sinepath").joinpath("roulette.c").read_bytes()
 GROUP_MIN = int(re.search(rb"#define GROUP_MIN (\d+)", SOURCE)[1])
 
 # Functions with the exported names and signatures that give whole tours,
-# but not the roulette's, and leave the trail as it was.
+# but not the roulette's, leave the trail as it was and draw only halves.
 WRONG_SOURCE = b"""
 #include <stdint.h>
-int sinepath_colony(int64_t n_ants, int64_t width, const double *score,
+int sinepath_colony(int64_t n_ants, int64_t width, double *score, const double *weight,
                     const double *uniforms, int64_t start_local, const double *dist,
                     int64_t *orders, double *lengths)
 {
@@ -57,6 +57,13 @@ int sinepath_colony(int64_t n_ants, int64_t width, const double *score,
 void sinepath_update(int64_t width, double *tau, double keep, const int64_t *ring,
                      int64_t n_nodes, const double *gain, double scale)
 {
+}
+void sinepath_draws(int64_t n_blocks, const uint64_t *states, int64_t n_ants,
+                    const int64_t *widths, double *out)
+{
+    for (int64_t b = 0; b < n_blocks; b++)
+        for (int64_t i = 0; i < n_ants * widths[b]; i++)
+            *out++ = 0.5;
 }
 """
 
@@ -246,11 +253,13 @@ def test_the_self_check_runs_both_paths(kernel):
             return getattr(kernel, f"sinepath_{name}")(*args)
         return call
 
-    lib = SimpleNamespace(sinepath_colony=spy("colony"), sinepath_update=spy("update"))
+    lib = SimpleNamespace(**{f"sinepath_{name}": spy(name) for name in ("colony", "update",
+                                                                          "draws")})
     assert aco._agrees(lib)
-    assert [name for name, _ in calls] == ["colony", "colony", "update"]
-    (_, (ants, width)), _, (_, update_width) = calls
+    assert [name for name, _ in calls] == ["colony", "colony", "update", "draws"]
+    (_, (ants, width)), _, (_, update_width), (_, blocks) = calls
     assert width >= GROUP_MIN and ants >= 4 and ants % 4 != 0 and update_width == width
+    assert blocks > 1
 
 
 def test_the_self_check_aims_targets_at_a_repeated_running_sum():
@@ -288,8 +297,10 @@ def test_compiled_lengths_equal_tour_lengths(kernel, width):
     score = 10.0 ** rng.uniform(-3.0, 3.0, (width, width))
     np.fill_diagonal(score, 0.0)
     uniforms = rng.random((5, width))
+    weight = np.ones((width, width))
     for start in (None, width // 2):
-        orders, lengths = aco._c_colony(kernel, score, start, uniforms, dist)
+        orders, lengths = aco._c_colony(kernel, score, start, uniforms, aco._address(weight),
+                                        aco._address(dist))
         assert np.array_equal(lengths, tour_lengths(orders, dist))
 
 
@@ -348,6 +359,13 @@ def _refused_trail(cell_value):
     return lambda: colony.construct_colony(2, uniforms)
 
 
+def _refused_draw_and_trail():
+    colony, uniforms = _refusal_colony()
+    uniforms[2, 7] = 1.5
+    colony.tau[3, 5] = np.inf
+    return lambda: colony.construct_colony(2, uniforms)
+
+
 def _refused_call(start=None, shape=None):
     colony, uniforms = _refusal_colony()
     block = uniforms if shape is None else np.full(shape, 0.5)
@@ -365,6 +383,9 @@ COLONY_REFUSALS = {
     "start outside the subset": (_refused_call, 13),
     "start that is not an integer": (_refused_call, 2.5),
     "infinite trail": (_refused_trail, np.inf),
+    # finite, but its score is at least twice it
+    "finite trail whose score overflows": (_refused_trail, 1e308),
+    "bad draw and infinite trail": (_refused_draw_and_trail,),
     "NaN trail": (_refused_trail, np.nan),
     "scores too large": (_refused_trail, None),
 }
@@ -383,6 +404,53 @@ def test_colony_refusals_are_the_same_on_both_loops(kernel, case):
     with np.errstate(over="ignore", invalid="ignore"):
         messages = {loop: _refusal(make(*args), loop) for loop in ("compiled", "numpy")}
     assert messages["compiled"] == messages["numpy"]
+
+
+def test_a_bad_draw_is_named_before_a_bad_score(kernel):
+    # the compiled call checks the draws before it forms the scores
+    for loop in ("compiled", "numpy"):
+        message = _refusal(_refused_draw_and_trail(), loop)
+        assert message == "uniform draws must lie in [0, 1], got 0.0 to 1.5", loop
+
+
+_WORD = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _draw_calls(draw):
+    """Four PCG64 seed words per block, random, hashed by the solver, or all
+    0 or all 2^64 - 1; each block's width; and the ant count."""
+    blocks = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "hashed", "zeros", "ones"]))
+    if kind == "random":
+        words = st.lists(st.lists(_WORD, min_size=4, max_size=4), min_size=blocks,
+                         max_size=blocks)
+        states = np.array(draw(words), dtype=np.uint64)
+    elif kind == "hashed":
+        seed, t = draw(st.integers(0, 2**80 - 1)), draw(st.integers(0, 2**40))
+        states = solver._colony_seeds(seed, t, 1, blocks)[0]
+    else:
+        states = np.full((blocks, 4), 0 if kind == "zeros" else 2**64 - 1, dtype=np.uint64)
+    widths = draw(st.lists(st.integers(1, 300), min_size=blocks, max_size=blocks))
+    return states, widths, draw(st.integers(1, 60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_draw_calls())
+@example((np.zeros((1, 4), dtype=np.uint64), [1], 1))
+@example((np.full((6, 4), 2**64 - 1, dtype=np.uint64), [300, 1, 2, 299, 24, 150], 60))
+def test_one_draws_call_gives_numpys_blocks(kernel, call):
+    # one compiled call fills every block of an iteration, each one the
+    # draws of numpy's Generator on a PCG64 started from the block's words
+    states, widths, n_ants = call
+    c_widths = np.array(widths, dtype=np.int64)
+    out = np.empty(n_ants * sum(widths))
+    kernel.sinepath_draws(len(widths), aco._address(states), n_ants, aco._address(c_widths),
+                          aco._address(out))
+    blocks = np.split(out, np.cumsum(widths)[:-1] * n_ants)
+    for state, width, block in zip(states, widths, blocks):
+        rng = np.random.Generator(np.random.PCG64(solver._SeedState(state)))
+        assert np.array_equal(block.reshape(n_ants, width), rng.random((n_ants, width)))
 
 
 UPDATE_REFUSALS = {
@@ -416,7 +484,7 @@ def test_every_exported_function_is_bound_with_its_parameter_count():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
     exported = _exported(SOURCE)
-    assert set(exported) == {"sinepath_colony", "sinepath_update"}
+    assert set(exported) == {"sinepath_colony", "sinepath_update", "sinepath_draws"}
     lib = native.load()
     for name, count in exported.items():
         argtypes = getattr(lib, name).argtypes
@@ -461,10 +529,11 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
 
-# Binds a sanitized roulette.c object and drives both exported calls
-# against the numpy paths on colony-owned arrays: widths on both sides of
-# GROUP_MIN and one wide row, 1 to 13 ants, given and drawn starts, draws
-# of exactly 0 and 1, and one update per case.
+# Binds a sanitized roulette.c object and drives every exported call
+# against the numpy paths: colony calls on colony-owned arrays, with widths
+# on both sides of GROUP_MIN and one wide row, 1 to 13 ants, given and
+# drawn starts, draws of exactly 0 and 1, and one update per case; one
+# draws call per ant count over blocks of four widths; and each refusal.
 SANITIZED_DRIVER = """
 import sys
 from ctypes import CDLL
@@ -475,6 +544,7 @@ from sinepath import aco, native
 from sinepath.aco import AcoParams, SubsetColony, update_pheromones
 from sinepath.instances import build_distance_matrix, random_planar_instance
 from sinepath.objective import Tour
+from sinepath.solver import _SeedState, _colony_seeds
 
 lib = CDLL(sys.argv[1])
 for name, (argtypes, restype) in native._SIGNATURES.items():
@@ -502,6 +572,35 @@ for width in (23, 24, 25, 120):
             outcomes.append([array for answer in answers for array in answer] + [colony.tau])
         assert all(map(np.array_equal, *outcomes))
         calls += 3
+widths = np.array([1, 23, 24, 120], dtype=np.int64)
+for ants in (1, 5, 13):
+    states = _colony_seeds(ants, 0, 1, len(widths))[0]
+    out = np.empty(ants * widths.sum())
+    lib.sinepath_draws(len(widths), aco._address(states), ants, aco._address(widths),
+                       aco._address(out))
+    want = [np.random.Generator(np.random.PCG64(_SeedState(s))).random(ants * w)
+            for s, w in zip(states, widths)]
+    assert np.array_equal(out, np.concatenate(want))
+    calls += 1
+d = build_distance_matrix(random_planar_instance(13, 13))
+for case in ("draw", "infinite", "overflow", "too large"):
+    messages = []
+    for loop in (lib, "numpy"):
+        aco._kernel = loop
+        colony = SubsetColony(d, [], 2.0, AcoParams())
+        uniforms = np.random.default_rng(13).random((4, 13))
+        if case == "draw":
+            uniforms[2, 7] = np.nan
+        elif case == "too large":
+            colony.tau[...] = np.finfo(float).max / 4 / (colony.weight + np.eye(13))
+        else:
+            colony.tau[3, 5] = np.inf if case == "infinite" else 1e308
+        try:
+            colony.construct_colony(None, uniforms)
+        except ValueError as exc:
+            messages.append(str(exc))
+    assert len(set(messages)) == 1 and len(messages) == 2, messages
+    calls += 1
 print(calls)
 """
 
@@ -531,13 +630,14 @@ def test_the_compiled_calls_run_clean_under_sanitizers(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SANITIZED_DRIVER, str(sanitized)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-4000:]
-    assert proc.stdout.strip() == str(4 * 13 * 3)
+    assert proc.stdout.strip() == str(4 * 13 * 3 + 3 + 4)
 
 
 def test_the_c_source_ships_with_the_package():
     source = resources.files("sinepath").joinpath("roulette.c")
     assert source.is_file()
-    assert set(_exported(source.read_bytes())) == {"sinepath_colony", "sinepath_update"}
+    assert set(_exported(source.read_bytes())) == {"sinepath_colony", "sinepath_update",
+                                                    "sinepath_draws"}
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]

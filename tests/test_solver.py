@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pairwise_overlap_total, reference_solve
-from sinepath import solver
+from sinepath import aco, solver
 from sinepath.aco import AcoParams, SubsetColony
 from sinepath.instances import (
     Instance,
@@ -714,31 +714,40 @@ def test_draw_blocks_across_a_seeding_chunk(bench51_path, monkeypatch):
         assert np.array_equal(block, expected.random(block.shape)), (t, k)
 
 
-def test_no_draw_block_is_hashed_by_numpy(bench51_path, monkeypatch):
-    # every block's generator starts from a state hashed in advance for many
-    # blocks at once; a SeedSequence per block, or a seed that numpy hashes
-    # itself, would bring back the per-block hash
-    sequences, rngs, seeds = [], [], []
-    real_sequence, real_rng, real_pcg64 = (
-        np.random.SeedSequence, np.random.default_rng, np.random.PCG64)
+def _generator_calls(monkeypatch) -> dict:
+    """The arguments of every ``SeedSequence``, ``default_rng``, ``PCG64``
+    and ``Generator`` that numpy builds from here on, by name."""
+    calls = {}
+    for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
+        real = getattr(np.random, name)
 
-    def sequence(*args, **kwargs):
-        sequences.append(args)
-        return real_sequence(*args, **kwargs)
+        def built(*args, _real=real, _name=name, **kwargs):
+            calls.setdefault(_name, []).append(args)
+            return _real(*args, **kwargs)
 
-    def default_rng(*args, **kwargs):
-        rngs.append(args)
-        return real_rng(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, built)
+    return calls
 
-    def pcg64(seed=None):
-        seeds.append(seed)
-        return real_pcg64(seed)
 
-    monkeypatch.setattr(np.random, "SeedSequence", sequence)
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
-    monkeypatch.setattr(np.random, "PCG64", pcg64)
+def test_the_compiled_loop_builds_no_generator(bench51_path, monkeypatch):
+    # on the compiled loop one call per iteration runs numpy's PCG64 stream
+    # from the hashed states and fills every subset's block, so a solve
+    # builds no numpy generator and no seed at all
+    if aco._step_kernel() is None:
+        pytest.skip(f"the compiled step loop is unavailable: {aco._kernel}")
+    calls = _generator_calls(monkeypatch)
     solve(load_instance(bench51_path), 4, _fast_config())
-    assert sequences == [] and rngs == []
+    assert calls == {}
+
+
+def test_no_draw_block_is_hashed_by_numpy(bench51_path, monkeypatch, numpy_loop):
+    # on the numpy loop every block's generator starts from a state hashed
+    # in advance for many blocks at once; a SeedSequence per block, or a
+    # seed that numpy hashes itself, would bring back the per-block hash
+    calls = _generator_calls(monkeypatch)
+    solve(load_instance(bench51_path), 4, _fast_config())
+    assert "SeedSequence" not in calls and "default_rng" not in calls
+    seeds = [seed for seed, in calls["PCG64"]]
     assert len(seeds) == 4 * FAST.max_iter
     assert all(type(seed) is solver._SeedState for seed in seeds)
 
