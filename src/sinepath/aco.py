@@ -64,15 +64,16 @@ closing one, then the closing leg).  ``update_pheromones`` likewise checks
 every tour in Python, then makes one compiled call per colony that
 evaporates and deposits with the numpy update's products and sums.  A
 third compiled call fills one iteration's draw blocks for ``solve``: numpy's
-PCG64 stream, bit for bit.  Every array these calls read is writable and
-C-contiguous: a colony makes its trail, weight, deposit factors and
+PCG64 stream, bit for bit; a fourth takes the steps of ``kruskal_mst``'s
+Prim (see ``backbone.py``).  Every array the first three read is writable
+and C-contiguous: a colony makes its trail, weight, deposit factors and
 distance block so once, reads their addresses once, and no caller can
-rebind them.  The first colony call or solve loads the compiled calls and
-enables them only once they give the numpy paths' tours, lengths, trail
-and draws on a fixed case, whose draws put two ants' targets exactly on a
-repeated running sum; where no compiler is found, a build or a load fails,
-or the check fails, the numpy paths run, and ``step_loop()`` says which
-loop runs and why.
+rebind them.  The first colony call, MST or solve loads the compiled calls
+and enables them only once they give the numpy paths' tours, lengths,
+trail, draws and spanning tree on a fixed case, whose draws put two ants'
+targets exactly on a repeated running sum; where no compiler is found, a
+build or a load fails, or the check fails, the numpy paths run, and
+``step_loop()`` says which loop runs and why.
 """
 
 from __future__ import annotations
@@ -479,8 +480,9 @@ def _agrees(lib) -> bool:
     """Whether ``lib`` gives the numpy paths' answers on ``_fixed_case``: 47
     nodes, at least GROUP_MIN, and 6 ants, so that the C loop runs one group
     of four ants and two ants alone, with starts drawn and given; one
-    update of the trail; and one iteration's draw blocks of 47, 1 and 13
-    columns against numpy's generators."""
+    update of the trail; one iteration's draw blocks of 47, 1 and 13
+    columns against numpy's generators; and one Prim over 47 nodes whose
+    weights of 0 to 3 tie often and whose triangles differ."""
     score, dist, uniforms, (trail, ring, scale, gain) = _fixed_case()
     # Powers of two, so that the trail factor times the weight gives the
     # case's scores back exactly.
@@ -501,4 +503,13 @@ def _agrees(lib) -> bool:
     draws = np.empty(6 * widths.sum())
     lib.sinepath_draws(len(widths), _address(states), 6, _address(widths), _address(draws))
     want = [np.random.default_rng(seed).random(6 * w) for seed, w in zip(seeds, widths)]
-    return np.array_equal(draws, np.concatenate(want))
+    if not np.array_equal(draws, np.concatenate(want)):
+        return False
+    from .backbone import _c_prim, _numpy_prim
+
+    d = np.floor(4.0 * np.random.default_rng(46).random((47, 47)))
+    want = np.empty(46, dtype=np.int64), np.empty(46, dtype=np.int64), np.empty(46)
+    got = tuple(map(np.empty_like, want))
+    _numpy_prim(d, *want)
+    _c_prim(lib, d, *got)
+    return all(map(np.array_equal, got, want))

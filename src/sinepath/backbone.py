@@ -4,10 +4,13 @@ Every function here takes a square distance block and works on its local ids
 0..k-1; only the solver knows which node ids a block stands for.  The
 backbone is the MST of a block.  Edges are ranked by (weight, u, v), a strict
 total order, so the MST is unique; dense O(k^2) Prim finds it (Prim, Bell
-System Tech. J. 1957) and returns the tree Kruskal would.  The function keeps
-the name ``kruskal_mst`` for the public API and for the benchmark tracer,
-whose span is ``backbone.kruskal``.  ``restrict_edges`` cuts the global MST
-down to one subset's edges, in that subset's local ids.
+System Tech. J. 1957) and returns the tree Kruskal would.  Its steps run as
+one compiled call (``roulette.c``'s ``sinepath_prim``) where the colony's
+compiled calls load, else in the numpy loop that is its reference, with the
+same tree and weight bits.  The function keeps the name ``kruskal_mst`` for
+the public API and for the benchmark tracer, whose span is
+``backbone.kruskal``.  ``restrict_edges`` cuts the global MST down to one
+subset's edges, in that subset's local ids.
 
 A seed tour comes from the classic Christofides-style construction: pair the
 odd-degree MST vertices with a perfect matching, walk an Euler tour of the
@@ -29,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .aco import _address, _step_kernel
 from .objective import Tour, tour_length
 
 
@@ -70,9 +74,11 @@ def kruskal_mst(d: np.ndarray) -> Backbone:
 
     Grows the tree from node 0.  Each weight is read from the upper
     triangle, ``d[min, max]``.  ``edges`` lists the tree in (weight, u, v)
-    order and ``total_cost`` sums them in that order.  An empty matrix and
-    one with non-finite entries are refused.
+    order and ``total_cost`` sums them in that order.  A matrix that is not
+    square, an empty one and one with non-finite entries are refused.
     """
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"distance matrix of shape {d.shape} is not square")
     k = len(d)
     if k == 0:
         raise ValueError("the distance matrix must be non-empty")
@@ -80,16 +86,37 @@ def kruskal_mst(d: np.ndarray) -> Backbone:
     if not (np.isfinite(d.min()) and np.isfinite(d.max())):
         raise ValueError("non-finite weights in the MST block")
 
+    ends = np.empty(k - 1, dtype=np.int64)
+    picks = np.empty(k - 1, dtype=np.int64)
+    weights = np.empty(k - 1)
+    lib = _step_kernel()
+    if lib is None or k == 1:
+        _numpy_prim(d, ends, picks, weights)
+    else:
+        _c_prim(lib, d, ends, picks, weights)
+    lo = np.minimum(ends, picks)
+    hi = np.maximum(ends, picks)
+    order = np.lexsort((hi, lo, weights))
+    ws = weights[order].tolist()
+    total = 0.0
+    for w in ws:
+        total += w
+    edges = map(Edge, lo[order].tolist(), hi[order].tolist(), ws)
+    return Backbone(tuple(range(k)), tuple(edges), total)
+
+
+def _numpy_prim(d, ends, picks, weights) -> None:
+    """Prim's k - 1 steps over the square ``d`` in numpy, the reference of
+    ``_c_prim``: step s joins picks[s] to its tree end ends[s] over an edge
+    of weight weights[s]."""
     # best[j] is the lightest edge from the tree to j and parent[j] its tree
     # end; a tie on weight goes to the smaller (u, v), which for a fixed j is
     # the smaller tree end.  Tree vertices hold inf, so they never win a pick.
+    k = len(d)
     best = np.full(k, np.inf)
     parent = np.zeros(k, dtype=np.int64)
     free = np.ones(k, dtype=bool)
     row = np.empty(k)
-    ends = np.empty(k - 1, dtype=np.int64)
-    picks = np.empty(k - 1, dtype=np.int64)
-    weights = np.empty(k - 1)
     v = 0
     for step in range(k - 1):
         free[v] = False
@@ -109,15 +136,15 @@ def kruskal_mst(d: np.ndarray) -> Backbone:
         ends[step], picks[step], weights[step] = parent[v], v, best[v]
         best[v] = np.inf
 
-    lo = np.minimum(ends, picks)
-    hi = np.maximum(ends, picks)
-    order = np.lexsort((hi, lo, weights))
-    ws = weights[order].tolist()
-    total = 0.0
-    for w in ws:
-        total += w
-    edges = map(Edge, lo[order].tolist(), hi[order].tolist(), ws)
-    return Backbone(tuple(range(k)), tuple(edges), total)
+
+def _c_prim(lib, d, ends, picks, weights) -> None:
+    """``_numpy_prim`` as one call of the compiled ``lib``, for k of at
+    least 2.  ``d`` is read in place where it is aligned, C-contiguous
+    float64, as ``build_distance_matrix`` returns it, else from such a copy."""
+    d = np.require(d, np.float64, ("C", "A"))
+    if lib.sinepath_prim(len(d), d.ctypes.data, _address(ends), _address(picks),
+                         _address(weights)) < 0:
+        raise MemoryError(f"no memory for the scratch of a Prim over {len(d)} nodes")
 
 
 def restrict_edges(backbone: Backbone, subset) -> frozenset[tuple[int, int]]:

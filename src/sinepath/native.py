@@ -1,11 +1,11 @@
-"""Build, cache and load the colony's compiled calls.
+"""Build, cache and load the compiled calls of the colony and the spanning tree.
 
-``roulette.c`` ships with the package.  It exports three functions: one
+``roulette.c`` ships with the package.  It exports four functions: one
 colony call after its layout checks (the refusals of its draws and scores,
 the scores, the start columns, the capped draws, the roulette steps and the
-tour lengths), one colony's evaporate-and-deposit, and one iteration's draw
-blocks from their PCG64 seed words; ``_SIGNATURES`` gives each one's ctypes
-signature.
+tour lengths), one colony's evaporate-and-deposit, one iteration's draw
+blocks from their PCG64 seed words, and the steps of one spanning tree's
+Prim; ``_SIGNATURES`` gives each one's ctypes signature.
 ``load`` compiles the source once with the system's ``cc`` and ``FLAGS``:
 no fast-math, no ``-march`` and no fused multiply-add, so every sum and
 product stays one rounded IEEE double operation, as in numpy.  The shared
@@ -18,7 +18,7 @@ once leave one whole object, and each loads it with ``ctypes``.  Each new
 and nothing removes the old ones; the cache directory can be deleted at
 any time, and the next colony call builds it again.  Any failure raises
 ``Unavailable`` naming its cause.  ``aco.py`` checks the loaded functions
-against its numpy paths before it uses them, and runs the numpy paths
+against the numpy paths before it uses them, and the numpy paths run
 where ``load`` fails.
 """
 
@@ -39,6 +39,7 @@ _SIGNATURES = {
     "sinepath_colony": ((_I64, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR), ctypes.c_int),
     "sinepath_update": ((_I64, _PTR, ctypes.c_double, _PTR, _I64, _PTR, ctypes.c_double), None),
     "sinepath_draws": ((_I64, _PTR, _I64, _PTR, _PTR), None),
+    "sinepath_prim": ((_I64, _PTR, _PTR, _PTR, _PTR), ctypes.c_int),
 }
 
 

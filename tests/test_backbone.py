@@ -1,6 +1,7 @@
 """MST, matching, Euler walk, and shortcut seed construction."""
 
 import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from sinepath.instances import (
     random_planar_instance,
 )
 from sinepath.objective import Tour, tour_length
+from test_native import _numpy_loop
 
 
 def _random_matrix(n, seed):
@@ -130,23 +132,37 @@ def _mst_inputs(draw):
 @given(_mst_inputs())
 def test_mst_equals_reference_kruskal(case):
     # the MST of the subset's block, mapped back through the ascending
-    # subset: same nodes, same edges in the same order, same total bits
+    # subset: same nodes, same edges in the same order, same total bits,
+    # on the compiled Prim and on the numpy loop
     d, subset = case
     s = np.unique(np.asarray(list(subset)))
-    local = kruskal_mst(d[np.ix_(s, s)])
-    got = Backbone(
-        tuple(s[list(local.nodes)].tolist()),
-        tuple(Edge(int(s[e.u]), int(s[e.v]), e.weight) for e in local.edges),
-        local.total_cost,
-    )
+    block = d[np.ix_(s, s)]
     want = reference_kruskal_mst(d, subset)
-    assert got == want
-    assert got.total_cost.hex() == want.total_cost.hex()
+    for local in (kruskal_mst(block), _numpy_loop(lambda: kruskal_mst(block))):
+        got = Backbone(
+            tuple(s[list(local.nodes)].tolist()),
+            tuple(Edge(int(s[e.u]), int(s[e.v]), e.weight) for e in local.edges),
+            local.total_cost,
+        )
+        assert got == want
+        assert got.total_cost.hex() == want.total_cost.hex()
 
 
 def test_mst_equals_reference_kruskal_at_2000_nodes():
     d = build_distance_matrix(random_planar_instance(2000, seed=2000))
     assert kruskal_mst(d) == reference_kruskal_mst(d, range(2000))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,), (2, 2, 2), (0, 3)])
+@pytest.mark.parametrize("build", [kruskal_mst, christofides_seed, dfs_preorder_seed])
+def test_mst_refuses_a_matrix_that_is_not_square(build, shape):
+    # refused by name before any Prim runs; the compiled Prim would read
+    # the wrong cells of a (3, 5) matrix and past the end of a (5, 3) one
+    d = np.ones(shape)
+    d[..., 0] = np.nan  # the shape is named before the weights are read
+    with pytest.raises(ValueError, match=rf"distance matrix of shape {re.escape(str(shape))} "
+                                         "is not square"):
+        build(d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

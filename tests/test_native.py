@@ -27,8 +27,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_kruskal_mst
 from sinepath import aco, native, solver
 from sinepath.aco import AcoParams, SubsetColony, update_pheromones
+from sinepath.backbone import kruskal_mst
 from sinepath.instances import build_distance_matrix, load_instance, random_planar_instance
 from sinepath.objective import Tour, tour_lengths
 from sinepath.solver import SolverConfig, solve
@@ -40,7 +42,8 @@ SOURCE = resources.files("sinepath").joinpath("roulette.c").read_bytes()
 GROUP_MIN = int(re.search(rb"#define GROUP_MIN (\d+)", SOURCE)[1])
 
 # Functions with the exported names and signatures that give whole tours,
-# but not the roulette's, leave the trail as it was and draw only halves.
+# but not the roulette's, leave the trail as it was, draw only halves and
+# grow a path, not a spanning tree of least weight.
 WRONG_SOURCE = b"""
 #include <stdint.h>
 int sinepath_colony(int64_t n_ants, int64_t width, double *score, const double *weight,
@@ -65,7 +68,19 @@ void sinepath_draws(int64_t n_blocks, const uint64_t *states, int64_t n_ants,
         for (int64_t i = 0; i < n_ants * widths[b]; i++)
             *out++ = 0.5;
 }
+int sinepath_prim(int64_t k, const double *d, int64_t *ends, int64_t *picks, double *weights)
+{
+    for (int64_t s = 0; s + 1 < k; s++) {
+        ends[s] = s;
+        picks[s] = s + 1;
+        weights[s] = d[s * k + s + 1];
+    }
+    return 0;
+}
 """
+# The one comparison of roulette.c's Prim that gives a weight tie to the
+# smaller tree end.
+PRIM_TIE = b"w == best[j] && v < parent[j]"
 
 
 def _exported(source: bytes) -> dict:
@@ -254,12 +269,12 @@ def test_the_self_check_runs_both_paths(kernel):
         return call
 
     lib = SimpleNamespace(**{f"sinepath_{name}": spy(name) for name in ("colony", "update",
-                                                                          "draws")})
+                                                                          "draws", "prim")})
     assert aco._agrees(lib)
-    assert [name for name, _ in calls] == ["colony", "colony", "update", "draws"]
-    (_, (ants, width)), _, (_, update_width), (_, blocks) = calls
+    assert [name for name, _ in calls] == ["colony", "colony", "update", "draws", "prim"]
+    (_, (ants, width)), _, (_, update_width), (_, blocks), (_, prim_width) = calls
     assert width >= GROUP_MIN and ants >= 4 and ants % 4 != 0 and update_width == width
-    assert blocks > 1
+    assert blocks > 1 and prim_width == width
 
 
 def test_the_self_check_aims_targets_at_a_repeated_running_sum():
@@ -478,13 +493,64 @@ def test_update_refusals_are_the_same_and_change_no_trail_on_both_loops(kernel, 
     assert messages["compiled"] == messages["numpy"]
 
 
+def _tied(k: int, seed: int) -> np.ndarray:
+    """A (k, k) float64 matrix of weights 0 to 3, which tie often, whose
+    upper and lower triangles differ."""
+    return np.random.default_rng(seed).integers(0, 4, (k, k)).astype(float)
+
+
+def _read_only(d: np.ndarray) -> np.ndarray:
+    d.flags.writeable = False
+    return d
+
+
+def _signed_zeros(k: int, seed: int) -> np.ndarray:
+    """A (k, k) matrix of weights +0.0, -0.0 and 1, which the tie rule
+    alone tells apart where they are zeros."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((k, k)) < 0.3, 1.0, np.where(rng.random((k, k)) < 0.5, -0.0, 0.0))
+
+
+# Matrices that the compiled Prim reads through a C-contiguous float64 copy,
+# one that it reads in place though it is read-only, and sizes and weights
+# at its edges.
+PRIM_INPUTS = {
+    "Fortran order": lambda: np.asfortranarray(_tied(30, 1)),
+    "read-only": lambda: _read_only(_tied(30, 2)),
+    "strided": lambda: _tied(60, 3)[::2, ::2],
+    "int64": lambda: np.random.default_rng(4).integers(1, 5, (30, 30)),
+    "float32": lambda: (_tied(30, 5) / 3).astype(np.float32),
+    "one node": lambda: _tied(1, 6),
+    "two nodes": lambda: _tied(2, 7),
+    "three nodes": lambda: _tied(3, 8),
+    "all tied": lambda: np.full((30, 30), 2.5),
+    "signed zeros": lambda: _signed_zeros(40, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIM_INPUTS))
+def test_compiled_prim_matches_the_numpy_loop(kernel, case):
+    # the same tree, edge order and weight bits, the sign of a zero weight
+    # included, and the same bits of the total
+    d = PRIM_INPUTS[case]()
+    want = _numpy_loop(lambda: kruskal_mst(d))
+    got = kruskal_mst(d)
+    assert got == want
+    assert [e.weight.hex() for e in got.edges] == [e.weight.hex() for e in want.edges]
+    assert got.total_cost.hex() == want.total_cost.hex()
+    if case == "signed zeros":
+        assert {e.weight.hex() for e in want.edges if e.weight == 0} == {"0x0.0p+0",
+                                                                         "-0x0.0p+0"}
+
+
 def test_every_exported_function_is_bound_with_its_parameter_count():
     # a prototype in roulette.c that the loader's signatures do not match
     # would pass its arguments wrongly rather than fail
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
     exported = _exported(SOURCE)
-    assert set(exported) == {"sinepath_colony", "sinepath_update", "sinepath_draws"}
+    assert set(exported) == {"sinepath_colony", "sinepath_update", "sinepath_draws",
+                             "sinepath_prim"}
     lib = native.load()
     for name, count in exported.items():
         argtypes = getattr(lib, name).argtypes
@@ -533,7 +599,8 @@ def test_the_c_source_compiles_without_warnings(tmp_path):
 # against the numpy paths: colony calls on colony-owned arrays, with widths
 # on both sides of GROUP_MIN and one wide row, 1 to 13 ants, given and
 # drawn starts, draws of exactly 0 and 1, and one update per case; one
-# draws call per ant count over blocks of four widths; and each refusal.
+# draws call per ant count over blocks of four widths; each refusal; and
+# Prims over 2 to 250 nodes on tied and on untied asymmetric matrices.
 SANITIZED_DRIVER = """
 import sys
 from ctypes import CDLL
@@ -542,6 +609,7 @@ import numpy as np
 
 from sinepath import aco, native
 from sinepath.aco import AcoParams, SubsetColony, update_pheromones
+from sinepath.backbone import _c_prim, _numpy_prim
 from sinepath.instances import build_distance_matrix, random_planar_instance
 from sinepath.objective import Tour
 from sinepath.solver import _SeedState, _colony_seeds
@@ -601,6 +669,15 @@ for case in ("draw", "infinite", "overflow", "too large"):
             messages.append(str(exc))
     assert len(set(messages)) == 1 and len(messages) == 2, messages
     calls += 1
+for k in (2, 3, 24, 47, 250):
+    rng = np.random.default_rng(k)
+    for d in (rng.integers(0, 4, (k, k)).astype(float), rng.random((k, k))):
+        want = np.empty(k - 1, dtype=np.int64), np.empty(k - 1, dtype=np.int64), np.empty(k - 1)
+        got = tuple(map(np.empty_like, want))
+        _numpy_prim(d, *want)
+        _c_prim(lib, d, *got)
+        assert all(map(np.array_equal, got, want))
+        calls += 1
 print(calls)
 """
 
@@ -630,14 +707,14 @@ def test_the_compiled_calls_run_clean_under_sanitizers(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SANITIZED_DRIVER, str(sanitized)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[-4000:]
-    assert proc.stdout.strip() == str(4 * 13 * 3 + 3 + 4)
+    assert proc.stdout.strip() == str(4 * 13 * 3 + 3 + 4 + 5 * 2)
 
 
 def test_the_c_source_ships_with_the_package():
     source = resources.files("sinepath").joinpath("roulette.c")
     assert source.is_file()
     assert set(_exported(source.read_bytes())) == {"sinepath_colony", "sinepath_update",
-                                                    "sinepath_draws"}
+                                                    "sinepath_draws", "sinepath_prim"}
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
@@ -709,6 +786,22 @@ def test_object_that_fails_the_self_check_is_not_used(fresh_loader, tmp_path):
     subprocess.run(["cc", *native.FLAGS, "-x", "c", "-", "-o", str(fresh_loader)],
                    input=WRONG_SOURCE, check=True, timeout=120)
     _numpy_answers("it differs from the numpy loop on its self-check")
+
+
+def test_object_whose_prim_breaks_ties_the_other_way_is_not_used(fresh_loader):
+    # roulette.c with one change: its Prim gives a weight tie to the larger
+    # tree end; the self-check refuses the whole object, so the colony calls
+    # and the MST run in numpy
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    assert SOURCE.count(PRIM_TIE) == 1
+    fresh_loader.parent.mkdir(parents=True)
+    subprocess.run(["cc", *native.FLAGS, "-x", "c", "-", "-o", str(fresh_loader)],
+                   input=SOURCE.replace(PRIM_TIE, PRIM_TIE.replace(b"<", b">")), check=True,
+                   timeout=120)
+    _numpy_answers("it differs from the numpy loop on its self-check")
+    d = _tied(40, 40)
+    assert kruskal_mst(d) == reference_kruskal_mst(d, range(40))
 
 
 CACHE_HOMES = {
